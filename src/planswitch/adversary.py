@@ -22,6 +22,8 @@ import numpy as np
 from .chase import (
     DeltaTrace,
     OnlineState,
+    SeededUniforms,
+    chase_kernel,
     clamp_step,
     delta_trace,
     gchase_r,
@@ -197,32 +199,8 @@ def simulate_randomized_batch(dt: DeltaTrace, n_runs: int, seed: int) -> np.ndar
     ``seed + i``, exactly as the scalar fold does, so the rows are
     bit-identical to running :func:`planswitch.chase.gchase_r` once per seed.
     """
-    period = len(dt)
-    draws = np.empty((n_runs, period))
-    for i in range(n_runs):
-        draws[i] = np.random.default_rng(seed + i).random(period)
-    beta = dt.beta
-    neg = -beta
-    values = dt.values
-    states = np.zeros(n_runs, dtype=np.int8)
-    out = np.empty((n_runs, period), dtype=np.int8)
-    for t in range(1, period + 1):
-        d = values[t]
-        prev_d = values[t - 1]
-        if d == 0.0:
-            states = np.ones(n_runs, dtype=np.int8)
-        elif d == neg:
-            states = np.zeros(n_runs, dtype=np.int8)
-        elif prev_d <= d:
-            p_up = 1.0 - d / prev_d
-            switch = (states == 0) & (draws[:, t - 1] < p_up)
-            states = np.where(switch, np.int8(1), states)
-        else:
-            p_down = 1.0 - (beta + d) / (beta + prev_d)
-            drop = (states == 1) & (draws[:, t - 1] < p_down)
-            states = np.where(drop, np.int8(0), states)
-        out[:, t - 1] = states
-    return out
+    draws = SeededUniforms(seed, n_runs, len(dt))
+    return chase_kernel(dt.values, dt.beta, draws)[0]
 
 
 def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarray:

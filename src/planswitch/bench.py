@@ -35,12 +35,13 @@ from .adversary import (
     simulate_randomized_batch,
 )
 from .chase import (
+    SeededUniforms,
     cchase,
     csp_cost,
     delta_trace,
+    dsp_chase,
     gchase_dsp,
     gchase_r,
-    gchase_r_dsp,
     gchase_s,
     marginal_probabilities,
     ofa_s,
@@ -48,6 +49,7 @@ from .chase import (
 from .oracles import brute_force_dsp, brute_force_sp, dp_dsp, phi_identity_dsp, phi_identity_sp
 from .tariff import (
     CostSeries,
+    Schedule,
     SlotInput,
     Trace,
     ValidationError,
@@ -95,6 +97,9 @@ VARIABLE_RATE_AMPLITUDE = 0.12
 VARIABLE_RATE_SIGMA = 0.008
 MIN_RATE = 0.01
 
+# Most fee points a sweep evaluates: more is a mistyped step, not a study.
+MAX_SWEEP_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -128,8 +133,8 @@ class RunConfig:
             raise ValidationError(f"fee_regime must be one of {FEE_REGIMES}")
         if self.benchmark not in BENCHMARK_PLANS:
             raise ValidationError(f"benchmark must be one of {BENCHMARK_PLANS}")
-        if self.mc_runs < 1:
-            raise ValidationError("mc_runs must be >= 1")
+        if self.mc_runs < 2:
+            raise ValidationError(f"mc_runs must be >= 2, got {self.mc_runs!r}")
         if self.fee_regime == "constant" and "dp" in self.algorithms:
             raise ValidationError("the dp oracle applies to the linear fee regime only")
         if self.fee_regime == "linear" and "cchase" in self.algorithms:
@@ -243,6 +248,15 @@ def _ratio(cost: float, opt_cost: float) -> Optional[float]:
 
 def _evaluate(config: RunConfig, cs: CostSeries) -> list[SavingsReport]:
     bench_cost = float(sum(cs.g1 if config.benchmark == "all-variable" else cs.g0))
+
+    def report(name, cost, schedule=None, **extra):
+        return SavingsReport(name, cost, bench_cost, _savings(bench_cost, cost), schedule=schedule,
+                             ratio_vs_offline=_ratio(cost, opt_cost), **extra)
+
+    def replicates(costs):
+        return report("gchase_r", float(costs.mean()), mc_runs=len(costs),
+                      stderr=float(costs.std(ddof=1) / math.sqrt(len(costs))))
+
     reports = []
     if config.fee_regime == "constant":
         dt = delta_trace(cs, config.beta)
@@ -250,72 +264,31 @@ def _evaluate(config: RunConfig, cs: CostSeries) -> list[SavingsReport]:
         opt_cost = sp_cost(opt_sched, cs, config.beta)
         for name in config.algorithms:
             if name == "ofa":
-                reports.append(SavingsReport(
-                    "ofa", opt_cost, bench_cost, _savings(bench_cost, opt_cost),
-                    schedule=opt_sched.states, ratio_vs_offline=_ratio(opt_cost, opt_cost),
-                ))
+                reports.append(report("ofa", opt_cost, opt_sched.states))
             elif name == "gchase":
                 sched = gchase_s(dt)
-                cost = sp_cost(sched, cs, config.beta)
-                reports.append(SavingsReport(
-                    "gchase", cost, bench_cost, _savings(bench_cost, cost),
-                    schedule=sched.states, ratio_vs_offline=_ratio(cost, opt_cost),
-                ))
+                reports.append(report("gchase", sp_cost(sched, cs, config.beta), sched.states))
             elif name == "gchase_r":
                 states = simulate_randomized_batch(dt, config.mc_runs, config.seed)
-                costs = batch_sp_costs(states, cs, config.beta)
-                mean = float(costs.mean())
-                stderr = (
-                    float(costs.std(ddof=1) / math.sqrt(config.mc_runs))
-                    if config.mc_runs >= 2 else None
-                )
-                reports.append(SavingsReport(
-                    "gchase_r", mean, bench_cost, _savings(bench_cost, mean),
-                    schedule=None, ratio_vs_offline=_ratio(mean, opt_cost),
-                    stderr=stderr, mc_runs=config.mc_runs,
-                ))
+                reports.append(replicates(batch_sp_costs(states, cs, config.beta)))
             elif name == "cchase":
                 xs = cchase(dt)
-                cost = csp_cost(xs, cs, config.beta)
-                reports.append(SavingsReport(
-                    "cchase", cost, bench_cost, _savings(bench_cost, cost),
-                    schedule=xs.x, ratio_vs_offline=_ratio(cost, opt_cost),
-                ))
+                reports.append(report("cchase", csp_cost(xs, cs, config.beta), xs.x))
     else:
         opt = dp_dsp(cs, config.alpha, config.contract_len, config.fee_mode)
         opt_cost = opt.best_cost
+        fee = (config.alpha, config.contract_len, config.fee_mode)
         for name in config.algorithms:
             if name in ("ofa", "dp"):
-                reports.append(SavingsReport(
-                    name, opt_cost, bench_cost, _savings(bench_cost, opt_cost),
-                    schedule=opt.best_schedule.states,
-                    ratio_vs_offline=_ratio(opt_cost, opt_cost),
-                ))
+                reports.append(report(name, opt_cost, opt.best_schedule.states))
             elif name == "gchase":
                 sched, _ = gchase_dsp(cs, config.alpha, config.contract_len)
-                cost = dsp_cost(sched, cs, config.alpha, config.contract_len, config.fee_mode)
-                reports.append(SavingsReport(
-                    "gchase", cost, bench_cost, _savings(bench_cost, cost),
-                    schedule=sched.states, ratio_vs_offline=_ratio(cost, opt_cost),
-                ))
+                reports.append(report("gchase", dsp_cost(sched, cs, *fee), sched.states))
             elif name == "gchase_r":
-                costs = np.empty(config.mc_runs)
-                for i in range(config.mc_runs):
-                    sched, _ = gchase_r_dsp(
-                        cs, config.alpha, config.contract_len,
-                        np.random.default_rng(config.seed + i),
-                    )
-                    costs[i] = dsp_cost(sched, cs, config.alpha, config.contract_len, config.fee_mode)
-                mean = float(costs.mean())
-                stderr = (
-                    float(costs.std(ddof=1) / math.sqrt(config.mc_runs))
-                    if config.mc_runs >= 2 else None
-                )
-                reports.append(SavingsReport(
-                    "gchase_r", mean, bench_cost, _savings(bench_cost, mean),
-                    schedule=None, ratio_vs_offline=_ratio(mean, opt_cost),
-                    stderr=stderr, mc_runs=config.mc_runs,
-                ))
+                draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
+                states, _ = dsp_chase(cs, config.alpha, config.contract_len, draws, "gchase_r")
+                costs = [dsp_cost(Schedule(row.tolist()), cs, *fee) for row in states]
+                reports.append(replicates(np.array(costs)))
     return reports
 
 
@@ -363,7 +336,8 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
     One row per fee value on a shared trace (same seed at every point). The
     constant regime sets beta to the fee; the linear regime divides the fee
     by the contract length to get alpha. The offline optimum's cost must be
-    non-decreasing in the fee; violations are logged, not raised.
+    non-decreasing in the fee; violations are logged, not raised. More than
+    ``MAX_SWEEP_POINTS`` fee points is refused before anything is evaluated.
     """
     if fee_from > fee_to:
         raise ValidationError(f"fee_from {fee_from} > fee_to {fee_to}")
@@ -371,12 +345,15 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
         raise ValidationError(f"fee_step must be > 0, got {fee_step!r}")
     if config.fee_regime == "linear" and fee_from <= 0.0:
         raise ValidationError("linear regime requires positive fees")
+    span = (fee_to - fee_from) / fee_step + 1e-9
+    if not span < MAX_SWEEP_POINTS:
+        raise ValidationError(f"fees {fee_from} to {fee_to} by {fee_step} exceed {MAX_SWEEP_POINTS} points")
+    n_points = int(math.floor(span)) + 1
     trace = _load_trace(config)
     cs = protocol_cost_series(trace, config.h_rate, config.h_scale)
     header = ["fee"] + [f"{a}_savings_pct" for a in config.algorithms]
     rows: list[list] = []
     prev_opt = -math.inf
-    n_points = int(math.floor((fee_to - fee_from) / fee_step + 1e-9)) + 1
     for i in range(n_points):
         fee = fee_from + i * fee_step
         if config.fee_regime == "constant":

@@ -17,17 +17,18 @@ Four algorithms share the trace:
 The decreasing-fee variants subtract a per-slot drift ``alpha`` from the gap
 and force a switch when a fixed contract reaches its maximum length.
 
-Batch functions are plain loops; every online algorithm also exposes a step
-form (fold the steps to reproduce the batch output bit-exactly). The
+Every forward rule runs in one numpy kernel over (replicates x slots),
+:func:`chase_kernel`; each online rule keeps a scalar step form as the
+readable reference (fold the steps to reproduce the kernel bit-exactly). The
 randomized step consumes exactly one uniform draw per slot whether or not the
-slot's decision is random, so scalar folds and vectorized batch simulations
-see identical draws positionally.
+slot's decision is random, so scalar folds and the kernel see identical draws.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -51,6 +52,10 @@ __all__ = [
     "cchase",
     "csp_cost",
     "marginal_probabilities",
+    "SeededUniforms",
+    "chase_kernel",
+    "drift_trace",
+    "dsp_chase",
     "gchase_dsp",
     "gchase_r_dsp",
 ]
@@ -83,13 +88,12 @@ class DeltaTrace:
         drift = float(self.drift)
         if not math.isfinite(drift) or drift < 0.0:
             raise ValidationError(f"drift must be finite and >= 0, got {drift!r}")
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         if not values:
             raise ValidationError("delta trace must contain the initial value")
         if values[0] != -beta:
             raise ValidationError(f"value[0] must equal -beta={-beta}, got {values[0]}")
-        neg = -beta
-        if any(v < neg or v > 0.0 for v in values):
+        if min(values) < -beta or max(values) > 0.0:  # values[0] is not NaN, so neither is min/max
             raise ValidationError("delta trace values must lie in [-beta, 0]")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "beta", beta)
@@ -212,18 +216,7 @@ def gchase_s(dt: DeltaTrace) -> Schedule:
     Switches only on boundary hits, otherwise keeps the previous plan
     (s_0 = 0). Worst-case cost is 3x the offline optimum.
     """
-    values = dt.values
-    neg = -dt.beta
-    states = [0] * len(dt)
-    prev = 0
-    for t in range(1, len(dt) + 1):
-        v = values[t]
-        if v == neg:
-            prev = 0
-        elif v == 0.0:
-            prev = 1
-        states[t - 1] = prev
-    return Schedule(states)
+    return Schedule(chase_kernel(dt.values, dt.beta)[0][0].tolist())
 
 
 def gchase_step(state: OnlineState, delta_t: float) -> tuple[OnlineState, int]:
@@ -282,13 +275,9 @@ def gchase_r_step(
 
 
 def gchase_r(dt: DeltaTrace, rng: np.random.Generator) -> Schedule:
-    """Randomized online schedule: fold of :func:`gchase_r_step` over the trace."""
-    state = OnlineState.initial(dt.beta)
-    states = []
-    for t in range(1, len(dt) + 1):
-        state, s = gchase_r_step(state, dt.values[t], rng)
-        states.append(s)
-    return Schedule(states)
+    """Randomized online schedule: :func:`gchase_r_step` folded over the trace,
+    one uniform per slot from ``rng``, computed by :func:`chase_kernel`."""
+    return Schedule(chase_kernel(dt.values, dt.beta, rng.random((1, len(dt))))[0][0].tolist())
 
 
 def cchase(dt: DeltaTrace) -> FractionalSchedule:
@@ -341,7 +330,8 @@ def marginal_probabilities(dt: DeltaTrace) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _drift_trace(cs: CostSeries, alpha: float, contract_len: int) -> DeltaTrace:
+def drift_trace(cs: CostSeries, alpha: float, contract_len: int) -> DeltaTrace:
+    """Gap trace of the decreasing-fee rules: beta = alpha * contract_len, drift alpha."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValidationError(f"alpha must be finite and > 0, got {alpha!r}")
     if int(contract_len) != contract_len or contract_len < 1:
@@ -349,54 +339,118 @@ def _drift_trace(cs: CostSeries, alpha: float, contract_len: int) -> DeltaTrace:
     return delta_trace(cs, beta=alpha * contract_len, drift=alpha)
 
 
-def _randomized_decision(
-    beta: float, prev_d: float, prev_s: int, d: float, u: float
-) -> int:
-    # Shared branch logic of the randomized rule, without reachability checks:
-    # the expiry guard below legitimately creates (prev at -beta, plan 1).
-    if d == 0.0:
-        return 1
-    if d == -beta:
-        return 0
-    if prev_d <= d:
-        if prev_s == 1:
-            return 1
-        return 1 if u < 1.0 - d / prev_d else 0
-    if prev_s == 0:
-        return 0
-    return 0 if u < 1.0 - (beta + d) / (beta + prev_d) else 1
+class SeededUniforms:
+    """Replicate draws made on demand, sliced like a 2-D array: row i is
+    ``default_rng(seed + i).random(period)``, whatever the replicate count."""
+
+    def __init__(self, seed: int, n_runs: int, period: int):
+        self.seed, self.n_runs, self.period = int(seed), int(n_runs), int(period)
+
+    def __len__(self) -> int:
+        return self.n_runs
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        runs = range(self.n_runs)[rows]
+        out = np.empty((len(runs), self.period))
+        for j, i in enumerate(runs):
+            np.random.default_rng(self.seed + i).random(out=out[j])
+        return out
 
 
-def _with_expiry_guard(decide, dt: DeltaTrace, contract_len: int, label: str) -> tuple[Schedule, int]:
-    """Forward pass with a contract-expiry guard.
+# Cells per block of replicate rows: bounds the kernel's temporaries at any replicate count.
+BLOCK_CELLS = 1 << 16
 
-    The drift rule alone can park the gap at -beta indefinitely, emitting a
-    fixed-plan run longer than the contract allows; when a run has already
-    lasted ``contract_len`` slots, the next fixed-plan decision is overridden
-    to the variable plan (the contract expired). Later decisions see the
-    forced state. Forced switches are logged and counted.
-    """
-    values = dt.values
-    states = []
-    prev_s = 0
-    run = 0
-    forced = 0
-    for t in range(1, len(dt) + 1):
-        s = decide(values[t - 1], prev_s, values[t])
-        if s == 0 and run == contract_len:
-            s = 1
+
+def _slot_rule(values: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    # Per slot: the threshold below which its uniform forces a plan, and that plan.
+    # Interior thresholds are gchase_r_step's IEEE operations, built in place.
+    prev, d = values[:-1], values[1:]
+    rising = prev <= d
+    thr = beta + d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        thr /= beta + prev
+        np.divide(d, prev, out=thr, where=rising)
+    np.subtract(1.0, thr, out=thr)
+    at_top, at_floor = d == 0.0, d == -beta
+    thr[at_top | at_floor] = np.inf
+    rising |= at_top
+    rising &= ~at_floor
+    return thr, rising
+
+
+def _guarded_row(hit: np.ndarray, force: np.ndarray, contract_len: int, out: np.ndarray) -> int:
+    # Walk one replicate (``out``, all zero) over its forcing slots: a fixed run lasts until the next
+    # slot forcing 1 or is cut after contract_len slots; plan 1 holds until the next slot forcing 0.
+    pos = np.flatnonzero(hit)
+    ups, downs = pos[force[pos]].tolist(), pos[~force[pos]].tolist()
+    forced = start = iu = idn = 0
+    while True:
+        iu = bisect_left(ups, start, iu)
+        expiry = start + contract_len
+        if iu < len(ups) and ups[iu] <= expiry:
+            on = ups[iu]
+        elif expiry < len(out):
+            on = expiry
             forced += 1
-        run = run + 1 if s == 0 else 0
-        states.append(s)
-        prev_s = s
-    if forced:
-        logger.warning(
-            "%s: forced %d switch(es) to keep contract runs within %d slots",
-            label,
-            forced,
-            contract_len,
-        )
-    return Schedule(states), forced
+        else:
+            return forced
+        idn = bisect_right(downs, on, idn)
+        start = downs[idn] if idn < len(downs) else len(out)
+        out[on:start] = 1
+
+
+def _fill(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray) -> np.ndarray:
+    # Forward fill: each slot takes the plan of the last forcing slot up to it, else plan_of[0].
+    return plan_of.take(np.maximum.accumulate(hit * slots, axis=-1)).view(np.int8)
+
+
+def chase_kernel(values, beta: float, draws=None, contract_len: int | None = None):
+    """Every forward chase rule, over (replicates x slots).
+
+    ``values`` is a gap trace (T + 1 entries from -beta). Given its uniform
+    u, a slot forces a plan or keeps the previous one: a boundary slot forces
+    its own, a rising slot forces 1 when u < 1 - d/prev, a falling slot
+    forces 0 when u < 1 - (beta + d)/(beta + prev). A replicate is a forward
+    fill of its last forcing slot from s_0 = 0. ``draws`` has one row of T
+    uniforms per replicate (a 2-D array or :class:`SeededUniforms`), or is
+    None for the deterministic rule: only boundary slots force. The drift
+    rule alone can park the gap at -beta for good, so with ``contract_len`` a
+    fixed run reaching that length is cut by a forced switch to plan 1.
+    Returns int8 states and the forced-switch count per row.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    slots = np.arange(1, len(values), dtype=np.int32)
+    if draws is None:  # only boundary slots force: plan 1 at the top, 0 at the floor
+        plan_of = values == 0.0  # entry 0 is s_0 = 0, as values[0] = -beta
+        hit = plan_of[1:] | (values[1:] == -beta)
+        if contract_len is None:  # one row, no blocks: keeps short traces cheap
+            return _fill(hit, slots, plan_of)[None], np.zeros(1, dtype=np.int64)
+        hit, n_runs = hit[None], 1
+    else:
+        thr, force = _slot_rule(values, float(beta))
+        plan_of = np.concatenate(([False], force))
+        n_runs = len(draws)
+    states, forced = np.zeros((n_runs, len(slots)), np.int8), np.zeros(n_runs, np.int64)
+    block = max(1, BLOCK_CELLS // max(len(slots), 1))
+    for i0 in range(0, n_runs, block):
+        if draws is not None:
+            hit = draws[i0:i0 + block] < thr
+        if contract_len is None:
+            states[i0:i0 + block] = _fill(hit, slots, plan_of)
+        else:
+            for j, row in enumerate(hit):
+                forced[i0 + j] = _guarded_row(row, plan_of[1:], int(contract_len), states[i0 + j])
+    return states, forced
+
+
+def dsp_chase(cs: CostSeries, alpha: float, contract_len: int, draws=None, label: str = "gchase_dsp"):
+    """:func:`chase_kernel` on the drift trace under the expiry guard; one warning per batch."""
+    dt = drift_trace(cs, alpha, contract_len)
+    states, forced = chase_kernel(dt.values, dt.beta, draws, int(contract_len))
+    if forced.any():
+        logger.warning("%s: forced %d switch(es) over %d replicate(s) to keep contract runs within %d slots",
+                       label, int(forced.sum()), len(forced), contract_len)
+    return states, forced
 
 
 def gchase_dsp(cs: CostSeries, alpha: float, contract_len: int) -> tuple[Schedule, int]:
@@ -406,17 +460,8 @@ def gchase_dsp(cs: CostSeries, alpha: float, contract_len: int) -> tuple[Schedul
     (beta = alpha * contract_len, drift = alpha) under the contract-expiry
     guard. Returns the feasible schedule and the number of forced switches.
     """
-    dt = _drift_trace(cs, alpha, contract_len)
-    neg = -dt.beta
-
-    def decide(prev_d, prev_s, d):
-        if d == neg:
-            return 0
-        if d == 0.0:
-            return 1
-        return prev_s
-
-    return _with_expiry_guard(decide, dt, int(contract_len), "gchase_dsp")
+    states, forced = dsp_chase(cs, alpha, contract_len)
+    return Schedule(states[0].tolist()), int(forced[0])
 
 
 def gchase_r_dsp(
@@ -426,10 +471,5 @@ def gchase_r_dsp(
 
     Consumes one uniform draw per slot, forced slots included.
     """
-    dt = _drift_trace(cs, alpha, contract_len)
-    beta = dt.beta
-
-    def decide(prev_d, prev_s, d):
-        return _randomized_decision(beta, prev_d, prev_s, d, rng.random())
-
-    return _with_expiry_guard(decide, dt, int(contract_len), "gchase_r_dsp")
+    states, forced = dsp_chase(cs, alpha, contract_len, rng.random((1, len(cs))), "gchase_r_dsp")
+    return Schedule(states[0].tolist()), int(forced[0])

@@ -147,15 +147,16 @@ class CostSeries:
     g1: tuple[float, ...]
 
     def __init__(self, g0: Iterable[float], g1: Iterable[float]):
-        g0 = tuple(float(v) for v in g0)
-        g1 = tuple(float(v) for v in g1)
+        g0 = tuple(map(float, g0))
+        g1 = tuple(map(float, g1))
         if len(g0) != len(g1):
             raise ValidationError(f"g0/g1 length mismatch: {len(g0)} vs {len(g1)}")
         if not g0:
             raise ValidationError("cost series must be nonempty")
-        for t, (a, b) in enumerate(zip(g0, g1), start=1):
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValidationError(f"non-finite cost pair at slot {t}")
+        if not math.isfinite(sum(g0) + sum(g1)):  # a finite sum rules out inf and nan
+            for t, (a, b) in enumerate(zip(g0, g1), start=1):
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    raise ValidationError(f"non-finite cost pair at slot {t}")
         object.__setattr__(self, "g0", g0)
         object.__setattr__(self, "g1", g1)
 
@@ -188,10 +189,11 @@ class Schedule:
         states = tuple(states)
         if not states:
             raise ValidationError("schedule must be nonempty")
-        for t, s in enumerate(states, start=1):
-            if s not in (0, 1):
-                raise ValidationError(f"schedule entry at slot {t} must be 0 or 1, got {s!r}")
-        object.__setattr__(self, "states", tuple(int(s) for s in states))
+        if states.count(0) + states.count(1) != len(states):  # the loop's check, in C
+            for t, s in enumerate(states, start=1):
+                if s not in (0, 1):
+                    raise ValidationError(f"schedule entry at slot {t} must be 0 or 1, got {s!r}")
+        object.__setattr__(self, "states", tuple(map(int, states)))
 
     def __len__(self) -> int:
         return len(self.states)
@@ -335,9 +337,9 @@ def dsp_cost(
 def parse_trace(data: bytes | str) -> Trace:
     """Parse a trace CSV with header ``t,e,p0,p1,B``.
 
-    Rows carry a strictly increasing integer slot index starting at 1 and
-    four nonnegative finite values (demand, fixed rate, variable rate, base
-    load). UTF-8, LF or CRLF.
+    Rows carry a consecutive integer slot index starting at 1 (a gap is an
+    error) and four nonnegative finite values (demand, fixed rate, variable
+    rate, base load). UTF-8, LF or CRLF.
     """
     if isinstance(data, bytes):
         try:
@@ -366,8 +368,8 @@ def parse_trace(data: bytes | str) -> Trace:
             raise TraceParseError(f"row {row_no}: slot index {row[0]!r} is not an integer") from None
         if row_no == 1 and t != 1:
             raise TraceParseError(f"row {row_no}: slot index must start at 1, got {t}")
-        if t <= prev_t:
-            raise TraceParseError(f"row {row_no}: slot index {t} not strictly increasing")
+        if t != prev_t + 1:
+            raise TraceParseError(f"row {row_no}: slot index {t} does not follow {prev_t} consecutively")
         prev_t = t
         try:
             values = [float(v) for v in row[1:]]

@@ -6,6 +6,8 @@ import pytest
 from planswitch import (
     RunConfig,
     ValidationError,
+    dsp_cost,
+    gchase_r_dsp,
     parse_trace,
     protocol_cost_series,
     report_json,
@@ -16,6 +18,8 @@ from planswitch import (
     synth_trace,
     trace_to_csv,
 )
+from planswitch import bench
+from planswitch.bench import MAX_SWEEP_POINTS
 from planswitch.cli import main
 
 
@@ -88,6 +92,11 @@ class TestRunConfigValidation:
         with pytest.raises(ValidationError):
             RunConfig(algorithms=("cchase",), fee_regime="linear")
 
+    @pytest.mark.parametrize("runs", [1, 0, -3])
+    def test_needs_two_replicates_for_a_stderr(self, runs):
+        with pytest.raises(ValidationError, match="mc_runs"):
+            RunConfig(mc_runs=runs)
+
 
 class TestRunReport:
     def test_worst_case_orderings_hold(self):
@@ -126,6 +135,30 @@ class TestRunReport:
         assert report["reports"]["ofa"]["cost"] == report["reports"]["dp"]["cost"]
         assert report["reports"]["gchase"]["ratio_vs_offline"] >= 1.0 - 1e-9
 
+    def test_linear_batch_logs_one_forced_line(self, caplog):
+        cfg = RunConfig(synth_slots=36, seed=16, fee_regime="linear", alpha=10.0,
+                        contract_len=4, algorithms=("gchase_r",), mc_runs=25)
+        with caplog.at_level("WARNING"):
+            run_report(cfg)
+        lines = [r.getMessage() for r in caplog.records if "forced" in r.getMessage()]
+        assert len(lines) == 1
+        cs = protocol_cost_series(synth_trace(36, 16))
+        total = sum(gchase_r_dsp(cs, 10.0, 4, np.random.default_rng(16 + i))[1] for i in range(25))
+        assert total > 0
+        assert f"forced {total} switch(es) over 25 replicate(s)" in lines[0]
+
+    def test_linear_batch_equals_single_calls(self):
+        cfg = RunConfig(synth_slots=30, seed=17, fee_regime="linear", alpha=10.0,
+                        contract_len=6, algorithms=("gchase_r",), mc_runs=12)
+        entry = run_report(cfg)["reports"]["gchase_r"]
+        cs = protocol_cost_series(synth_trace(30, 17))
+        costs = np.array([
+            dsp_cost(gchase_r_dsp(cs, 10.0, 6, np.random.default_rng(17 + i))[0], cs, 10.0, 6)
+            for i in range(12)
+        ])
+        assert entry["cost"] == float(costs.mean())
+        assert entry["stderr"] == float(costs.std(ddof=1) / np.sqrt(12))
+
     def test_trace_file_input(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(trace_to_csv(synth_trace(12, seed=12)))
@@ -152,6 +185,29 @@ class TestSweep:
             sweep(cfg, 10.0, 5.0, 1.0)
         with pytest.raises(ValidationError):
             sweep(cfg, 1.0, 5.0, 0.0)
+
+    def test_point_count_capped_before_any_work(self, monkeypatch):
+        def no_work(*_):
+            raise AssertionError("evaluated a refused sweep")
+
+        monkeypatch.setattr(bench, "_load_trace", no_work)
+        cfg = RunConfig(synth_slots=12, seed=13, algorithms=("ofa",))
+        for fee_from, fee_to, step in [(1.0, 2.0, 1e-12), (0.0, float(MAX_SWEEP_POINTS), 1.0),
+                                       (1.0, 5.0, 1e-320)]:
+            with pytest.raises(ValidationError, match="points"):
+                sweep(cfg, fee_from, fee_to, step)
+
+    def test_point_count_at_cap_accepted(self, monkeypatch):
+        class Evaluated(Exception):
+            pass
+
+        def stop(*_):
+            raise Evaluated
+
+        monkeypatch.setattr(bench, "_evaluate", stop)
+        cfg = RunConfig(synth_slots=12, seed=13, algorithms=("ofa",))
+        with pytest.raises(Evaluated):
+            sweep(cfg, 1.0, float(MAX_SWEEP_POINTS), 1.0)
 
     def test_regimes_share_the_trace(self):
         # same seed -> same trace, so fee columns align point by point and the
@@ -231,3 +287,20 @@ class TestCli:
 
     def test_zero_slots_is_an_error(self, capsys):
         assert main(["synth", "-T", "0"]) == 2
+
+    def test_single_replicate_is_an_error(self, capsys):
+        assert main(["run", "--slots", "12", "--mc-runs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mc_runs must be >= 2" in err
+
+    def test_oversized_sweep_is_an_error(self, capsys):
+        assert main(["sweep", "--slots", "12", "--from", "1", "--to", "2", "--step", "1e-12"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "points" in err
+
+    def test_gapped_trace_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        path.write_text("t,e,p0,p1,B\n1,100,0.10,0.12,100\n5,90,0.1,0.11,100\n")
+        assert main(["run", "--trace", str(path), "--algorithms", "ofa"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "row 2" in err

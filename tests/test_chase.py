@@ -70,6 +70,8 @@ class TestDeltaTrace:
             DeltaTrace(values=(0.0, -1.0), beta=2.0)  # must start at -beta
         with pytest.raises(ValidationError):
             DeltaTrace(values=(-2.0, 1.0), beta=2.0)  # above 0
+        with pytest.raises(ValidationError):
+            DeltaTrace(values=(-2.0, -1.0, -2.5, 0.0), beta=2.0)  # below -beta, mid-trace
 
     @given(
         gaps=st.lists(st.floats(-50, 50), min_size=1, max_size=30),

@@ -1,0 +1,237 @@
+"""Differential tests of the forward chase kernel.
+
+The kernel is checked against two independent slow references: the scalar
+step folds (``gchase_step``, ``gchase_r_step``) and, for the decreasing-fee
+rules, the per-slot expiry-guard fold the kernel replaced, kept here verbatim
+as a test-only oracle.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planswitch import (
+    CostSeries,
+    OnlineState,
+    delta_trace,
+    gchase_dsp,
+    gchase_r,
+    gchase_r_dsp,
+    gchase_r_step,
+    gchase_s,
+    gchase_step,
+    random_cost_series,
+    simulate_randomized_batch,
+)
+from planswitch import chase
+from planswitch.chase import SeededUniforms, chase_kernel, drift_trace
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracle: the per-slot fold with the contract-expiry guard.
+# ---------------------------------------------------------------------------
+
+
+def _randomized_decision(beta, prev_d, prev_s, d, u):
+    if d == 0.0:
+        return 1
+    if d == -beta:
+        return 0
+    if prev_d <= d:
+        if prev_s == 1:
+            return 1
+        return 1 if u < 1.0 - d / prev_d else 0
+    if prev_s == 0:
+        return 0
+    return 0 if u < 1.0 - (beta + d) / (beta + prev_d) else 1
+
+
+def _with_expiry_guard(decide, dt, contract_len):
+    values = dt.values
+    states = []
+    prev_s = 0
+    run = 0
+    forced = 0
+    for t in range(1, len(dt) + 1):
+        s = decide(values[t - 1], prev_s, values[t])
+        if s == 0 and run == contract_len:
+            s = 1
+            forced += 1
+        run = run + 1 if s == 0 else 0
+        states.append(s)
+        prev_s = s
+    return states, forced
+
+
+def oracle_guarded(dt, contract_len, rng=None):
+    """States and forced count of the guarded rule; ``rng`` None is deterministic."""
+    neg = -dt.beta
+
+    def boundary(prev_d, prev_s, d):
+        if d == neg:
+            return 0
+        if d == 0.0:
+            return 1
+        return prev_s
+
+    def randomized(prev_d, prev_s, d):
+        return _randomized_decision(dt.beta, prev_d, prev_s, d, rng.random())
+
+    return _with_expiry_guard(boundary if rng is None else randomized, dt, contract_len)
+
+
+def step_fold(dt, rng=None):
+    """Scalar reference: gchase_step, or gchase_r_step with ``rng``, folded."""
+    state = OnlineState.initial(dt.beta)
+    out = []
+    for v in dt.values[1:]:
+        state, s = gchase_step(state, v) if rng is None else gchase_r_step(state, v, rng)
+        out.append(s)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Instances: small integer costs make boundary hits and ties common.
+# ---------------------------------------------------------------------------
+
+instances = st.tuples(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _seeded_instances(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        period = int(rng.integers(1, 60))
+        cs = random_cost_series(rng, period, 0.0, float(rng.choice([2.0, 10.0])))
+        yield cs, float(rng.choice([0.3, 1.0, 2.5])), int(rng.integers(1, 13)), int(rng.integers(0, 2**31))
+
+
+class TestConstantFee:
+    @settings(max_examples=200, deadline=None)
+    @given(instances)
+    def test_deterministic_matches_step_fold(self, inst):
+        pairs, beta, _, _ = inst
+        dt = delta_trace(CostSeries.from_pairs(pairs), beta)
+        states, forced = chase_kernel(dt.values, dt.beta)
+        assert states.shape == (1, len(dt)) and states.dtype == np.int8
+        assert states[0].tolist() == step_fold(dt) == list(gchase_s(dt).states)
+        assert forced.tolist() == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances)
+    def test_randomized_rows_match_step_fold(self, inst):
+        pairs, beta, _, seed = inst
+        dt = delta_trace(CostSeries.from_pairs(pairs), beta)
+        states = simulate_randomized_batch(dt, 4, seed)
+        for i, row in enumerate(states):
+            assert row.tolist() == step_fold(dt, np.random.default_rng(seed + i))
+            assert row.tolist() == list(gchase_r(dt, np.random.default_rng(seed + i)).states)
+
+    def test_random_float_instances(self):
+        for cs, beta, _, seed in _seeded_instances(301, 150):
+            dt = delta_trace(cs, beta)
+            assert chase_kernel(dt.values, beta)[0][0].tolist() == step_fold(dt)
+            draws = SeededUniforms(seed, 3, len(dt))
+            states, forced = chase_kernel(dt.values, beta, draws)
+            assert not forced.any()
+            for i, row in enumerate(states):
+                assert row.tolist() == step_fold(dt, np.random.default_rng(seed + i))
+                assert row.tolist() == list(gchase_r(dt, np.random.default_rng(seed + i)).states)
+
+    def test_guard_longer_than_trace_changes_nothing(self):
+        for cs, beta, _, seed in _seeded_instances(302, 100):
+            dt = delta_trace(cs, beta)
+            draws = SeededUniforms(seed, 3, len(dt))
+            free, _ = chase_kernel(dt.values, beta, draws)
+            guarded, forced = chase_kernel(dt.values, beta, draws, len(dt))
+            assert np.array_equal(free, guarded)
+            assert not forced.any()
+
+
+class TestDecreasingFee:
+    @settings(max_examples=200, deadline=None)
+    @given(instances)
+    def test_deterministic_matches_oracle(self, inst):
+        pairs, alpha, cap, _ = inst
+        cs = CostSeries.from_pairs(pairs)
+        dt = drift_trace(cs, alpha, cap)
+        want_states, want_forced = oracle_guarded(dt, cap)
+        states, forced = chase_kernel(dt.values, dt.beta, None, cap)
+        assert states[0].tolist() == want_states
+        assert forced.tolist() == [want_forced]
+        sched, n = gchase_dsp(cs, alpha, cap)
+        assert list(sched.states) == want_states and n == want_forced
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances)
+    def test_randomized_matches_oracle(self, inst):
+        pairs, alpha, cap, seed = inst
+        cs = CostSeries.from_pairs(pairs)
+        dt = drift_trace(cs, alpha, cap)
+        want_states, want_forced = oracle_guarded(dt, cap, np.random.default_rng(seed))
+        sched, n = gchase_r_dsp(cs, alpha, cap, np.random.default_rng(seed))
+        assert list(sched.states) == want_states and n == want_forced
+
+    def test_random_float_instances(self):
+        checked_forced = 0
+        for cs, alpha, cap, seed in _seeded_instances(303, 150):
+            dt = drift_trace(cs, alpha, cap)
+            want = oracle_guarded(dt, cap)
+            states, forced = chase_kernel(dt.values, dt.beta, None, cap)
+            assert (states[0].tolist(), int(forced[0])) == want
+            states, forced = chase_kernel(dt.values, dt.beta, SeededUniforms(seed, 3, len(dt)), cap)
+            for i in range(3):
+                want = oracle_guarded(dt, cap, np.random.default_rng(seed + i))
+                assert (states[i].tolist(), int(forced[i])) == want
+                checked_forced += want[1]
+        assert checked_forced > 0  # the guard is exercised, not just the free rule
+
+
+class TestBlocking:
+    @pytest.mark.parametrize("cap", [None, 3])
+    @pytest.mark.parametrize("cells", [1, 17, 250, 1 << 16])
+    def test_row_independent_of_run_count_and_block_size(self, monkeypatch, cap, cells):
+        cs = random_cost_series(np.random.default_rng(304), 50, 0.0, 3.0)
+        dt = drift_trace(cs, 0.4, 3) if cap else delta_trace(cs, 2.0)
+        ref_states, ref_forced = chase_kernel(dt.values, dt.beta, SeededUniforms(9, 40, len(dt)), cap)
+        monkeypatch.setattr(chase, "BLOCK_CELLS", cells)
+        for n_runs in (1, 7, 40):
+            states, forced = chase_kernel(dt.values, dt.beta, SeededUniforms(9, n_runs, len(dt)), cap)
+            assert np.array_equal(states, ref_states[:n_runs])
+            assert np.array_equal(forced, ref_forced[:n_runs])
+
+    def test_seeded_uniforms_rows(self):
+        draws = SeededUniforms(11, 5, 8)
+        assert len(draws) == 5
+        block = draws[1:4]
+        assert block.shape == (3, 8)
+        for j, i in enumerate(range(1, 4)):
+            assert np.array_equal(block[j], np.random.default_rng(11 + i).random(8))
+
+    def test_array_draws_equal_seeded_draws(self):
+        dt = delta_trace(random_cost_series(np.random.default_rng(305), 30), 4.0)
+        seeded = SeededUniforms(21, 6, len(dt))
+        a, _ = chase_kernel(dt.values, dt.beta, seeded)
+        b, _ = chase_kernel(dt.values, dt.beta, seeded[0:6])
+        assert np.array_equal(a, b)
+
+
+def test_gchase_r_dsp_consumes_exactly_one_draw_per_slot():
+    cs = random_cost_series(np.random.default_rng(306), 23)
+    rng = np.random.default_rng(77)
+    gchase_r_dsp(cs, 0.5, 4, rng)
+    assert rng.random() == np.random.default_rng(77).random(24)[-1]
+
+
+def test_single_call_logs_one_line(caplog):
+    cs = CostSeries.from_pairs([(0, 10)] * 30)
+    with caplog.at_level("WARNING", logger="planswitch.chase"):
+        _, forced = gchase_r_dsp(cs, 0.5, 3, np.random.default_rng(0))
+    assert forced > 1
+    assert len(caplog.records) == 1
+    assert f"forced {forced} switch(es)" in caplog.records[0].getMessage()

@@ -109,6 +109,10 @@ class TestCostSeries:
     def test_non_finite_pair_rejected(self):
         with pytest.raises(ValidationError):
             CostSeries.from_pairs([(1.0, math.nan)])
+        with pytest.raises(ValidationError, match="slot 2"):
+            CostSeries.from_pairs([(1.0, 2.0), (-math.inf, 0.0), (math.inf, 0.0)])
+        # finite entries whose sum overflows are still finite
+        assert len(CostSeries.from_pairs([(1e308, 1e308), (1e308, 0.0)])) == 2
 
 
 CS3 = CostSeries.from_pairs([(3, 0), (0, 3), (0, 0)])
@@ -138,6 +142,9 @@ class TestScheduleCosts:
     def test_schedule_entries_validated(self):
         with pytest.raises(ValidationError):
             Schedule([0, 2])
+        with pytest.raises(ValidationError, match="slot 3"):
+            Schedule([1, 0, 0.5, 1])
+        assert Schedule([True, 0.0, np.int8(1)]).states == (1, 0, 1)
 
     @given(
         states=st.lists(st.integers(0, 1), min_size=1, max_size=20),
@@ -246,6 +253,11 @@ class TestParseTrace:
     def test_non_monotone_index(self):
         with pytest.raises(TraceParseError, match="row 2"):
             parse_trace(b"t,e,p0,p1,B\n1,100,0.10,0.12,100\n1,90,0.1,0.11,100\n")
+
+    def test_gapped_index_rejected(self):
+        # rows 1 and 5 are not two consecutive months
+        with pytest.raises(TraceParseError, match="row 2: slot index 5"):
+            parse_trace(b"t,e,p0,p1,B\n1,100,0.10,0.12,100\n5,90,0.1,0.11,100\n")
 
     def test_index_must_start_at_one(self):
         with pytest.raises(TraceParseError, match="start at 1"):
