@@ -67,7 +67,6 @@ from .tariff import (
     InfeasibleScheduleError,
     Schedule,
     SlotInput,
-    TariffParams,
     Trace,
     TraceParseError,
     ValidationError,

@@ -31,7 +31,7 @@ from .chase import (
     ofa_s,
 )
 from .oracles import BRUTE_FORCE_MAX_T, brute_force_sp, dp_dsp
-from .tariff import CostSeries, Schedule, ValidationError, dsp_cost, sp_cost
+from .tariff import CostSeries, Schedule, ValidationError, dsp_cost, require_finite, sp_cost
 
 __all__ = [
     "RatioReport",
@@ -92,8 +92,7 @@ def randomized_lb_instance(beta: float, small_delta: float, horizon: int) -> Cos
     the offline player ``small_delta * beta``, while the continuous algorithm
     pays ``(2 - small_delta)`` times that.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValidationError(f"beta must be finite and > 0, got {beta!r}")
+    beta = require_finite("beta", beta, positive=True)
     if not 0.0 < small_delta < 1.0:
         raise ValidationError(f"small_delta must lie in (0, 1), got {small_delta!r}")
     if horizon < 2:

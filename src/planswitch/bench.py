@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -35,12 +35,13 @@ from .adversary import (
     simulate_randomized_batch,
 )
 from .chase import (
+    BLOCK_CELLS,
     SeededUniforms,
     cchase,
+    chase_batch,
     csp_cost,
     delta_trace,
-    dsp_chase,
-    gchase_dsp,
+    drift_trace,
     gchase_r,
     gchase_s,
     marginal_probabilities,
@@ -55,8 +56,10 @@ from .tariff import (
     ValidationError,
     cost_series,
     dsp_cost,
+    fee_terms,
     p2_cost,
     parse_trace,
+    require_finite,
     slot_cost,
     sp_cost,
     zero_runs,
@@ -68,6 +71,7 @@ __all__ = [
     "ALGORITHMS",
     "BENCHMARK_PLANS",
     "FEE_REGIMES",
+    "PROFILES",
     "protocol_cost_series",
     "synth_trace",
     "trace_to_csv",
@@ -81,9 +85,20 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ALGORITHMS = ("ofa", "dp", "gchase", "gchase_r", "cchase")
-BENCHMARK_PLANS = ("all-variable", "all-fixed")
 FEE_REGIMES = ("constant", "linear")
+BENCHMARK_PLANS = ("all-variable", "all-fixed")
+PROFILES = ("seasonal", "flat")
+# Each algorithm and the fee regimes it runs in. In the linear regime ofa
+# reports the dynamic program's optimum, as dp does.
+ALGORITHMS = {
+    "ofa": FEE_REGIMES,
+    "dp": ("linear",),
+    "gchase": FEE_REGIMES,
+    "gchase_r": FEE_REGIMES,
+    "cchase": ("constant",),
+}
+# Per-month underusage rate as a share of that month's fixed rate, unless h_rate is set.
+H_SCALE = 0.1
 
 # Synthetic-trace calibration: US-style monthly household consumption and
 # NY-style retail rates in $/kWh.
@@ -110,8 +125,7 @@ class RunConfig:
     trace_path: Optional[str] = None
     synth_slots: int = 12
     profile: str = "seasonal"
-    h_rate: Optional[float] = None  # None: per-slot H = h_scale * fixed_rate
-    h_scale: float = 0.1
+    h_rate: Optional[float] = None  # None: per-slot H = H_SCALE * fixed_rate
     beta: float = 100.0
     alpha: float = 10.0
     contract_len: int = 12
@@ -123,24 +137,30 @@ class RunConfig:
     benchmark: str = "all-variable"
 
     def __post_init__(self):
+        """The input boundary of run and sweep: every field the regime uses is checked here."""
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        for name, allowed in (("fee_regime", FEE_REGIMES), ("benchmark", BENCHMARK_PLANS)):
+            if getattr(self, name) not in allowed:
+                raise ValidationError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if not self.algorithms:
             raise ValidationError("select at least one algorithm")
-        for a in self.algorithms:
+        for i, a in enumerate(self.algorithms):
             if a not in ALGORITHMS:
-                raise ValidationError(f"unknown algorithm {a!r}, expected one of {ALGORITHMS}")
-        if self.fee_regime not in FEE_REGIMES:
-            raise ValidationError(f"fee_regime must be one of {FEE_REGIMES}")
-        if self.benchmark not in BENCHMARK_PLANS:
-            raise ValidationError(f"benchmark must be one of {BENCHMARK_PLANS}")
+                raise ValidationError(f"unknown algorithm {a!r}, expected one of {tuple(ALGORITHMS)}")
+            if a in self.algorithms[:i]:
+                raise ValidationError(f"algorithm {a!r} is selected more than once")
+            if self.fee_regime not in ALGORITHMS[a]:
+                raise ValidationError(f"{a} runs in the {' and '.join(ALGORITHMS[a])} fee regime only")
+        if self.fee_regime == "constant":
+            require_finite("beta", self.beta, positive=True)
+        else:
+            fee_terms(self.alpha, self.contract_len, self.fee_mode, positive=True)
+        if self.h_rate is not None:
+            require_finite("h_rate", self.h_rate)
         if self.mc_runs < 2:
             raise ValidationError(f"mc_runs must be >= 2, got {self.mc_runs!r}")
-        if self.fee_regime == "constant" and "dp" in self.algorithms:
-            raise ValidationError("the dp oracle applies to the linear fee regime only")
-        if self.fee_regime == "linear" and "cchase" in self.algorithms:
-            raise ValidationError("cchase is defined for the constant fee regime only")
-        if self.fee_regime == "linear" and self.alpha <= 0.0:
-            raise ValidationError("linear regime requires alpha > 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +189,7 @@ class SavingsReport:
         }
 
 
-def protocol_cost_series(trace: Trace, h_rate: Optional[float] = None, h_scale: float = 0.1) -> CostSeries:
+def protocol_cost_series(trace: Trace, h_rate: Optional[float] = None, h_scale: float = H_SCALE) -> CostSeries:
     """Cost series under the protocol's underusage rule.
 
     A fixed ``h_rate`` applies everywhere when given; otherwise each month
@@ -195,7 +215,7 @@ def synth_trace(slots: int, seed: int, profile: str = "seasonal") -> Trace:
     """
     if slots < 1:
         raise ValidationError(f"slots must be >= 1, got {slots!r}")
-    if profile not in ("seasonal", "flat"):
+    if profile not in PROFILES:
         raise ValidationError(f"unknown profile {profile!r}")
     rng = np.random.default_rng(seed)
     t = np.arange(1, slots + 1)
@@ -246,81 +266,70 @@ def _ratio(cost: float, opt_cost: float) -> Optional[float]:
     return cost / opt_cost if opt_cost > 0.0 else None
 
 
-def _evaluate(config: RunConfig, cs: CostSeries) -> list[SavingsReport]:
-    bench_cost = float(sum(cs.g1 if config.benchmark == "all-variable" else cs.g0))
+def _benchmark_cost(config: RunConfig, cs: CostSeries) -> float:
+    return float(sum(cs.g1 if config.benchmark == "all-variable" else cs.g0))
+
+
+def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> list[SavingsReport]:
+    """Each configured algorithm's report on one cost series.
+
+    The fee regimes differ only in the setup: the gap trace, the expiry
+    guard, the offline optimum, and the objective of a schedule and of a
+    batch of replicate rows. ``draws`` holds one row of uniforms per
+    replicate; by default row i comes from ``default_rng(seed + i)``.
+    """
+    if config.fee_regime == "constant":
+        dt, guard = delta_trace(cs, config.beta), None
+        objective = lambda sched: sp_cost(sched, cs, config.beta)
+        batch_objective = lambda states: batch_sp_costs(states, cs, config.beta)
+        opt = ofa_s(dt)
+        opt_cost = objective(opt)
+    else:
+        fee = (config.alpha, config.contract_len, config.fee_mode)
+        dt, guard = drift_trace(cs, config.alpha, config.contract_len), config.contract_len
+        objective = lambda sched: dsp_cost(sched, cs, *fee)
+        batch_objective = lambda states: np.array([objective(Schedule(row.tolist())) for row in states])
+        best = dp_dsp(cs, *fee)
+        opt, opt_cost = best.best_schedule, best.best_cost
+    if draws is None:
+        draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
+    bench_cost = _benchmark_cost(config, cs)
 
     def report(name, cost, schedule=None, **extra):
         return SavingsReport(name, cost, bench_cost, _savings(bench_cost, cost), schedule=schedule,
                              ratio_vs_offline=_ratio(cost, opt_cost), **extra)
 
-    def replicates(costs):
-        return report("gchase_r", float(costs.mean()), mc_runs=len(costs),
-                      stderr=float(costs.std(ddof=1) / math.sqrt(len(costs))))
-
     reports = []
-    if config.fee_regime == "constant":
-        dt = delta_trace(cs, config.beta)
-        opt_sched = ofa_s(dt)
-        opt_cost = sp_cost(opt_sched, cs, config.beta)
-        for name in config.algorithms:
-            if name == "ofa":
-                reports.append(report("ofa", opt_cost, opt_sched.states))
-            elif name == "gchase":
-                sched = gchase_s(dt)
-                reports.append(report("gchase", sp_cost(sched, cs, config.beta), sched.states))
-            elif name == "gchase_r":
-                states = simulate_randomized_batch(dt, config.mc_runs, config.seed)
-                reports.append(replicates(batch_sp_costs(states, cs, config.beta)))
-            elif name == "cchase":
-                xs = cchase(dt)
-                reports.append(report("cchase", csp_cost(xs, cs, config.beta), xs.x))
-    else:
-        opt = dp_dsp(cs, config.alpha, config.contract_len, config.fee_mode)
-        opt_cost = opt.best_cost
-        fee = (config.alpha, config.contract_len, config.fee_mode)
-        for name in config.algorithms:
-            if name in ("ofa", "dp"):
-                reports.append(report(name, opt_cost, opt.best_schedule.states))
-            elif name == "gchase":
-                sched, _ = gchase_dsp(cs, config.alpha, config.contract_len)
-                reports.append(report("gchase", dsp_cost(sched, cs, *fee), sched.states))
-            elif name == "gchase_r":
-                draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
-                states, _ = dsp_chase(cs, config.alpha, config.contract_len, draws, "gchase_r")
-                costs = [dsp_cost(Schedule(row.tolist()), cs, *fee) for row in states]
-                reports.append(replicates(np.array(costs)))
+    for name in config.algorithms:
+        if name in ("ofa", "dp"):
+            reports.append(report(name, opt_cost, opt.states))
+        elif name == "gchase":
+            sched = Schedule(chase_batch(dt, None, guard, "gchase_dsp")[0][0].tolist())
+            reports.append(report(name, objective(sched), sched.states))
+        elif name == "gchase_r":
+            costs = batch_objective(chase_batch(dt, draws, guard, "gchase_r")[0])
+            reports.append(report(name, float(costs.mean()), mc_runs=len(costs),
+                                  stderr=float(costs.std(ddof=1) / math.sqrt(len(costs)))))
+        elif name == "cchase":
+            xs = cchase(dt)
+            reports.append(report(name, csp_cost(xs, cs, config.beta), xs.x))
     return reports
 
 
 def config_echo(config: RunConfig) -> dict:
     """The provenance block every report carries: full config, seed included."""
-    return {
-        "trace_path": config.trace_path,
-        "synth_slots": config.synth_slots,
-        "profile": config.profile,
-        "h_rate": config.h_rate,
-        "h_scale": config.h_scale,
-        "beta": config.beta,
-        "alpha": config.alpha,
-        "contract_len": config.contract_len,
-        "fee_regime": config.fee_regime,
-        "fee_mode": config.fee_mode,
-        "algorithms": list(config.algorithms),
-        "mc_runs": config.mc_runs,
-        "seed": config.seed,
-        "benchmark": config.benchmark,
-    }
+    return {**asdict(config), "h_scale": H_SCALE}
 
 
 def run_report(config: RunConfig) -> dict:
     """Run the configured algorithms on one trace and assemble the report."""
     trace = _load_trace(config)
-    cs = protocol_cost_series(trace, config.h_rate, config.h_scale)
+    cs = protocol_cost_series(trace, config.h_rate)
     reports = _evaluate(config, cs)
     return {
         "config": config_echo(config),
         "slots": len(trace),
-        "benchmark_cost": float(sum(cs.g1 if config.benchmark == "all-variable" else cs.g0)),
+        "benchmark_cost": _benchmark_cost(config, cs),
         "reports": {r.algorithm: r.to_dict() for r in reports},
     }
 
@@ -337,20 +346,25 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
     constant regime sets beta to the fee; the linear regime divides the fee
     by the contract length to get alpha. The offline optimum's cost must be
     non-decreasing in the fee; violations are logged, not raised. More than
-    ``MAX_SWEEP_POINTS`` fee points is refused before anything is evaluated.
+    ``MAX_SWEEP_POINTS`` fee points, or a fee that is not positive, is refused
+    before anything is evaluated. The replicate draws do not depend on the
+    fee: when they fit one kernel block they are drawn once for all points.
     """
     if fee_from > fee_to:
         raise ValidationError(f"fee_from {fee_from} > fee_to {fee_to}")
     if fee_step <= 0.0:
         raise ValidationError(f"fee_step must be > 0, got {fee_step!r}")
-    if config.fee_regime == "linear" and fee_from <= 0.0:
-        raise ValidationError("linear regime requires positive fees")
     span = (fee_to - fee_from) / fee_step + 1e-9
     if not span < MAX_SWEEP_POINTS:
         raise ValidationError(f"fees {fee_from} to {fee_to} by {fee_step} exceed {MAX_SWEEP_POINTS} points")
+    if not fee_from > 0.0:
+        raise ValidationError(f"fee_from must be > 0, got {fee_from!r}")
     n_points = int(math.floor(span)) + 1
     trace = _load_trace(config)
-    cs = protocol_cost_series(trace, config.h_rate, config.h_scale)
+    cs = protocol_cost_series(trace, config.h_rate)
+    draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
+    if "gchase_r" in config.algorithms and config.mc_runs * len(cs) <= BLOCK_CELLS:
+        draws = draws[:]
     header = ["fee"] + [f"{a}_savings_pct" for a in config.algorithms]
     rows: list[list] = []
     prev_opt = -math.inf
@@ -360,7 +374,7 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
             point = replace(config, beta=fee)
         else:
             point = replace(config, alpha=fee / config.contract_len)
-        reports = {r.algorithm: r for r in _evaluate(point, cs)}
+        reports = {r.algorithm: r for r in _evaluate(point, cs, draws)}
         opt_name = "ofa" if "ofa" in reports else ("dp" if "dp" in reports else None)
         if opt_name is not None:
             opt_cost = reports[opt_name].cost
@@ -501,7 +515,7 @@ def run_verify_suite(name: str, seed: int) -> tuple[bool, list[str]]:
     if name == "all":
         ok = True
         lines: list[str] = []
-        for key in ("oracle", "ratio", "montecarlo", "identity"):
+        for key in VERIFY_SUITES:
             suite_ok, suite_lines = VERIFY_SUITES[key](seed)
             ok = ok and suite_ok
             lines.extend(f"[{key}] {line}" for line in suite_lines)

@@ -27,14 +27,13 @@ slot's decision is random, so scalar folds and the kernel see identical draws.
 from __future__ import annotations
 
 import logging
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .tariff import CostSeries, Schedule, ValidationError
+from .tariff import CostSeries, Schedule, ValidationError, fee_terms, require_finite
 
 __all__ = [
     "InternalInvariantError",
@@ -55,7 +54,7 @@ __all__ = [
     "SeededUniforms",
     "chase_kernel",
     "drift_trace",
-    "dsp_chase",
+    "chase_batch",
     "gchase_dsp",
     "gchase_r_dsp",
 ]
@@ -82,12 +81,8 @@ class DeltaTrace:
     drift: float = 0.0
 
     def __post_init__(self):
-        beta = float(self.beta)
-        if not math.isfinite(beta) or beta <= 0.0:
-            raise ValidationError(f"beta must be finite and > 0, got {beta!r}")
-        drift = float(self.drift)
-        if not math.isfinite(drift) or drift < 0.0:
-            raise ValidationError(f"drift must be finite and >= 0, got {drift!r}")
+        beta = require_finite("beta", self.beta, positive=True)
+        drift = require_finite("drift", self.drift)
         values = tuple(map(float, self.values))
         if not values:
             raise ValidationError("delta trace must contain the initial value")
@@ -168,12 +163,8 @@ def delta_trace(cs: CostSeries, beta: float, drift: float = 0.0) -> DeltaTrace:
     Requires beta > 0 (the band [-beta, 0] would otherwise collapse and the
     boundary rules become meaningless).
     """
-    beta = float(beta)
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise ValidationError(f"beta must be finite and > 0, got {beta!r}")
-    drift = float(drift)
-    if not math.isfinite(drift) or drift < 0.0:
-        raise ValidationError(f"drift must be finite and >= 0, got {drift!r}")
+    beta = require_finite("beta", beta, positive=True)
+    drift = require_finite("drift", drift)
     neg = -beta
     values = [neg]
     append = values.append
@@ -291,9 +282,7 @@ def csp_cost(xs: FractionalSchedule, cs: CostSeries, beta: float) -> float:
     plans' costs plus ``beta`` per unit of upward movement (x_0 = 0)."""
     if len(xs) != len(cs):
         raise ValidationError(f"schedule length {len(xs)} != series length {len(cs)}")
-    beta = float(beta)
-    if not math.isfinite(beta) or beta < 0.0:
-        raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
+    beta = require_finite("beta", beta)
     total = 0.0
     prev = 0.0
     for x, a, b in zip(xs.x, cs.g0, cs.g1):
@@ -332,10 +321,7 @@ def marginal_probabilities(dt: DeltaTrace) -> tuple[float, ...]:
 
 def drift_trace(cs: CostSeries, alpha: float, contract_len: int) -> DeltaTrace:
     """Gap trace of the decreasing-fee rules: beta = alpha * contract_len, drift alpha."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValidationError(f"alpha must be finite and > 0, got {alpha!r}")
-    if int(contract_len) != contract_len or contract_len < 1:
-        raise ValidationError(f"contract_len must be an integer >= 1, got {contract_len!r}")
+    alpha, contract_len, _ = fee_terms(alpha, contract_len, positive=True)
     return delta_trace(cs, beta=alpha * contract_len, drift=alpha)
 
 
@@ -443,10 +429,9 @@ def chase_kernel(values, beta: float, draws=None, contract_len: int | None = Non
     return states, forced
 
 
-def dsp_chase(cs: CostSeries, alpha: float, contract_len: int, draws=None, label: str = "gchase_dsp"):
-    """:func:`chase_kernel` on the drift trace under the expiry guard; one warning per batch."""
-    dt = drift_trace(cs, alpha, contract_len)
-    states, forced = chase_kernel(dt.values, dt.beta, draws, int(contract_len))
+def chase_batch(dt: DeltaTrace, draws=None, contract_len: int | None = None, label: str = "gchase_dsp"):
+    """:func:`chase_kernel` on a gap trace; forced expiry switches are logged once per batch."""
+    states, forced = chase_kernel(dt.values, dt.beta, draws, contract_len)
     if forced.any():
         logger.warning("%s: forced %d switch(es) over %d replicate(s) to keep contract runs within %d slots",
                        label, int(forced.sum()), len(forced), contract_len)
@@ -460,7 +445,7 @@ def gchase_dsp(cs: CostSeries, alpha: float, contract_len: int) -> tuple[Schedul
     (beta = alpha * contract_len, drift = alpha) under the contract-expiry
     guard. Returns the feasible schedule and the number of forced switches.
     """
-    states, forced = dsp_chase(cs, alpha, contract_len)
+    states, forced = chase_batch(drift_trace(cs, alpha, contract_len), None, contract_len)
     return Schedule(states[0].tolist()), int(forced[0])
 
 
@@ -471,5 +456,6 @@ def gchase_r_dsp(
 
     Consumes one uniform draw per slot, forced slots included.
     """
-    states, forced = dsp_chase(cs, alpha, contract_len, rng.random((1, len(cs))), "gchase_r_dsp")
+    dt = drift_trace(cs, alpha, contract_len)
+    states, forced = chase_batch(dt, rng.random((1, len(cs))), contract_len, "gchase_r_dsp")
     return Schedule(states[0].tolist()), int(forced[0])

@@ -6,6 +6,11 @@ import argparse
 import sys
 
 from .bench import (
+    ALGORITHMS,
+    BENCHMARK_PLANS,
+    FEE_REGIMES,
+    PROFILES,
+    VERIFY_SUITES,
     RunConfig,
     report_json,
     run_report,
@@ -15,25 +20,27 @@ from .bench import (
     synth_trace,
     trace_to_csv,
 )
-from .tariff import TraceParseError, ValidationError
+from .tariff import FEE_MODES, TraceParseError, ValidationError
+
+ALGORITHMS_HELP = "comma-separated, each at most once: " + ", ".join(
+    f"{name} ({' or '.join(regimes)})" for name, regimes in ALGORITHMS.items())
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", help="trace CSV path (header t,e,p0,p1,B); omit to synthesize")
     p.add_argument("--slots", type=int, default=12, help="synthetic trace length in months")
-    p.add_argument("--profile", default="seasonal", choices=["seasonal", "flat"])
+    p.add_argument("--profile", default="seasonal", choices=PROFILES)
     p.add_argument("--h-rate", type=float, default=None,
                    help="fixed underusage rate $/kWh; default is 0.1x each month's fixed rate")
     p.add_argument("--beta", type=float, default=100.0, help="constant cancellation fee ($)")
     p.add_argument("--alpha", type=float, default=10.0, help="fee per residual contract month ($)")
     p.add_argument("--contract-len", type=int, default=12, help="fixed-rate contract length (months)")
-    p.add_argument("--fee-regime", default="constant", choices=["constant", "linear"])
-    p.add_argument("--fee-mode", default="literal", choices=["literal", "transition-only"])
-    p.add_argument("--algorithms", default="ofa,gchase,gchase_r",
-                   help="comma-separated subset of ofa,dp,gchase,gchase_r,cchase")
+    p.add_argument("--fee-regime", default="constant", choices=FEE_REGIMES)
+    p.add_argument("--fee-mode", default="literal", choices=FEE_MODES)
+    p.add_argument("--algorithms", default="ofa,gchase,gchase_r", help=ALGORITHMS_HELP)
     p.add_argument("--mc-runs", type=int, default=100, help="randomized-algorithm replications")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--benchmark", default="all-variable", choices=["all-variable", "all-fixed"])
+    p.add_argument("--benchmark", default="all-variable", choices=BENCHMARK_PLANS)
     p.add_argument("--out", help="write output here instead of stdout")
 
 
@@ -82,11 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="write a synthetic trace CSV")
     p_synth.add_argument("--slots", "-T", type=int, default=12)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--profile", default="seasonal", choices=["seasonal", "flat"])
+    p_synth.add_argument("--profile", default="seasonal", choices=PROFILES)
     p_synth.add_argument("--out", help="write output here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run a property suite; nonzero exit on failure")
-    p_verify.add_argument("suite", choices=["oracle", "ratio", "montecarlo", "identity", "all"])
+    p_verify.add_argument("suite", choices=[*VERIFY_SUITES, "all"])
     p_verify.add_argument("--seed", type=int, default=42)
     return parser
 

@@ -20,6 +20,7 @@ from .tariff import (
     Schedule,
     ValidationError,
     dsp_cost,
+    fee_terms,
     sp_cost,
     zero_runs,
 )
@@ -141,12 +142,9 @@ def brute_force_dsp(
         raise ValueError(
             f"refusing exhaustive search for T={period} > {BRUTE_FORCE_MAX_T}"
         )
-    if fee_mode not in ("literal", "transition-only"):
-        raise ValidationError(f"unknown fee_mode {fee_mode!r}")
+    alpha, contract_len, fee_mode = fee_terms(alpha, contract_len, fee_mode)
     g0 = np.asarray(cs.g0)
     g1 = np.asarray(cs.g1)
-    alpha = float(alpha)
-    contract_len = int(contract_len)
     costs = np.empty(1 << period)
     for lo, bits in _chunks(period):
         service, _ = _service_and_ups(bits, g0, g1)
@@ -178,14 +176,7 @@ def dp_dsp(
     horizon. Runs may not extend past L.
     """
     period = len(cs)
-    if fee_mode not in ("literal", "transition-only"):
-        raise ValidationError(f"unknown fee_mode {fee_mode!r}")
-    if int(contract_len) != contract_len or contract_len < 1:
-        raise ValidationError(f"contract_len must be an integer >= 1, got {contract_len!r}")
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
-    cap = int(contract_len)
+    alpha, cap, fee_mode = fee_terms(alpha, contract_len, fee_mode)
     g0, g1 = cs.g0, cs.g1
     inf = math.inf
 
@@ -271,22 +262,6 @@ def _gap_prefix_sums(cs: CostSeries) -> list[float]:
     return phi
 
 
-def _extended_zero_segments(sched: Schedule) -> list[tuple[int, int]]:
-    """Maximal zero runs of the schedule extended with s_0 = 0 and s_{T+1} = 0."""
-    ext = [0] + list(sched.states) + [0]
-    segs = []
-    start = None
-    for i, s in enumerate(ext):
-        if s == 0:
-            if start is None:
-                start = i
-        elif start is not None:
-            segs.append((start, i - 1))
-            start = None
-    segs.append((start, len(ext) - 1))
-    return segs
-
-
 def phi_identity_sp(sched: Schedule, cs: CostSeries, beta: float) -> tuple[float, float]:
     """Constant-fee cost vs its segment decomposition; both sides returned.
 
@@ -300,8 +275,9 @@ def phi_identity_sp(sched: Schedule, cs: CostSeries, beta: float) -> tuple[float
     phi = _gap_prefix_sums(cs)
     beta = float(beta)
     rhs = sum(cs.g1) - beta
-    for start, end in _extended_zero_segments(sched):
-        rhs += phi[end + 1] - phi[start] + beta
+    # Zero runs of the schedule padded with s_0 = s_{T+1} = 0; padded slot k is slot k - 1.
+    for start, end in zero_runs(Schedule((0, *sched.states, 0))):
+        rhs += phi[end] - phi[start - 1] + beta
     return lhs, rhs
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "TraceParseError",
     "InfeasibleScheduleError",
     "SlotInput",
-    "TariffParams",
     "Trace",
     "CostSeries",
     "Schedule",
@@ -42,6 +41,8 @@ __all__ = [
     "dsp_cost",
     "parse_trace",
     "FEE_MODES",
+    "require_finite",
+    "fee_terms",
 ]
 
 FEE_MODES = ("literal", "transition-only")
@@ -59,11 +60,27 @@ class InfeasibleScheduleError(ValueError):
     """A schedule keeps a fixed-rate contract longer than its length allows."""
 
 
-def _require_finite_nonneg(name: str, value: float) -> float:
+def require_finite(name: str, value: float, positive: bool = False) -> float:
+    """``value`` as a float that is finite and >= 0, or > 0 when ``positive``."""
     value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        raise ValidationError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
     return value
+
+
+def fee_terms(alpha: float, contract_len: int, fee_mode: str = "literal",
+              positive: bool = False) -> tuple[float, int, str]:
+    """Validated decreasing-fee terms: ``alpha`` as :func:`require_finite` takes it, an
+    integer ``contract_len`` >= 1 with a finite full fee ``alpha * contract_len``, and
+    a fee mode from ``FEE_MODES``."""
+    alpha = require_finite("alpha", alpha, positive)
+    if not (contract_len >= 1 and contract_len % 1 == 0):  # also refuses nan and inf
+        raise ValidationError(f"contract_len must be an integer >= 1, got {contract_len!r}")
+    if not math.isfinite(alpha * contract_len):
+        raise ValidationError(f"alpha * contract_len must be finite, got {alpha!r} * {contract_len!r}")
+    if fee_mode not in FEE_MODES:
+        raise ValidationError(f"fee_mode must be one of {FEE_MODES}, got {fee_mode!r}")
+    return alpha, int(contract_len), fee_mode
 
 
 @dataclass(frozen=True)
@@ -77,42 +94,7 @@ class SlotInput:
 
     def __post_init__(self):
         for name in ("demand_kwh", "fixed_rate", "variable_rate", "base_load_kwh"):
-            object.__setattr__(self, name, _require_finite_nonneg(name, getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class TariffParams:
-    """Fee structure of a fixed-rate contract.
-
-    ``beta`` is the constant cancellation fee; ``alpha`` and ``contract_len``
-    describe the linearly decreasing variant, where cancelling with ``r``
-    months remaining costs ``alpha * r``. Use :meth:`linear_fee` when working
-    with the decreasing-fee objective: it pins ``beta = alpha * contract_len``,
-    the relation the decreasing-fee machinery assumes.
-    """
-
-    underusage_rate: float
-    beta: float
-    alpha: float = 0.0
-    contract_len: int = 12
-
-    def __post_init__(self):
-        _require_finite_nonneg("underusage_rate", self.underusage_rate)
-        _require_finite_nonneg("beta", self.beta)
-        _require_finite_nonneg("alpha", self.alpha)
-        if int(self.contract_len) != self.contract_len or self.contract_len < 1:
-            raise ValidationError(f"contract_len must be an integer >= 1, got {self.contract_len!r}")
-        object.__setattr__(self, "contract_len", int(self.contract_len))
-
-    @classmethod
-    def linear_fee(cls, underusage_rate: float, alpha: float, contract_len: int) -> "TariffParams":
-        """Params for the decreasing-fee objective, with beta = alpha * contract_len."""
-        return cls(
-            underusage_rate=underusage_rate,
-            beta=float(alpha) * int(contract_len),
-            alpha=alpha,
-            contract_len=contract_len,
-        )
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +198,7 @@ def slot_cost(slot: SlotInput, underusage_rate: float, plan: int) -> float:
         The dollar cost. Piecewise linear in demand with breakpoints at
         0.9*B and 1.1*B; may be negative for plan 0 under heavy underusage.
     """
-    h = _require_finite_nonneg("underusage_rate", underusage_rate)
+    h = require_finite("underusage_rate", underusage_rate)
     if plan == 1:
         return slot.demand_kwh * slot.variable_rate
     if plan != 0:
@@ -248,7 +230,7 @@ def sp_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
     The horizon simply ends at T; closing back to state 0 is free.
     """
     _check_lengths(sched, cs)
-    beta = _require_finite_nonneg("beta", beta)
+    beta = require_finite("beta", beta)
     total = 0.0
     prev = 0
     for s, a, b in zip(sched.states, cs.g0, cs.g1):
@@ -268,7 +250,7 @@ def p2_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
     matched by a down move.
     """
     _check_lengths(sched, cs)
-    beta = _require_finite_nonneg("beta", beta)
+    beta = require_finite("beta", beta)
     half = beta / 2.0
     total = 0.0
     prev = 0
@@ -315,11 +297,7 @@ def dsp_cost(
         InfeasibleScheduleError: some run exceeds ``contract_len``.
     """
     period = _check_lengths(sched, cs)
-    alpha = _require_finite_nonneg("alpha", alpha)
-    if int(contract_len) != contract_len or contract_len < 1:
-        raise ValidationError(f"contract_len must be an integer >= 1, got {contract_len!r}")
-    if fee_mode not in FEE_MODES:
-        raise ValidationError(f"fee_mode must be one of {FEE_MODES}, got {fee_mode!r}")
+    alpha, contract_len, fee_mode = fee_terms(alpha, contract_len, fee_mode)
     total = 0.0
     for s, a, b in zip(sched.states, cs.g0, cs.g1):
         total += b if s else a

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from planswitch import (
     trace_to_csv,
 )
 from planswitch import bench
-from planswitch.bench import MAX_SWEEP_POINTS
+from planswitch.bench import FEE_REGIMES, MAX_SWEEP_POINTS, config_echo
 from planswitch.cli import main
 
 
@@ -96,6 +97,37 @@ class TestRunConfigValidation:
     def test_needs_two_replicates_for_a_stderr(self, runs):
         with pytest.raises(ValidationError, match="mc_runs"):
             RunConfig(mc_runs=runs)
+
+    def test_duplicate_algorithm(self):
+        with pytest.raises(ValidationError, match="more than once"):
+            RunConfig(algorithms=("ofa", "gchase", "ofa"))
+
+    @pytest.mark.parametrize("kwargs, needle", [
+        (dict(fee_regime="linear", contract_len=0), "contract_len"),
+        (dict(fee_regime="linear", contract_len=2.5), "contract_len"),
+        (dict(fee_regime="linear", alpha=0.0), "alpha"),
+        (dict(fee_regime="linear", alpha=1e308), "alpha \\* contract_len"),
+        (dict(fee_regime="linear", fee_mode="sometimes"), "fee_mode"),
+        (dict(beta=0.0), "beta"),
+        (dict(beta=float("nan")), "beta"),
+        (dict(h_rate=-0.1), "h_rate"),
+        (dict(seed=-1), "seed"),
+        (dict(fee_regime="flat"), "fee_regime"),
+        (dict(benchmark="none"), "benchmark"),
+    ])
+    def test_field_named_in_error(self, kwargs, needle):
+        with pytest.raises(ValidationError, match=needle):
+            RunConfig(**kwargs)
+
+    def test_unused_fee_fields_not_checked(self):
+        RunConfig(fee_regime="constant", contract_len=0, alpha=-1.0)
+        RunConfig(fee_regime="linear", beta=0.0)
+
+    def test_echo_lists_every_field_and_the_underusage_scale(self):
+        cfg = RunConfig(seed=3, algorithms=("ofa", "gchase"))
+        echo = config_echo(cfg)
+        assert set(echo) == {f.name for f in fields(RunConfig)} | {"h_scale"}
+        assert echo["h_scale"] == 0.1 and echo["algorithms"] == ("ofa", "gchase")
 
 
 class TestRunReport:
@@ -209,6 +241,42 @@ class TestSweep:
         with pytest.raises(Evaluated):
             sweep(cfg, 1.0, float(MAX_SWEEP_POINTS), 1.0)
 
+    @pytest.mark.parametrize("block_cells", [bench.BLOCK_CELLS, 0])
+    @pytest.mark.parametrize("regime", FEE_REGIMES)
+    def test_shared_draws_match_fresh_points(self, monkeypatch, regime, block_cells):
+        # drawn once (fits a block) or re-drawn per point, each point equals a fresh run
+        monkeypatch.setattr(bench, "BLOCK_CELLS", block_cells)
+        cfg = RunConfig(synth_slots=30, seed=4, fee_regime=regime, contract_len=6,
+                        algorithms=("gchase", "gchase_r"), mc_runs=8)
+        _, rows = sweep(cfg, 10.0, 50.0, 20.0)
+        for fee, *savings in rows:
+            point = replace(cfg, beta=fee) if regime == "constant" else replace(cfg, alpha=fee / 6)
+            reports = run_report(point)["reports"]
+            assert savings == [reports[a]["savings_pct"] for a in cfg.algorithms]
+
+    def test_replicate_generators_built_once(self, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counted(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        cfg = RunConfig(synth_slots=12, seed=3, algorithms=("ofa", "gchase_r"), mc_runs=10)
+        _, rows = sweep(cfg, 1.0, 20.0, 1.0)
+        assert len(rows) == 20
+        assert sorted(seeds) == [3] + list(range(3, 13))  # the synthetic trace, then one per replicate
+
+    def test_nonpositive_fee_refused_before_any_work(self, monkeypatch):
+        def no_work(*_):
+            raise AssertionError("loaded a trace for a refused sweep")
+
+        monkeypatch.setattr(bench, "_load_trace", no_work)
+        for regime in FEE_REGIMES:
+            with pytest.raises(ValidationError, match="fee_from"):
+                sweep(RunConfig(fee_regime=regime, algorithms=("ofa",)), 0.0, 10.0, 1.0)
+
     def test_regimes_share_the_trace(self):
         # same seed -> same trace, so fee columns align point by point and the
         # two sweeps are directly comparable
@@ -304,3 +372,60 @@ class TestCli:
         assert main(["run", "--trace", str(path), "--algorithms", "ofa"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "row 2" in err
+
+
+
+# Each is refused by RunConfig or sweep before the trace is read, so the
+# missing trace file the test names is never reported.
+BAD_FLAGS = [
+    (["sweep", "--fee-regime", "linear", "--contract-len", "0"], "contract_len"),
+    (["run", "--fee-regime", "linear", "--contract-len", "-3"], "contract_len"),
+    (["run", "--algorithms", "ofa,ofa"], "more than once"),
+    (["sweep", "--algorithms", "ofa,gchase,ofa"], "more than once"),
+    (["run", "--fee-regime", "linear", "--alpha", "1e308"], "alpha * contract_len"),
+    (["run", "--fee-regime", "linear", "--alpha", "0"], "alpha"),
+    (["run", "--fee-regime", "linear", "--alpha", "nan"], "alpha"),
+    (["run", "--beta", "0"], "beta"),
+    (["run", "--beta", "inf"], "beta"),
+    (["run", "--h-rate", "-1"], "h_rate"),
+    (["run", "--seed", "-1"], "seed"),
+    (["sweep", "--seed", "-1"], "seed"),
+    (["run", "--mc-runs", "1"], "mc_runs"),
+    (["run", "--algorithms", "dp"], "linear"),
+    (["run", "--fee-regime", "linear", "--algorithms", "cchase"], "constant"),
+    (["run", "--algorithms", "magic"], "unknown algorithm"),
+    (["run", "--algorithms", ","], "at least one"),
+    (["sweep", "--fee-regime", "constant", "--from", "0"], "fee_from"),
+    (["sweep", "--fee-regime", "linear", "--from", "-5"], "fee_from"),
+    (["sweep", "--from", "5", "--to", "1"], "fee_from"),
+    (["sweep", "--step", "0"], "fee_step"),
+    (["sweep", "--from", "1", "--to", "2", "--step", "1e-12"], "points"),
+]
+
+# Trace file contents (None: no such file) that fail while the trace is read.
+BAD_TRACES = [
+    (b"t,e,p0,p1,B\n1,100,0.10,0.12,100\n5,90,0.1,0.11,100\n", "row 2"),
+    (b"t,x,p0,p1,B\n1,100,0.10,0.12,100\n", "header"),
+    (b"t,e,p0,p1,B\n1,100,abc,0.12,100\n", "non-numeric"),
+    (b"t,e,p0,p1,B\n1,-100,0.10,0.12,100\n", "row 1"),
+    (b"t,e,p0,p1,B\n", "no data rows"),
+    (b"", "empty trace"),
+    (b"t,e,p0,p1,B\n1,\xff,0.1,0.1,1\n", "UTF-8"),
+    (None, "No such file"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, trace, needle",
+    [pytest.param(argv, None, needle, id=" ".join(argv)) for argv, needle in BAD_FLAGS]
+    + [pytest.param(["run"], trace, needle, id=f"trace {needle}") for trace, needle in BAD_TRACES],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, trace, needle):
+    path = tmp_path / "t.csv"
+    if trace is not None:
+        path.write_bytes(trace)
+    assert main(argv + ["--trace", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err and "Traceback" not in err

@@ -10,11 +10,12 @@ from planswitch import (
     InfeasibleScheduleError,
     Schedule,
     SlotInput,
-    TariffParams,
     Trace,
     TraceParseError,
     ValidationError,
+    brute_force_dsp,
     cost_series,
+    dp_dsp,
     dsp_cost,
     p2_cost,
     parse_trace,
@@ -22,6 +23,8 @@ from planswitch import (
     sp_cost,
     zero_runs,
 )
+from planswitch.chase import drift_trace
+from planswitch.tariff import fee_terms
 
 SLOT = SlotInput(demand_kwh=100, fixed_rate=0.10, variable_rate=0.12, base_load_kwh=100)
 
@@ -222,14 +225,38 @@ class TestDspCost:
             assert lit >= trans - 1e-12
 
 
-class TestTariffParams:
-    def test_linear_fee_pins_beta(self):
-        p = TariffParams.linear_fee(underusage_rate=0.01, alpha=10.0, contract_len=12)
-        assert p.beta == pytest.approx(120.0)
+class TestFeeTerms:
+    def test_converts(self):
+        assert fee_terms(1, 12.0, "transition-only") == (1.0, 12, "transition-only")
+        assert fee_terms(0.0, 1) == (0.0, 1, "literal")
 
-    def test_bad_contract_len(self):
-        with pytest.raises(ValidationError):
-            TariffParams(underusage_rate=0.0, beta=1.0, contract_len=0)
+    def test_positive_alpha(self):
+        with pytest.raises(ValidationError, match="alpha must be finite and > 0"):
+            fee_terms(0.0, 12, positive=True)
+
+    @pytest.mark.parametrize("alpha, length, mode, needle", [
+        (-1.0, 12, "literal", "alpha"),
+        (math.inf, 12, "literal", "alpha"),
+        (1.0, 0, "literal", "contract_len"),
+        (1.0, 2.5, "literal", "contract_len"),
+        (1.0, math.inf, "literal", "contract_len"),
+        (1.0, math.nan, "literal", "contract_len"),
+        (1e308, 12, "literal", "alpha \\* contract_len"),
+        (1.0, 12, "sometimes", "fee_mode"),
+    ])
+    def test_every_caller_rejects_alike(self, alpha, length, mode, needle):
+        cs = CostSeries([1.0, 2.0], [2.0, 1.0])
+        callers = [
+            lambda: fee_terms(alpha, length, mode),
+            lambda: dsp_cost(Schedule([1, 1]), cs, alpha, length, mode),
+            lambda: dp_dsp(cs, alpha, length, mode),
+            lambda: brute_force_dsp(cs, alpha, length, mode),
+        ]
+        if mode == "literal":
+            callers.append(lambda: drift_trace(cs, alpha, length))
+        for call in callers:
+            with pytest.raises(ValidationError, match=needle):
+                call()
 
 
 class TestParseTrace:
