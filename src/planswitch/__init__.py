@@ -10,6 +10,7 @@ generators, and a trace-driven benchmark.
 
 from .adversary import (
     RatioReport,
+    batch_dsp_costs,
     batch_sp_costs,
     deterministic_adversary,
     gchase_player,

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chase import (
+    BLOCK_CELLS,
     DeltaTrace,
     OnlineState,
     SeededUniforms,
@@ -31,7 +32,16 @@ from .chase import (
     ofa_s,
 )
 from .oracles import BRUTE_FORCE_MAX_T, brute_force_sp, dp_dsp
-from .tariff import CostSeries, Schedule, ValidationError, dsp_cost, require_finite, sp_cost
+from .tariff import (
+    CostSeries,
+    InfeasibleScheduleError,
+    Schedule,
+    ValidationError,
+    dsp_cost,
+    fee_terms,
+    require_finite,
+    sp_cost,
+)
 
 __all__ = [
     "RatioReport",
@@ -45,6 +55,7 @@ __all__ = [
     "monte_carlo",
     "simulate_randomized_batch",
     "batch_sp_costs",
+    "batch_dsp_costs",
 ]
 
 
@@ -212,6 +223,55 @@ def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarra
     if states.shape[1] > 1:
         ups = ups + (states[:, 1:] > states[:, :-1]).sum(axis=1)
     return service + float(beta) * ups
+
+
+def batch_dsp_costs(
+    states: np.ndarray, cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal"
+) -> np.ndarray:
+    """Decreasing-fee cost of each row of a (runs x T) 0/1 state matrix.
+
+    Bit-identical to :func:`planswitch.tariff.dsp_cost` per row: each row's
+    total is the last entry of a cumulative sum (a strict left fold) of 0.0,
+    g_t(s_t) for t = 1..T, then each run's fee in run order, zero-padded to
+    the longest row. Rows are taken in blocks whose float matrix fits in
+    ``BLOCK_CELLS`` bytes (one row at least): the replicate states are held
+    at the same time, so a larger block would raise the run's peak memory.
+
+    Raises:
+        InfeasibleScheduleError: some row has a fixed-plan run longer than
+            ``contract_len``.
+    """
+    alpha, contract_len, fee_mode = fee_terms(alpha, contract_len, fee_mode)
+    states = np.asarray(states)
+    period = len(cs)
+    if states.ndim != 2 or states.shape[1] != period:
+        raise ValidationError(f"state matrix shape {states.shape} does not match series length {period}")
+    g0 = np.asarray(cs.g0)
+    g1 = np.asarray(cs.g1)
+    totals = np.empty(len(states))
+    block = max(1, BLOCK_CELLS // (8 * max(period, 1)))
+    for i0 in range(0, len(states), block):
+        rows = states[i0:i0 + block]
+        edges = np.diff(np.pad(rows == 0, ((0, 0), (1, 1))).view(np.int8), axis=1)
+        row, start = np.nonzero(edges == 1)
+        end = np.nonzero(edges == -1)[1]  # one past each run's last slot, in the same order
+        length = end - start
+        if (length > contract_len).any():
+            k = int(np.argmax(length > contract_len))
+            raise InfeasibleScheduleError(
+                f"row {i0 + row[k]}: fixed-plan run [{start[k] + 1}, {end[k]}] lasts {length[k]} "
+                f"> contract_len {contract_len}")
+        fee = alpha * (contract_len - length)
+        if fee_mode == "transition-only":
+            fee[end == period] = 0.0
+        rank = np.arange(len(row)) - np.searchsorted(row, row)  # run order within its row
+        terms = np.zeros((len(rows), period + 2 + int(rank.max(initial=-1))))
+        service = terms[:, 1:period + 1]
+        service[:] = g0
+        np.copyto(service, g1, where=rows != 0)
+        terms[row, period + 1 + rank] = fee
+        totals[i0:i0 + len(rows)] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+    return totals
 
 
 def monte_carlo(

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .adversary import (
+    batch_dsp_costs,
     batch_sp_costs,
     deterministic_adversary,
     gchase_player,
@@ -288,7 +289,7 @@ def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> list[SavingsRepo
         fee = (config.alpha, config.contract_len, config.fee_mode)
         dt, guard = drift_trace(cs, config.alpha, config.contract_len), config.contract_len
         objective = lambda sched: dsp_cost(sched, cs, *fee)
-        batch_objective = lambda states: np.array([objective(Schedule(row.tolist())) for row in states])
+        batch_objective = lambda states: batch_dsp_costs(states, cs, *fee)
         best = dp_dsp(cs, *fee)
         opt, opt_cost = best.best_schedule, best.best_cost
     if draws is None:

@@ -26,6 +26,14 @@ ALGORITHMS_HELP = "comma-separated, each at most once: " + ", ".join(
     f"{name} ({' or '.join(regimes)})" for name, regimes in ALGORITHMS.items())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed flag as a ValidationError, so that ``main`` prints it
+    as the one ``error:`` line and exit 2 every other bad input gets."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", help="trace CSV path (header t,e,p0,p1,B); omit to synthesize")
     p.add_argument("--slots", type=int, default=12, help="synthetic trace length in months")
@@ -71,7 +79,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planswitch",
         description="Plan-switching algorithms: benchmark runs, fee sweeps, trace synthesis, verification",
     )
@@ -99,9 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             report = run_report(_config_from_args(args))
             _emit(report_json(report), args.out)

@@ -1,7 +1,7 @@
 """Ground-truth computations used to validate the threshold algorithms.
 
 Exhaustive enumeration realizes "for every schedule" claims directly; the
-dynamic program solves the decreasing-fee objective exactly in O(T * L); the
+dynamic program solves the decreasing-fee objective exactly in O(T); the
 segment-decomposition identities re-express both objectives through prefix
 sums of the per-slot cost gap; and the potential check traces the inequality
 behind the randomized algorithm's factor-2 guarantee slot by slot.
@@ -9,8 +9,9 @@ behind the randomized algorithm's factor-2 guarantee slot by slot.
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,8 +53,9 @@ class OracleResult:
 
     ``best_cost`` is recomputed from ``best_schedule`` with the scalar
     objective, so the two always agree exactly. Tie counts treat costs within
-    ``TIE_TOL`` of the minimum as equal; for the dynamic program the count is
-    per-step and therefore best-effort under float rounding.
+    ``TIE_TOL`` of the minimum as equal. Exhaustive search counts tied
+    schedules; the dynamic program counts tied end states (the variable plan,
+    or an open fixed run of each length), not every optimal path.
     """
 
     best_schedule: Schedule
@@ -167,81 +169,65 @@ def brute_force_dsp(
 def dp_dsp(
     cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal"
 ) -> OracleResult:
-    """Exact decreasing-fee minimum by dynamic programming, O(T * L).
+    """Exact decreasing-fee minimum by dynamic programming, O(T).
 
-    State after each slot: on the variable plan (index 0), or on the fixed
-    plan with the current run at length r (index r, 1 <= r <= L). Ending a
-    run of length r costs alpha * (L - r), charged on the switch back to the
-    variable plan and, in ``literal`` mode, on a run still open at the
-    horizon. Runs may not extend past L.
+    ``V[t]`` is the best cost of slots 1..t that ends on the variable plan
+    (``V[0] = 0``: the boundary s_0 = 0 opens no run), and ``P[k]`` sums g0
+    over slots 1..k. A fixed run over slots s..t-1 ended before slot t costs
+    ``K[s] + P[t-1] + alpha * (L - t)`` with ``K[s] = V[s-1] - P[s-1] +
+    alpha * s``; runs may not extend past L, so s ranges over the last L
+    slots and a monotone deque of starts gives the least K in amortized O(1).
+    One O(L) pass at the end prices a run still open at the horizon, charged
+    its fee only in ``literal`` mode.
+
+    Ties break toward staying on the variable plan, then toward the shortest
+    run (the deque drops a start whose key is >= a later one's); at the
+    horizon the variable end wins, then the shortest open run. ``ties``
+    counts the end states (variable, or an open run of each length) whose
+    totals lie within ``TIE_TOL`` of the best.
     """
     period = len(cs)
     alpha, cap, fee_mode = fee_terms(alpha, contract_len, fee_mode)
-    g0, g1 = cs.g0, cs.g1
-    inf = math.inf
-
-    dp = [inf] * (cap + 1)
-    cnt = [0] * (cap + 1)
-    dp[0] = g1[0]
-    cnt[0] = 1
-    dp[1] = g0[0]
-    cnt[1] = 1
-    parents: list[list[int]] = [[-1] * (cap + 1)]
-
-    for t in range(1, period):
-        ndp = [inf] * (cap + 1)
-        ncnt = [0] * (cap + 1)
-        par = [-1] * (cap + 1)
-        # Stay on / return to the variable plan; returning ends the run.
-        best = dp[0]
-        who = 0
-        for r in range(1, cap + 1):
-            if dp[r] == inf:
-                continue
-            c = dp[r] + alpha * (cap - r)
+    g1 = cs.g1
+    prefix = [0.0, *accumulate(cs.g0)]
+    value = [0.0] * (period + 1)
+    run = [0] * (period + 1)  # length of the fixed run ended before variable slot t, 0 if none
+    window: deque[tuple[float, int]] = deque()  # (K[s], s), K increasing from the front
+    for t in range(1, period + 1):
+        s = t - 1
+        if s:
+            k = value[s - 1] - prefix[s - 1] + alpha * s
+            while window and window[-1][0] >= k:
+                window.pop()
+            window.append((k, s))
+            if window[0][1] < t - cap:
+                window.popleft()
+        best = value[t - 1]
+        if window:
+            k, s = window[0]
+            c = k + prefix[t - 1] + alpha * (cap - t)
             if c < best:
                 best = c
-                who = r
-        if best < inf:
-            total = 0
-            for r in range(cap + 1):
-                c = dp[r] if r == 0 else dp[r] + alpha * (cap - r)
-                if c <= best + TIE_TOL:
-                    total += cnt[r]
-            ndp[0] = best + g1[t]
-            ncnt[0] = total
-            par[0] = who
-        # Start a fixed run, or extend one (never past the contract length).
-        if dp[0] < inf:
-            ndp[1] = dp[0] + g0[t]
-            ncnt[1] = cnt[0]
-            par[1] = 0
-        for r in range(1, cap):
-            if dp[r] < inf:
-                ndp[r + 1] = dp[r] + g0[t]
-                ncnt[r + 1] = cnt[r]
-                par[r + 1] = r
-        dp, cnt = ndp, ncnt
-        parents.append(par)
+                run[t] = t - s
+        value[t] = best + g1[t - 1]
 
-    finals = [dp[0]]
-    for r in range(1, cap + 1):
-        if dp[r] == inf:
-            finals.append(inf)
-        elif fee_mode == "literal":
-            finals.append(dp[r] + alpha * (cap - r))
-        else:
-            finals.append(dp[r])
-    best = min(finals)
-    end_state = finals.index(best)
-    ties = sum(c for f, c in zip(finals, cnt) if f <= best + TIE_TOL)
+    # End states: the variable plan (start T + 1), then open runs s..T, shortest first.
+    finals = [(value[period], period + 1)]
+    for s in range(period, max(period - cap, 0), -1):
+        c = value[s - 1] + (prefix[period] - prefix[s - 1])
+        if fee_mode == "literal":
+            c += alpha * (cap - (period - s + 1))
+        finals.append((c, s))
+    best, start = min(finals, key=lambda f: f[0])
+    ties = sum(c <= best + TIE_TOL for c, _ in finals)
 
-    states_rev = []
-    state = end_state
-    for t in range(period - 1, -1, -1):
-        states_rev.append(0 if state else 1)
-        state = parents[t][state]
-    sched = Schedule(reversed(states_rev))
+    states = [1] * period
+    t = period + 1
+    while t > 0:
+        states[start - 1 : t - 1] = [0] * (t - start)
+        t = start - 1
+        start = t - run[t]
+    sched = Schedule(states)
     return OracleResult(sched, dsp_cost(sched, cs, alpha, cap, fee_mode), ties)
 
 

@@ -345,9 +345,10 @@ class TestCli:
         assert main(["verify", "identity", "--seed", "7"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_bad_suite_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            main(["verify", "everything"])
+    def test_bad_suite_rejected_by_parser(self, capsys):
+        assert main(["verify", "everything"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "invalid choice" in err
 
     def test_bad_trace_path_is_an_error(self, capsys):
         assert main(["run", "--trace", "/nonexistent/t.csv"]) == 2
@@ -400,6 +401,15 @@ BAD_FLAGS = [
     (["sweep", "--from", "5", "--to", "1"], "fee_from"),
     (["sweep", "--step", "0"], "fee_step"),
     (["sweep", "--from", "1", "--to", "2", "--step", "1e-12"], "points"),
+    (["run", "--fee-regime", "bogus"], "invalid choice"),
+    (["sweep", "--fee-mode", "both"], "invalid choice"),
+    (["run", "--benchmark", "none"], "invalid choice"),
+    (["run", "--beta", "abc"], "invalid float value"),
+    (["sweep", "--step", "x"], "invalid float value"),
+    (["run", "--mc-runs", "1.5"], "invalid int value"),
+    (["sweep", "--contract-len", "twelve"], "invalid int value"),
+    (["run", "--no-such-flag"], "unrecognized arguments"),
+    (["run", "--beta"], "expected one argument"),
 ]
 
 # Trace file contents (None: no such file) that fail while the trace is read.

@@ -1,0 +1,236 @@
+"""Differential tests of the O(T) decreasing-fee paths.
+
+``dp_dsp`` is checked against the O(T * L) table it replaced, kept here as a
+test-only oracle, and ``batch_dsp_costs`` against the scalar ``dsp_cost`` run
+once per row. Integer-valued costs with a dyadic ``alpha`` keep every sum
+exact, so exact ties reach both dynamic programs and exercise the tie-break.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from planswitch import (
+    CostSeries,
+    InfeasibleScheduleError,
+    Schedule,
+    ValidationError,
+    batch_dsp_costs,
+    dp_dsp,
+    dsp_cost,
+    random_cost_series,
+)
+from planswitch import adversary
+from planswitch.chase import chase_kernel, drift_trace
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracle: the O(T * L) table over (variable plan, run length).
+# ---------------------------------------------------------------------------
+
+
+def table_dp_dsp(cs, alpha, contract_len, fee_mode="literal"):
+    """Best schedule of the decreasing-fee objective, one slot at a time.
+
+    State after each slot: on the variable plan (index 0), or on the fixed
+    plan with the current run at length r (index r, 1 <= r <= L). Ending a
+    run of length r costs alpha * (L - r). Staying on the variable plan beats
+    ending a run, shorter runs beat longer ones, and at the horizon the
+    variable end beats the shortest open run.
+    """
+    period = len(cs)
+    cap = contract_len
+    g0, g1 = cs.g0, cs.g1
+    inf = math.inf
+
+    dp = [inf] * (cap + 1)
+    dp[0] = g1[0]
+    dp[1] = g0[0]
+    parents = [[-1] * (cap + 1)]
+    for t in range(1, period):
+        ndp = [inf] * (cap + 1)
+        par = [-1] * (cap + 1)
+        best = dp[0]
+        who = 0
+        for r in range(1, cap + 1):
+            if dp[r] == inf:
+                continue
+            c = dp[r] + alpha * (cap - r)
+            if c < best:
+                best = c
+                who = r
+        ndp[0] = best + g1[t]
+        par[0] = who
+        ndp[1] = dp[0] + g0[t]
+        par[1] = 0
+        for r in range(1, cap):
+            if dp[r] < inf:
+                ndp[r + 1] = dp[r] + g0[t]
+                par[r + 1] = r
+        dp = ndp
+        parents.append(par)
+
+    finals = [dp[0]]
+    for r in range(1, cap + 1):
+        if dp[r] == inf:
+            finals.append(inf)
+        elif fee_mode == "literal":
+            finals.append(dp[r] + alpha * (cap - r))
+        else:
+            finals.append(dp[r])
+    best = min(finals)
+    state = finals.index(best)
+    states_rev = []
+    for t in range(period - 1, -1, -1):
+        states_rev.append(0 if state else 1)
+        state = parents[t][state]
+    return Schedule(reversed(states_rev)), best
+
+
+MODES = ("literal", "transition-only")
+
+
+def _integer_series(rng, period):
+    g = rng.integers(-3, 6, size=(2, period))
+    return CostSeries(g[0].tolist(), g[1].tolist())
+
+
+def _assert_matches_table(cs, alpha, cap, mode):
+    got = dp_dsp(cs, alpha, cap, mode)
+    want, _ = table_dp_dsp(cs, alpha, cap, mode)
+    assert got.best_schedule.states == want.states
+    assert got.best_cost == dsp_cost(want, cs, alpha, cap, mode)
+    assert got.ties >= 1
+
+
+class TestDpMatchesTable:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_costs(self, mode):
+        rng = np.random.default_rng(101)
+        for _ in range(120):
+            period = int(rng.integers(1, 301))
+            cap = int(rng.integers(1, min(period, 40) + 1))
+            alpha = float(rng.choice([0.0, 0.1, 1.0, 3.0]))
+            _assert_matches_table(random_cost_series(rng, period), alpha, cap, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_integer_costs_with_exact_ties(self, mode):
+        rng = np.random.default_rng(102)
+        for _ in range(300):
+            period = int(rng.integers(1, 61))
+            cap = int(rng.integers(1, period + 1))
+            alpha = float(rng.choice([0.0, 0.5, 1.0, 3.0]))
+            _assert_matches_table(_integer_series(rng, period), alpha, cap, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_alpha(self, mode):
+        rng = np.random.default_rng(103)
+        for period in (1, 2, 17, 300):
+            for cs in (random_cost_series(rng, period), _integer_series(rng, period)):
+                _assert_matches_table(cs, 0.0, min(period, 7), mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_contract_of_one_slot(self, mode):
+        rng = np.random.default_rng(104)
+        for period in (1, 5, 300):
+            for cs in (random_cost_series(rng, period), _integer_series(rng, period)):
+                _assert_matches_table(cs, 1.0, 1, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_contract_as_long_as_horizon(self, mode):
+        rng = np.random.default_rng(105)
+        for period in (1, 6, 120, 300):
+            for cs in (random_cost_series(rng, period), _integer_series(rng, period)):
+                _assert_matches_table(cs, 0.5, period, mode)
+
+    def test_all_zero_costs_tie_everywhere(self):
+        zeros = CostSeries.from_pairs([(0, 0)] * 9)
+        for cap in (1, 4, 9):
+            for alpha in (0.0, 1.0):
+                for mode in MODES:
+                    _assert_matches_table(zeros, alpha, cap, mode)
+
+
+class TestDpTies:
+    def test_counts_tied_end_states(self):
+        # Zero costs, no fee: the variable end and open runs of lengths 1, 2, 3 all total 0.
+        assert dp_dsp(CostSeries.from_pairs([(0, 0)] * 3), 0.0, 3, "literal").ties == 4
+
+    def test_unique_end_state(self):
+        # The fixed plan is dearer every month, so only the variable end is optimal.
+        assert dp_dsp(CostSeries.from_pairs([(5, 0)] * 4), 1.0, 2, "literal").ties == 1
+
+    def test_ties_within_tolerance(self):
+        rng = np.random.default_rng(106)
+        for _ in range(50):
+            period = int(rng.integers(1, 40))
+            cap = int(rng.integers(1, period + 1))
+            res = dp_dsp(_integer_series(rng, period), 1.0, cap, "transition-only")
+            assert 1 <= res.ties <= min(cap, period) + 1
+
+
+def _guarded_states(rng, cs, alpha, cap, n_runs):
+    dt = drift_trace(cs, alpha, cap)
+    return chase_kernel(dt.values, dt.beta, rng.random((n_runs, len(cs))), cap)[0]
+
+
+class TestBatchDspCosts:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bit_identical_to_scalar(self, mode):
+        rng = np.random.default_rng(107)
+        for _ in range(60):
+            period = int(rng.integers(1, 80))
+            cap = int(rng.integers(1, period + 1))
+            alpha = float(rng.choice([0.1, 1.0, 7.3]))
+            cs = random_cost_series(rng, period, low=-5.0, high=10.0)
+            states = _guarded_states(rng, cs, alpha, cap, int(rng.integers(1, 30)))
+            want = np.array([dsp_cost(Schedule(row.tolist()), cs, alpha, cap, mode) for row in states])
+            assert np.array_equal(batch_dsp_costs(states, cs, alpha, cap, mode), want)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_feasible_rows(self, mode):
+        # Arbitrary 0/1 rows, not only the kernel's, with the cap at each row set's longest run.
+        rng = np.random.default_rng(108)
+        for _ in range(60):
+            period = int(rng.integers(1, 40))
+            states = rng.integers(0, 2, size=(int(rng.integers(1, 20)), period)).astype(np.int8)
+            runs = np.diff(np.pad(states == 0, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+            longest = max((e - s for row in runs
+                           for s, e in zip(np.flatnonzero(row == 1), np.flatnonzero(row == -1))), default=1)
+            cap = longest + int(rng.integers(0, 3))
+            cs = random_cost_series(rng, period)
+            want = np.array([dsp_cost(Schedule(row.tolist()), cs, 0.3, cap, mode) for row in states])
+            assert np.array_equal(batch_dsp_costs(states, cs, 0.3, cap, mode), want)
+
+    def test_block_size_does_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(109)
+        cs = random_cost_series(rng, 50)
+        states = _guarded_states(rng, cs, 2.0, 6, 37)
+        whole = batch_dsp_costs(states, cs, 2.0, 6)
+        monkeypatch.setattr(adversary, "BLOCK_CELLS", 8 * 100)  # blocks of 2 rows
+        assert np.array_equal(batch_dsp_costs(states, cs, 2.0, 6), whole)
+
+    def test_single_slot_and_empty_batch(self):
+        cs = CostSeries.from_pairs([(2.0, 3.0)])
+        got = batch_dsp_costs(np.array([[0], [1]], dtype=np.int8), cs, 1.5, 4, "literal")
+        assert got.tolist() == [2.0 + 1.5 * 3, 3.0]
+        assert batch_dsp_costs(np.zeros((0, 1), np.int8), cs, 1.5, 4).shape == (0,)
+
+    def test_over_long_run_raises(self):
+        cs = CostSeries.from_pairs([(0, 0)] * 5)
+        states = np.array([[1, 0, 0, 1, 1], [1, 0, 0, 0, 1]], dtype=np.int8)
+        with pytest.raises(InfeasibleScheduleError, match=r"row 1: fixed-plan run \[2, 4\] lasts 3"):
+            batch_dsp_costs(states, cs, 1.0, 2)
+        with pytest.raises(InfeasibleScheduleError):
+            dsp_cost(Schedule(states[1].tolist()), cs, 1.0, 2)
+
+    def test_rejects_bad_terms_and_shapes(self):
+        cs = CostSeries.from_pairs([(0, 0)] * 3)
+        states = np.ones((2, 3), dtype=np.int8)
+        with pytest.raises(ValidationError):
+            batch_dsp_costs(states, cs, 1.0, 0)
+        with pytest.raises(ValidationError):
+            batch_dsp_costs(states, cs, 1.0, 3, "both")
+        with pytest.raises(ValidationError):
+            batch_dsp_costs(states[:, :2], cs, 1.0, 3)
