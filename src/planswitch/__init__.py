@@ -42,7 +42,6 @@ from .chase import (
     cchase,
     clamp_step,
     csp_cost,
-    delta,
     delta_trace,
     gchase_dsp,
     gchase_r,
@@ -67,7 +66,6 @@ from .tariff import (
     CostSeries,
     InfeasibleScheduleError,
     Schedule,
-    SlotInput,
     Trace,
     TraceParseError,
     ValidationError,
@@ -75,7 +73,6 @@ from .tariff import (
     dsp_cost,
     p2_cost,
     parse_trace,
-    slot_cost,
     sp_cost,
     zero_runs,
 )

@@ -27,7 +27,6 @@ from .chase import (
     chase_kernel,
     clamp_step,
     delta_trace,
-    gchase_r,
     gchase_step,
     ofa_s,
 )
@@ -151,19 +150,18 @@ def deterministic_adversary(
         raise ValidationError(f"unit must be finite and > 0, got {unit!r}")
     player = make_player()
     pairs = []
+    states = []
     current = 0
-    alg_cost = 0.0
     for _ in range(horizon):
         pair = (unit, 0.0) if current == 0 else (0.0, unit)
         s = player(*pair)
         if s not in (0, 1):
             raise ValidationError(f"player emitted {s!r}, expected 0 or 1")
-        alg_cost += pair[1] if s else pair[0]
-        if s > current:
-            alg_cost += beta
         pairs.append(pair)
+        states.append(s)
         current = s
     cs = CostSeries.from_pairs(pairs)
+    alg_cost = sp_cost(Schedule(states), cs, beta)
     if horizon <= BRUTE_FORCE_MAX_T:
         opt_cost = brute_force_sp(cs, beta).best_cost
     else:
@@ -275,32 +273,24 @@ def batch_dsp_costs(
 
 
 def monte_carlo(
-    alg,
     cs: CostSeries,
     beta: float,
     n_runs: int,
     seed: int,
     instance_id: str = "",
 ) -> RatioReport:
-    """Replicate a randomized algorithm and report its mean cost and ratio.
+    """Replicate the randomized rule :func:`planswitch.chase.gchase_r` and report
+    its mean cost and ratio.
 
-    ``alg`` is either :func:`planswitch.chase.gchase_r` (simulated in a
-    vectorized batch) or any callable ``(trace, rng) -> Schedule``; in both
-    cases replication i uses a fresh generator seeded ``seed + i``, so results
-    are deterministic in (seed, n_runs) and independent of evaluation order.
-    The ratio compares the replication mean against the offline optimum.
+    The replications run in one vectorized batch; replication i draws from a
+    fresh generator seeded ``seed + i``, so results are deterministic in
+    (seed, n_runs) and independent of evaluation order. The ratio compares
+    the replication mean against the offline optimum.
     """
     if n_runs < 2:
         raise ValidationError(f"n_runs must be >= 2, got {n_runs!r}")
     dt = delta_trace(cs, beta)
-    if alg is gchase_r:
-        states = simulate_randomized_batch(dt, n_runs, seed)
-        costs = batch_sp_costs(states, cs, beta)
-    else:
-        costs = np.empty(n_runs)
-        for i in range(n_runs):
-            sched = alg(dt, np.random.default_rng(seed + i))
-            costs[i] = sp_cost(sched, cs, beta)
+    costs = batch_sp_costs(simulate_randomized_batch(dt, n_runs, seed), cs, beta)
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(n_runs))
     opt_cost = sp_cost(ofa_s(dt), cs, beta)

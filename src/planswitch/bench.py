@@ -43,7 +43,6 @@ from .chase import (
     csp_cost,
     delta_trace,
     drift_trace,
-    gchase_r,
     gchase_s,
     marginal_probabilities,
     ofa_s,
@@ -52,7 +51,6 @@ from .oracles import brute_force_dsp, brute_force_sp, dp_dsp, phi_identity_dsp, 
 from .tariff import (
     CostSeries,
     Schedule,
-    SlotInput,
     Trace,
     ValidationError,
     cost_series,
@@ -61,7 +59,6 @@ from .tariff import (
     p2_cost,
     parse_trace,
     require_finite,
-    slot_cost,
     sp_cost,
     zero_runs,
 )
@@ -190,18 +187,13 @@ class SavingsReport:
         }
 
 
-def protocol_cost_series(trace: Trace, h_rate: Optional[float] = None, h_scale: float = H_SCALE) -> CostSeries:
+def protocol_cost_series(trace: Trace, h_rate: Optional[float] = None) -> CostSeries:
     """Cost series under the protocol's underusage rule.
 
     A fixed ``h_rate`` applies everywhere when given; otherwise each month
-    uses ``h_scale`` times its own fixed rate.
+    uses ``H_SCALE`` times its own fixed rate.
     """
-    if h_rate is not None:
-        return cost_series(trace, h_rate)
-    return CostSeries(
-        (slot_cost(s, h_scale * s.fixed_rate, 0) for s in trace.slots),
-        (slot_cost(s, h_scale * s.fixed_rate, 1) for s in trace.slots),
-    )
+    return cost_series(trace, H_SCALE * trace.slots.fixed_rate if h_rate is None else h_rate)
 
 
 def synth_trace(slots: int, seed: int, profile: str = "seasonal") -> Trace:
@@ -236,17 +228,13 @@ def synth_trace(slots: int, seed: int, profile: str = "seasonal") -> Trace:
     base = demand_base.copy()
     if slots > 12:
         base[12:] = demand[:-12]
-    return Trace(
-        SlotInput(demand_kwh=float(demand[i]), fixed_rate=float(p0[i]),
-                  variable_rate=float(p1[i]), base_load_kwh=float(base[i]))
-        for i in range(slots)
-    )
+    return Trace(np.column_stack((demand, p0, p1, base)))
 
 
 def trace_to_csv(trace: Trace) -> str:
     lines = ["t,e,p0,p1,B"]
-    for i, s in enumerate(trace.slots, start=1):
-        lines.append(f"{i},{s.demand_kwh!r},{s.fixed_rate!r},{s.variable_rate!r},{s.base_load_kwh!r}")
+    for i, (e, p0, p1, b) in enumerate(trace.slots.tolist(), start=1):
+        lines.append(f"{i},{e!r},{p0!r},{p1!r},{b!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -463,7 +451,7 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
         beta = float(rng.choice([1.0, 2.0]))
         cs = random_cost_series(rng, period)
         dt = delta_trace(cs, beta)
-        rep = monte_carlo(gchase_r, cs, beta, n_runs, seed + 1000 * k)
+        rep = monte_carlo(cs, beta, n_runs, seed + 1000 * k)
         target = csp_cost(cchase(dt), cs, beta)
         if abs(rep.mean - target) > 3.0 * rep.stderr + 1e-9:
             failures += 1

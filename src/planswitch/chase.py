@@ -41,7 +41,6 @@ __all__ = [
     "OnlineState",
     "FractionalSchedule",
     "clamp_step",
-    "delta",
     "delta_trace",
     "ofa_s",
     "gchase_s",
@@ -149,12 +148,6 @@ def clamp_step(prev: float, gap: float, beta: float, drift: float = 0.0) -> floa
     if v <= neg:
         return neg
     return v
-
-
-def delta(cs: CostSeries, t: int) -> float:
-    """One-slot cost gap g_t(0) - g_t(1); positive favors the variable plan."""
-    g0, g1 = cs.pair(t)
-    return g0 - g1
 
 
 def delta_trace(cs: CostSeries, beta: float, drift: float = 0.0) -> DeltaTrace:

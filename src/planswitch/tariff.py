@@ -25,15 +25,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 __all__ = [
     "ValidationError",
     "TraceParseError",
     "InfeasibleScheduleError",
-    "SlotInput",
     "Trace",
     "CostSeries",
     "Schedule",
-    "slot_cost",
     "cost_series",
     "sp_cost",
     "p2_cost",
@@ -83,34 +83,41 @@ def fee_terms(alpha: float, contract_len: int, fee_mode: str = "literal",
     return alpha, int(contract_len), fee_mode
 
 
-@dataclass(frozen=True)
-class SlotInput:
-    """One month of exogenous data: demand, both plan rates, and base load."""
-
-    demand_kwh: float
-    fixed_rate: float
-    variable_rate: float
-    base_load_kwh: float
-
-    def __post_init__(self):
-        for name in ("demand_kwh", "fixed_rate", "variable_rate", "base_load_kwh"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
+# The four columns of a trace, one month per row.
+SLOT_FIELDS = ("demand_kwh", "fixed_rate", "variable_rate", "base_load_kwh")
+_SLOT_DTYPE = np.dtype([(name, np.float64) for name in SLOT_FIELDS])
 
 
-@dataclass(frozen=True)
+def _first_invalid(values: np.ndarray) -> int:
+    """Flat (row-major) index of the first value that is not finite and >= 0, or -1."""
+    bad = ~(np.isfinite(values) & (values >= 0.0))
+    return int(bad.argmax()) if bad.any() else -1
+
+
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """Ordered monthly slots; must be nonempty."""
+    """Ordered monthly slots; must be nonempty.
 
-    slots: tuple[SlotInput, ...]
+    ``slots`` is one read-only record array with the fields of
+    ``SLOT_FIELDS``: ``slots[i].demand_kwh`` reads one month, and
+    ``slots.fixed_rate`` one column. It is built from a (T, 4) array-like of
+    demand, fixed rate, variable rate and base load, each finite and >= 0.
+    """
 
-    def __init__(self, slots: Iterable[SlotInput]):
-        slots = tuple(slots)
-        if not slots:
+    slots: np.recarray
+
+    def __init__(self, rows: np.typing.ArrayLike):
+        values = np.array(rows, dtype=np.float64)
+        if values.size == 0:
             raise ValidationError("trace must contain at least one slot")
-        for i, s in enumerate(slots):
-            if not isinstance(s, SlotInput):
-                raise ValidationError(f"slot {i + 1} is not a SlotInput")
-        object.__setattr__(self, "slots", slots)
+        if values.ndim != 2 or values.shape[1] != len(SLOT_FIELDS):
+            raise ValidationError(f"trace must be a (T, {len(SLOT_FIELDS)}) array of "
+                                  f"{', '.join(SLOT_FIELDS)}, got shape {values.shape}")
+        bad = _first_invalid(values)
+        if bad >= 0:
+            require_finite(SLOT_FIELDS[bad % len(SLOT_FIELDS)], values.flat[bad])
+        values.flags.writeable = False
+        object.__setattr__(self, "slots", values.view(_SLOT_DTYPE)[:, 0].view(np.recarray))
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -147,16 +154,6 @@ class CostSeries:
         pairs = list(pairs)
         return cls((p[0] for p in pairs), (p[1] for p in pairs))
 
-    @property
-    def pairs(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.g0, self.g1))
-
-    def pair(self, t: int) -> tuple[float, float]:
-        """Cost pair of slot t (1-based)."""
-        if not 1 <= t <= len(self.g0):
-            raise IndexError(f"slot index {t} out of range [1, {len(self.g0)}]")
-        return self.g0[t - 1], self.g1[t - 1]
-
     def __len__(self) -> int:
         return len(self.g0)
 
@@ -181,40 +178,38 @@ class Schedule:
         return len(self.states)
 
 
-def slot_cost(slot: SlotInput, underusage_rate: float, plan: int) -> float:
-    """Monthly cost of one plan for one slot.
+def cost_series(trace: Trace, underusage_rate: np.typing.ArrayLike) -> CostSeries:
+    """Both plans' monthly costs for every slot of a trace.
 
     Plan 1 (variable) pays demand times the variable rate. Plan 0 (fixed)
     pays demand times the fixed rate, plus the variable-fixed spread on usage
-    above 1.1*B, minus the underusage correction at ``underusage_rate`` on the
-    shortfall below 0.9*B.
+    above 1.1*B, minus the underusage correction at rate H on the shortfall
+    below 0.9*B. Each plan's cost is piecewise linear in demand with
+    breakpoints at 0.9*B and 1.1*B; plan 0's may be negative under heavy
+    underusage.
 
     Args:
-        slot: the month's demand, rates, and base load.
-        underusage_rate: correction rate H in $/kWh, >= 0.
-        plan: 0 (fixed-rate) or 1 (variable-rate).
-
-    Returns:
-        The dollar cost. Piecewise linear in demand with breakpoints at
-        0.9*B and 1.1*B; may be negative for plan 0 under heavy underusage.
+        trace: the months' demand, rates, and base load.
+        underusage_rate: correction rate H in $/kWh, finite and >= 0: one
+            value for every month, or one per month.
     """
-    h = require_finite("underusage_rate", underusage_rate)
-    if plan == 1:
-        return slot.demand_kwh * slot.variable_rate
-    if plan != 0:
-        raise ValidationError(f"plan must be 0 or 1, got {plan!r}")
-    e, p0, p1, b = slot.demand_kwh, slot.fixed_rate, slot.variable_rate, slot.base_load_kwh
-    overusage = max(e - 1.1 * b, 0.0)
-    underusage = max(0.9 * b - e, 0.0)
-    return e * p0 + (p1 - p0) * overusage - h * underusage
-
-
-def cost_series(trace: Trace, underusage_rate: float) -> CostSeries:
-    """Evaluate both plans for every slot of a trace."""
-    return CostSeries(
-        (slot_cost(s, underusage_rate, 0) for s in trace.slots),
-        (slot_cost(s, underusage_rate, 1) for s in trace.slots),
-    )
+    h = np.asarray(underusage_rate, dtype=np.float64)
+    if h.ndim and h.shape != (len(trace),):
+        raise ValidationError(f"underusage_rate must be a scalar or one value per slot, got shape {h.shape}")
+    bad = _first_invalid(h)
+    if bad >= 0:
+        require_finite("underusage_rate", h.flat[bad])
+    s = trace.slots
+    e, p0, p1, b = s.demand_kwh, s.fixed_rate, s.variable_rate, s.base_load_kwh
+    with np.errstate(all="ignore"):  # CostSeries refuses an overflow and names its slot
+        over = e - 1.1 * b
+        under = 0.9 * b - e
+        # max(x, 0.0) as Python takes it, which keeps a -0.0 (np.maximum does not)
+        over = np.where(over < 0.0, 0.0, over)
+        under = np.where(under < 0.0, 0.0, under)
+        g0 = e * p0 + (p1 - p0) * over - h * under
+        g1 = e * p1
+    return CostSeries(g0.tolist(), g1.tolist())
 
 
 def _check_lengths(sched: Schedule, cs: CostSeries) -> int:
@@ -333,30 +328,41 @@ def parse_trace(data: bytes | str) -> Trace:
         raise TraceParseError("empty trace: missing header") from None
     if [h.strip() for h in header] != ["t", "e", "p0", "p1", "B"]:
         raise TraceParseError(f"bad header {header!r}, expected ['t', 'e', 'p0', 'p1', 'B']")
-    slots = []
-    prev_t = 0
-    for row_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # tolerate a trailing blank line
-        if len(row) != 5:
-            raise TraceParseError(f"row {row_no}: expected 5 columns, got {len(row)}")
+    values: list[float] = []  # four per data row, in row order
+    row_nos: list[int] = []  # the CSV row of each data row
+
+    def checked_trace() -> Trace:
+        rows = np.array(values).reshape(-1, len(SLOT_FIELDS))
         try:
-            t = int(row[0])
-        except ValueError:
-            raise TraceParseError(f"row {row_no}: slot index {row[0]!r} is not an integer") from None
-        if row_no == 1 and t != 1:
-            raise TraceParseError(f"row {row_no}: slot index must start at 1, got {t}")
-        if t != prev_t + 1:
-            raise TraceParseError(f"row {row_no}: slot index {t} does not follow {prev_t} consecutively")
-        prev_t = t
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError:
-            raise TraceParseError(f"row {row_no}: non-numeric value in {row[1:]!r}") from None
-        try:
-            slots.append(SlotInput(*values))
+            return Trace(rows)
         except ValidationError as exc:
-            raise TraceParseError(f"row {row_no}: {exc}") from None
-    if not slots:
+            raise TraceParseError(f"row {row_nos[_first_invalid(rows) // len(SLOT_FIELDS)]}: {exc}") from None
+
+    prev_t = 0
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # tolerate a trailing blank line
+            if len(row) != 5:
+                raise TraceParseError(f"row {row_no}: expected 5 columns, got {len(row)}")
+            try:
+                t = int(row[0])
+            except ValueError:
+                raise TraceParseError(f"row {row_no}: slot index {row[0]!r} is not an integer") from None
+            if row_no == 1 and t != 1:
+                raise TraceParseError(f"row {row_no}: slot index must start at 1, got {t}")
+            if t != prev_t + 1:
+                raise TraceParseError(f"row {row_no}: slot index {t} does not follow {prev_t} consecutively")
+            prev_t = t
+            try:
+                values += [float(v) for v in row[1:]]
+            except ValueError:
+                raise TraceParseError(f"row {row_no}: non-numeric value in {row[1:]!r}") from None
+            row_nos.append(row_no)
+    except TraceParseError:
+        if row_nos:
+            checked_trace()  # a bad value on an earlier row is the first error
+        raise
+    if not row_nos:
         raise TraceParseError("trace contains no data rows")
-    return Trace(slots)
+    return checked_trace()

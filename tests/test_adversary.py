@@ -9,7 +9,6 @@ from planswitch import (
     delta_trace,
     deterministic_adversary,
     gchase_player,
-    gchase_r,
     gchase_s,
     measure_ratio,
     measure_ratio_dsp,
@@ -25,7 +24,7 @@ from planswitch.chase import gchase_dsp
 class TestLowerBoundInstance:
     def test_exact_sequence(self):
         cs = randomized_lb_instance(1.0, 0.5, 3)
-        assert cs.pairs == ((0.5, 0.0), (0.0, 0.5), (0.0, 0.5))
+        assert (cs.g0, cs.g1) == ((0.5, 0.0, 0.0), (0.0, 0.5, 0.5))
 
     def test_continuous_cost_closed_form(self):
         beta, small = 2.0, 0.25
@@ -83,7 +82,7 @@ class TestAdaptiveAdversary:
 
         cs, report = deterministic_adversary(make_player, 1.0, 10, 0.25)
         assert len(calls) == 10
-        assert cs.pairs == tuple(calls)
+        assert list(zip(cs.g0, cs.g1)) == calls
         # an always-fixed player eats every charge
         assert report.alg_cost == pytest.approx(10 * 0.25, abs=1e-12)
 
@@ -125,34 +124,26 @@ class TestMonteCarlo:
     def test_requires_two_runs(self):
         cs = CostSeries.from_pairs([(1, 0), (0, 1)])
         with pytest.raises(ValidationError):
-            monte_carlo(gchase_r, cs, 1.0, 1, seed=0)
+            monte_carlo(cs, 1.0, 1, seed=0)
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(7)
         cs = random_cost_series(rng, 8)
-        a = monte_carlo(gchase_r, cs, 2.0, 500, seed=11)
-        b = monte_carlo(gchase_r, cs, 2.0, 500, seed=11)
+        a = monte_carlo(cs, 2.0, 500, seed=11)
+        b = monte_carlo(cs, 2.0, 500, seed=11)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
     def test_degenerate_instance(self):
         cs = CostSeries.from_pairs([(0, 0)] * 5)
-        report = monte_carlo(gchase_r, cs, 1.0, 100, seed=3)
+        report = monte_carlo(cs, 1.0, 100, seed=3)
         assert report.mean == 0.0
         assert report.stderr == 0.0
         assert report.ratio is None
-
-    def test_generic_callable_path_matches_fast_path(self):
-        rng = np.random.default_rng(8)
-        cs = random_cost_series(rng, 7)
-        fast = monte_carlo(gchase_r, cs, 1.5, 300, seed=5)
-        slow = monte_carlo(lambda dt, g: gchase_r(dt, g), cs, 1.5, 300, seed=5)
-        assert slow.mean == pytest.approx(fast.mean, abs=1e-9)
-        assert slow.stderr == pytest.approx(fast.stderr, abs=1e-9)
 
     def test_mean_tracks_continuous_cost(self):
         rng = np.random.default_rng(9)
         cs = random_cost_series(rng, 9)
         dt = delta_trace(cs, 2.0)
-        report = monte_carlo(gchase_r, cs, 2.0, 20000, seed=17)
+        report = monte_carlo(cs, 2.0, 20000, seed=17)
         target = csp_cost(cchase(dt), cs, 2.0)
         assert abs(report.mean - target) <= 3 * report.stderr + 1e-9

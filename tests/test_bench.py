@@ -7,6 +7,7 @@ import pytest
 from planswitch import (
     RunConfig,
     ValidationError,
+    cost_series,
     dsp_cost,
     gchase_r_dsp,
     parse_trace,
@@ -62,18 +63,14 @@ class TestProtocolCostSeries:
     def test_default_scales_fixed_rate(self):
         trace = synth_trace(12, seed=7)
         cs = protocol_cost_series(trace)
-        # spot-check one underusing month by recomputing with the slot's own H
-        from planswitch import slot_cost
-
-        for i, s in enumerate(trace.slots):
-            assert cs.g0[i] == slot_cost(s, 0.1 * s.fixed_rate, 0)
+        # each month's H is a tenth of its own fixed rate
+        own = cost_series(trace, [0.1 * s.fixed_rate for s in trace.slots])
+        assert (cs.g0, cs.g1) == (own.g0, own.g1)
 
     def test_fixed_rate_override(self):
         trace = synth_trace(12, seed=8)
         cs = protocol_cost_series(trace, h_rate=0.0)
-        from planswitch import slot_cost
-
-        assert cs.g0[0] == slot_cost(trace.slots[0], 0.0, 0)
+        assert cs.g0 == cost_series(trace, 0.0).g0
 
 
 class TestRunConfigValidation:

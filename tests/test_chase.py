@@ -14,7 +14,6 @@ from planswitch import (
     cchase,
     clamp_step,
     csp_cost,
-    delta,
     delta_trace,
     gchase_dsp,
     gchase_r,
@@ -31,21 +30,6 @@ from planswitch import (
 
 CS_A = CostSeries.from_pairs([(3, 0), (0, 3), (0, 0)])
 CS_B = CostSeries.from_pairs([(1, 0), (1, 0), (0, 2)])
-
-
-class TestDelta:
-    def test_positive_gap(self):
-        assert delta(CostSeries.from_pairs([(3, 0)]), 1) == 3.0
-
-    def test_negative_gap(self):
-        assert delta(CostSeries.from_pairs([(0, 3)]), 1) == -3.0
-
-    def test_zero_gap(self):
-        assert delta(CostSeries.from_pairs([(5, 5)]), 1) == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            delta(CS_A, 4)
 
 
 class TestDeltaTrace:
@@ -95,8 +79,8 @@ class TestDeltaTrace:
     def test_clamp_step_matches_batch(self):
         dt = delta_trace(CS_B, 2.0)
         prev = -2.0
-        for t in range(1, 4):
-            prev = clamp_step(prev, delta(CS_B, t), 2.0)
+        for t, (a, b) in enumerate(zip(CS_B.g0, CS_B.g1), start=1):
+            prev = clamp_step(prev, a - b, 2.0)
             assert prev == dt.values[t]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from planswitch import (
     CostSeries,
     InfeasibleScheduleError,
     Schedule,
-    SlotInput,
     Trace,
     TraceParseError,
     ValidationError,
@@ -19,54 +19,65 @@ from planswitch import (
     dsp_cost,
     p2_cost,
     parse_trace,
-    slot_cost,
+    protocol_cost_series,
     sp_cost,
     zero_runs,
 )
+from planswitch.bench import H_SCALE
 from planswitch.chase import drift_trace
 from planswitch.tariff import fee_terms
 
-SLOT = SlotInput(demand_kwh=100, fixed_rate=0.10, variable_rate=0.12, base_load_kwh=100)
+
+def slot_cost(e: float, p0: float, p1: float, b: float, h: float, plan: int) -> float:
+    """Scalar oracle of one plan's cost in one month: the tariff formula as written."""
+    if plan == 1:
+        return e * p1
+    overusage = max(e - 1.1 * b, 0.0)
+    underusage = max(0.9 * b - e, 0.0)
+    return e * p0 + (p1 - p0) * overusage - h * underusage
+
+
+SLOT = (100.0, 0.10, 0.12, 100.0)  # demand, fixed rate, variable rate, base load
+
+
+def one_slot_costs(e, p0, p1, b, h):
+    """(g0, g1) of a one-month trace."""
+    cs = cost_series(Trace([[e, p0, p1, b]]), h)
+    return cs.g0[0], cs.g1[0]
 
 
 class TestSlotCost:
     def test_variable_plan_is_direct_product(self):
-        assert slot_cost(SLOT, 0.01, 1) == pytest.approx(12.0, abs=1e-12)
+        assert one_slot_costs(*SLOT, 0.01)[1] == pytest.approx(12.0, abs=1e-12)
 
     def test_fixed_plan_inside_band(self):
         # both correction terms vanish inside [0.9B, 1.1B]
-        assert slot_cost(SLOT, 0.01, 0) == pytest.approx(10.0, abs=1e-12)
+        assert one_slot_costs(*SLOT, 0.01)[0] == pytest.approx(10.0, abs=1e-12)
 
     def test_fixed_plan_overusage(self):
-        slot = SlotInput(120, 0.10, 0.12, 100)
-        assert slot_cost(slot, 0.01, 0) == pytest.approx(12.2, abs=1e-9)
+        assert one_slot_costs(120, 0.10, 0.12, 100, 0.01)[0] == pytest.approx(12.2, abs=1e-9)
 
     def test_fixed_plan_underusage_subtracts(self):
-        slot = SlotInput(80, 0.10, 0.12, 100)
-        assert slot_cost(slot, 0.01, 0) == pytest.approx(7.9, abs=1e-9)
-
-    def test_invalid_plan(self):
-        with pytest.raises(ValidationError):
-            slot_cost(SLOT, 0.01, 2)
+        assert one_slot_costs(80, 0.10, 0.12, 100, 0.01)[0] == pytest.approx(7.9, abs=1e-9)
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValidationError):
-            slot_cost(SLOT, -0.01, 0)
+        with pytest.raises(ValidationError, match="underusage_rate"):
+            one_slot_costs(*SLOT, -0.01)
 
     def test_non_finite_input_rejected(self):
-        with pytest.raises(ValidationError):
-            SlotInput(math.nan, 0.1, 0.1, 100)
-        with pytest.raises(ValidationError):
-            SlotInput(math.inf, 0.1, 0.1, 100)
-        with pytest.raises(ValidationError):
-            SlotInput(-1.0, 0.1, 0.1, 100)
+        with pytest.raises(ValidationError, match="demand_kwh"):
+            Trace([[math.nan, 0.1, 0.1, 100]])
+        with pytest.raises(ValidationError, match="demand_kwh"):
+            Trace([[math.inf, 0.1, 0.1, 100]])
+        with pytest.raises(ValidationError, match="demand_kwh"):
+            Trace([[-1.0, 0.1, 0.1, 100]])
 
     def test_piecewise_linear_with_continuous_breakpoints(self):
         p0, p1, h, b = 0.10, 0.17, 0.03, 200.0
         lo, hi = 0.9 * b, 1.1 * b
 
         def f(e):
-            return slot_cost(SlotInput(e, p0, p1, b), h, 0)
+            return one_slot_costs(e, p0, p1, b, h)[0]
 
         # continuity: each adjacent piece evaluates to the band formula at its breakpoint
         assert abs(f(lo) - lo * p0) < 1e-12
@@ -80,7 +91,7 @@ class TestSlotCost:
 class TestCostSeries:
     def test_single_slot(self):
         cs = cost_series(Trace([SLOT]), 0.01)
-        assert cs.pairs == ((10.0, 12.0),)
+        assert (cs.g0, cs.g1) == ((10.0,), (12.0,))
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValidationError):
@@ -88,26 +99,64 @@ class TestCostSeries:
 
     def test_zero_demand_household_costs_nothing(self):
         # zero demand implies a zero previous-cycle base load
-        trace = Trace([SlotInput(0, 0.4, 0.9, 0) for _ in range(4)])
+        trace = Trace([(0, 0.4, 0.9, 0) for _ in range(4)])
         cs = cost_series(trace, 0.05)
-        assert all(p == (0.0, 0.0) for p in cs.pairs)
+        assert cs.g0 == cs.g1 == (0.0,) * 4
 
     def test_deterministic(self):
-        trace = Trace([SlotInput(80 + i, 0.1, 0.12, 100) for i in range(6)])
-        assert cost_series(trace, 0.01).pairs == cost_series(trace, 0.01).pairs
+        trace = Trace([(80 + i, 0.1, 0.12, 100) for i in range(6)])
+        a, b = cost_series(trace, 0.01), cost_series(trace, 0.01)
+        assert (a.g0, a.g1) == (b.g0, b.g1)
 
     def test_length_matches_trace(self):
         trace = Trace([SLOT] * 7)
         assert len(cost_series(trace, 0.01)) == 7
 
-    def test_pair_indexing_is_one_based(self):
+    def test_from_pairs_splits_columns(self):
         cs = CostSeries.from_pairs([(1, 2), (3, 4)])
-        assert cs.pair(1) == (1.0, 2.0)
-        assert cs.pair(2) == (3.0, 4.0)
-        with pytest.raises(IndexError):
-            cs.pair(0)
-        with pytest.raises(IndexError):
-            cs.pair(3)
+        assert (cs.g0, cs.g1) == ((1.0, 3.0), (2.0, 4.0))
+
+    def test_per_slot_rate_shape_and_values_checked(self):
+        trace = Trace([SLOT] * 3)
+        with pytest.raises(ValidationError, match="one value per slot"):
+            cost_series(trace, [0.01, 0.02])
+        with pytest.raises(ValidationError, match="underusage_rate must be finite and >= 0, got nan"):
+            cost_series(trace, [0.01, math.nan, -1.0])
+
+    def test_overflow_refused_without_warning(self):
+        trace = Trace([SLOT, (1e308, 10.0, 0.1, 1e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite cost pair at slot 2"):
+                cost_series(trace, 0.01)
+
+    def test_matches_scalar_oracle(self):
+        # band edges (e = 0.9B, e = 1.1B), B = 0, -0.0 and random months, under a
+        # scalar H, H = 0 and a per-slot H: every float and its sign equal the oracle's
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            period = int(rng.integers(1, 30))
+            b = rng.uniform(0.0, 1500.0, period)
+            b[rng.random(period) < 0.2] = 0.0
+            e = rng.uniform(0.0, 2000.0, period)
+            kind = rng.integers(0, 5, period)
+            e = np.where(kind == 1, 0.9 * b, np.where(kind == 2, 1.1 * b, np.where(kind == 3, -0.0, e)))
+            p0 = rng.uniform(0.0, 0.3, period)
+            p1 = rng.uniform(0.0, 0.3, period)
+            trace = Trace(np.column_stack((e, p0, p1, b)))
+            cols = trace.slots.tolist()
+            per_slot = rng.uniform(0.0, 0.05, period)
+            cases = [
+                (cost_series(trace, 0.03), [0.03] * period),
+                (cost_series(trace, 0.0), [0.0] * period),
+                (cost_series(trace, per_slot), per_slot.tolist()),
+                (protocol_cost_series(trace), [H_SCALE * row[1] for row in cols]),
+                (protocol_cost_series(trace, h_rate=0.02), [0.02] * period),
+            ]
+            for cs, hs in cases:
+                for plan, got in ((0, cs.g0), (1, cs.g1)):
+                    want = [slot_cost(*row, h, plan) for row, h in zip(cols, hs)]
+                    assert list(map(repr, got)) == list(map(repr, want))
 
     def test_non_finite_pair_rejected(self):
         with pytest.raises(ValidationError):
@@ -259,11 +308,52 @@ class TestFeeTerms:
                 call()
 
 
+class TestTrace:
+    def test_rows_and_columns(self):
+        trace = Trace([SLOT, (90.0, 0.1, 0.11, 100.0)])
+        assert len(trace) == 2
+        assert trace.slots[1].variable_rate == 0.11
+        assert trace.slots.demand_kwh.tolist() == [100.0, 90.0]
+        assert trace.slots.tolist() == [SLOT, (90.0, 0.1, 0.11, 100.0)]
+
+    def test_read_only_copy(self):
+        rows = np.array([SLOT])
+        trace = Trace(rows)
+        rows[0, 0] = 5.0
+        assert trace.slots[0].demand_kwh == 100.0
+        with pytest.raises(ValueError):
+            trace.slots.demand_kwh[0] = 1.0
+        with pytest.raises(ValueError):
+            trace.slots.base[0, 0] = 1.0
+
+    def test_shape_checked(self):
+        with pytest.raises(ValidationError, match="shape"):
+            Trace([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValidationError, match="shape"):
+            Trace([[1.0, 2.0, 3.0]])
+
+    def test_first_bad_value_named(self):
+        with pytest.raises(ValidationError, match="base_load_kwh must be finite and >= 0, got -1.0"):
+            Trace([SLOT, (1.0, 2.0, 3.0, -1.0), (math.nan, 0.1, 0.1, 1.0)])
+
+
 class TestParseTrace:
     def test_single_row(self):
         trace = parse_trace(b"t,e,p0,p1,B\n1,100,0.10,0.12,100\n")
         assert len(trace) == 1
         assert trace.slots[0].demand_kwh == 100.0
+
+    def test_value_error_before_later_gap_wins(self):
+        data = b"t,e,p0,p1,B\n1,100,-0.10,0.12,100\n2,90,0.1,0.11,100\n4,90,0.1,0.11,100\n"
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(data)
+        assert str(exc.value) == "row 1: fixed_rate must be finite and >= 0, got -0.1"
+
+    def test_row_number_counts_blank_lines(self):
+        data = b"t,e,p0,p1,B\n1,100,0.10,0.12,100\n\n2,90,0.1,inf,100\n"
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(data)
+        assert str(exc.value) == "row 3: variable_rate must be finite and >= 0, got inf"
 
     def test_crlf_accepted(self):
         trace = parse_trace(b"t,e,p0,p1,B\r\n1,100,0.10,0.12,100\r\n2,90,0.1,0.11,100\r\n")
