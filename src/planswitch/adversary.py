@@ -212,11 +212,17 @@ def simulate_randomized_batch(dt: DeltaTrace, n_runs: int, seed: int) -> np.ndar
 
 
 def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarray:
-    """Constant-fee cost of each row of a (runs x T) 0/1 state matrix."""
+    """Constant-fee cost of each row of a (runs x T) 0/1 state matrix.
+
+    One float copy of the states is held: it becomes ``1.0 - states`` in place
+    once its product with g1 is taken. Row blocks would hold less, but they
+    change the matrix products' rounding.
+    """
     g0 = np.asarray(cs.g0)
     g1 = np.asarray(cs.g1)
     fstates = states.astype(np.float64)
-    service = fstates @ g1 + (1.0 - fstates) @ g0
+    service = fstates @ g1
+    service += np.subtract(1.0, fstates, out=fstates) @ g0
     ups = states[:, 0].astype(np.int64)
     if states.shape[1] > 1:
         ups = ups + (states[:, 1:] > states[:, :-1]).sum(axis=1)

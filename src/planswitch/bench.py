@@ -17,9 +17,11 @@ point on the same trace.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
+import re
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -324,8 +326,41 @@ def run_report(config: RunConfig) -> dict:
 
 
 def report_json(report: dict) -> str:
-    """Stable-key-order JSON, byte-identical for identical configs and seeds."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Stable-key-order JSON, byte-identical for identical configs and seeds.
+
+    The bytes are those of ``json.dumps(report, sort_keys=True, indent=2)``.
+    That indented dump runs the stdlib's pure-Python encoder, so each nonempty
+    list of plain ints and floats (the schedules) is dumped by the C encoder
+    instead and spliced in, one item per line, where a placeholder string
+    stood. A placeholder prefix that some string of the report already
+    contains is not used.
+    """
+    lists: list[tuple[list, int]] = []  # each spliced list and its nesting depth
+
+    def stub(obj, depth, prefix):
+        if isinstance(obj, dict):
+            return {k: stub(v, depth + 1, prefix) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            if obj and set(map(type, obj)) <= {int, float}:
+                lists.append((obj, depth))
+                return f"{prefix}{len(lists) - 1}"
+            return [stub(v, depth + 1, prefix) for v in obj]
+        return obj
+
+    for attempt in itertools.count():
+        prefix = f"@list{attempt}:"
+        lists.clear()
+        text = json.dumps(stub(report, 0, prefix), sort_keys=True, indent=2)
+        if text.count(f'"{prefix}') == len(lists):
+            break
+
+    def splice(match: re.Match) -> str:
+        items, depth = lists[int(match[1])]
+        inner = "  " * (depth + 1)
+        body = json.dumps(items)[1:-1].replace(", ", ",\n" + inner)
+        return f"[\n{inner}{body}\n{'  ' * depth}]"
+
+    return re.sub(rf'"{re.escape(prefix)}(\d+)"', splice, text) + "\n"
 
 
 def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) -> tuple[list[str], list[list]]:
@@ -335,10 +370,13 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
     constant regime sets beta to the fee; the linear regime divides the fee
     by the contract length to get alpha. The offline optimum's cost must be
     non-decreasing in the fee; violations are logged, not raised. More than
-    ``MAX_SWEEP_POINTS`` fee points, or a fee that is not positive, is refused
-    before anything is evaluated. The replicate draws do not depend on the
-    fee: when they fit one kernel block they are drawn once for all points.
+    ``MAX_SWEEP_POINTS`` fee points, a fee or step that is not finite, or a
+    fee that is not positive, is refused before anything is evaluated. The
+    replicate draws do not depend on the fee: when they fit one kernel block
+    they are drawn once for all points.
     """
+    for name, value in (("fee_from", fee_from), ("fee_to", fee_to), ("fee_step", fee_step)):
+        require_finite(name, value)
     if fee_from > fee_to:
         raise ValidationError(f"fee_from {fee_from} > fee_to {fee_to}")
     if fee_step <= 0.0:

@@ -22,8 +22,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -307,12 +308,62 @@ def dsp_cost(
     return total
 
 
+# One parsed CSV row: the slot index and the four values of SLOT_FIELDS.
+_CSV_ROW_DTYPE = np.dtype([("t", np.int64), ("values", np.float64, (len(SLOT_FIELDS),))])
+
+
+def _check_header(reader: Iterator[list[str]]) -> None:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceParseError("empty trace: missing header") from None
+    if [h.strip() for h in header] != ["t", "e", "p0", "p1", "B"]:
+        raise TraceParseError(f"bad header {header!r}, expected ['t', 'e', 'p0', 'p1', 'B']")
+
+
 def parse_trace(data: bytes | str) -> Trace:
     """Parse a trace CSV with header ``t,e,p0,p1,B``.
 
     Rows carry a consecutive integer slot index starting at 1 (a gap is an
     error) and four nonnegative finite values (demand, fixed rate, variable
-    rate, base load). UTF-8, LF or CRLF.
+    rate, base load). UTF-8, LF, CRLF or CR line ends; blank lines are
+    skipped anywhere but still count in the row numbers of error messages.
+
+    A valid trace is read by one ``numpy.loadtxt`` call. Input that call
+    refuses, or whose slot indices or values are invalid, goes through the
+    row loop :func:`_parse_rows`, which names the first bad row, or returns
+    the trace for rows numpy does not read but Python does (``1_000``,
+    quoted fields, lone CR line ends).
+    """
+    trace = _loadtxt_trace(data)
+    return trace if trace is not None else _parse_rows(data)
+
+
+def _loadtxt_trace(data: bytes | str) -> Trace | None:
+    """The trace read by one numpy call, or None if the row loop must read it."""
+    try:
+        raw = data.encode("utf-8") if isinstance(data, str) else data
+        if raw.count(b"\r") != raw.count(b"\r\n"):
+            return None  # numpy ends no line at a lone CR
+        _check_header(csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on an empty body
+            # comments=None: a "#" row is an error, not a comment. Bytes, not a
+            # decoded str: a StringIO would hold the text four times over.
+            body = np.loadtxt(io.BytesIO(raw), dtype=_CSV_ROW_DTYPE, delimiter=",", skiprows=1,
+                              comments=None, encoding="utf-8", ndmin=1)
+        if len(body) and np.array_equal(body["t"], np.arange(1, len(body) + 1)):
+            return Trace(body["values"])
+    except (ValueError, Warning, csv.Error):
+        pass
+    return None
+
+
+def _parse_rows(data: bytes | str) -> Trace:
+    """The row loop: :func:`parse_trace`'s reference and error explainer.
+
+    A bad value on an earlier row is reported before a structural error on a
+    later one.
     """
     if isinstance(data, bytes):
         try:
@@ -322,12 +373,7 @@ def parse_trace(data: bytes | str) -> Trace:
     else:
         text = data
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceParseError("empty trace: missing header") from None
-    if [h.strip() for h in header] != ["t", "e", "p0", "p1", "B"]:
-        raise TraceParseError(f"bad header {header!r}, expected ['t', 'e', 'p0', 'p1', 'B']")
+    _check_header(reader)
     values: list[float] = []  # four per data row, in row order
     row_nos: list[int] = []  # the CSV row of each data row
 
@@ -342,7 +388,7 @@ def parse_trace(data: bytes | str) -> Trace:
     try:
         for row_no, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # tolerate a trailing blank line
+                continue  # a blank line, still counted in row_no
             if len(row) != 5:
                 raise TraceParseError(f"row {row_no}: expected 5 columns, got {len(row)}")
             try:

@@ -3,7 +3,9 @@ import pytest
 
 from planswitch import (
     CostSeries,
+    Schedule,
     ValidationError,
+    batch_sp_costs,
     cchase,
     csp_cost,
     delta_trace,
@@ -147,3 +149,27 @@ class TestMonteCarlo:
         report = monte_carlo(cs, 2.0, 20000, seed=17)
         target = csp_cost(cchase(dt), cs, 2.0)
         assert abs(report.mean - target) <= 3 * report.stderr + 1e-9
+
+
+def two_matrix_sp_costs(states, cs, beta):
+    """Oracle of batch_sp_costs: the formula with both float matrices held at once."""
+    g0, g1 = np.asarray(cs.g0), np.asarray(cs.g1)
+    fstates = states.astype(np.float64)
+    ups = states[:, 0].astype(np.int64) + (states[:, 1:] > states[:, :-1]).sum(axis=1)
+    return fstates @ g1 + (1.0 - fstates) @ g0 + float(beta) * ups
+
+
+class TestBatchSpCosts:
+    @pytest.mark.parametrize("runs,period", [(1, 1), (1, 7), (5, 1), (13, 40), (64, 300), (3, 5000)])
+    def test_bit_identical_to_two_matrix_formula(self, runs, period):
+        rng = np.random.default_rng(runs * 1000 + period)
+        for density in (0.0, 0.3, 0.9, 1.0):
+            states = (rng.random((runs, period)) < density).astype(np.int8)
+            cs = CostSeries(rng.normal(0.0, 50.0, period), rng.normal(0.0, 50.0, period))
+            beta = float(rng.uniform(0.1, 10.0))
+            snapshot = states.copy()
+            got = batch_sp_costs(states, cs, beta)
+            assert got.tobytes() == two_matrix_sp_costs(states, cs, beta).tobytes()
+            assert np.array_equal(states, snapshot) and states.dtype == np.int8
+            for row, cost in zip(states, got):
+                assert cost == pytest.approx(sp_cost(Schedule(row.tolist()), cs, beta), rel=1e-9, abs=1e-9)

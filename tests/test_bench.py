@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -193,6 +194,41 @@ class TestRunReport:
         path.write_text(trace_to_csv(synth_trace(12, seed=12)))
         report = run_report(RunConfig(trace_path=str(path), seed=12, algorithms=("ofa",)))
         assert report["slots"] == 12
+
+
+def stdlib_report_json(report) -> str:
+    """Oracle of report_json: the stdlib's indented dump."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+class TestReportJson:
+    @pytest.mark.parametrize("regime", FEE_REGIMES)
+    def test_run_reports_match_stdlib(self, regime):
+        algorithms = tuple(a for a, regimes in bench.ALGORITHMS.items() if regime in regimes)
+        report = run_report(RunConfig(synth_slots=40, seed=3, fee_regime=regime, algorithms=algorithms))
+        assert isinstance(report["reports"]["cchase" if regime == "constant" else "dp"]["schedule"][0],
+                          float if regime == "constant" else int)
+        assert report_json(report) == stdlib_report_json(report)
+
+    @pytest.mark.parametrize("report", [
+        {"empty": [], "one": [7], "one_float": [0.25], "none": None, "tuple": (1, 2)},
+        {"costs": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324], "cost": -0.0},
+        {"a": {"b": {"c": [1, 2.5], "d": []}, "e": [[1, 2], [], [3.0], {"f": [4]}]}, "g": 1},
+        {"mixed": [1, True, None], "bools": [True, False], "strings": ["x", "y"], "numpy": [np.float64(1.5)]},
+        {"keys": {"b": [2], "a": [1], "c": "@list0:0"}},
+        [1, 2, 3],
+        [],
+        7,
+    ])
+    def test_matches_stdlib(self, report):
+        assert report_json(report) == stdlib_report_json(report)
+
+    @pytest.mark.parametrize("path", ["@list0:0", '"@list0:0"', "@list0:1 @list1:0", 'x"@list0:0', "@list0:"])
+    def test_placeholder_text_in_strings(self, path):
+        report = run_report(RunConfig(synth_slots=12, seed=4, algorithms=("ofa", "gchase", "cchase")))
+        report["config"]["trace_path"] = path
+        report["reports"]["ofa"]["algorithm"] = path
+        assert report_json(report) == stdlib_report_json(report)
 
 
 class TestSweep:
@@ -398,6 +434,10 @@ BAD_FLAGS = [
     (["sweep", "--from", "5", "--to", "1"], "fee_from"),
     (["sweep", "--step", "0"], "fee_step"),
     (["sweep", "--from", "1", "--to", "2", "--step", "1e-12"], "points"),
+    (["sweep", "--from", "nan"], "fee_from"),
+    (["sweep", "--to", "nan"], "fee_to"),
+    (["sweep", "--step", "nan"], "fee_step"),
+    (["sweep", "--from", "inf", "--to", "inf"], "fee_from"),
     (["run", "--fee-regime", "bogus"], "invalid choice"),
     (["sweep", "--fee-mode", "both"], "invalid choice"),
     (["run", "--benchmark", "none"], "invalid choice"),

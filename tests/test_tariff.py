@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -25,7 +26,8 @@ from planswitch import (
 )
 from planswitch.bench import H_SCALE
 from planswitch.chase import drift_trace
-from planswitch.tariff import fee_terms
+from planswitch import tariff
+from planswitch.tariff import _parse_rows, fee_terms
 
 
 def slot_cost(e: float, p0: float, p1: float, b: float, h: float, plan: int) -> float:
@@ -387,3 +389,114 @@ class TestParseTrace:
     def test_no_data_rows(self):
         with pytest.raises(TraceParseError):
             parse_trace(b"t,e,p0,p1,B\n")
+
+
+def parse_outcome(parse, data) -> bytes | str:
+    """The parsed slots' bytes, or the TraceParseError's message."""
+    try:
+        return parse(data).slots.tobytes()
+    except TraceParseError as exc:
+        return str(exc)
+
+
+HEADER = "t,e,p0,p1,B"
+# Pieces of a CSV that the numpy read and the row loop might take differently.
+ODD_INDICES = ["1.0", "+1", " 1", "1 ", "01", "1_0", "-0", "0", "x", "", "\u0661"]
+ODD_VALUES = ["1_000", "nan", "inf", "1e400", "-0.0", "-1", '"2"', " 3 ", "\xa02", "+.5", "1e-400",
+              "", "#", "0x1", "1.", "\r4", "4\r"]
+ODD_ROW_ENDS = ["\r\n", "\r", "\n\n", "\n \t \n", "\n#\n", "\n# note\n", "\n,,,,\n", "\r\r\n",
+                "\n\r", "\x0c", "\u2028"]
+ODD_HEADERS = [" t , e ,p0,p1,B", "\ufeff" + HEADER, '"t",e,p0,p1,B', 't,e,p0,p1,"B\n"', "t,e,p0,p1",
+               "t,e,p0,p1,B,", ""]
+
+PARSE_EDGE_CASES = [
+    HEADER + "\n1,100,0.1,0.12,100\n2,90,0.1,0.11,100\n",
+    HEADER + "\r\n1,100,0.1,0.12,100\r\n2,90,0.1,0.11,100\r\n",
+    HEADER + "\r1,100,0.1,0.12,100\r2,90,0.1,0.11,100\r",
+    HEADER + "\r1,100,0.1,0.12,100\n1,90,0.1,0.11,100",
+    HEADER + "\n\n1,100,0.1,0.12,100\n\n2,90,0.1,0.11,100\n\n",
+    HEADER + "\n1,100,0.1,0.12,100\n  \t \n2,90,0.1,0.11,100\n",
+    HEADER + "\n1,100,0.1,0.12,100\n# comment\n2,90,0.1,0.11,100\n",
+    HEADER + "\n1,100,0.1,0.12,100,\n",
+    HEADER + '\n1,"100",0.1,0.12,100\n',
+    HEADER + '\n"1",100,0.1,0.12,100\n',
+    HEADER + "\n1.0,100,0.1,0.12,100\n",
+    HEADER + "\n+1,100,0.1,0.12,100\n",
+    HEADER + "\n 1,100,0.1,0.12,100\n",
+    HEADER + "\n1,1_000,0.1,0.12,100\n",
+    HEADER + "\n1,nan,0.1,0.12,100\n",
+    HEADER + "\n1,100,inf,0.12,100\n",
+    HEADER + "\n1,100,0.1,1e400,100\n",
+    HEADER + "\n1,-0.0,0.1,0.12,-0.0\n",
+    "\ufeff" + HEADER + "\n1,100,0.1,0.12,100\n",
+    HEADER + "\n1,100,0.1,0.12,100\n3,90,0.1,0.11,100\n",
+    HEADER + "\n1,100,-0.1,0.12,100\n2,90,0.1,0.11,100\n4,90,0.1,0.11,100\n",
+    HEADER + "\n1,100,0.1,0.12,100\n2,90,0.1,-1,100\n3,90,0.1\n",
+    HEADER + "\n1,100,0.1,0.12,100\n2,90,0.1,0.11,100\n",
+    HEADER + "\n",
+    HEADER,
+    "",
+]
+
+
+def fuzzed_csv(rng: random.Random) -> bytes:
+    """A trace CSV that is mostly well formed, with odd pieces mixed in."""
+    def odd(pieces, normal, p=0.12):
+        return rng.choice(pieces) if rng.random() < p else normal
+
+    rows = []
+    for t in range(1, rng.randint(0, 6) + 1):
+        cols = [odd(ODD_INDICES, str(t))] + [odd(ODD_VALUES, repr(round(rng.uniform(0, 900), 3)))
+                                             for _ in range(4)]
+        if rng.random() < 0.05:
+            cols.append("")
+        if rng.random() < 0.05:
+            cols.pop()
+        rows.append(",".join(cols))
+    ends = [odd(ODD_ROW_ENDS, "\n", 0.15) for _ in range(len(rows) + 1)]
+    text = odd(ODD_HEADERS, HEADER, 0.1) + "".join(e + r for e, r in zip(ends, rows))
+    data = (text + (ends[-1] if rng.random() < 0.7 else "")).encode("utf-8")
+    if rng.random() < 0.03:
+        data = data[:-1] + b"\xff"  # not UTF-8
+    return data
+
+
+class TestParsePaths:
+    """parse_trace (one numpy read, else the row loop) against the row loop alone."""
+
+    @pytest.mark.parametrize("text", PARSE_EDGE_CASES)
+    def test_edge_cases_agree(self, text):
+        for data in (text.encode("utf-8"), text):
+            assert parse_outcome(parse_trace, data) == parse_outcome(_parse_rows, data)
+
+    def test_fuzzed_csvs_agree(self):
+        rng = random.Random(7)
+        parsed = 0
+        for _ in range(3000):
+            data = fuzzed_csv(rng)
+            outcome = parse_outcome(parse_trace, data)
+            assert outcome == parse_outcome(_parse_rows, data), data
+            parsed += isinstance(outcome, bytes)
+        assert parsed > 400  # the fuzz reaches accepted traces, not only errors
+
+    def test_valid_trace_skips_the_row_loop(self, monkeypatch):
+        def no_loop(data):
+            raise AssertionError("ran the row loop on a valid trace")
+
+        monkeypatch.setattr(tariff, "_parse_rows", no_loop)
+        trace = parse_trace(b"t,e,p0,p1,B\r\n+1,100,-0.0,0.12,1e2\r\n\r\n2, 90 ,0.1,0.11,100")
+        assert trace.slots.tolist() == [(100.0, -0.0, 0.12, 100.0), (90.0, 0.1, 0.11, 100.0)]
+
+    def test_python_only_numbers_read_by_the_row_loop(self):
+        trace = parse_trace(b't,e,p0,p1,B\n1,1_000,"0.1",0.12,100\n')
+        assert trace.slots.tolist() == [(1000.0, 0.1, 0.12, 100.0)]
+
+    def test_bad_utf8_named(self):
+        with pytest.raises(TraceParseError, match="not valid UTF-8"):
+            parse_trace(b"t,e,p0,p1,B\n1,100,0.1,0.12,100\n2,90,0.1,0.11,1\xff\n")
+
+    def test_empty_body_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceParseError, match="no data rows"):
+                parse_trace(b"t,e,p0,p1,B\n\n")
