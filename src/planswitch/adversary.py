@@ -30,7 +30,7 @@ from .chase import (
     gchase_step,
     ofa_s,
 )
-from .oracles import BRUTE_FORCE_MAX_T, brute_force_sp, dp_dsp
+from .oracles import dp_dsp
 from .tariff import (
     CostSeries,
     InfeasibleScheduleError,
@@ -68,7 +68,6 @@ class RatioReport:
     the mean.
     """
 
-    instance_id: str
     alg_cost: float
     opt_cost: float
     ratio: Optional[float]
@@ -77,9 +76,9 @@ class RatioReport:
     n_runs: Optional[int] = None
 
 
-def _make_report(instance_id, alg_cost, opt_cost, **extra) -> RatioReport:
+def _make_report(alg_cost, opt_cost, **extra) -> RatioReport:
     ratio = alg_cost / opt_cost if opt_cost > 0.0 else None
-    return RatioReport(instance_id, alg_cost, opt_cost, ratio, **extra)
+    return RatioReport(alg_cost, opt_cost, ratio, **extra)
 
 
 def random_cost_series(
@@ -141,13 +140,13 @@ def deterministic_adversary(
     Each slot charges ``unit`` against the plan the player occupied entering
     the slot, then lets the player react. The adversary is strictly causal:
     it sees only the states the player has already emitted. Returns the
-    realized cost series and the player's ratio against the offline optimum
-    (exhaustive for short horizons, backward-pass otherwise).
+    realized cost series and the player's ratio against the offline optimum,
+    the backward pass.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon!r}")
-    if not (math.isfinite(unit) and unit > 0.0):
-        raise ValidationError(f"unit must be finite and > 0, got {unit!r}")
+    beta = require_finite("beta", beta, positive=True)
+    unit = require_finite("unit", unit, positive=True)
     player = make_player()
     pairs = []
     states = []
@@ -161,27 +160,20 @@ def deterministic_adversary(
         states.append(s)
         current = s
     cs = CostSeries.from_pairs(pairs)
-    alg_cost = sp_cost(Schedule(states), cs, beta)
-    if horizon <= BRUTE_FORCE_MAX_T:
-        opt_cost = brute_force_sp(cs, beta).best_cost
-    else:
-        dt = delta_trace(cs, beta)
-        opt_cost = sp_cost(ofa_s(dt), cs, beta)
-    report = _make_report(f"adversary:unit={unit},horizon={horizon}", alg_cost, opt_cost)
-    return cs, report
+    opt_cost = sp_cost(ofa_s(delta_trace(cs, beta)), cs, beta)
+    return cs, _make_report(sp_cost(Schedule(states), cs, beta), opt_cost)
 
 
 def measure_ratio(
     alg: Callable[[DeltaTrace], Schedule],
     cs: CostSeries,
     beta: float,
-    instance_id: str = "",
 ) -> RatioReport:
     """Run a constant-fee algorithm on an instance and compare with the optimum."""
     dt = delta_trace(cs, beta)
     alg_cost = sp_cost(alg(dt), cs, beta)
     opt_cost = sp_cost(ofa_s(dt), cs, beta)
-    return _make_report(instance_id, alg_cost, opt_cost)
+    return _make_report(alg_cost, opt_cost)
 
 
 def measure_ratio_dsp(
@@ -190,14 +182,13 @@ def measure_ratio_dsp(
     alpha: float,
     contract_len: int,
     fee_mode: str = "literal",
-    instance_id: str = "",
 ) -> RatioReport:
     """Decreasing-fee counterpart of :func:`measure_ratio`; optimum via the DP."""
     out = alg(cs)
     sched = out[0] if isinstance(out, tuple) else out
     alg_cost = dsp_cost(sched, cs, alpha, contract_len, fee_mode)
     opt_cost = dp_dsp(cs, alpha, contract_len, fee_mode).best_cost
-    return _make_report(instance_id, alg_cost, opt_cost)
+    return _make_report(alg_cost, opt_cost)
 
 
 def simulate_randomized_batch(dt: DeltaTrace, n_runs: int, seed: int) -> np.ndarray:
@@ -211,13 +202,24 @@ def simulate_randomized_batch(dt: DeltaTrace, n_runs: int, seed: int) -> np.ndar
     return chase_kernel(dt.values, dt.beta, draws)[0]
 
 
+def _state_matrix(states: np.ndarray, cs: CostSeries) -> np.ndarray:
+    """``states`` as a (runs x T) array for a series of T slots."""
+    states = np.asarray(states)
+    if states.ndim != 2 or states.shape[1] != len(cs):
+        raise ValidationError(f"state matrix shape {states.shape} does not match series length {len(cs)}")
+    return states
+
+
 def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarray:
     """Constant-fee cost of each row of a (runs x T) 0/1 state matrix.
 
     One float copy of the states is held: it becomes ``1.0 - states`` in place
     once its product with g1 is taken. Row blocks would hold less, but they
-    change the matrix products' rounding.
+    change the matrix products' rounding. A row agrees with the left fold of
+    :func:`planswitch.tariff.sp_cost` to about 1e-9 relative, not bit for bit.
     """
+    beta = require_finite("beta", beta)
+    states = _state_matrix(states, cs)
     g0 = np.asarray(cs.g0)
     g1 = np.asarray(cs.g1)
     fstates = states.astype(np.float64)
@@ -226,7 +228,7 @@ def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarra
     ups = states[:, 0].astype(np.int64)
     if states.shape[1] > 1:
         ups = ups + (states[:, 1:] > states[:, :-1]).sum(axis=1)
-    return service + float(beta) * ups
+    return service + beta * ups
 
 
 def batch_dsp_costs(
@@ -246,10 +248,8 @@ def batch_dsp_costs(
             ``contract_len``.
     """
     alpha, contract_len, fee_mode = fee_terms(alpha, contract_len, fee_mode)
-    states = np.asarray(states)
+    states = _state_matrix(states, cs)
     period = len(cs)
-    if states.ndim != 2 or states.shape[1] != period:
-        raise ValidationError(f"state matrix shape {states.shape} does not match series length {period}")
     g0 = np.asarray(cs.g0)
     g1 = np.asarray(cs.g1)
     totals = np.empty(len(states))
@@ -278,13 +278,7 @@ def batch_dsp_costs(
     return totals
 
 
-def monte_carlo(
-    cs: CostSeries,
-    beta: float,
-    n_runs: int,
-    seed: int,
-    instance_id: str = "",
-) -> RatioReport:
+def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioReport:
     """Replicate the randomized rule :func:`planswitch.chase.gchase_r` and report
     its mean cost and ratio.
 
@@ -300,6 +294,4 @@ def monte_carlo(
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(n_runs))
     opt_cost = sp_cost(ofa_s(dt), cs, beta)
-    return _make_report(
-        instance_id, mean, opt_cost, mean=mean, stderr=stderr, n_runs=n_runs
-    )
+    return _make_report(mean, opt_cost, mean=mean, stderr=stderr, n_runs=n_runs)

@@ -22,7 +22,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ from .adversary import (
     batch_sp_costs,
     deterministic_adversary,
     gchase_player,
+    measure_ratio,
     monte_carlo,
     random_cost_series,
     random_schedule,
@@ -177,16 +178,11 @@ class SavingsReport:
     mc_runs: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "cost": self.cost,
-            "benchmark_cost": self.benchmark_cost,
-            "savings_pct": self.savings_pct,
-            "schedule": list(self.schedule) if self.schedule is not None else None,
-            "ratio_vs_offline": self.ratio_vs_offline,
-            "stderr": self.stderr,
-            "mc_runs": self.mc_runs,
-        }
+        """The fields by name, the schedule as a list (``asdict`` would deep-copy each entry)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.schedule is not None:
+            out["schedule"] = list(self.schedule)
+        return out
 
 
 def protocol_cost_series(trace: Trace, h_rate: Optional[float] = None) -> CostSeries:
@@ -465,11 +461,8 @@ def _verify_ratio(seed: int) -> tuple[bool, list[str]]:
     for _ in range(n):
         period = int(rng.integers(1, 13))
         beta = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
-        cs = random_cost_series(rng, period)
-        dt = delta_trace(cs, beta)
-        alg = sp_cost(gchase_s(dt), cs, beta)
-        opt = sp_cost(ofa_s(dt), cs, beta)
-        if alg > 3.0 * opt + 1e-9:
+        report = measure_ratio(gchase_s, random_cost_series(rng, period), beta)
+        if report.alg_cost > 3.0 * report.opt_cost + 1e-9:
             violations += 1
     _, report = deterministic_adversary(lambda: gchase_player(1.0), 1.0, 600, 0.01)
     adv_ok = report.ratio is not None and report.ratio >= 2.9
@@ -493,8 +486,7 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
         target = csp_cost(cchase(dt), cs, beta)
         if abs(rep.mean - target) > 3.0 * rep.stderr + 1e-9:
             failures += 1
-        opt = sp_cost(ofa_s(dt), cs, beta)
-        if rep.mean > 2.0 * opt + 3.0 * rep.stderr + 1e-9:
+        if rep.mean > 2.0 * rep.opt_cost + 3.0 * rep.stderr + 1e-9:
             failures += 1
         marg = marginal_probabilities(dt)
         emp = simulate_randomized_batch(dt, n_runs, seed + 1000 * k).mean(axis=0)

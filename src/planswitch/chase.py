@@ -27,6 +27,7 @@ slot's decision is random, so scalar folds and the kernel see identical draws.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
@@ -87,7 +88,8 @@ class DeltaTrace:
             raise ValidationError("delta trace must contain the initial value")
         if values[0] != -beta:
             raise ValidationError(f"value[0] must equal -beta={-beta}, got {values[0]}")
-        if min(values) < -beta or max(values) > 0.0:  # values[0] is not NaN, so neither is min/max
+        # min and max skip a NaN that is not first; the sum is NaN if any entry is
+        if math.isnan(sum(values)) or min(values) < -beta or max(values) > 0.0:
             raise ValidationError("delta trace values must lie in [-beta, 0]")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "beta", beta)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .bench import (
@@ -35,39 +36,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", help="trace CSV path (header t,e,p0,p1,B); omit to synthesize")
-    p.add_argument("--slots", type=int, default=12, help="synthetic trace length in months")
-    p.add_argument("--profile", default="seasonal", choices=PROFILES)
-    p.add_argument("--h-rate", type=float, default=None,
+    """The RunConfig fields; a flag left out takes the field's default (argument_default=SUPPRESS)."""
+    p.add_argument("--trace", dest="trace_path", metavar="TRACE",
+                   help="trace CSV path (header t,e,p0,p1,B); omit to synthesize")
+    p.add_argument("--slots", dest="synth_slots", metavar="SLOTS", type=int,
+                   help="synthetic trace length in months")
+    p.add_argument("--profile", choices=PROFILES)
+    p.add_argument("--h-rate", type=float,
                    help="fixed underusage rate $/kWh; default is 0.1x each month's fixed rate")
-    p.add_argument("--beta", type=float, default=100.0, help="constant cancellation fee ($)")
-    p.add_argument("--alpha", type=float, default=10.0, help="fee per residual contract month ($)")
-    p.add_argument("--contract-len", type=int, default=12, help="fixed-rate contract length (months)")
-    p.add_argument("--fee-regime", default="constant", choices=FEE_REGIMES)
-    p.add_argument("--fee-mode", default="literal", choices=FEE_MODES)
-    p.add_argument("--algorithms", default="ofa,gchase,gchase_r", help=ALGORITHMS_HELP)
-    p.add_argument("--mc-runs", type=int, default=100, help="randomized-algorithm replications")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--benchmark", default="all-variable", choices=BENCHMARK_PLANS)
-    p.add_argument("--out", help="write output here instead of stdout")
+    p.add_argument("--beta", type=float, help="constant cancellation fee ($)")
+    p.add_argument("--alpha", type=float, help="fee per residual contract month ($)")
+    p.add_argument("--contract-len", type=int, help="fixed-rate contract length (months)")
+    p.add_argument("--fee-regime", choices=FEE_REGIMES)
+    p.add_argument("--fee-mode", choices=FEE_MODES)
+    p.add_argument("--algorithms", type=lambda s: tuple(a.strip() for a in s.split(",") if a.strip()),
+                   help=ALGORITHMS_HELP)
+    p.add_argument("--mc-runs", type=int, help="randomized-algorithm replications")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--benchmark", choices=BENCHMARK_PLANS)
+    p.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        trace_path=args.trace,
-        synth_slots=args.slots,
-        profile=args.profile,
-        h_rate=args.h_rate,
-        beta=args.beta,
-        alpha=args.alpha,
-        contract_len=args.contract_len,
-        fee_regime=args.fee_regime,
-        fee_mode=args.fee_mode,
-        algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
-        mc_runs=args.mc_runs,
-        seed=args.seed,
-        benchmark=args.benchmark,
-    )
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in dataclasses.fields(RunConfig) if f.name in given})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -85,10 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the selected algorithms on one trace, JSON report")
+    p_run = sub.add_parser("run", help="run the selected algorithms on one trace, JSON report",
+                           argument_default=argparse.SUPPRESS)
     _add_config_flags(p_run)
 
-    p_sweep = sub.add_parser("sweep", help="savings per algorithm across a fee range, CSV report")
+    p_sweep = sub.add_parser("sweep", help="savings per algorithm across a fee range, CSV report",
+                             argument_default=argparse.SUPPRESS)
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--from", dest="fee_from", type=float, default=1.0)
     p_sweep.add_argument("--to", dest="fee_to", type=float, default=100.0)

@@ -317,6 +317,8 @@ def _check_header(reader: Iterator[list[str]]) -> None:
         header = next(reader)
     except StopIteration:
         raise TraceParseError("empty trace: missing header") from None
+    except csv.Error as exc:
+        raise TraceParseError(f"bad header: {exc}") from None
     if [h.strip() for h in header] != ["t", "e", "p0", "p1", "B"]:
         raise TraceParseError(f"bad header {header!r}, expected ['t', 'e', 'p0', 'p1', 'B']")
 
@@ -354,7 +356,7 @@ def _loadtxt_trace(data: bytes | str) -> Trace | None:
                               comments=None, encoding="utf-8", ndmin=1)
         if len(body) and np.array_equal(body["t"], np.arange(1, len(body) + 1)):
             return Trace(body["values"])
-    except (ValueError, Warning, csv.Error):
+    except (ValueError, Warning):
         pass
     return None
 
@@ -384,7 +386,7 @@ def _parse_rows(data: bytes | str) -> Trace:
         except ValidationError as exc:
             raise TraceParseError(f"row {row_nos[_first_invalid(rows) // len(SLOT_FIELDS)]}: {exc}") from None
 
-    prev_t = 0
+    prev_t = row_no = 0
     try:
         for row_no, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -405,9 +407,11 @@ def _parse_rows(data: bytes | str) -> Trace:
             except ValueError:
                 raise TraceParseError(f"row {row_no}: non-numeric value in {row[1:]!r}") from None
             row_nos.append(row_no)
-    except TraceParseError:
+    except (TraceParseError, csv.Error) as exc:
         if row_nos:
             checked_trace()  # a bad value on an earlier row is the first error
+        if isinstance(exc, csv.Error):  # raised reading the row after row_no
+            raise TraceParseError(f"row {row_no + 1}: {exc}") from None
         raise
     if not row_nos:
         raise TraceParseError("trace contains no data rows")

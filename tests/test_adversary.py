@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from planswitch import (
+    BRUTE_FORCE_MAX_T,
     CostSeries,
     Schedule,
     ValidationError,
+    batch_dsp_costs,
     batch_sp_costs,
+    brute_force_sp,
     cchase,
     csp_cost,
     delta_trace,
@@ -93,6 +96,15 @@ class TestAdaptiveAdversary:
             deterministic_adversary(lambda: gchase_player(1.0), 1.0, 0, 0.01)
         with pytest.raises(ValidationError):
             deterministic_adversary(lambda: gchase_player(1.0), 1.0, 10, 0.0)
+        with pytest.raises(ValidationError, match="beta"):  # refused at every horizon, before play
+            deterministic_adversary(lambda: gchase_player(1.0), 0.0, 10, 0.01)
+
+    @pytest.mark.parametrize("unit", [0.01, 0.25, 1.5])
+    def test_optimum_matches_exhaustive_search(self, unit):
+        # the backward pass prices every horizon; exhaustive search is its oracle
+        for horizon in range(1, BRUTE_FORCE_MAX_T + 1):
+            cs, report = deterministic_adversary(lambda: gchase_player(1.0), 1.0, horizon, unit)
+            assert abs(report.opt_cost - brute_force_sp(cs, 1.0).best_cost) <= 1e-12
 
 
 class TestMeasureRatio:
@@ -173,3 +185,16 @@ class TestBatchSpCosts:
             assert np.array_equal(states, snapshot) and states.dtype == np.int8
             for row, cost in zip(states, got):
                 assert cost == pytest.approx(sp_cost(Schedule(row.tolist()), cs, beta), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [float("nan"), -1.0, float("inf")])
+    def test_bad_beta_refused(self, beta):
+        with pytest.raises(ValidationError, match="beta"):
+            batch_sp_costs(np.zeros((2, 3), dtype=np.int8), random_cost_series(np.random.default_rng(0), 3), beta)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3,), (1, 2, 3)])
+    def test_state_matrix_of_wrong_shape_refused(self, shape):
+        cs = random_cost_series(np.random.default_rng(0), 3)
+        with pytest.raises(ValidationError, match="does not match series length 3"):
+            batch_sp_costs(np.zeros(shape, dtype=np.int8), cs, 1.0)
+        with pytest.raises(ValidationError, match="does not match series length 3"):
+            batch_dsp_costs(np.zeros(shape, dtype=np.int8), cs, 1.0, 3)

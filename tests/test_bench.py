@@ -23,7 +23,7 @@ from planswitch import (
 )
 from planswitch import bench
 from planswitch.bench import FEE_REGIMES, MAX_SWEEP_POINTS, config_echo
-from planswitch.cli import main
+from planswitch.cli import _config_from_args, build_parser, main
 
 
 class TestSynth:
@@ -408,6 +408,44 @@ class TestCli:
         assert err.count("\n") == 1 and "row 2" in err
 
 
+# One flag per RunConfig field: the flag, its argument, and the field's value.
+CONFIG_FLAGS = [
+    ("--trace", "t.csv", "trace_path", "t.csv"),
+    ("--slots", "24", "synth_slots", 24),
+    ("--profile", "flat", "profile", "flat"),
+    ("--h-rate", "0.02", "h_rate", 0.02),
+    ("--beta", "5", "beta", 5.0),
+    ("--alpha", "2.5", "alpha", 2.5),
+    ("--contract-len", "6", "contract_len", 6),
+    ("--fee-regime", "linear", "fee_regime", "linear"),
+    ("--fee-mode", "transition-only", "fee_mode", "transition-only"),
+    ("--algorithms", " ofa, ,gchase ", "algorithms", ("ofa", "gchase")),
+    ("--mc-runs", "7", "mc_runs", 7),
+    ("--seed", "3", "seed", 3),
+    ("--benchmark", "all-fixed", "benchmark", "all-fixed"),
+]
+
+
+class TestCliConfigDefaults:
+    """A run or sweep flag left out takes RunConfig's default, so the two cannot drift apart."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_no_flags_give_the_dataclass_defaults(self, command):
+        assert _config_from_args(build_parser().parse_args([command])) == RunConfig()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flag, arg, field, value", CONFIG_FLAGS, ids=[f[0] for f in CONFIG_FLAGS])
+    def test_one_flag_sets_one_field(self, command, flag, arg, field, value):
+        config = _config_from_args(build_parser().parse_args([command, flag, arg]))
+        assert config == replace(RunConfig(), **{field: value})
+
+    def test_every_field_has_a_flag(self):
+        assert sorted(f[2] for f in CONFIG_FLAGS) == sorted(f.name for f in fields(RunConfig))
+
+    def test_sweep_range_and_out_keep_their_defaults(self):
+        args = build_parser().parse_args(["sweep"])
+        assert (args.fee_from, args.fee_to, args.fee_step, args.out) == (1.0, 100.0, 1.0, None)
+
 
 # Each is refused by RunConfig or sweep before the trace is read, so the
 # missing trace file the test names is never reported.
@@ -458,6 +496,8 @@ BAD_TRACES = [
     (b"t,e,p0,p1,B\n", "no data rows"),
     (b"", "empty trace"),
     (b"t,e,p0,p1,B\n1,\xff,0.1,0.1,1\n", "UTF-8"),
+    (b"t,e,p0,p1,B\n1,1,1,1,1\n2," + b"1" * 200_000 + b",1,1,1\n", "row 2: field larger than field limit"),
+    (b"t,e,p0,p1," + b"B" * 200_000 + b"\n1,1,1,1,1\n", "bad header: field larger than field limit"),
     (None, "No such file"),
 ]
 

@@ -57,6 +57,16 @@ class TestDeltaTrace:
         with pytest.raises(ValidationError):
             DeltaTrace(values=(-2.0, -1.0, -2.5, 0.0), beta=2.0)  # below -beta, mid-trace
 
+    @pytest.mark.parametrize("values", [(-1.0, float("nan"), -0.5), (-1.0, -0.5, float("nan"))],
+                             ids=["nan-middle", "nan-last"])
+    def test_nan_rejected_anywhere(self, values):
+        # min and max skip a NaN after the first entry
+        with pytest.raises(ValidationError, match=r"must lie in \[-beta, 0\]"):
+            DeltaTrace(values=values, beta=1.0)
+
+    def test_huge_beta_whose_values_sum_past_float_range_accepted(self):
+        assert DeltaTrace(values=(-1e308,) * 3, beta=1e308).values == (-1e308,) * 3
+
     @given(
         gaps=st.lists(st.floats(-50, 50), min_size=1, max_size=30),
         beta=st.floats(0.1, 10),
