@@ -43,6 +43,7 @@ from .chase import (
     clamp_step,
     csp_cost,
     delta_trace,
+    delta_traces,
     gchase_dsp,
     gchase_r,
     gchase_r_dsp,
@@ -51,6 +52,7 @@ from .chase import (
     gchase_step,
     marginal_probabilities,
     ofa_s,
+    offline_states,
 )
 from .oracles import (
     BRUTE_FORCE_MAX_T,
@@ -74,6 +76,7 @@ from .tariff import (
     p2_cost,
     parse_trace,
     sp_cost,
+    sp_costs,
     zero_runs,
 )
 

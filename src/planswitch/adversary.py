@@ -44,6 +44,7 @@ from .tariff import (
 
 __all__ = [
     "RatioReport",
+    "competitive_ratio",
     "random_cost_series",
     "random_schedule",
     "randomized_lb_instance",
@@ -76,9 +77,13 @@ class RatioReport:
     n_runs: Optional[int] = None
 
 
+def competitive_ratio(cost: float, opt_cost: float) -> Optional[float]:
+    """``cost / opt_cost``, or None (undefined) when the optimum is not positive."""
+    return cost / opt_cost if opt_cost > 0.0 else None
+
+
 def _make_report(alg_cost, opt_cost, **extra) -> RatioReport:
-    ratio = alg_cost / opt_cost if opt_cost > 0.0 else None
-    return RatioReport(alg_cost, opt_cost, ratio, **extra)
+    return RatioReport(alg_cost, opt_cost, competitive_ratio(alg_cost, opt_cost), **extra)
 
 
 def random_cost_series(

@@ -30,9 +30,9 @@ import numpy as np
 from .adversary import (
     batch_dsp_costs,
     batch_sp_costs,
+    competitive_ratio,
     deterministic_adversary,
     gchase_player,
-    measure_ratio,
     monte_carlo,
     random_cost_series,
     random_schedule,
@@ -43,12 +43,14 @@ from .chase import (
     SeededUniforms,
     cchase,
     chase_batch,
+    chase_kernel,
     csp_cost,
     delta_trace,
+    delta_traces,
     drift_trace,
-    gchase_s,
     marginal_probabilities,
     ofa_s,
+    offline_states,
 )
 from .oracles import brute_force_dsp, brute_force_sp, dp_dsp, phi_identity_dsp, phi_identity_sp
 from .tariff import (
@@ -63,6 +65,7 @@ from .tariff import (
     parse_trace,
     require_finite,
     sp_cost,
+    sp_costs,
     zero_runs,
 )
 
@@ -249,10 +252,6 @@ def _savings(benchmark_cost: float, cost: float) -> Optional[float]:
     return None
 
 
-def _ratio(cost: float, opt_cost: float) -> Optional[float]:
-    return cost / opt_cost if opt_cost > 0.0 else None
-
-
 def _benchmark_cost(config: RunConfig, cs: CostSeries) -> float:
     return float(sum(cs.g1 if config.benchmark == "all-variable" else cs.g0))
 
@@ -284,7 +283,7 @@ def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> list[SavingsRepo
 
     def report(name, cost, schedule=None, **extra):
         return SavingsReport(name, cost, bench_cost, _savings(bench_cost, cost), schedule=schedule,
-                             ratio_vs_offline=_ratio(cost, opt_cost), **extra)
+                             ratio_vs_offline=competitive_ratio(cost, opt_cost), **extra)
 
     reports = []
     for name in config.algorithms:
@@ -426,23 +425,50 @@ def sweep_csv(header: list[str], rows: list[list], config: Optional[RunConfig] =
 # runnable from the command line with any seed.
 # ---------------------------------------------------------------------------
 
+# The fees the suites' random instances draw from.
+SP_FEES = (0.5, 1.0, 2.0, 5.0)
+DSP_FEES = (0.0, 0.1, 1.0)
+MC_FEES = (1.0, 2.0)
+
+
+def _draw_fee(rng: np.random.Generator, fees: tuple[float, ...]) -> float:
+    # By index: the value rng.choice(fees) gives, at a fraction of its cost, leaving the same generator state.
+    return fees[rng.integers(0, len(fees))]
+
+
+def _random_stacks(rng: np.random.Generator, n: int, fees: tuple[float, ...]):
+    """``n`` random constant-fee instances of 1 to 12 slots, as (g0, g1, beta) stacks, one per horizon.
+
+    The instances are drawn one at a time from ``rng``: the horizon, the fee,
+    then the costs of :func:`random_cost_series`. Row i of a stack is one
+    instance, and ``beta`` holds one fee per row.
+    """
+    by_period: dict[int, list] = {}
+    for _ in range(n):
+        period = int(rng.integers(1, 13))
+        beta = _draw_fee(rng, fees)
+        by_period.setdefault(period, []).append((beta, rng.uniform(0.0, 10.0, size=(2, period))))
+    stacks = []
+    for group in by_period.values():
+        g = np.stack([costs for _, costs in group])
+        stacks.append((g[:, 0], g[:, 1], np.array([beta for beta, _ in group])))
+    return stacks
+
 
 def _verify_oracle(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     failures = 0
     n_sp = 200
-    for _ in range(n_sp):
-        period = int(rng.integers(1, 13))
-        beta = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
-        cs = random_cost_series(rng, period)
-        dt = delta_trace(cs, beta)
-        if abs(sp_cost(ofa_s(dt), cs, beta) - brute_force_sp(cs, beta).best_cost) > 1e-9:
-            failures += 1
+    for g0, g1, beta in _random_stacks(rng, n_sp, SP_FEES):
+        costs = sp_costs(offline_states(delta_traces(g0, g1, beta), beta), g0, g1, beta)
+        for a, b, fee, cost in zip(g0.tolist(), g1.tolist(), beta.tolist(), costs.tolist()):
+            if abs(cost - brute_force_sp(CostSeries(a, b), fee).best_cost) > 1e-9:
+                failures += 1
     n_dsp = 100
     for _ in range(n_dsp):
         period = int(rng.integers(1, 13))
         cap = int(rng.integers(1, period + 1))
-        alpha = float(rng.choice([0.0, 0.1, 1.0]))
+        alpha = _draw_fee(rng, DSP_FEES)
         mode = "literal" if rng.integers(0, 2) else "transition-only"
         cs = random_cost_series(rng, period)
         if abs(dp_dsp(cs, alpha, cap, mode).best_cost - brute_force_dsp(cs, alpha, cap, mode).best_cost) > 1e-9:
@@ -458,12 +484,11 @@ def _verify_ratio(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     violations = 0
     n = 2000
-    for _ in range(n):
-        period = int(rng.integers(1, 13))
-        beta = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
-        report = measure_ratio(gchase_s, random_cost_series(rng, period), beta)
-        if report.alg_cost > 3.0 * report.opt_cost + 1e-9:
-            violations += 1
+    for g0, g1, beta in _random_stacks(rng, n, SP_FEES):
+        values = delta_traces(g0, g1, beta)
+        alg = sp_costs(chase_kernel(values, beta)[0], g0, g1, beta)
+        opt = sp_costs(offline_states(values, beta), g0, g1, beta)
+        violations += int(np.count_nonzero(alg > 3.0 * opt + 1e-9))
     _, report = deterministic_adversary(lambda: gchase_player(1.0), 1.0, 600, 0.01)
     adv_ok = report.ratio is not None and report.ratio >= 2.9
     lines = [
@@ -479,7 +504,7 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
     n_inst, n_runs = 5, 4000
     for k in range(n_inst):
         period = int(rng.integers(2, 11))
-        beta = float(rng.choice([1.0, 2.0]))
+        beta = _draw_fee(rng, MC_FEES)
         cs = random_cost_series(rng, period)
         dt = delta_trace(cs, beta)
         rep = monte_carlo(cs, beta, n_runs, seed + 1000 * k)

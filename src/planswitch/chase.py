@@ -8,6 +8,8 @@ the variable plan is the safe choice; pinned at -beta says the opposite.
 Four algorithms share the trace:
 
 * ``ofa_s``     -- offline optimum, one backward pass from the boundary.
+  ``offline_states`` runs the pass over a stack of traces as one numpy
+  backward fill; ``ofa_s`` is its one-row call.
 * ``gchase_s``  -- deterministic online, forward pass; 3-competitive.
 * ``gchase_r``  -- randomized online, switches early with a probability
   proportional to how fast the gap moves; 2-competitive in expectation.
@@ -18,7 +20,8 @@ The decreasing-fee variants subtract a per-slot drift ``alpha`` from the gap
 and force a switch when a fixed contract reaches its maximum length.
 
 Every forward rule runs in one numpy kernel over (replicates x slots),
-:func:`chase_kernel`; each online rule keeps a scalar step form as the
+:func:`chase_kernel`, which also takes a stack of traces (one per row) for
+the deterministic rule; each online rule keeps a scalar step form as the
 readable reference (fold the steps to reproduce the kernel bit-exactly). The
 randomized step consumes exactly one uniform draw per slot whether or not the
 slot's decision is random, so scalar folds and the kernel see identical draws.
@@ -30,11 +33,20 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable
 
 import numpy as np
 
-from .tariff import CostSeries, Schedule, ValidationError, fee_terms, require_finite
+from .tariff import (
+    CostSeries,
+    Schedule,
+    ValidationError,
+    cost_stack,
+    fee_terms,
+    require_finite,
+    require_finite_rows,
+)
 
 __all__ = [
     "InternalInvariantError",
@@ -43,6 +55,8 @@ __all__ = [
     "FractionalSchedule",
     "clamp_step",
     "delta_trace",
+    "delta_traces",
+    "offline_states",
     "ofa_s",
     "gchase_s",
     "gchase_step",
@@ -152,6 +166,23 @@ def clamp_step(prev: float, gap: float, beta: float, drift: float = 0.0) -> floa
     return v
 
 
+def _gap_scan(gaps: Iterable[float], beta: float, drift: float) -> list[float]:
+    # The gap scan: -beta, then the running sum of (gap - drift) clamped to [-beta, 0] slot by slot.
+    neg = -beta
+    values = [neg]
+    append = values.append
+    prev = neg
+    for gap in gaps:
+        v = prev + gap - drift
+        if v >= 0.0:
+            v = 0.0
+        elif v <= neg:
+            v = neg
+        append(v)
+        prev = v
+    return values
+
+
 def delta_trace(cs: CostSeries, beta: float, drift: float = 0.0) -> DeltaTrace:
     """Build the full clamped gap sequence for a cost series.
 
@@ -160,40 +191,60 @@ def delta_trace(cs: CostSeries, beta: float, drift: float = 0.0) -> DeltaTrace:
     """
     beta = require_finite("beta", beta, positive=True)
     drift = require_finite("drift", drift)
-    neg = -beta
-    values = [neg]
-    append = values.append
-    prev = neg
-    for a, b in zip(cs.g0, cs.g1):
-        v = prev + (a - b) - drift
-        if v >= 0.0:
-            v = 0.0
-        elif v <= neg:
-            v = neg
-        append(v)
-        prev = v
-    return DeltaTrace(values=tuple(values), beta=beta, drift=drift)
+    return DeltaTrace(values=tuple(_gap_scan(map(sub, cs.g0, cs.g1), beta, drift)), beta=beta, drift=drift)
 
 
-def ofa_s(dt: DeltaTrace) -> Schedule:
-    """Offline optimal schedule for the constant-fee objective.
+def delta_traces(g0, g1, beta, drift: float = 0.0) -> np.ndarray:
+    """Gap traces of a stack of cost series, as a (rows x (T + 1)) float array.
+
+    Row i is ``delta_trace(CostSeries(g0[i], g1[i]), beta[i], drift).values``
+    float for float: the same scan runs on each row. ``g0`` and ``g1`` are
+    (rows x T) arrays of finite costs and ``beta`` is one value > 0 or one per
+    row; they are validated once, as whole arrays, and the clamp then keeps
+    every row a valid trace.
+    """
+    g0, g1 = cost_stack(g0, g1)
+    beta = require_finite_rows("beta", beta, len(g0), positive=True)
+    drift = require_finite("drift", drift)
+    values = np.array([_gap_scan(gaps, b, drift) for gaps, b in zip((g0 - g1).tolist(), beta.tolist())])
+    values.flags.writeable = False
+    return values
+
+
+def _as_stack(values, beta) -> tuple[np.ndarray, float | np.ndarray]:
+    # A gap trace or a stack of them as (rows x (T + 1)) floats, and -beta: one value, or one per row as a
+    # column. A single fee stays a Python float, which keeps a one-trace call a few microseconds cheaper.
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        values = values[None]
+    if values.ndim != 2 or values.shape[1] < 2:
+        raise ValidationError(f"gap traces must be (rows x (T + 1)) with T >= 1, got shape {values.shape}")
+    if isinstance(beta, (int, float)):
+        return values, -require_finite("beta", beta, positive=True)
+    return values, -require_finite_rows("beta", beta, len(values), positive=True)[:, None]
+
+
+def offline_states(values, beta) -> np.ndarray:
+    """Offline optimal states of each gap trace in a stack, as (rows x T) int8.
 
     One backward pass from the boundary s_{T+1} = 0: a slot whose gap value
     sits at -beta takes the fixed plan, one at 0 takes the variable plan, and
-    interior slots copy the later decision. O(T) time and space.
+    interior slots copy the later decision. It runs as one forward fill over
+    the reversed slots. ``values`` is one trace or a stack as
+    :func:`delta_traces` builds it; ``beta`` is one value or one per row.
     """
-    values = dt.values
-    neg = -dt.beta
-    states = [0] * len(dt)
-    nxt = 0
-    for t in range(len(dt), 0, -1):
-        v = values[t]
-        if v == neg:
-            nxt = 0
-        elif v == 0.0:
-            nxt = 1
-        states[t - 1] = nxt
-    return Schedule(states)
+    values, neg = _as_stack(values, beta)
+    backward = values[:, :0:-1]  # slots T..1
+    plan_of = np.zeros(values.shape, dtype=bool)  # column 0 is the boundary s_{T+1} = 0
+    top = np.equal(backward, 0.0, out=plan_of[:, 1:])
+    slots = np.arange(1, values.shape[1], dtype=np.int32)
+    return _fill(top | (backward == neg), slots, plan_of)[:, ::-1]
+
+
+def ofa_s(dt: DeltaTrace) -> Schedule:
+    """Offline optimal schedule for the constant-fee objective: the one-row
+    :func:`offline_states`. O(T) time and space."""
+    return Schedule(offline_states(dt.values, dt.beta)[0].tolist())
 
 
 def gchase_s(dt: DeltaTrace) -> Schedule:
@@ -381,11 +432,15 @@ def _guarded_row(hit: np.ndarray, force: np.ndarray, contract_len: int, out: np.
 
 
 def _fill(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray) -> np.ndarray:
-    # Forward fill: each slot takes the plan of the last forcing slot up to it, else plan_of[0].
-    return plan_of.take(np.maximum.accumulate(hit * slots, axis=-1)).view(np.int8)
+    # Forward fill: each slot takes the plan of the last forcing slot up to it, else that of column 0.
+    # plan_of is one row for every row of hit, or a (rows x (T + 1)) matrix with one row per row.
+    last = np.maximum.accumulate(hit * slots, axis=-1)
+    if plan_of.ndim == 2 and len(plan_of) > 1:
+        last = last + np.arange(0, plan_of.size, plan_of.shape[1])[:, None]
+    return plan_of.take(last).view(np.int8)
 
 
-def chase_kernel(values, beta: float, draws=None, contract_len: int | None = None):
+def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
     """Every forward chase rule, over (replicates x slots).
 
     ``values`` is a gap trace (T + 1 entries from -beta). Given its uniform
@@ -394,19 +449,24 @@ def chase_kernel(values, beta: float, draws=None, contract_len: int | None = Non
     forces 0 when u < 1 - (beta + d)/(beta + prev). A replicate is a forward
     fill of its last forcing slot from s_0 = 0. ``draws`` has one row of T
     uniforms per replicate (a 2-D array or :class:`SeededUniforms`), or is
-    None for the deterministic rule: only boundary slots force. The drift
-    rule alone can park the gap at -beta for good, so with ``contract_len`` a
-    fixed run reaching that length is cut by a forced switch to plan 1.
-    Returns int8 states and the forced-switch count per row.
+    None for the deterministic rule: only boundary slots force, and
+    ``values`` may be a stack of traces, one per row, with ``beta`` one
+    value or one per row. The drift rule alone can park the gap at -beta for
+    good, so with ``contract_len`` a fixed run of one trace reaching that
+    length is cut by a forced switch to plan 1. Returns int8 states and the
+    forced-switch count per row.
     """
     values = np.asarray(values, dtype=np.float64)
-    slots = np.arange(1, len(values), dtype=np.int32)
+    slots = np.arange(1, values.shape[-1], dtype=np.int32)
     if draws is None:  # only boundary slots force: plan 1 at the top, 0 at the floor
-        plan_of = values == 0.0  # entry 0 is s_0 = 0, as values[0] = -beta
-        hit = plan_of[1:] | (values[1:] == -beta)
-        if contract_len is None:  # one row, no blocks: keeps short traces cheap
-            return _fill(hit, slots, plan_of)[None], np.zeros(1, dtype=np.int64)
-        hit, n_runs = hit[None], 1
+        values, neg = _as_stack(values, beta)
+        plan_of = values == 0.0  # column 0 is s_0 = 0, as values[:, 0] = -beta
+        hit = plan_of[:, 1:] | (values[:, 1:] == neg)
+        if contract_len is None:  # every row in one fill, no blocks: keeps short traces cheap
+            return _fill(hit, slots, plan_of), np.zeros(len(values), dtype=np.int64)
+        if len(values) != 1:
+            raise ValidationError("the expiry guard runs on one gap trace")
+        plan_of, n_runs = plan_of[0], 1
     else:
         thr, force = _slot_rule(values, float(beta))
         plan_of = np.concatenate(([False], force))

@@ -9,7 +9,8 @@ correction at rate H (subtracted, as the tariff equation is written).
 Three objectives are evaluated here:
 
 * ``sp_cost``  -- service cost plus a constant fee ``beta`` per cancellation
-  (each 0 -> 1 transition).
+  (each 0 -> 1 transition); ``sp_costs`` is the same fold over a stack of
+  schedules, one cost series and fee per row.
 * ``p2_cost``  -- the symmetric half-fee form over an extended horizon with a
   forced return to state 0; equal to ``sp_cost`` for every schedule.
 * ``dsp_cost`` -- service cost plus a linearly decreasing fee: cancelling a
@@ -37,12 +38,15 @@ __all__ = [
     "Schedule",
     "cost_series",
     "sp_cost",
+    "sp_costs",
     "p2_cost",
     "zero_runs",
     "dsp_cost",
     "parse_trace",
     "FEE_MODES",
     "require_finite",
+    "require_finite_rows",
+    "cost_stack",
     "fee_terms",
 ]
 
@@ -67,6 +71,21 @@ def require_finite(name: str, value: float, positive: bool = False) -> float:
     if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
         raise ValidationError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
     return value
+
+
+def require_finite_rows(name: str, value: np.typing.ArrayLike, rows: int,
+                        positive: bool = False) -> np.ndarray:
+    """``value`` (one value, or one per row) as ``rows`` floats that
+    :func:`require_finite` accepts; the first it refuses names the error."""
+    values = np.asarray(value, dtype=np.float64)
+    if values.ndim == 0:
+        return np.full(rows, require_finite(name, values, positive))
+    if values.shape != (rows,):
+        raise ValidationError(f"{name} must be one value or one per row ({rows}), got shape {values.shape}")
+    bad = ~np.isfinite(values) | (values <= 0.0 if positive else values < 0.0)
+    if bad.any():
+        require_finite(name, values[bad.argmax()], positive)
+    return values
 
 
 def fee_terms(alpha: float, contract_len: int, fee_mode: str = "literal",
@@ -213,6 +232,23 @@ def cost_series(trace: Trace, underusage_rate: np.typing.ArrayLike) -> CostSerie
     return CostSeries(g0.tolist(), g1.tolist())
 
 
+def cost_stack(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
+               shape: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of cost series, one per row: ``g0`` and ``g1`` as finite float
+    arrays of one nonempty (rows x T) shape, ``shape`` when it is given."""
+    g0 = np.asarray(g0, dtype=np.float64)
+    g1 = np.asarray(g1, dtype=np.float64)
+    shape = g0.shape if shape is None else tuple(shape)
+    if len(shape) != 2 or 0 in shape or g0.shape != shape or g1.shape != shape:
+        raise ValidationError(f"cost stack shapes {g0.shape} and {g1.shape} must both be "
+                              f"a nonempty (rows x T) {shape}")
+    finite = np.isfinite(g0) & np.isfinite(g1)
+    if not finite.all():
+        row, t = np.unravel_index(int((~finite).argmax()), shape)
+        raise ValidationError(f"non-finite cost pair at row {row}, slot {t + 1}")
+    return g0, g1
+
+
 def _check_lengths(sched: Schedule, cs: CostSeries) -> int:
     if len(sched) != len(cs):
         raise ValidationError(f"schedule length {len(sched)} != series length {len(cs)}")
@@ -235,6 +271,31 @@ def sp_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
             total += beta
         prev = s
     return total
+
+
+def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
+             beta: np.typing.ArrayLike) -> np.ndarray:
+    """:func:`sp_cost` of each row of a (rows x T) 0/1 state matrix, row i
+    priced on the series (``g0[i]``, ``g1[i]``) with fee ``beta`` (one value
+    or one per row).
+
+    Bit-identical to :func:`sp_cost` per row: each total is the last entry of
+    a cumulative sum (a strict left fold) of 0.0, then g_t(s_t) and the fee of
+    slot t's up move, or 0.0 for none, for t = 1..T. Adding 0.0 leaves the
+    total as the fold has it, since a sum that starts at 0.0 is never -0.0.
+    """
+    states = np.asarray(states)
+    g0, g1 = cost_stack(g0, g1, states.shape)
+    if not ((states == 0) | (states == 1)).all():
+        raise ValidationError("state matrix entries must be 0 or 1")
+    states = states.astype(np.int8, copy=False)
+    beta = require_finite_rows("beta", beta, len(states))
+    rows, period = states.shape
+    terms = np.zeros((rows, 2 * period + 1))
+    np.copyto(terms[:, 1::2], np.where(states != 0, g1, g0))
+    terms[:, 2::2] = np.diff(states, axis=1, prepend=0) > 0
+    terms[:, 2::2] *= beta[:, None]
+    return np.cumsum(terms, axis=1, out=terms)[:, -1]
 
 
 def p2_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:

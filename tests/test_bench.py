@@ -341,6 +341,25 @@ class TestVerifySuites:
         ok, _ = run_verify_suite("identity", 42)
         assert ok
 
+    def test_ratio_suite_passes(self):
+        ok, lines = run_verify_suite("ratio", 42)
+        assert ok
+        assert lines[0] == "factor-3 bound: 2000 random instances, 0 violations"
+        assert lines[-1] == "PASS"
+
+    @pytest.mark.parametrize("seed", [4, 5, 6, 7])
+    @pytest.mark.parametrize("suite", ["oracle", "ratio", "identity"])
+    def test_suite_lines_are_pinned(self, suite, seed):
+        # Lines the suites printed before they evaluated their instances in stacks.
+        want = {
+            "oracle": ["offline vs exhaustive: 200 instances, 0 failures",
+                       "dp vs exhaustive: 100 instances (both fee modes)", "PASS"],
+            "ratio": ["factor-3 bound: 2000 random instances, 0 violations",
+                      "adaptive adversary realized ratio: 2.9800 (floor 2.9)", "PASS"],
+            "identity": ["segment identities and cost equivalence: 300 random triples, 0 failures", "PASS"],
+        }
+        assert run_verify_suite(suite, seed) == (True, want[suite])
+
     def test_unknown_suite(self):
         with pytest.raises(ValidationError):
             run_verify_suite("everything", 42)

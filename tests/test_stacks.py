@@ -1,0 +1,302 @@
+"""Differential tests of the stack forms used by the verification suites.
+
+Each stack function is checked row by row against its one-instance form:
+``delta_traces`` against ``delta_trace`` (float for float, by ``repr``, so
+the sign of a zero counts), ``offline_states`` against the scalar backward
+pass kept here as the test-only oracle, the 2-D deterministic kernel against
+``gchase_s``, and ``sp_costs`` against the left fold ``sp_cost``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planswitch import (
+    CostSeries,
+    DeltaTrace,
+    Schedule,
+    ValidationError,
+    delta_trace,
+    delta_traces,
+    gchase_s,
+    measure_ratio,
+    ofa_s,
+    offline_states,
+    random_cost_series,
+    sp_cost,
+    sp_costs,
+)
+from planswitch.bench import DSP_FEES, MC_FEES, SP_FEES, _draw_fee, _random_stacks
+from planswitch.chase import chase_kernel
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracle: the backward pass as a scalar loop.
+# ---------------------------------------------------------------------------
+
+
+def ofa_oracle(dt):
+    """Offline states of one trace: -beta takes plan 0, 0 takes plan 1, interior copies the later slot."""
+    values = dt.values
+    neg = -dt.beta
+    states = [0] * len(dt)
+    nxt = 0
+    for t in range(len(dt), 0, -1):
+        v = values[t]
+        if v == neg:
+            nxt = 0
+        elif v == 0.0:
+            nxt = 1
+        states[t - 1] = nxt
+    return states
+
+
+# ---------------------------------------------------------------------------
+# Stacks: rows of one horizon. Small integer costs and fees make boundary hits
+# and ties common; floats of both signs, -0.0 included, test the rounding.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def stacks(draw, max_rows=6, max_period=14):
+    """(g0, g1, beta) of a few rows: integer costs (-0.0 among their zeros) or floats of both signs."""
+    rows, period = draw(st.integers(1, max_rows)), draw(st.integers(1, max_period))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = rng.integers(-3, 7, size=(2, rows, period)).astype(np.float64)
+        g[(g == 0.0) & (rng.random(g.shape) < 0.5)] = -0.0
+    else:
+        g = rng.uniform(-10.0, 10.0, size=(2, rows, period))
+    return g[0], g[1], rng.choice(draw(st.sampled_from([(1.0,), (0.5, 1.0, 2.0, 3.0), (0.7, 2.5)])), size=rows)
+
+
+def _seeded_stacks(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rows, period = int(rng.integers(1, 30)), int(rng.integers(1, 13))
+        g = rng.uniform(-2.0, 10.0, size=(2, rows, period))
+        yield g[0], g[1], rng.choice([0.5, 1.0, 2.0, 5.0], size=rows)
+
+
+def _traces(g0, g1, beta, drift=0.0):
+    return [delta_trace(CostSeries(a, b), fee, drift) for a, b, fee in zip(g0, g1, beta.tolist())]
+
+
+def _same_floats(row, values):
+    assert [repr(v) for v in row.tolist()] == [repr(v) for v in values]
+
+
+class TestDeltaTraces:
+    @settings(max_examples=200, deadline=None)
+    @given(stacks(), st.sampled_from([0.0, 0.25, 1.0]))
+    def test_rows_equal_delta_trace(self, stack, drift):
+        g0, g1, beta = stack
+        values = delta_traces(g0, g1, beta, drift)
+        assert values.shape == (len(g0), g0.shape[1] + 1)
+        for row, dt in zip(values, _traces(g0, g1, beta, drift)):
+            _same_floats(row, dt.values)
+
+    def test_seeded_rows_with_per_row_betas(self):
+        for g0, g1, beta in _seeded_stacks(401, 60):
+            for row, dt in zip(delta_traces(g0, g1, beta), _traces(g0, g1, beta)):
+                _same_floats(row, dt.values)
+
+    def test_one_slot_and_drift(self):
+        g0, g1, beta = np.array([[3.0], [0.0], [-0.0]]), np.array([[0.0], [0.5], [0.0]]), np.array([2.0, 1.0, 4.0])
+        for drift in (0.0, 0.5, 3.0):
+            for row, dt in zip(delta_traces(g0, g1, beta, drift), _traces(g0, g1, beta, drift)):
+                _same_floats(row, dt.values)
+
+    def test_top_is_positive_zero(self):
+        # -1 + 1 reaches the top; a gap of -0.0 there keeps +0.0, as the scalar scan writes it.
+        values = delta_traces([[1.0, -0.0]], [[0.0, 0.0]], 1.0)
+        _same_floats(values[0], (-1.0, 0.0, 0.0))
+        _same_floats(values[0], delta_trace(CostSeries([1.0, -0.0], [0.0, 0.0]), 1.0).values)
+
+    def test_one_fee_for_every_row(self):
+        g0, g1, _ = next(_seeded_stacks(402, 1))
+        assert np.array_equal(delta_traces(g0, g1, 2.0), delta_traces(g0, g1, np.full(len(g0), 2.0)))
+
+    def test_read_only(self):
+        values = delta_traces([[1.0]], [[0.0]], 1.0)
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
+
+
+class TestOfflineStates:
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_rows_equal_oracle(self, stack):
+        g0, g1, beta = stack
+        states = offline_states(delta_traces(g0, g1, beta), beta)
+        assert states.shape == g0.shape and states.dtype == np.int8
+        for row, dt in zip(states, _traces(g0, g1, beta)):
+            assert row.tolist() == ofa_oracle(dt) == list(ofa_s(dt).states)
+
+    def test_seeded_rows_equal_oracle(self):
+        for g0, g1, beta in _seeded_stacks(403, 60):
+            states = offline_states(delta_traces(g0, g1, beta), beta)
+            for row, dt in zip(states, _traces(g0, g1, beta)):
+                assert row.tolist() == ofa_oracle(dt)
+
+    @pytest.mark.parametrize("values, want", [
+        ((-2.0, -1.0, -0.5, 0.0), [1, 1, 1]),    # last slot at the top: every interior slot copies it
+        ((-2.0, -1.0, -0.5, -2.0), [0, 0, 0]),   # last slot on the floor
+        ((-2.0, 0.0, -1.0, -2.0), [1, 0, 0]),
+        ((-2.0, -1.0, -1.5, -0.5), [0, 0, 0]),   # every value interior: the boundary s_{T+1} = 0 rules
+        ((-2.0, -2.0, -2.0, -2.0), [0, 0, 0]),   # every value at -beta
+        ((-2.0, 0.0, 0.0, 0.0), [1, 1, 1]),
+        ((-2.0, -1.0), [0]),
+        ((-2.0, 0.0), [1]),
+    ])
+    def test_edge_cases(self, values, want):
+        dt = DeltaTrace(values, 2.0)
+        assert ofa_oracle(dt) == want
+        assert offline_states(values, 2.0)[0].tolist() == want
+        assert list(ofa_s(dt).states) == want
+
+    def test_edge_cases_stacked_with_per_row_betas(self):
+        values = np.array([[-1.0, -0.5, 0.0], [-2.0, -1.0, -1.5], [-3.0, -3.0, -3.0], [-4.0, 0.0, -1.0]])
+        beta = np.array([1.0, 2.0, 3.0, 4.0])
+        assert offline_states(values, beta).tolist() == [[1, 1], [0, 0], [0, 0], [1, 0]]
+
+
+class TestKernelStack:
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_rows_equal_gchase_s(self, stack):
+        g0, g1, beta = stack
+        states, forced = chase_kernel(delta_traces(g0, g1, beta), beta)
+        assert states.shape == g0.shape and not forced.any()
+        for row, dt in zip(states, _traces(g0, g1, beta)):
+            assert row.tolist() == list(gchase_s(dt).states)
+
+    def test_seeded_rows_equal_gchase_s(self):
+        for g0, g1, beta in _seeded_stacks(404, 60):
+            states, _ = chase_kernel(delta_traces(g0, g1, beta), beta)
+            for row, dt in zip(states, _traces(g0, g1, beta)):
+                assert row.tolist() == list(gchase_s(dt).states)
+
+    def test_guard_takes_one_trace(self):
+        values = delta_traces(np.zeros((2, 3)), np.ones((2, 3)), 1.0)
+        with pytest.raises(ValidationError):
+            chase_kernel(values, 1.0, None, 2)
+
+
+class TestSpCosts:
+    @settings(max_examples=200, deadline=None)
+    @given(stacks(), st.integers(0, 2**32 - 1))
+    def test_rows_equal_sp_cost(self, stack, seed):
+        g0, g1, beta = stack
+        states = np.random.default_rng(seed).integers(0, 2, size=g0.shape)
+        want = [sp_cost(Schedule(s), CostSeries(a, b), fee)
+                for s, a, b, fee in zip(states.tolist(), g0.tolist(), g1.tolist(), beta.tolist())]
+        assert np.array_equal(sp_costs(states, g0, g1, beta), want)
+
+    def test_seeded_rows_and_schedules(self):
+        rng = np.random.default_rng(405)
+        for g0, g1, beta in _seeded_stacks(406, 60):
+            for states in (rng.integers(0, 2, size=g0.shape), offline_states(delta_traces(g0, g1, beta), beta)):
+                want = [sp_cost(Schedule(s), CostSeries(a, b), fee)
+                        for s, a, b, fee in zip(states.tolist(), g0.tolist(), g1.tolist(), beta.tolist())]
+                assert np.array_equal(sp_costs(states, g0, g1, beta), want)
+
+    def test_zero_fee_and_negative_zero_costs(self):
+        states = np.array([[1, 0, 1], [0, 0, 0]])
+        g0 = np.array([[-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0]])
+        g1 = np.array([[-0.0, 1.0, -0.0], [2.0, 2.0, 2.0]])
+        got = sp_costs(states, g0, g1, 0.0)
+        want = [sp_cost(Schedule(s), CostSeries(a, b), 0.0) for s, a, b in zip(states.tolist(), g0, g1)]
+        assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+
+
+class TestValidation:
+    def test_mismatched_shape(self):
+        with pytest.raises(ValidationError):
+            delta_traces(np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
+        with pytest.raises(ValidationError):
+            delta_traces(np.zeros(3), np.zeros(3), 1.0)
+        with pytest.raises(ValidationError):
+            delta_traces(np.zeros((2, 3)), np.zeros((2, 3)), [1.0, 1.0, 1.0])
+        with pytest.raises(ValidationError):
+            sp_costs(np.zeros((2, 3), np.int8), np.zeros((2, 4)), np.zeros((2, 4)), 1.0)
+        with pytest.raises(ValidationError):
+            offline_states(np.full((2, 3), -1.0), [1.0, 1.0, 1.0])
+        with pytest.raises(ValidationError):
+            chase_kernel(np.full((2, 3), -1.0), [1.0])
+        with pytest.raises(ValidationError):
+            offline_states(np.full((2, 1), -1.0), 1.0)  # no slot
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost(self, bad):
+        g0 = np.zeros((2, 3))
+        g0[1, 2] = bad
+        with pytest.raises(ValidationError, match="row 1, slot 3"):
+            delta_traces(g0, np.zeros((2, 3)), 1.0)
+        with pytest.raises(ValidationError):
+            delta_traces(np.zeros((2, 3)), g0, 1.0)
+        with pytest.raises(ValidationError):
+            sp_costs(np.zeros((2, 3), np.int8), g0, np.zeros((2, 3)), 1.0)
+
+    @pytest.mark.parametrize("beta", [-1.0, [1.0, -0.5], [1.0, np.nan]])
+    def test_negative_or_nan_beta(self, beta):
+        with pytest.raises(ValidationError):
+            delta_traces(np.zeros((2, 3)), np.zeros((2, 3)), beta)
+        with pytest.raises(ValidationError):
+            offline_states(np.full((2, 4), -1.0), beta)
+        with pytest.raises(ValidationError):
+            chase_kernel(np.full((2, 4), -1.0), beta)
+        with pytest.raises(ValidationError):
+            sp_costs(np.zeros((2, 3), np.int8), np.zeros((2, 3)), np.zeros((2, 3)), beta)
+
+    def test_zero_beta_refused_where_the_band_needs_it(self):
+        with pytest.raises(ValidationError):
+            delta_traces(np.zeros((1, 3)), np.zeros((1, 3)), 0.0)
+        assert sp_costs(np.ones((1, 3), np.int8), np.zeros((1, 3)), np.ones((1, 3)), 0.0).tolist() == [3.0]
+
+    def test_states_must_be_binary(self):
+        with pytest.raises(ValidationError):
+            sp_costs(np.array([[0, 2]]), np.zeros((1, 2)), np.zeros((1, 2)), 1.0)
+
+
+@pytest.mark.parametrize("fees", [SP_FEES, DSP_FEES, MC_FEES])
+def test_fee_drawn_by_index_equals_choice(fees):
+    for seed in range(120):
+        by_index, by_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            fee = _draw_fee(by_index, fees)
+            assert type(fee) is float and fee == float(by_choice.choice(list(fees)))
+        assert by_index.bit_generator.state == by_choice.bit_generator.state
+
+
+def _instances_one_by_one(rng, n, fees):
+    # The suites' draws before they stacked: horizon, fee by rng.choice, then the costs.
+    out = []
+    for _ in range(n):
+        period = int(rng.integers(1, 13))
+        beta = float(rng.choice(list(fees)))
+        out.append((random_cost_series(rng, period), beta))
+    return out
+
+
+def test_random_stacks_hold_the_instances_drawn_one_by_one():
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    got = sorted((beta, tuple(a), tuple(b)) for g0, g1, betas in _random_stacks(rng, 400, SP_FEES)
+                 for a, b, beta in zip(g0.tolist(), g1.tolist(), betas.tolist()))
+    want = sorted((beta, cs.g0, cs.g1) for cs, beta in _instances_one_by_one(ref, 400, SP_FEES))
+    assert got == want
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_stacked_costs_equal_measure_ratio():
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    got = []
+    for g0, g1, beta in _random_stacks(rng, 400, SP_FEES):
+        values = delta_traces(g0, g1, beta)
+        alg = sp_costs(chase_kernel(values, beta)[0], g0, g1, beta)
+        opt = sp_costs(offline_states(values, beta), g0, g1, beta)
+        got += zip(alg.tolist(), opt.tolist())
+    want = [(r.alg_cost, r.opt_cost) for r in (measure_ratio(gchase_s, cs, beta)
+                                                for cs, beta in _instances_one_by_one(ref, 400, SP_FEES))]
+    assert sorted(got) == sorted(want)
