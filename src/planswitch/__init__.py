@@ -58,7 +58,9 @@ from .oracles import (
     BRUTE_FORCE_MAX_T,
     OracleResult,
     brute_force_dsp,
+    brute_force_dsps,
     brute_force_sp,
+    brute_force_sps,
     dp_dsp,
     phi_identity_dsp,
     phi_identity_sp,

@@ -52,7 +52,7 @@ from .chase import (
     ofa_s,
     offline_states,
 )
-from .oracles import brute_force_dsp, brute_force_sp, dp_dsp, phi_identity_dsp, phi_identity_sp
+from .oracles import brute_force_dsps, brute_force_sps, dp_dsp, phi_identity_dsp, phi_identity_sp
 from .tariff import (
     CostSeries,
     Schedule,
@@ -119,6 +119,17 @@ MIN_RATE = 0.01
 # Most fee points a sweep evaluates: more is a mistyped step, not a study.
 MAX_SWEEP_POINTS = 100_000
 
+# Most months synth_trace builds: ten times the largest trace the acceptance
+# tests time (`run` peaks at about 0.2 GB on 1M months). More is a mistyped
+# flag, which would otherwise fail inside numpy's allocator.
+MAX_SYNTH_SLOTS = 10_000_000
+
+
+def _require_seed(seed: int) -> None:
+    """The one check of a user's seed, for run, sweep, synth and verify."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -163,8 +174,7 @@ class RunConfig:
             require_finite("h_rate", self.h_rate)
         if self.mc_runs < 2:
             raise ValidationError(f"mc_runs must be >= 2, got {self.mc_runs!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -205,10 +215,15 @@ def synth_trace(slots: int, seed: int, profile: str = "seasonal") -> Trace:
     seasonal cycle around $0.115/kWh while the fixed rate hovers near
     $0.098/kWh; each month's base load is the same month's demand one cycle
     earlier (the seasonal baseline stands in for the unobserved first cycle).
-    ``flat`` drops the seasonality from demand and prices.
+    ``flat`` drops the seasonality from demand and prices. More than
+    ``MAX_SYNTH_SLOTS`` months, or a negative seed, is refused before any
+    array is built.
     """
     if slots < 1:
         raise ValidationError(f"slots must be >= 1, got {slots!r}")
+    if slots > MAX_SYNTH_SLOTS:
+        raise ValidationError(f"slots must be <= {MAX_SYNTH_SLOTS}, got {slots!r}")
+    _require_seed(seed)
     if profile not in PROFILES:
         raise ValidationError(f"unknown profile {profile!r}")
     rng = np.random.default_rng(seed)
@@ -457,27 +472,32 @@ def _random_stacks(rng: np.random.Generator, n: int, fees: tuple[float, ...]):
 
 def _verify_oracle(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
-    failures = 0
+    sp_failures = 0
     n_sp = 200
     for g0, g1, beta in _random_stacks(rng, n_sp, SP_FEES):
         costs = sp_costs(offline_states(delta_traces(g0, g1, beta), beta), g0, g1, beta)
-        for a, b, fee, cost in zip(g0.tolist(), g1.tolist(), beta.tolist(), costs.tolist()):
-            if abs(cost - brute_force_sp(CostSeries(a, b), fee).best_cost) > 1e-9:
-                failures += 1
+        best = sp_costs(brute_force_sps(g0, g1, beta)[0], g0, g1, beta)
+        sp_failures += int(np.count_nonzero(np.abs(costs - best) > 1e-9))
+    # The DP runs per instance (it is the code under test); exhaustive search per horizon.
+    by_period: dict[int, list] = {}
     n_dsp = 100
     for _ in range(n_dsp):
         period = int(rng.integers(1, 13))
         cap = int(rng.integers(1, period + 1))
         alpha = _draw_fee(rng, DSP_FEES)
         mode = "literal" if rng.integers(0, 2) else "transition-only"
-        cs = random_cost_series(rng, period)
-        if abs(dp_dsp(cs, alpha, cap, mode).best_cost - brute_force_dsp(cs, alpha, cap, mode).best_cost) > 1e-9:
-            failures += 1
+        by_period.setdefault(period, []).append((random_cost_series(rng, period), alpha, cap, mode))
+    dsp_failures = 0
+    for group in by_period.values():
+        series, alphas, caps, modes = zip(*group)
+        states = brute_force_dsps([cs.g0 for cs in series], [cs.g1 for cs in series], alphas, caps, modes)[0]
+        for (cs, *fee), row in zip(group, states.tolist()):
+            dsp_failures += abs(dp_dsp(cs, *fee).best_cost - dsp_cost(Schedule(row), cs, *fee)) > 1e-9
     lines = [
-        f"offline vs exhaustive: {n_sp} instances, {failures} failures",
-        f"dp vs exhaustive: {n_dsp} instances (both fee modes)",
+        f"offline vs exhaustive: {n_sp} instances, {sp_failures} failures",
+        f"dp vs exhaustive: {n_dsp} instances (both fee modes), {dsp_failures} failures",
     ]
-    return failures == 0, lines
+    return sp_failures == 0 and dsp_failures == 0, lines
 
 
 def _verify_ratio(seed: int) -> tuple[bool, list[str]]:
@@ -556,6 +576,7 @@ VERIFY_SUITES = {
 
 def run_verify_suite(name: str, seed: int) -> tuple[bool, list[str]]:
     """Run one named verification suite, or all of them."""
+    _require_seed(seed)
     if name == "all":
         ok = True
         lines: list[str] = []

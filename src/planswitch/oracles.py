@@ -1,10 +1,14 @@
 """Ground-truth computations used to validate the threshold algorithms.
 
-Exhaustive enumeration realizes "for every schedule" claims directly; the
-dynamic program solves the decreasing-fee objective exactly in O(T); the
-segment-decomposition identities re-express both objectives through prefix
-sums of the per-slot cost gap; and the potential check traces the inequality
-behind the randomized algorithm's factor-2 guarantee slot by slot.
+Exhaustive enumeration realizes "for every schedule" claims directly. It
+runs per horizon stack: a (rows x T) cost stack's 2^T schedules are
+enumerated once and priced for every row, by a doubling pass that extends
+each priced prefix by one slot at a time; the one-instance oracles are its
+one-row calls. The dynamic program solves the decreasing-fee objective
+exactly in O(T); the segment-decomposition identities re-express both
+objectives through prefix sums of the per-slot cost gap; and the potential
+check traces the inequality behind the randomized algorithm's factor-2
+guarantee slot by slot.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ from .tariff import (
     CostSeries,
     Schedule,
     ValidationError,
+    cost_stack,
     dsp_cost,
     fee_terms,
+    require_finite_rows,
     sp_cost,
     zero_runs,
 )
@@ -32,19 +38,26 @@ __all__ = [
     "TIE_TOL",
     "brute_force_sp",
     "brute_force_dsp",
+    "brute_force_sps",
+    "brute_force_dsps",
     "dp_dsp",
     "phi_identity_sp",
     "phi_identity_dsp",
     "potential_check",
 ]
 
-# 2^22 schedules is a few seconds of enumeration; anything larger is refused.
+# 2^22 schedules take about a second to search per row, and time and memory
+# double with each slot; anything larger is refused.
 BRUTE_FORCE_MAX_T = 22
 
 # Costs this close to the minimum count as ties (float noise, not structure).
 TIE_TOL = 1e-12
 
-_CHUNK = 1 << 18
+# Exhaustive search prices at most 2^_CHUNK_BITS (row, schedule) cells at
+# once: 128 KB of floats. Blocks of 2^18 cells raised `verify`'s peak memory
+# by about 1 MB and were slower at T = 22.
+_CHUNK_BITS = 14
+_CHUNK = 1 << _CHUNK_BITS
 
 
 @dataclass(frozen=True)
@@ -63,107 +76,132 @@ class OracleResult:
     ties: int
 
 
-def _mask_to_states(mask: int, period: int) -> list[int]:
-    # Slot 1 is the most significant bit, so ascending masks enumerate
-    # schedules in lexicographic order.
-    return [(mask >> (period - t)) & 1 for t in range(1, period + 1)]
+def _fold(costs: np.ndarray, g0: np.ndarray, g1: np.ndarray, beta, last: int) -> np.ndarray:
+    """Extend each row's priced schedules (rows x n) by the slots of ``g0``/``g1``, one at a time.
+
+    Column 2m + b extends column m by state b: it adds g_b, then the row's fee
+    ``beta`` if that is an up move, as :func:`sp_cost`'s left fold does. Column
+    m ends on state m & 1, a lone column on ``last``; ``beta`` None adds no fee.
+    """
+    for t in range(g0.shape[1]):
+        rows, n = costs.shape
+        nxt = np.empty((rows, n, 2))
+        np.add(costs, g0[:, t, None], out=nxt[:, :, 0])
+        np.add(costs, g1[:, t, None], out=nxt[:, :, 1])
+        if beta is not None and (n > 1 or not last):
+            nxt[:, 0::2, 1] += beta[:, None]
+        costs = nxt.reshape(rows, 2 * n)
+    return costs
 
 
-def _chunks(period: int):
-    total = 1 << period
-    shifts = np.arange(period - 1, -1, -1, dtype=np.uint32)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        masks = np.arange(lo, hi, dtype=np.uint32)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        yield lo, bits
+def _search(g0: np.ndarray, g1: np.ndarray, beta=None, fees=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's lexicographically first best schedule and tie count, over all 2^T.
+
+    Rows are priced in blocks of ``_CHUNK >> T`` (at least one), the schedules
+    of a row in ``_CHUNK`` blocks that share their first T - ``_CHUNK_BITS``
+    slots: those prefixes are folded once, and each block extends its own.
+    ``fees(chunk, rows, lo)`` adds the fees of the rows ``rows`` to ``chunk``,
+    their costs of schedules lo, lo + 1, ...
+    """
+    rows, period = g0.shape
+    if period > BRUTE_FORCE_MAX_T:
+        raise ValueError(f"refusing exhaustive search for T={period} > {BRUTE_FORCE_MAX_T}")
+    head = max(period - _CHUNK_BITS, 0)
+    width = 1 << (period - head)
+    block = max(1, _CHUNK >> period)
+    shifts = np.arange(period - 1, -1, -1)
+    states = np.empty((rows, period), dtype=np.int8)
+    ties = np.empty(rows, dtype=np.int64)
+    for r in range(0, rows, block):
+        sel = slice(r, r + block)
+        row_beta = None if beta is None else beta[sel]
+        prefixes = _fold(np.zeros((min(block, rows - r), 1)), g0[sel, :head], g1[sel, :head], row_beta, 0)
+        costs = np.empty((len(prefixes), 1 << period))
+        for c in range(prefixes.shape[1]):
+            chunk = costs[:, c * width:(c + 1) * width]
+            chunk[...] = _fold(prefixes[:, c:c + 1], g0[sel, head:], g1[sel, head:], row_beta, c & 1)
+            if fees is not None:
+                fees(chunk, sel, c * width)
+        tied = costs <= costs.min(axis=1)[:, None] + TIE_TOL
+        ties[sel] = tied.sum(axis=1)
+        # Slot 1 is the most significant bit, so the first tie is the lexicographically smallest.
+        states[sel] = (tied.argmax(axis=1)[:, None] >> shifts) & 1
+    return states, ties
 
 
-def _service_and_ups(bits: np.ndarray, g0: np.ndarray, g1: np.ndarray):
-    fbits = bits.astype(np.float64)
-    service = fbits @ (g1 - g0) + g0.sum()
-    ups = bits[:, 0].astype(np.int64)
-    if bits.shape[1] > 1:
-        ups = ups + (bits[:, 1:] > bits[:, :-1]).sum(axis=1)
-    return service, ups
+def _per_row(value, rows: int) -> list:
+    values = np.asarray(value, dtype=object)
+    if values.ndim and values.shape != (rows,):
+        raise ValidationError(f"fee terms must be one value or one per row ({rows}), got shape {values.shape}")
+    return np.broadcast_to(values, (rows,)).tolist()
 
 
-def _pick_best(costs: np.ndarray) -> tuple[int, float, int]:
-    best = float(costs.min())
-    tied = costs <= best + TIE_TOL
-    ties = int(tied.sum())
-    best_idx = int(np.argmax(tied))  # first tie in lexicographic order
-    return best_idx, best, ties
+def _run_stats(masks: np.ndarray, period: int):
+    """Per schedule mask (slot 1 the most significant bit): longest zero-run,
+    run count, total zeros, trailing-run length."""
+    run = longest = n_runs = total = 0
+    for shift in range(period - 1, -1, -1):
+        zero = ((masks >> shift) & 1) == 0
+        n_runs = n_runs + (zero & (run == 0))
+        total = total + zero
+        run = np.where(zero, run + 1, 0)
+        longest = np.maximum(longest, run)
+    return longest, n_runs, total, run
+
+
+def brute_force_sps(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
+                    beta: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """Exact constant-fee minimum of each row of a cost stack, over all 2^T schedules.
+
+    Row i is priced on (``g0[i]``, ``g1[i]``) with fee ``beta`` (one value or
+    one per row), each schedule by :func:`sp_cost`'s own left fold. Returns
+    the (rows x T) int8 states of each row's lexicographically smallest
+    schedule within ``TIE_TOL`` of its minimum, and each row's tie count.
+    """
+    g0, g1 = cost_stack(g0, g1)
+    return _search(g0, g1, beta=require_finite_rows("beta", beta, len(g0)))
+
+
+def brute_force_dsps(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike, alpha: np.typing.ArrayLike,
+                     contract_len: np.typing.ArrayLike,
+                     fee_mode: str | list[str] = "literal") -> tuple[np.ndarray, np.ndarray]:
+    """Exact decreasing-fee minimum of each row of a cost stack, over all
+    feasible schedules (fixed runs <= L); as :func:`brute_force_sps`, with
+    ``alpha``, ``contract_len`` and ``fee_mode`` each one value or one per row."""
+    g0, g1 = cost_stack(g0, g1)
+    rows, period = g0.shape
+    terms = [fee_terms(*row) for row in zip(*(_per_row(v, rows) for v in (alpha, contract_len, fee_mode)))]
+    alpha, cap, modes = zip(*terms)
+    literal = [m == "literal" for m in modes]
+
+    def fees(chunk: np.ndarray, sel: slice, lo: int) -> None:
+        longest, n_runs, zeros, trailing = _run_stats(np.arange(lo, lo + chunk.shape[1]), period)
+        # transition-only mode charges no fee for a run still open at the horizon
+        charged = {True: (n_runs, zeros), False: (n_runs - (trailing > 0), zeros - trailing)}
+        for row, a, c, lit in zip(chunk, alpha[sel], cap[sel], literal[sel]):
+            runs, days = charged[lit]
+            row += a * (c * runs - days)
+            row[longest > c] = np.inf
+
+    return _search(g0, g1, fees=fees)
 
 
 def brute_force_sp(cs: CostSeries, beta: float) -> OracleResult:
-    """Exact constant-fee minimum by enumerating all 2^T schedules.
-
-    Ties are counted within ``TIE_TOL`` of the minimum; the reported schedule
-    is the lexicographically smallest of the tied ones.
-    """
-    period = len(cs)
-    if period > BRUTE_FORCE_MAX_T:
-        raise ValueError(
-            f"refusing exhaustive search for T={period} > {BRUTE_FORCE_MAX_T}"
-        )
-    g0 = np.asarray(cs.g0)
-    g1 = np.asarray(cs.g1)
-    costs = np.empty(1 << period)
-    for lo, bits in _chunks(period):
-        service, ups = _service_and_ups(bits, g0, g1)
-        costs[lo : lo + bits.shape[0]] = service + float(beta) * ups
-    best_idx, _, ties = _pick_best(costs)
-    sched = Schedule(_mask_to_states(best_idx, period))
-    return OracleResult(sched, sp_cost(sched, cs, beta), ties)
-
-
-def _run_stats(bits: np.ndarray):
-    """Per row: longest zero-run, run count, total zeros, trailing-run length."""
-    n, period = bits.shape
-    zeros = bits == 0
-    run = np.zeros(n, dtype=np.int64)
-    longest = np.zeros(n, dtype=np.int64)
-    n_runs = np.zeros(n, dtype=np.int64)
-    prev = np.zeros(n, dtype=bool)
-    for t in range(period):
-        z = zeros[:, t]
-        n_runs += z & ~prev
-        run = np.where(z, run + 1, 0)
-        np.maximum(longest, run, out=longest)
-        prev = z
-    return longest, n_runs, zeros.sum(axis=1), run
+    """Exact constant-fee minimum over all 2^T schedules: the one-row
+    :func:`brute_force_sps`, its cost recomputed by :func:`sp_cost`."""
+    states, ties = brute_force_sps([cs.g0], [cs.g1], beta)
+    sched = Schedule(states[0].tolist())
+    return OracleResult(sched, sp_cost(sched, cs, beta), int(ties[0]))
 
 
 def brute_force_dsp(
     cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal"
 ) -> OracleResult:
-    """Exact decreasing-fee minimum over all feasible schedules (runs <= L)."""
-    period = len(cs)
-    if period > BRUTE_FORCE_MAX_T:
-        raise ValueError(
-            f"refusing exhaustive search for T={period} > {BRUTE_FORCE_MAX_T}"
-        )
-    alpha, contract_len, fee_mode = fee_terms(alpha, contract_len, fee_mode)
-    g0 = np.asarray(cs.g0)
-    g1 = np.asarray(cs.g1)
-    costs = np.empty(1 << period)
-    for lo, bits in _chunks(period):
-        service, _ = _service_and_ups(bits, g0, g1)
-        longest, n_runs, total_zeros, trailing = _run_stats(bits)
-        if fee_mode == "literal":
-            fee = alpha * (contract_len * n_runs - total_zeros)
-        else:
-            charged_runs = n_runs - (trailing > 0)
-            fee = alpha * (contract_len * charged_runs - (total_zeros - trailing))
-        block = service + fee
-        block[longest > contract_len] = np.inf
-        costs[lo : lo + bits.shape[0]] = block
-    if not np.isfinite(costs.min()):
-        raise RuntimeError("no feasible schedule found; the all-ones schedule should always be")
-    best_idx, _, ties = _pick_best(costs)
-    sched = Schedule(_mask_to_states(best_idx, period))
-    return OracleResult(sched, dsp_cost(sched, cs, alpha, contract_len, fee_mode), ties)
+    """Exact decreasing-fee minimum over all feasible schedules (runs <= L): the
+    one-row :func:`brute_force_dsps`, its cost recomputed by :func:`dsp_cost`."""
+    states, ties = brute_force_dsps([cs.g0], [cs.g1], alpha, contract_len, fee_mode)
+    sched = Schedule(states[0].tolist())
+    return OracleResult(sched, dsp_cost(sched, cs, alpha, contract_len, fee_mode), int(ties[0]))
 
 
 def dp_dsp(

@@ -22,7 +22,7 @@ from planswitch import (
     trace_to_csv,
 )
 from planswitch import bench
-from planswitch.bench import FEE_REGIMES, MAX_SWEEP_POINTS, config_echo
+from planswitch.bench import FEE_REGIMES, MAX_SWEEP_POINTS, MAX_SYNTH_SLOTS, config_echo
 from planswitch.cli import _config_from_args, build_parser, main
 
 
@@ -38,6 +38,19 @@ class TestSynth:
     def test_zero_slots_rejected(self):
         with pytest.raises(ValidationError):
             synth_trace(0, seed=1)
+
+    def test_largest_trace_passes_the_size_check(self, monkeypatch):
+        class Checked(Exception):
+            pass
+
+        def checked(*args):
+            raise Checked
+
+        monkeypatch.setattr(np.random, "default_rng", checked)  # stops before anything is built
+        with pytest.raises(Checked):
+            synth_trace(MAX_SYNTH_SLOTS, seed=0)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            synth_trace(12, seed=-1)
 
     def test_mean_demand_calibrated(self):
         trace = synth_trace(1200, seed=3)
@@ -350,10 +363,11 @@ class TestVerifySuites:
     @pytest.mark.parametrize("seed", [4, 5, 6, 7])
     @pytest.mark.parametrize("suite", ["oracle", "ratio", "identity"])
     def test_suite_lines_are_pinned(self, suite, seed):
-        # Lines the suites printed before they evaluated their instances in stacks.
+        # Lines the suites printed before they evaluated their instances in stacks; the
+        # oracle suite's second line has since gained its own failure count.
         want = {
             "oracle": ["offline vs exhaustive: 200 instances, 0 failures",
-                       "dp vs exhaustive: 100 instances (both fee modes)", "PASS"],
+                       "dp vs exhaustive: 100 instances (both fee modes), 0 failures", "PASS"],
             "ratio": ["factor-3 bound: 2000 random instances, 0 violations",
                       "adaptive adversary realized ratio: 2.9800 (floor 2.9)", "PASS"],
             "identity": ["segment identities and cost equivalence: 300 random triples, 0 failures", "PASS"],
@@ -363,6 +377,30 @@ class TestVerifySuites:
     def test_unknown_suite(self):
         with pytest.raises(ValidationError):
             run_verify_suite("everything", 42)
+
+    def test_oracle_suite_catches_a_wrong_offline_pass(self, monkeypatch):
+        real = bench.offline_states
+        monkeypatch.setattr(bench, "offline_states", lambda values, beta: np.ones_like(real(values, beta)))
+        ok, lines = run_verify_suite("oracle", 4)
+        assert not ok
+        assert lines[0].startswith("offline vs exhaustive: 200 instances, ")
+        assert not lines[0].endswith(" 0 failures")
+        assert lines[1] == "dp vs exhaustive: 100 instances (both fee modes), 0 failures"
+        assert lines[-1] == "FAIL"
+
+    def test_oracle_suite_catches_a_wrong_dp(self, monkeypatch):
+        real = bench.dp_dsp
+
+        def off_by_one(*args):
+            res = real(*args)
+            return replace(res, best_cost=res.best_cost + 1.0)
+
+        monkeypatch.setattr(bench, "dp_dsp", off_by_one)
+        ok, lines = run_verify_suite("oracle", 4)
+        assert not ok
+        assert lines[:2] == ["offline vs exhaustive: 200 instances, 0 failures",
+                             "dp vs exhaustive: 100 instances (both fee modes), 100 failures"]
+        assert lines[-1] == "FAIL"
 
 
 class TestCli:
@@ -408,6 +446,21 @@ class TestCli:
 
     def test_zero_slots_is_an_error(self, capsys):
         assert main(["synth", "-T", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [["run"], ["sweep"], ["synth"], ["verify", "oracle"]])
+    def test_negative_seed_names_the_flag(self, argv, capsys):
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("slots", [MAX_SYNTH_SLOTS + 1, 100_000_000_000])
+    @pytest.mark.parametrize("command", ["synth", "run"])
+    def test_oversized_synthetic_trace_is_refused(self, command, slots, capsys, monkeypatch):
+        def allocated(*args):
+            raise AssertionError("synth_trace went past its size check")
+
+        monkeypatch.setattr(np.random, "default_rng", allocated)
+        assert main([command, "--slots", str(slots)]) == 2
+        assert capsys.readouterr().err == f"error: slots must be <= {MAX_SYNTH_SLOTS}, got {slots}\n"
 
     def test_single_replicate_is_an_error(self, capsys):
         assert main(["run", "--slots", "12", "--mc-runs", "1"]) == 2

@@ -1,11 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planswitch import (
+    BRUTE_FORCE_MAX_T,
     CostSeries,
+    InfeasibleScheduleError,
     Schedule,
+    ValidationError,
     brute_force_dsp,
+    brute_force_dsps,
     brute_force_sp,
+    brute_force_sps,
     cchase,
     delta_trace,
     dp_dsp,
@@ -20,6 +29,8 @@ from planswitch import (
     sp_cost,
     zero_runs,
 )
+from planswitch import oracles
+from planswitch.oracles import TIE_TOL
 
 CS_A = CostSeries.from_pairs([(3, 0), (0, 3), (0, 0)])
 ZEROS3 = CostSeries.from_pairs([(0, 0)] * 3)
@@ -218,3 +229,158 @@ class TestPotentialCheck:
             xs = cchase(dt)
             slacks = potential_check(xs, ofa_s(dt), cs, beta)
             assert sum(slacks) >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# Stacked exhaustive search against an independent enumeration: every schedule
+# from itertools.product (lexicographic order), priced by the scalar objective.
+# ---------------------------------------------------------------------------
+
+
+def enumerate_best(period, price):
+    """(first tied best states, best cost, tie count) over all feasible schedules."""
+    priced = []
+    for states in itertools.product((0, 1), repeat=period):
+        try:
+            priced.append((price(Schedule(states)), states))
+        except InfeasibleScheduleError:
+            continue
+    best = min(cost for cost, _ in priced)
+    tied = [states for cost, states in priced if cost <= best + TIE_TOL]
+    return tied[0], best, len(tied)
+
+
+def check_sp_rows(g0, g1, beta):
+    states, ties = brute_force_sps(g0, g1, beta)
+    beta = np.broadcast_to(beta, len(g0))
+    for i, (a, b) in enumerate(zip(g0, g1)):
+        cs = CostSeries(a, b)
+        want, best, count = enumerate_best(len(cs), lambda s: sp_cost(s, cs, beta[i]))
+        assert tuple(states[i].tolist()) == want
+        assert sp_cost(Schedule(want), cs, beta[i]) == best
+        assert ties[i] == count
+
+
+def check_dsp_rows(g0, g1, alpha, cap, mode):
+    states, ties = brute_force_dsps(g0, g1, alpha, cap, mode)
+    for i, (a, b) in enumerate(zip(g0, g1)):
+        cs = CostSeries(a, b)
+        want, best, count = enumerate_best(len(cs), lambda s: dsp_cost(s, cs, alpha[i], cap[i], mode[i]))
+        assert tuple(states[i].tolist()) == want
+        assert dsp_cost(Schedule(want), cs, alpha[i], cap[i], mode[i]) == best
+        assert ties[i] == count
+
+
+@st.composite
+def int_stacks(draw, max_rows=4, max_period=7):
+    """(g0, g1) of a few rows of small integer costs, where tied schedules are common."""
+    rows, period = draw(st.integers(1, max_rows)), draw(st.integers(1, max_period))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 4, size=(2, rows, period))
+    return g[0].astype(np.float64), g[1].astype(np.float64)
+
+
+def dsp_fees(rng, rows, period):
+    alpha = rng.choice([0.0, 0.1, 0.5, 1.0, 2.0], size=rows).tolist()
+    cap = rng.integers(1, period + 1, size=rows).tolist()
+    mode = rng.choice(["literal", "transition-only"], size=rows).tolist()
+    return alpha, cap, mode
+
+
+class TestStackedSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(int_stacks(), st.integers(0, 2**32 - 1))
+    def test_sp_matches_enumeration_on_integer_costs(self, g, seed):
+        beta = np.random.default_rng(seed).choice([0.0, 0.5, 1.0, 2.0, 3.0], size=len(g[0]))
+        check_sp_rows(*g, beta)
+        check_sp_rows(*g, float(beta[0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_stacks(), st.integers(0, 2**32 - 1))
+    def test_dsp_matches_enumeration_on_integer_costs(self, g, seed):
+        check_dsp_rows(*g, *dsp_fees(np.random.default_rng(seed), len(g[0]), g[0].shape[1]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_float_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            rows, period = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+            g0, g1 = rng.uniform(-2.0, 10.0, size=(2, rows, period))
+            check_sp_rows(g0, g1, rng.choice([0.0, 0.5, 1.0, 2.0, 5.0], size=rows))
+            check_dsp_rows(g0, g1, *dsp_fees(rng, rows, period))
+
+    @pytest.mark.parametrize("mode", ["literal", "transition-only"])
+    def test_both_fee_modes_on_one_stack(self, mode):
+        g0, g1 = np.zeros((3, 4)), np.full((3, 4), 1.0)
+        alpha, cap = [0.5, 0.5, 2.0], [4, 2, 3]
+        check_dsp_rows(g0, g1, alpha, cap, [mode] * 3)
+        states, _ = brute_force_dsps(g0, g1, alpha, cap, mode)
+        assert states.shape == (3, 4)
+
+    def test_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(21)
+        for period in (1, 5, 9):
+            rows = 7
+            g0, g1 = rng.integers(0, 3, size=(2, rows, period)).astype(np.float64)
+            beta = rng.choice([0.5, 1.0, 2.0], size=rows)
+            alpha, cap, mode = dsp_fees(rng, rows, period)
+            sp_states, sp_ties = brute_force_sps(g0, g1, beta)
+            dsp_states, dsp_ties = brute_force_dsps(g0, g1, alpha, cap, mode)
+            for i in range(rows):
+                cs = CostSeries(g0[i], g1[i])
+                one = brute_force_sp(cs, beta[i])
+                assert (one.best_schedule.states, one.ties) == (tuple(sp_states[i].tolist()), sp_ties[i])
+                one = brute_force_dsp(cs, alpha[i], cap[i], mode[i])
+                assert (one.best_schedule.states, one.ties) == (tuple(dsp_states[i].tolist()), dsp_ties[i])
+
+    @pytest.mark.parametrize("bits", [0, 1, 3])
+    def test_small_blocks_give_the_same_result(self, monkeypatch, bits):
+        # Blocks of 2^bits schedules and rows: the prefix fold, each block's
+        # start state and the row blocking all run at small T.
+        rng = np.random.default_rng(22 + bits)
+        rows, period = 5, 7
+        g0, g1 = rng.integers(0, 3, size=(2, rows, period)).astype(np.float64)
+        beta = rng.choice([0.0, 1.0, 2.0], size=rows)
+        fees = dsp_fees(rng, rows, period)
+        want = brute_force_sps(g0, g1, beta), brute_force_dsps(g0, g1, *fees)
+        monkeypatch.setattr(oracles, "_CHUNK_BITS", bits)
+        monkeypatch.setattr(oracles, "_CHUNK", 1 << bits)
+        got = brute_force_sps(g0, g1, beta), brute_force_dsps(g0, g1, *fees)
+        for (ws, wt), (gs, gt) in zip(want, got):
+            assert (gs == ws).all() and (gt == wt).all()
+        check_sp_rows(g0, g1, beta)
+
+    def test_refuses_long_horizons(self):
+        g = np.zeros((2, BRUTE_FORCE_MAX_T + 1))
+        with pytest.raises(ValueError, match="refusing"):
+            brute_force_sps(g, g, 1.0)
+        with pytest.raises(ValueError, match="refusing"):
+            brute_force_dsps(g, g, 1.0, 3)
+
+    @pytest.mark.parametrize("fees, needle", [
+        (dict(alpha=[1.0, float("nan")]), "alpha"),
+        (dict(alpha=[1.0, -0.5]), "alpha"),
+        (dict(contract_len=[2, 0]), "contract_len"),
+        (dict(contract_len=[2, 1.5]), "contract_len"),
+        (dict(fee_mode=["literal", "sometimes"]), "fee_mode"),
+        (dict(alpha=[1.0, 1.0, 1.0]), "one per row"),
+        (dict(contract_len=[[2, 2]]), "one per row"),
+    ])
+    def test_bad_per_row_fee_refused(self, fees, needle):
+        g = np.ones((2, 3))
+        args = dict(alpha=1.0, contract_len=2, fee_mode="literal") | fees
+        with pytest.raises(ValidationError, match=needle):
+            brute_force_dsps(g, g, **args)
+
+    @pytest.mark.parametrize("beta", [[1.0, float("nan")], [1.0, -1.0], float("inf"), [1.0, 1.0, 1.0]])
+    def test_bad_beta_refused(self, beta):
+        g = np.ones((2, 3))
+        with pytest.raises(ValidationError, match="beta"):
+            brute_force_sps(g, g, beta)
+
+    def test_nan_cost_refused(self):
+        g0, g1 = np.ones((2, 3)), np.ones((2, 3))
+        g1[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="row 1, slot 3"):
+            brute_force_sps(g0, g1, 1.0)
+        with pytest.raises(ValidationError, match="row 1, slot 3"):
+            brute_force_dsps(g0, g1, 1.0, 2)
