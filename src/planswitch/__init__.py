@@ -10,7 +10,6 @@ generators, and a trace-driven benchmark.
 
 from .adversary import (
     RatioReport,
-    batch_dsp_costs,
     batch_sp_costs,
     deterministic_adversary,
     gchase_player,
@@ -18,6 +17,7 @@ from .adversary import (
     measure_ratio_dsp,
     monte_carlo,
     random_cost_series,
+    random_costs,
     random_schedule,
     randomized_lb_instance,
     simulate_randomized_batch,
@@ -63,7 +63,9 @@ from .oracles import (
     brute_force_sps,
     dp_dsp,
     phi_identity_dsp,
+    phi_identity_dsps,
     phi_identity_sp,
+    phi_identity_sps,
     potential_check,
 )
 from .tariff import (
@@ -75,7 +77,9 @@ from .tariff import (
     ValidationError,
     cost_series,
     dsp_cost,
+    dsp_costs,
     p2_cost,
+    p2_costs,
     parse_trace,
     sp_cost,
     sp_costs,

@@ -9,6 +9,10 @@ deterministic algorithm's realized ratio toward its worst case of 3.
 The fixed lower-bound instance for the randomized/continuous pair front-loads
 a single small charge against the fixed plan and then penalizes the variable
 plan forever, making any hedging overpay by a factor approaching 2.
+
+A matrix of replicate schedules is priced in one call: ``batch_sp_costs``
+under the constant fee, :func:`planswitch.tariff.dsp_costs` under the
+decreasing fee.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chase import (
-    BLOCK_CELLS,
     DeltaTrace,
     OnlineState,
     SeededUniforms,
@@ -33,11 +36,10 @@ from .chase import (
 from .oracles import dp_dsp
 from .tariff import (
     CostSeries,
-    InfeasibleScheduleError,
     Schedule,
     ValidationError,
+    _stack,
     dsp_cost,
-    fee_terms,
     require_finite,
     sp_cost,
 )
@@ -46,6 +48,7 @@ __all__ = [
     "RatioReport",
     "competitive_ratio",
     "random_cost_series",
+    "random_costs",
     "random_schedule",
     "randomized_lb_instance",
     "gchase_player",
@@ -55,7 +58,6 @@ __all__ = [
     "monte_carlo",
     "simulate_randomized_batch",
     "batch_sp_costs",
-    "batch_dsp_costs",
 ]
 
 
@@ -90,8 +92,13 @@ def random_cost_series(
     rng: np.random.Generator, period: int, low: float = 0.0, high: float = 10.0
 ) -> CostSeries:
     """Uniform random cost pairs, the workhorse of the property suites."""
-    g = rng.uniform(low, high, size=(2, period))
+    g = random_costs(rng, period, low, high)
     return CostSeries(g[0].tolist(), g[1].tolist())
+
+
+def random_costs(rng: np.random.Generator, period: int, low: float = 0.0, high: float = 10.0) -> np.ndarray:
+    """The draw of :func:`random_cost_series` as a (2 x period) array: g0, then g1."""
+    return rng.uniform(low, high, size=(2, period))
 
 
 def random_schedule(rng: np.random.Generator, period: int) -> Schedule:
@@ -207,26 +214,20 @@ def simulate_randomized_batch(dt: DeltaTrace, n_runs: int, seed: int) -> np.ndar
     return chase_kernel(dt.values, dt.beta, draws)[0]
 
 
-def _state_matrix(states: np.ndarray, cs: CostSeries) -> np.ndarray:
-    """``states`` as a (runs x T) array for a series of T slots."""
-    states = np.asarray(states)
-    if states.ndim != 2 or states.shape[1] != len(cs):
-        raise ValidationError(f"state matrix shape {states.shape} does not match series length {len(cs)}")
-    return states
-
-
 def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarray:
     """Constant-fee cost of each row of a (runs x T) 0/1 state matrix.
 
     One float copy of the states is held: it becomes ``1.0 - states`` in place
     once its product with g1 is taken. Row blocks would hold less, but they
     change the matrix products' rounding. A row agrees with the left fold of
-    :func:`planswitch.tariff.sp_cost` to about 1e-9 relative, not bit for bit.
+    :func:`planswitch.tariff.sp_costs` to about 1e-9 relative, not bit for
+    bit; the matrix product is kept because the replicate costs that ``run``
+    reports are its floats.
     """
     beta = require_finite("beta", beta)
-    states = _state_matrix(states, cs)
     g0 = np.asarray(cs.g0)
     g1 = np.asarray(cs.g1)
+    states = _stack(states, g0, g1)[0]
     fstates = states.astype(np.float64)
     service = fstates @ g1
     service += np.subtract(1.0, fstates, out=fstates) @ g0
@@ -234,53 +235,6 @@ def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarra
     if states.shape[1] > 1:
         ups = ups + (states[:, 1:] > states[:, :-1]).sum(axis=1)
     return service + beta * ups
-
-
-def batch_dsp_costs(
-    states: np.ndarray, cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal"
-) -> np.ndarray:
-    """Decreasing-fee cost of each row of a (runs x T) 0/1 state matrix.
-
-    Bit-identical to :func:`planswitch.tariff.dsp_cost` per row: each row's
-    total is the last entry of a cumulative sum (a strict left fold) of 0.0,
-    g_t(s_t) for t = 1..T, then each run's fee in run order, zero-padded to
-    the longest row. Rows are taken in blocks whose float matrix fits in
-    ``BLOCK_CELLS`` bytes (one row at least): the replicate states are held
-    at the same time, so a larger block would raise the run's peak memory.
-
-    Raises:
-        InfeasibleScheduleError: some row has a fixed-plan run longer than
-            ``contract_len``.
-    """
-    alpha, contract_len, fee_mode = fee_terms(alpha, contract_len, fee_mode)
-    states = _state_matrix(states, cs)
-    period = len(cs)
-    g0 = np.asarray(cs.g0)
-    g1 = np.asarray(cs.g1)
-    totals = np.empty(len(states))
-    block = max(1, BLOCK_CELLS // (8 * max(period, 1)))
-    for i0 in range(0, len(states), block):
-        rows = states[i0:i0 + block]
-        edges = np.diff(np.pad(rows == 0, ((0, 0), (1, 1))).view(np.int8), axis=1)
-        row, start = np.nonzero(edges == 1)
-        end = np.nonzero(edges == -1)[1]  # one past each run's last slot, in the same order
-        length = end - start
-        if (length > contract_len).any():
-            k = int(np.argmax(length > contract_len))
-            raise InfeasibleScheduleError(
-                f"row {i0 + row[k]}: fixed-plan run [{start[k] + 1}, {end[k]}] lasts {length[k]} "
-                f"> contract_len {contract_len}")
-        fee = alpha * (contract_len - length)
-        if fee_mode == "transition-only":
-            fee[end == period] = 0.0
-        rank = np.arange(len(row)) - np.searchsorted(row, row)  # run order within its row
-        terms = np.zeros((len(rows), period + 2 + int(rank.max(initial=-1))))
-        service = terms[:, 1:period + 1]
-        service[:] = g0
-        np.copyto(service, g1, where=rows != 0)
-        terms[row, period + 1 + rank] = fee
-        totals[i0:i0 + len(rows)] = np.cumsum(terms, axis=1, out=terms)[:, -1]
-    return totals
 
 
 def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioReport:

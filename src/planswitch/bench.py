@@ -28,13 +28,13 @@ from typing import Optional
 import numpy as np
 
 from .adversary import (
-    batch_dsp_costs,
     batch_sp_costs,
     competitive_ratio,
     deterministic_adversary,
     gchase_player,
     monte_carlo,
     random_cost_series,
+    random_costs,
     random_schedule,
     simulate_randomized_batch,
 )
@@ -49,24 +49,21 @@ from .chase import (
     delta_traces,
     drift_trace,
     marginal_probabilities,
-    ofa_s,
     offline_states,
 )
-from .oracles import brute_force_dsps, brute_force_sps, dp_dsp, phi_identity_dsp, phi_identity_sp
+from .oracles import brute_force_dsps, brute_force_sps, dp_dsp, phi_identity_dsps, phi_identity_sps
 from .tariff import (
     CostSeries,
-    Schedule,
     Trace,
     ValidationError,
+    _fixed_runs,
     cost_series,
-    dsp_cost,
+    dsp_costs,
     fee_terms,
-    p2_cost,
+    p2_costs,
     parse_trace,
     require_finite,
-    sp_cost,
     sp_costs,
-    zero_runs,
 )
 
 __all__ = [
@@ -275,23 +272,22 @@ def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> list[SavingsRepo
     """Each configured algorithm's report on one cost series.
 
     The fee regimes differ only in the setup: the gap trace, the expiry
-    guard, the offline optimum, and the objective of a schedule and of a
-    batch of replicate rows. ``draws`` holds one row of uniforms per
+    guard, the offline optimum, and the objective of a stack of schedules
+    and of the replicate rows. ``draws`` holds one row of uniforms per
     replicate; by default row i comes from ``default_rng(seed + i)``.
     """
     if config.fee_regime == "constant":
         dt, guard = delta_trace(cs, config.beta), None
-        objective = lambda sched: sp_cost(sched, cs, config.beta)
+        objective = lambda states: sp_costs(states, cs.g0, cs.g1, config.beta)
         batch_objective = lambda states: batch_sp_costs(states, cs, config.beta)
-        opt = ofa_s(dt)
-        opt_cost = objective(opt)
+        opt = offline_states(dt.values, dt.beta)
+        opt, opt_cost = tuple(opt[0].tolist()), float(objective(opt)[0])
     else:
         fee = (config.alpha, config.contract_len, config.fee_mode)
         dt, guard = drift_trace(cs, config.alpha, config.contract_len), config.contract_len
-        objective = lambda sched: dsp_cost(sched, cs, *fee)
-        batch_objective = lambda states: batch_dsp_costs(states, cs, *fee)
+        objective = batch_objective = lambda states: dsp_costs(states, cs.g0, cs.g1, *fee)
         best = dp_dsp(cs, *fee)
-        opt, opt_cost = best.best_schedule, best.best_cost
+        opt, opt_cost = best.best_schedule.states, best.best_cost
     if draws is None:
         draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
     bench_cost = _benchmark_cost(config, cs)
@@ -303,10 +299,10 @@ def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> list[SavingsRepo
     reports = []
     for name in config.algorithms:
         if name in ("ofa", "dp"):
-            reports.append(report(name, opt_cost, opt.states))
+            reports.append(report(name, opt_cost, opt))
         elif name == "gchase":
-            sched = Schedule(chase_batch(dt, None, guard, "gchase_dsp")[0][0].tolist())
-            reports.append(report(name, objective(sched), sched.states))
+            states = chase_batch(dt, None, guard, "gchase_dsp")[0]
+            reports.append(report(name, float(objective(states)[0]), tuple(states[0].tolist())))
         elif name == "gchase_r":
             costs = batch_objective(chase_batch(dt, draws, guard, "gchase_r")[0])
             reports.append(report(name, float(costs.mean()), mc_runs=len(costs),
@@ -451,48 +447,59 @@ def _draw_fee(rng: np.random.Generator, fees: tuple[float, ...]) -> float:
     return fees[rng.integers(0, len(fees))]
 
 
-def _random_stacks(rng: np.random.Generator, n: int, fees: tuple[float, ...]):
-    """``n`` random constant-fee instances of 1 to 12 slots, as (g0, g1, beta) stacks, one per horizon.
+def _random_stacks(rng: np.random.Generator, n: int, draw) -> list[tuple[np.ndarray, ...]]:
+    """``n`` random instances of 1 to 12 slots, as stacks, one per horizon.
 
-    The instances are drawn one at a time from ``rng``: the horizon, the fee,
-    then the costs of :func:`random_cost_series`. Row i of a stack is one
-    instance, and ``beta`` holds one fee per row.
+    The instances are drawn one at a time from ``rng``: the horizon, then
+    ``draw(rng, period)``, which returns one instance's :func:`random_costs`
+    array first and its other fields after it. A stack is the instances'
+    g0 and g1 as (n x T) arrays, then each other field as one array whose
+    row i is instance i's.
     """
     by_period: dict[int, list] = {}
     for _ in range(n):
         period = int(rng.integers(1, 13))
-        beta = _draw_fee(rng, fees)
-        by_period.setdefault(period, []).append((beta, rng.uniform(0.0, 10.0, size=(2, period))))
+        by_period.setdefault(period, []).append(draw(rng, period))
     stacks = []
     for group in by_period.values():
-        g = np.stack([costs for _, costs in group])
-        stacks.append((g[:, 0], g[:, 1], np.array([beta for beta, _ in group])))
+        g, *fields = (np.array(field) for field in zip(*group))
+        stacks.append((g[:, 0], g[:, 1], *fields))
     return stacks
+
+
+def _sp_instance(rng: np.random.Generator, period: int) -> tuple[np.ndarray, float]:
+    beta = _draw_fee(rng, SP_FEES)
+    return random_costs(rng, period), beta
+
+
+def _dsp_instance(rng: np.random.Generator, period: int) -> tuple[np.ndarray, float, int, str]:
+    cap = int(rng.integers(1, period + 1))
+    alpha = _draw_fee(rng, DSP_FEES)
+    mode = "literal" if rng.integers(0, 2) else "transition-only"
+    return random_costs(rng, period), alpha, cap, mode
+
+
+def _identity_instance(rng: np.random.Generator, period: int) -> tuple[np.ndarray, tuple[int, ...], float, float]:
+    beta = float(rng.uniform(0.1, 5.0))
+    costs = random_costs(rng, period)
+    return costs, random_schedule(rng, period).states, beta, float(rng.uniform(0.0, 1.0))
 
 
 def _verify_oracle(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     sp_failures = 0
     n_sp = 200
-    for g0, g1, beta in _random_stacks(rng, n_sp, SP_FEES):
+    for g0, g1, beta in _random_stacks(rng, n_sp, _sp_instance):
         costs = sp_costs(offline_states(delta_traces(g0, g1, beta), beta), g0, g1, beta)
         best = sp_costs(brute_force_sps(g0, g1, beta)[0], g0, g1, beta)
         sp_failures += int(np.count_nonzero(np.abs(costs - best) > 1e-9))
     # The DP runs per instance (it is the code under test); exhaustive search per horizon.
-    by_period: dict[int, list] = {}
-    n_dsp = 100
-    for _ in range(n_dsp):
-        period = int(rng.integers(1, 13))
-        cap = int(rng.integers(1, period + 1))
-        alpha = _draw_fee(rng, DSP_FEES)
-        mode = "literal" if rng.integers(0, 2) else "transition-only"
-        by_period.setdefault(period, []).append((random_cost_series(rng, period), alpha, cap, mode))
     dsp_failures = 0
-    for group in by_period.values():
-        series, alphas, caps, modes = zip(*group)
-        states = brute_force_dsps([cs.g0 for cs in series], [cs.g1 for cs in series], alphas, caps, modes)[0]
-        for (cs, *fee), row in zip(group, states.tolist()):
-            dsp_failures += abs(dp_dsp(cs, *fee).best_cost - dsp_cost(Schedule(row), cs, *fee)) > 1e-9
+    n_dsp = 100
+    for g0, g1, *fees in _random_stacks(rng, n_dsp, _dsp_instance):
+        best = dsp_costs(brute_force_dsps(g0, g1, *fees)[0], g0, g1, *fees)
+        for row, fee in enumerate(zip(*(f.tolist() for f in fees))):
+            dsp_failures += abs(dp_dsp(CostSeries(g0[row], g1[row]), *fee).best_cost - best[row]) > 1e-9
     lines = [
         f"offline vs exhaustive: {n_sp} instances, {sp_failures} failures",
         f"dp vs exhaustive: {n_dsp} instances (both fee modes), {dsp_failures} failures",
@@ -504,7 +511,7 @@ def _verify_ratio(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     violations = 0
     n = 2000
-    for g0, g1, beta in _random_stacks(rng, n, SP_FEES):
+    for g0, g1, beta in _random_stacks(rng, n, _sp_instance):
         values = delta_traces(g0, g1, beta)
         alg = sp_costs(chase_kernel(values, beta)[0], g0, g1, beta)
         opt = sp_costs(offline_states(values, beta), g0, g1, beta)
@@ -543,25 +550,18 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
 
 
 def _verify_identity(seed: int) -> tuple[bool, list[str]]:
+    # Checked per horizon stack; the decreasing-fee contract length is each
+    # schedule's longest fixed run, or 1 without one.
     rng = np.random.default_rng(seed)
     failures = 0
     n = 300
-    for _ in range(n):
-        period = int(rng.integers(1, 13))
-        beta = float(rng.uniform(0.1, 5.0))
-        cs = random_cost_series(rng, period)
-        sched = random_schedule(rng, period)
-        lhs, rhs = phi_identity_sp(sched, cs, beta)
-        if abs(lhs - rhs) > 1e-9:
-            failures += 1
-        if abs(sp_cost(sched, cs, beta) - p2_cost(sched, cs, beta)) > 1e-9:
-            failures += 1
-        alpha = float(rng.uniform(0.0, 1.0))
-        runs = zero_runs(sched)
-        cap = max((e - s + 1) for s, e in runs) if runs else 1
-        lhs, rhs = phi_identity_dsp(sched, cs, alpha, cap)
-        if abs(lhs - rhs) > 1e-9:
-            failures += 1
+    for g0, g1, states, beta, alpha in _random_stacks(rng, n, _identity_instance):
+        sp, rhs = phi_identity_sps(states, g0, g1, beta)
+        failures += np.count_nonzero(np.abs(sp - rhs) > 1e-9)
+        failures += np.count_nonzero(np.abs(sp - p2_costs(states, g0, g1, beta)) > 1e-9)
+        cap = np.maximum(_fixed_runs(states)[0].max(axis=1), 1)
+        lhs, rhs = phi_identity_dsps(states, g0, g1, alpha, cap)
+        failures += np.count_nonzero(np.abs(lhs - rhs) > 1e-9)
     lines = [f"segment identities and cost equivalence: {n} random triples, {failures} failures"]
     return failures == 0, lines
 

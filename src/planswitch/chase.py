@@ -39,6 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .tariff import (
+    BLOCK_CELLS,
     CostSeries,
     Schedule,
     ValidationError,
@@ -219,7 +220,7 @@ def _as_stack(values, beta) -> tuple[np.ndarray, float | np.ndarray]:
         values = values[None]
     if values.ndim != 2 or values.shape[1] < 2:
         raise ValidationError(f"gap traces must be (rows x (T + 1)) with T >= 1, got shape {values.shape}")
-    if isinstance(beta, (int, float)):
+    if np.ndim(beta) == 0:
         return values, -require_finite("beta", beta, positive=True)
     return values, -require_finite_rows("beta", beta, len(values), positive=True)[:, None]
 
@@ -377,6 +378,7 @@ class SeededUniforms:
 
     def __init__(self, seed: int, n_runs: int, period: int):
         self.seed, self.n_runs, self.period = int(seed), int(n_runs), int(period)
+        self.shape = (self.n_runs, self.period)
 
     def __len__(self) -> int:
         return self.n_runs
@@ -387,10 +389,6 @@ class SeededUniforms:
         for j, i in enumerate(runs):
             np.random.default_rng(self.seed + i).random(out=out[j])
         return out
-
-
-# Cells per block of replicate rows: bounds the kernel's temporaries at any replicate count.
-BLOCK_CELLS = 1 << 16
 
 
 def _slot_rule(values: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -453,13 +451,15 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
     ``values`` may be a stack of traces, one per row, with ``beta`` one
     value or one per row. The drift rule alone can park the gap at -beta for
     good, so with ``contract_len`` a fixed run of one trace reaching that
-    length is cut by a forced switch to plan 1. Returns int8 states and the
-    forced-switch count per row.
+    length is cut by a forced switch to plan 1. ``contract_len`` is checked
+    as :func:`planswitch.tariff.fee_terms` checks it, and ``draws`` must be
+    (replicates x T). Returns int8 states and the forced-switch count per row.
     """
-    values = np.asarray(values, dtype=np.float64)
-    slots = np.arange(1, values.shape[-1], dtype=np.int32)
+    if contract_len is not None:
+        contract_len = fee_terms(0.0, contract_len)[1]
+    values, neg = _as_stack(values, beta)
+    slots = np.arange(1, values.shape[1], dtype=np.int32)
     if draws is None:  # only boundary slots force: plan 1 at the top, 0 at the floor
-        values, neg = _as_stack(values, beta)
         plan_of = values == 0.0  # column 0 is s_0 = 0, as values[:, 0] = -beta
         hit = plan_of[:, 1:] | (values[:, 1:] == neg)
         if contract_len is None:  # every row in one fill, no blocks: keeps short traces cheap
@@ -468,7 +468,13 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
             raise ValidationError("the expiry guard runs on one gap trace")
         plan_of, n_runs = plan_of[0], 1
     else:
-        thr, force = _slot_rule(values, float(beta))
+        if len(values) != 1 or np.ndim(beta):
+            raise ValidationError("the randomized rule runs on one gap trace with one fee")
+        if not isinstance(draws, SeededUniforms):
+            draws = np.asarray(draws, dtype=np.float64)
+        if len(draws.shape) != 2 or draws.shape[1] != len(slots):
+            raise ValidationError(f"draws must be (replicates x {len(slots)}), got shape {draws.shape}")
+        thr, force = _slot_rule(values[0], -neg)
         plan_of = np.concatenate(([False], force))
         n_runs = len(draws)
     states, forced = np.zeros((n_runs, len(slots)), np.int8), np.zeros(n_runs, np.int64)
@@ -480,7 +486,7 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
             states[i0:i0 + block] = _fill(hit, slots, plan_of)
         else:
             for j, row in enumerate(hit):
-                forced[i0 + j] = _guarded_row(row, plan_of[1:], int(contract_len), states[i0 + j])
+                forced[i0 + j] = _guarded_row(row, plan_of[1:], contract_len, states[i0 + j])
     return states, forced
 
 

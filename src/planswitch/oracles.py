@@ -6,7 +6,9 @@ enumerated once and priced for every row, by a doubling pass that extends
 each priced prefix by one slot at a time; the one-instance oracles are its
 one-row calls. The dynamic program solves the decreasing-fee objective
 exactly in O(T); the segment-decomposition identities re-express both
-objectives through prefix sums of the per-slot cost gap; and the potential
+objectives through prefix sums of the per-slot cost gap, over a stack of
+schedules like the objectives, with the one-schedule forms as one-row
+calls; and the potential
 check traces the inequality behind the randomized algorithm's factor-2
 guarantee slot by slot.
 """
@@ -24,12 +26,18 @@ from .tariff import (
     CostSeries,
     Schedule,
     ValidationError,
+    _fee_rows,
+    _fixed_runs,
+    _fold_rows,
+    _stack,
     cost_stack,
     dsp_cost,
+    dsp_costs,
     fee_terms,
+    require_finite,
     require_finite_rows,
     sp_cost,
-    zero_runs,
+    sp_costs,
 )
 
 __all__ = [
@@ -43,6 +51,8 @@ __all__ = [
     "dp_dsp",
     "phi_identity_sp",
     "phi_identity_dsp",
+    "phi_identity_sps",
+    "phi_identity_dsps",
     "potential_check",
 ]
 
@@ -129,13 +139,6 @@ def _search(g0: np.ndarray, g1: np.ndarray, beta=None, fees=None) -> tuple[np.nd
     return states, ties
 
 
-def _per_row(value, rows: int) -> list:
-    values = np.asarray(value, dtype=object)
-    if values.ndim and values.shape != (rows,):
-        raise ValidationError(f"fee terms must be one value or one per row ({rows}), got shape {values.shape}")
-    return np.broadcast_to(values, (rows,)).tolist()
-
-
 def _run_stats(masks: np.ndarray, period: int):
     """Per schedule mask (slot 1 the most significant bit): longest zero-run,
     run count, total zeros, trailing-run length."""
@@ -170,9 +173,7 @@ def brute_force_dsps(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike, alpha: np
     ``alpha``, ``contract_len`` and ``fee_mode`` each one value or one per row."""
     g0, g1 = cost_stack(g0, g1)
     rows, period = g0.shape
-    terms = [fee_terms(*row) for row in zip(*(_per_row(v, rows) for v in (alpha, contract_len, fee_mode)))]
-    alpha, cap, modes = zip(*terms)
-    literal = [m == "literal" for m in modes]
+    alpha, cap, literal = (v.tolist() for v in _fee_rows(alpha, contract_len, fee_mode, rows))
 
     def fees(chunk: np.ndarray, sel: slice, lo: int) -> None:
         longest, n_runs, zeros, trailing = _run_stats(np.arange(lo, lo + chunk.shape[1]), period)
@@ -269,61 +270,89 @@ def dp_dsp(
     return OracleResult(sched, dsp_cost(sched, cs, alpha, cap, fee_mode), ties)
 
 
-def _gap_prefix_sums(cs: CostSeries) -> list[float]:
-    """Prefix sums of the per-slot gap with zero boundary slots.
+def _gap_sums(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """Prefix sums of each row's per-slot gap with zero boundary slots.
 
-    Index k holds the sum of gaps over slots 0..k-1, where the out-of-range
-    slots 0 and T+1 contribute 0 (their costs are zero by convention).
+    Column k holds the sum of gaps over slots 0..k-1 (a left fold from 0.0),
+    where the out-of-range slots 0 and T+1 contribute 0 (their costs are
+    zero by convention).
     """
-    period = len(cs)
-    phi = [0.0] * (period + 3)
-    acc = 0.0
-    phi[1] = 0.0  # gap of slot 0
-    for t in range(1, period + 1):
-        acc += cs.g0[t - 1] - cs.g1[t - 1]
-        phi[t + 1] = acc
-    phi[period + 2] = acc  # gap of slot T+1 is 0
+    rows, period = g0.shape
+    phi = np.zeros((rows, period + 3))
+    np.subtract(g0, g1, out=phi[:, 2:period + 2])
+    np.cumsum(phi[:, 1:period + 2], axis=1, out=phi[:, 1:period + 2])
+    phi[:, -1] = phi[:, -2]
     return phi
 
 
-def phi_identity_sp(sched: Schedule, cs: CostSeries, beta: float) -> tuple[float, float]:
-    """Constant-fee cost vs its segment decomposition; both sides returned.
+def phi_identity_sps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
+                     beta: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """Constant-fee cost vs its segment decomposition, both sides, for each row
+    of a state matrix priced as :func:`planswitch.tariff.sp_costs` prices it.
 
     The right side charges every slot at the variable plan's price and
     corrects each fixed-plan segment through differences of the gap prefix
     sums, paying one fee per segment. Segment boundaries here include the
     forced zero states at slots 0 and T+1, with zero gap contributions there;
-    the identity is exercised empirically rather than trusted.
+    the identity is exercised empirically rather than trusted. Each side is
+    a left fold, its segments' terms in segment order.
     """
-    lhs = sp_cost(sched, cs, beta)
-    phi = _gap_prefix_sums(cs)
-    beta = float(beta)
-    rhs = sum(cs.g1) - beta
-    # Zero runs of the schedule padded with s_0 = s_{T+1} = 0; padded slot k is slot k - 1.
-    for start, end in zero_runs(Schedule((0, *sched.states, 0))):
-        rhs += phi[end] - phi[start - 1] + beta
-    return lhs, rhs
+    lhs = sp_costs(states, g0, g1, beta)
+    states, g0, g1 = _stack(states, g0, g1)
+    beta = require_finite_rows("beta", beta, len(states))
+    rows, period = states.shape
+    phi = _gap_sums(g0, g1)
+    padded = np.zeros((rows, period + 2), dtype=np.int8)  # s_0 = s_{T+1} = 0
+    padded[:, 1:-1] = states
+    lasted, ends = _fixed_runs(padded)
+    # A segment over slots j - d + 1..j (d = lasted) adds the gaps phi[j + 1] - phi[j + 1 - d].
+    start = np.take_along_axis(phi, np.arange(1, period + 3) - lasted, axis=1)
+    slots = np.zeros((rows, 2 * period + 3))
+    slots[:, :period], slots[:, period] = g1, -beta
+    np.copyto(slots[:, period + 1:], phi[:, 1:] - start + beta[:, None], where=ends)
+    return lhs, _fold_rows(slots)
+
+
+def phi_identity_dsps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
+                      alpha: np.typing.ArrayLike,
+                      contract_len: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """Decreasing-fee (literal) cost vs its drift-adjusted decomposition, both
+    sides, for each row, priced as :func:`planswitch.tariff.dsp_costs` prices it.
+
+    Same telescoping as :func:`phi_identity_sps` with the prefix sums shifted
+    by alpha per slot and beta = alpha * L; segments here are the schedule's
+    own fixed-plan runs within [1, T], since those are what the fee charges.
+    """
+    lhs = dsp_costs(states, g0, g1, alpha, contract_len, "literal")
+    states, g0, g1 = _stack(states, g0, g1)
+    alpha, cap, _ = _fee_rows(alpha, contract_len, "literal", len(states))
+    rows, period = states.shape
+    phi = _gap_sums(g0, g1)
+    lasted, ends = _fixed_runs(states)
+    end = np.arange(1, period + 1)  # a run over slots start..end, 1-based
+    start = end - lasted + 1
+    a = alpha[:, None]
+    big_end = phi[:, 2:period + 2] - a * (end + 1)
+    big_start = np.take_along_axis(phi, start, axis=1) - a * start
+    slots = np.zeros((rows, 2 * period))
+    slots[:, :period] = g1
+    np.copyto(slots[:, period:], big_end - big_start + a * cap[:, None], where=ends)
+    return lhs, _fold_rows(slots)
+
+
+def phi_identity_sp(sched: Schedule, cs: CostSeries, beta: float) -> tuple[float, float]:
+    """Constant-fee cost vs its segment decomposition: the one-row :func:`phi_identity_sps`."""
+    lhs, rhs = phi_identity_sps([sched.states], cs.g0, cs.g1, beta)
+    return float(lhs[0]), float(rhs[0])
 
 
 def phi_identity_dsp(
     sched: Schedule, cs: CostSeries, alpha: float, contract_len: int
 ) -> tuple[float, float]:
-    """Decreasing-fee (literal) cost vs its drift-adjusted decomposition.
-
-    Same telescoping as :func:`phi_identity_sp` with the prefix sums shifted
-    by alpha per slot and beta = alpha * L; segments here are the schedule's
-    own fixed-plan runs within [1, T], since those are what the fee charges.
-    """
-    lhs = dsp_cost(sched, cs, alpha, contract_len, "literal")
-    alpha = float(alpha)
-    beta = alpha * int(contract_len)
-    phi = _gap_prefix_sums(cs)
-    rhs = sum(cs.g1)
-    for start, end in zero_runs(sched):
-        big_end = phi[end + 1] - alpha * (end + 1)
-        big_start = phi[start] - alpha * start
-        rhs += big_end - big_start + beta
-    return lhs, rhs
+    """Decreasing-fee (literal) cost vs its drift-adjusted decomposition: the
+    one-row :func:`phi_identity_dsps`."""
+    lhs, rhs = phi_identity_dsps([sched.states], cs.g0, cs.g1, alpha, contract_len)
+    return float(lhs[0]), float(rhs[0])
 
 
 def potential_check(
@@ -343,7 +372,7 @@ def potential_check(
     zvals = list(zs.x) if isinstance(zs, FractionalSchedule) else [float(s) for s in zs.states]
     if len(xs) != len(cs) or len(zvals) != len(cs):
         raise ValidationError("potential check requires equal-length trajectories and series")
-    beta = float(beta)
+    beta = require_finite("beta", beta)
 
     def pot(x: float, z: float) -> float:
         return beta * (0.5 * x * x + 2.0 * z - 2.0 * z * x)

@@ -6,14 +6,14 @@ A fixed-rate plan bills against a base load band [0.9*B, 1.1*B]: usage above
 the band is charged at the variable rate, usage below it earns an underusage
 correction at rate H (subtracted, as the tariff equation is written).
 
-Three objectives are evaluated here:
+Three objectives are evaluated here, each once, as a left fold over a stack
+of schedules; ``sp_cost``, ``p2_cost`` and ``dsp_cost`` are their one-row calls.
 
-* ``sp_cost``  -- service cost plus a constant fee ``beta`` per cancellation
-  (each 0 -> 1 transition); ``sp_costs`` is the same fold over a stack of
-  schedules, one cost series and fee per row.
-* ``p2_cost``  -- the symmetric half-fee form over an extended horizon with a
-  forced return to state 0; equal to ``sp_cost`` for every schedule.
-* ``dsp_cost`` -- service cost plus a linearly decreasing fee: cancelling a
+* ``sp_costs``  -- service cost plus a constant fee ``beta`` per
+  cancellation (each 0 -> 1 transition).
+* ``p2_costs``  -- the symmetric half-fee form over an extended horizon with
+  a forced return to state 0; equal to ``sp_costs`` for every schedule.
+* ``dsp_costs`` -- service cost plus a linearly decreasing fee: cancelling a
   fixed contract after ``d`` of ``L`` months costs ``alpha * (L - d)``, and a
   contract may not run longer than ``L`` months.
 """
@@ -40,8 +40,10 @@ __all__ = [
     "sp_cost",
     "sp_costs",
     "p2_cost",
+    "p2_costs",
     "zero_runs",
     "dsp_cost",
+    "dsp_costs",
     "parse_trace",
     "FEE_MODES",
     "require_finite",
@@ -232,106 +234,151 @@ def cost_series(trace: Trace, underusage_rate: np.typing.ArrayLike) -> CostSerie
     return CostSeries(g0.tolist(), g1.tolist())
 
 
-def cost_stack(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
-               shape: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def cost_stack(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """A stack of cost series, one per row: ``g0`` and ``g1`` as finite float
-    arrays of one nonempty (rows x T) shape, ``shape`` when it is given."""
+    arrays of one nonempty (rows x T) shape."""
     g0 = np.asarray(g0, dtype=np.float64)
     g1 = np.asarray(g1, dtype=np.float64)
-    shape = g0.shape if shape is None else tuple(shape)
-    if len(shape) != 2 or 0 in shape or g0.shape != shape or g1.shape != shape:
+    if g0.ndim != 2 or 0 in g0.shape or g1.shape != g0.shape:
         raise ValidationError(f"cost stack shapes {g0.shape} and {g1.shape} must both be "
-                              f"a nonempty (rows x T) {shape}")
+                              f"a nonempty (rows x T) {g0.shape}")
     finite = np.isfinite(g0) & np.isfinite(g1)
     if not finite.all():
-        row, t = np.unravel_index(int((~finite).argmax()), shape)
+        row, t = np.unravel_index(int((~finite).argmax()), g0.shape)
         raise ValidationError(f"non-finite cost pair at row {row}, slot {t + 1}")
     return g0, g1
 
 
-def _check_lengths(sched: Schedule, cs: CostSeries) -> int:
-    if len(sched) != len(cs):
-        raise ValidationError(f"schedule length {len(sched)} != series length {len(cs)}")
-    return len(cs)
+# Cells per block of rows: bounds the temporaries of a stack computation at any row count.
+BLOCK_CELLS = 1 << 16
+
+
+def _stack(states: np.typing.ArrayLike, g0: np.typing.ArrayLike,
+           g1: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one input check of the stack objectives: ``states`` as a (rows x T)
+    int8 matrix of 0s and 1s, and ``g0``/``g1`` as finite floats of its shape.
+
+    The costs are one series of T slots for every row (1-D) or one per row
+    (rows x T); a shared series is returned as one row, which broadcasts
+    against the matrix. Integer states are checked by their greatest entry
+    read as unsigned, where a negative entry is large: one reduction and no
+    temporary the size of the matrix.
+    """
+    states = np.asarray(states)
+    g0 = np.asarray(g0, dtype=np.float64)
+    g1 = np.asarray(g1, dtype=np.float64)
+    shared = g0.ndim == 1
+    g0, g1 = cost_stack(g0[None] if shared else g0, g1[None] if shared else g1)
+    if states.shape != (states.shape[0] if shared and states.ndim == 2 else len(g0), g0.shape[1]):
+        raise ValidationError(f"state matrix shape {states.shape} does not match "
+                              + (f"series length {g0.shape[1]}" if shared else f"cost stack shape {g0.shape}"))
+    if states.dtype.kind in "iu":
+        binary = states.size == 0 or states.view(f"u{states.itemsize}").max() <= 1
+    else:
+        binary = states.dtype.kind == "b" or ((states == 0) | (states == 1)).all()
+    if not binary:
+        raise ValidationError("state matrix entries must be 0 or 1")
+    return states.astype(np.int8, copy=False), g0, g1
+
+
+def _fixed_runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot of a (rows x T) 0/1 matrix: how long the fixed-plan (state 0)
+    run through it has lasted, 0 on plan 1, and whether the slot is the last
+    of its run. A run's last slot thus holds its length."""
+    t = np.arange(1, states.shape[1] + 1)
+    zero = states == 0
+    lasted = t - np.maximum.accumulate(np.where(zero, 0, t), axis=1)
+    zero[:, :-1] &= states[:, 1:] != 0
+    return lasted, zero
+
+
+def _fold_rows(slots: np.ndarray) -> np.ndarray:
+    """Each row's strict left fold of 0.0 and then its ``slots``.
+
+    A fold from 0.0 is never -0.0, so a slot of 0.0 (no fee, say) leaves its
+    total as it is. The cumulative sum starts at the first slot instead; the
+    two differ only in the -0.0 it gives when every slot is -0.0, which
+    adding 0.0 turns into the fold's 0.0.
+    """
+    return np.cumsum(slots, axis=1)[:, -1] + 0.0
+
+
+def _fee_rows(alpha: np.typing.ArrayLike, contract_len: np.typing.ArrayLike, fee_mode: str | list[str],
+              rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fee_terms` of each of ``rows`` rows, each term one value or one
+    per row: the rows' ``alpha``, their integer ``contract_len`` and whether
+    their fee mode is literal."""
+    values = (alpha, contract_len, fee_mode)
+    if not any(isinstance(v, (list, tuple, np.ndarray)) for v in values):
+        alpha, cap, fee_mode = fee_terms(*values)
+        return np.full(rows, alpha), np.full(rows, cap), np.full(rows, fee_mode == "literal")
+    for v in values:
+        if np.ndim(v) and np.shape(v) != (rows,):
+            raise ValidationError(f"fee terms must be one value or one per row ({rows}), got shape {np.shape(v)}")
+    columns = (np.broadcast_to(np.asarray(v, dtype=object), (rows,)) for v in values)
+    terms = [fee_terms(*row) for row in zip(*columns)]
+    alpha, cap, modes = (np.array([term[i] for term in terms]) for i in range(3))
+    return alpha.astype(np.float64), cap.astype(np.int64), modes == "literal"
 
 
 def sp_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
-    """Total cost under a constant cancellation fee.
-
-    Sums g_t(s_t) plus ``beta`` for every 0 -> 1 transition, with s_0 = 0.
-    The horizon simply ends at T; closing back to state 0 is free.
-    """
-    _check_lengths(sched, cs)
-    beta = require_finite("beta", beta)
-    total = 0.0
-    prev = 0
-    for s, a, b in zip(sched.states, cs.g0, cs.g1):
-        total += b if s else a
-        if s > prev:
-            total += beta
-        prev = s
-    return total
+    """Constant-fee cost of one schedule: the one-row :func:`sp_costs`."""
+    return float(sp_costs([sched.states], cs.g0, cs.g1, beta)[0])
 
 
 def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
              beta: np.typing.ArrayLike) -> np.ndarray:
-    """:func:`sp_cost` of each row of a (rows x T) 0/1 state matrix, row i
-    priced on the series (``g0[i]``, ``g1[i]``) with fee ``beta`` (one value
-    or one per row).
+    """Total cost under a constant cancellation fee of each row of a (rows x T)
+    0/1 state matrix, priced on one cost series (``g0``, ``g1``) or on row i's
+    series (``g0[i]``, ``g1[i]``), with fee ``beta`` (one value or one per row).
 
-    Bit-identical to :func:`sp_cost` per row: each total is the last entry of
-    a cumulative sum (a strict left fold) of 0.0, then g_t(s_t) and the fee of
-    slot t's up move, or 0.0 for none, for t = 1..T. Adding 0.0 leaves the
-    total as the fold has it, since a sum that starts at 0.0 is never -0.0.
+    Sums g_t(s_t) plus ``beta`` for every 0 -> 1 transition, with s_0 = 0.
+    The horizon simply ends at T; closing back to state 0 is free. Each total
+    is a strict left fold of 0.0, then g_t(s_t) and the fee of slot t's up
+    move, or 0.0 for none, for t = 1..T.
     """
-    states = np.asarray(states)
-    g0, g1 = cost_stack(g0, g1, states.shape)
-    if not ((states == 0) | (states == 1)).all():
-        raise ValidationError("state matrix entries must be 0 or 1")
-    states = states.astype(np.int8, copy=False)
+    states, g0, g1 = _stack(states, g0, g1)
     beta = require_finite_rows("beta", beta, len(states))
-    rows, period = states.shape
-    terms = np.zeros((rows, 2 * period + 1))
-    np.copyto(terms[:, 1::2], np.where(states != 0, g1, g0))
-    terms[:, 2::2] = np.diff(states, axis=1, prepend=0) > 0
-    terms[:, 2::2] *= beta[:, None]
-    return np.cumsum(terms, axis=1, out=terms)[:, -1]
+    slots = np.empty((len(states), 2 * states.shape[1]))
+    slots[:, 0::2] = np.where(states, g1, g0)
+    slots[:, 1] = states[:, 0]  # up moves, with s_0 = 0
+    slots[:, 3::2] = states[:, 1:] > states[:, :-1]
+    slots[:, 1::2] *= beta[:, None]
+    return _fold_rows(slots)
 
 
 def p2_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
-    """Half-fee symmetric form of the constant-fee cost.
+    """Half-fee form of one schedule's constant-fee cost: the one-row :func:`p2_costs`."""
+    return float(p2_costs([sched.states], cs.g0, cs.g1, beta)[0])
+
+
+def p2_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
+             beta: np.typing.ArrayLike) -> np.ndarray:
+    """Half-fee symmetric form of each row's constant-fee cost, rows priced as
+    :func:`sp_costs` prices them.
 
     Charges beta/2 per unit of state movement over t = 1..T+1 under the
     boundary s_0 = s_{T+1} = 0 (slot T+1 serves for free). Equals
-    :func:`sp_cost` for every schedule because each up move is eventually
-    matched by a down move.
+    :func:`sp_costs` for every schedule because each up move is eventually
+    matched by a down move. Each total is a strict left fold of 0.0, then
+    g_t(s_t) + beta/2 * |s_t - s_{t-1}| for t = 1..T, then beta/2 * s_T.
     """
-    _check_lengths(sched, cs)
-    beta = require_finite("beta", beta)
-    half = beta / 2.0
-    total = 0.0
-    prev = 0
-    for s, a, b in zip(sched.states, cs.g0, cs.g1):
-        total += (b if s else a) + half * abs(s - prev)
-        prev = s
-    total += half * abs(0 - prev)
-    return total
+    states, g0, g1 = _stack(states, g0, g1)
+    half = require_finite_rows("beta", beta, len(states))[:, None] / 2.0
+    moves = np.empty((len(states), states.shape[1] + 1), dtype=np.int8)  # |s_t - s_{t-1}|, t = 1..T+1
+    moves[:, 0], moves[:, -1] = states[:, 0], states[:, -1]
+    moves[:, 1:-1] = states[:, 1:] != states[:, :-1]
+    slots = np.zeros(moves.shape)  # slot T+1 serves for free
+    slots[:, :-1] = np.where(states, g1, g0)
+    slots += half * moves
+    return _fold_rows(slots)
 
 
 def zero_runs(sched: Schedule) -> list[tuple[int, int]]:
     """Maximal runs of state 0 as 1-based inclusive (start, end) pairs."""
-    runs = []
-    start = None
-    for t, s in enumerate(sched.states, start=1):
-        if s == 0:
-            if start is None:
-                start = t
-        elif start is not None:
-            runs.append((start, t - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(sched)))
-    return runs
+    lasted, ends = _fixed_runs(np.array([sched.states]))
+    end = np.flatnonzero(ends[0])
+    return list(zip((end + 2 - lasted[0, end]).tolist(), (end + 1).tolist()))
 
 
 def dsp_cost(
@@ -341,7 +388,16 @@ def dsp_cost(
     contract_len: int,
     fee_mode: str = "literal",
 ) -> float:
-    """Total cost under a linearly decreasing cancellation fee.
+    """Decreasing-fee cost of one schedule: the one-row :func:`dsp_costs`."""
+    return float(dsp_costs([sched.states], cs.g0, cs.g1, alpha, contract_len, fee_mode)[0])
+
+
+def dsp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
+              alpha: np.typing.ArrayLike, contract_len: np.typing.ArrayLike,
+              fee_mode: str | list[str] = "literal") -> np.ndarray:
+    """Total cost under a linearly decreasing cancellation fee of each row,
+    priced as :func:`sp_costs` prices it, with ``alpha``, ``contract_len`` and
+    ``fee_mode`` each one value or one per row.
 
     Each maximal fixed-plan run of length ``d`` within [1, T] must satisfy
     d <= contract_len and incurs a fee ``alpha * (contract_len - d)``. In
@@ -350,23 +406,37 @@ def dsp_cost(
     switch to the variable plan are charged. The boundary slots outside
     [1, T] never count toward run durations.
 
+    Each total is a strict left fold of 0.0, g_t(s_t) for t = 1..T, then each
+    run's fee in run order: at its last slot's place in T more columns, 0.0
+    elsewhere. Rows are taken in blocks whose float matrix fits in
+    ``BLOCK_CELLS`` bytes (one row at least): a caller may hold the replicate
+    states at the same time, so a larger block would raise its peak memory.
+
     Raises:
-        InfeasibleScheduleError: some run exceeds ``contract_len``.
+        InfeasibleScheduleError: some row has a run longer than its ``contract_len``.
     """
-    period = _check_lengths(sched, cs)
-    alpha, contract_len, fee_mode = fee_terms(alpha, contract_len, fee_mode)
-    total = 0.0
-    for s, a, b in zip(sched.states, cs.g0, cs.g1):
-        total += b if s else a
-    for start, end in zero_runs(sched):
-        length = end - start + 1
-        if length > contract_len:
+    states, g0, g1 = _stack(states, g0, g1)
+    alpha, cap, literal = _fee_rows(alpha, contract_len, fee_mode, len(states))
+    rows, period = states.shape
+    if len(g0) != rows:  # one series for every row: each block takes its rows of it
+        g0, g1 = np.broadcast_to(g0, states.shape), np.broadcast_to(g1, states.shape)
+    totals = np.empty(rows)
+    block = max(1, BLOCK_CELLS // (16 * period))
+    for i0 in range(0, rows, block):
+        sel = slice(i0, i0 + block)
+        lasted, ends = _fixed_runs(states[sel])
+        over = ends & (lasted > cap[sel, None])
+        if over.any():
+            row, end = divmod(int(over.argmax()), period)  # the first in row-major order
             raise InfeasibleScheduleError(
-                f"fixed-plan run [{start}, {end}] lasts {length} > contract_len {contract_len}"
-            )
-        if fee_mode == "literal" or end < period:
-            total += alpha * (contract_len - length)
-    return total
+                f"row {i0 + row}: fixed-plan run [{end + 2 - lasted[row, end]}, {end + 1}] lasts "
+                f"{lasted[row, end]} > contract_len {cap[i0 + row]}")
+        ends[:, -1] &= literal[sel]  # transition-only: no fee for a run open at T
+        slots = np.zeros((len(ends), 2 * period))
+        slots[:, :period] = np.where(states[sel], g1[sel], g0[sel])
+        np.copyto(slots[:, period:], alpha[sel, None] * (cap[sel, None] - lasted), where=ends)
+        totals[sel] = _fold_rows(slots)
+    return totals
 
 
 # One parsed CSV row: the slot index and the four values of SLOT_FIELDS.

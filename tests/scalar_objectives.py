@@ -1,0 +1,107 @@
+"""Test-only oracles: the objectives and segment identities as slot loops.
+
+``planswitch`` computes each objective and identity once, as a fold over a
+stack of schedules. These are the per-schedule loops that fold replaced, kept
+here so the differential tests can require the stack forms to give the same
+floats, row by row. Each takes a schedule's 0/1 states and its two cost
+sequences; sums are plain left folds from 0.0.
+"""
+
+from planswitch import InfeasibleScheduleError
+
+
+def sp_loop(states, g0, g1, beta):
+    """Service cost plus ``beta`` per 0 -> 1 transition, with s_0 = 0."""
+    total = 0.0
+    prev = 0
+    for s, a, b in zip(states, g0, g1):
+        total += b if s else a
+        if s > prev:
+            total += beta
+        prev = s
+    return total
+
+
+def p2_loop(states, g0, g1, beta):
+    """beta/2 per unit of movement over t = 1..T+1, with s_0 = s_{T+1} = 0."""
+    half = beta / 2.0
+    total = 0.0
+    prev = 0
+    for s, a, b in zip(states, g0, g1):
+        total += (b if s else a) + half * abs(s - prev)
+        prev = s
+    total += half * abs(0 - prev)
+    return total
+
+
+def zero_runs_loop(states):
+    """Maximal runs of state 0 as 1-based inclusive (start, end) pairs."""
+    runs = []
+    start = None
+    for t, s in enumerate(states, start=1):
+        if s == 0:
+            if start is None:
+                start = t
+        elif start is not None:
+            runs.append((start, t - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(states)))
+    return runs
+
+
+def dsp_loop(states, g0, g1, alpha, contract_len, fee_mode="literal"):
+    """Service cost plus ``alpha * (L - d)`` per fixed run of d <= L slots;
+    ``transition-only`` skips a run still open at the horizon."""
+    total = 0.0
+    for s, a, b in zip(states, g0, g1):
+        total += b if s else a
+    for start, end in zero_runs_loop(states):
+        length = end - start + 1
+        if length > contract_len:
+            raise InfeasibleScheduleError(
+                f"fixed-plan run [{start}, {end}] lasts {length} > contract_len {contract_len}")
+        if fee_mode == "literal" or end < len(states):
+            total += alpha * (contract_len - length)
+    return total
+
+
+def gap_prefix_sums(g0, g1):
+    """Index k holds the gap summed over slots 0..k-1; slots 0 and T+1 add 0."""
+    period = len(g0)
+    phi = [0.0] * (period + 3)
+    acc = 0.0
+    for t in range(1, period + 1):
+        acc += g0[t - 1] - g1[t - 1]
+        phi[t + 1] = acc
+    phi[period + 2] = acc
+    return phi
+
+
+def _sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def phi_sp_loop(states, g0, g1, beta):
+    """Both sides of the constant-fee segment identity."""
+    phi = gap_prefix_sums(g0, g1)
+    rhs = _sum(g1) - beta
+    # Zero runs of the schedule padded with s_0 = s_{T+1} = 0; padded slot k is slot k - 1.
+    for start, end in zero_runs_loop([0, *states, 0]):
+        rhs += phi[end] - phi[start - 1] + beta
+    return sp_loop(states, g0, g1, beta), rhs
+
+
+def phi_dsp_loop(states, g0, g1, alpha, contract_len):
+    """Both sides of the decreasing-fee (literal) segment identity."""
+    beta = alpha * contract_len
+    phi = gap_prefix_sums(g0, g1)
+    rhs = _sum(g1)
+    for start, end in zero_runs_loop(states):
+        big_end = phi[end + 1] - alpha * (end + 1)
+        big_start = phi[start] - alpha * start
+        rhs += big_end - big_start + beta
+    return dsp_loop(states, g0, g1, alpha, contract_len, "literal"), rhs

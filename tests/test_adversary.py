@@ -6,13 +6,13 @@ from planswitch import (
     CostSeries,
     Schedule,
     ValidationError,
-    batch_dsp_costs,
     batch_sp_costs,
     brute_force_sp,
     cchase,
     csp_cost,
     delta_trace,
     deterministic_adversary,
+    dsp_costs,
     gchase_player,
     gchase_s,
     measure_ratio,
@@ -197,4 +197,4 @@ class TestBatchSpCosts:
         with pytest.raises(ValidationError, match="does not match series length 3"):
             batch_sp_costs(np.zeros(shape, dtype=np.int8), cs, 1.0)
         with pytest.raises(ValidationError, match="does not match series length 3"):
-            batch_dsp_costs(np.zeros(shape, dtype=np.int8), cs, 1.0, 3)
+            dsp_costs(np.zeros(shape, dtype=np.int8), cs.g0, cs.g1, 1.0, 3)

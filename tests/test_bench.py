@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -401,6 +403,70 @@ class TestVerifySuites:
         assert lines[:2] == ["offline vs exhaustive: 200 instances, 0 failures",
                              "dp vs exhaustive: 100 instances (both fee modes), 100 failures"]
         assert lines[-1] == "FAIL"
+
+    @staticmethod
+    def _only_identity_fails(affected):
+        # ``affected`` collects, during the run, how many instances the mutant changes: each must fail.
+        ok, lines = run_verify_suite("all", 4)
+        failures = sum(affected)
+        assert not ok and failures > 0
+        assert f"[identity] segment identities and cost equivalence: 300 random triples, {failures} failures" in lines
+        assert [line for line in lines if line.endswith(("PASS", "FAIL"))] == [
+            "[oracle] PASS", "[ratio] PASS", "[montecarlo] PASS", "[identity] FAIL"]
+
+    def test_identity_suite_catches_a_p2_form_without_its_closing_fee(self, monkeypatch):
+        real, ends_on_plan_1 = bench.p2_costs, []
+
+        def no_closing_fee(states, g0, g1, beta):
+            ends_on_plan_1.append(int(states[:, -1].sum()))
+            return real(states, g0, g1, beta) - beta / 2.0 * states[:, -1]
+
+        monkeypatch.setattr(bench, "p2_costs", no_closing_fee)
+        self._only_identity_fails(ends_on_plan_1)
+
+    def test_identity_suite_catches_a_dropped_segment_fee(self, monkeypatch):
+        real, with_runs = bench.phi_identity_dsps, []
+
+        def one_fee_dropped(states, g0, g1, alpha, contract_len):
+            lhs, rhs = real(states, g0, g1, alpha, contract_len)
+            has_run = (states == 0).any(axis=1)
+            with_runs.append(int(has_run.sum()))
+            return lhs, rhs - np.where(has_run, alpha * contract_len, 0.0)
+
+        monkeypatch.setattr(bench, "phi_identity_dsps", one_fee_dropped)
+        self._only_identity_fails(with_runs)
+
+    @pytest.mark.parametrize("suite, calls", [
+        ("identity", {}),
+        ("oracle", {"dp_dsp": 100, "dsp_cost within dp_dsp": 100}),
+    ])
+    def test_suites_price_whole_stacks(self, monkeypatch, suite, calls):
+        # A one-row objective or identity per instance would make these suites several times slower;
+        # only the DP under test runs per instance, and prices its own optimum with dsp_cost.
+        from planswitch import oracles, tariff
+
+        one_row = {f.__name__: f for f in (tariff.sp_cost, tariff.p2_cost, tariff.dsp_cost, tariff.zero_runs,
+                                           oracles.phi_identity_sp, oracles.phi_identity_dsp, oracles.dp_dsp)}
+        counts, depth = Counter(), [0]
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[f"{name} within dp_dsp" if depth[0] else name] += 1
+                depth[0] += name == "dp_dsp"
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= name == "dp_dsp"
+            return wrapper
+
+        wrappers = {name: counted(name, fn) for name, fn in one_row.items()}
+        for module in [m for n, m in sys.modules.items() if n.startswith("planswitch")]:
+            for attr, value in list(vars(module).items()):
+                for name, fn in one_row.items():
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrappers[name])
+        assert run_verify_suite(suite, 4)[0]
+        assert dict(counts) == calls
 
 
 class TestCli:

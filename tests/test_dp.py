@@ -1,8 +1,8 @@
 """Differential tests of the O(T) decreasing-fee paths.
 
 ``dp_dsp`` is checked against the O(T * L) table it replaced, kept here as a
-test-only oracle, and ``batch_dsp_costs`` against the scalar ``dsp_cost`` run
-once per row. Integer-valued costs with a dyadic ``alpha`` keep every sum
+test-only oracle, and the stack objective ``dsp_costs`` on batches of
+replicate rows against the slot loop ``dsp_loop`` run once per row. Integer-valued costs with a dyadic ``alpha`` keep every sum
 exact, so exact ties reach both dynamic programs and exercise the tie-break.
 """
 
@@ -10,18 +10,19 @@ import math
 
 import numpy as np
 import pytest
+from scalar_objectives import dsp_loop
 
 from planswitch import (
     CostSeries,
     InfeasibleScheduleError,
     Schedule,
     ValidationError,
-    batch_dsp_costs,
     dp_dsp,
     dsp_cost,
+    dsp_costs,
     random_cost_series,
 )
-from planswitch import adversary
+from planswitch import tariff
 from planswitch.chase import chase_kernel, drift_trace
 
 
@@ -176,6 +177,8 @@ def _guarded_states(rng, cs, alpha, cap, n_runs):
 
 
 class TestBatchDspCosts:
+    """``dsp_costs`` over batches of replicate rows on one shared series."""
+
     @pytest.mark.parametrize("mode", MODES)
     def test_bit_identical_to_scalar(self, mode):
         rng = np.random.default_rng(107)
@@ -185,8 +188,8 @@ class TestBatchDspCosts:
             alpha = float(rng.choice([0.1, 1.0, 7.3]))
             cs = random_cost_series(rng, period, low=-5.0, high=10.0)
             states = _guarded_states(rng, cs, alpha, cap, int(rng.integers(1, 30)))
-            want = np.array([dsp_cost(Schedule(row.tolist()), cs, alpha, cap, mode) for row in states])
-            assert np.array_equal(batch_dsp_costs(states, cs, alpha, cap, mode), want)
+            want = np.array([dsp_loop(row.tolist(), cs.g0, cs.g1, alpha, cap, mode) for row in states])
+            assert np.array_equal(dsp_costs(states, cs.g0, cs.g1, alpha, cap, mode), want)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_random_feasible_rows(self, mode):
@@ -200,37 +203,37 @@ class TestBatchDspCosts:
                            for s, e in zip(np.flatnonzero(row == 1), np.flatnonzero(row == -1))), default=1)
             cap = longest + int(rng.integers(0, 3))
             cs = random_cost_series(rng, period)
-            want = np.array([dsp_cost(Schedule(row.tolist()), cs, 0.3, cap, mode) for row in states])
-            assert np.array_equal(batch_dsp_costs(states, cs, 0.3, cap, mode), want)
+            want = np.array([dsp_loop(row.tolist(), cs.g0, cs.g1, 0.3, cap, mode) for row in states])
+            assert np.array_equal(dsp_costs(states, cs.g0, cs.g1, 0.3, cap, mode), want)
 
     def test_block_size_does_not_change_bits(self, monkeypatch):
         rng = np.random.default_rng(109)
         cs = random_cost_series(rng, 50)
         states = _guarded_states(rng, cs, 2.0, 6, 37)
-        whole = batch_dsp_costs(states, cs, 2.0, 6)
-        monkeypatch.setattr(adversary, "BLOCK_CELLS", 8 * 100)  # blocks of 2 rows
-        assert np.array_equal(batch_dsp_costs(states, cs, 2.0, 6), whole)
+        whole = dsp_costs(states, cs.g0, cs.g1, 2.0, 6)
+        monkeypatch.setattr(tariff, "BLOCK_CELLS", 16 * 100)  # blocks of 2 rows
+        assert np.array_equal(dsp_costs(states, cs.g0, cs.g1, 2.0, 6), whole)
 
     def test_single_slot_and_empty_batch(self):
         cs = CostSeries.from_pairs([(2.0, 3.0)])
-        got = batch_dsp_costs(np.array([[0], [1]], dtype=np.int8), cs, 1.5, 4, "literal")
+        got = dsp_costs(np.array([[0], [1]], dtype=np.int8), cs.g0, cs.g1, 1.5, 4, "literal")
         assert got.tolist() == [2.0 + 1.5 * 3, 3.0]
-        assert batch_dsp_costs(np.zeros((0, 1), np.int8), cs, 1.5, 4).shape == (0,)
+        assert dsp_costs(np.zeros((0, 1), np.int8), cs.g0, cs.g1, 1.5, 4).shape == (0,)
 
     def test_over_long_run_raises(self):
         cs = CostSeries.from_pairs([(0, 0)] * 5)
         states = np.array([[1, 0, 0, 1, 1], [1, 0, 0, 0, 1]], dtype=np.int8)
         with pytest.raises(InfeasibleScheduleError, match=r"row 1: fixed-plan run \[2, 4\] lasts 3"):
-            batch_dsp_costs(states, cs, 1.0, 2)
-        with pytest.raises(InfeasibleScheduleError):
+            dsp_costs(states, cs.g0, cs.g1, 1.0, 2)
+        with pytest.raises(InfeasibleScheduleError, match=r"row 0: fixed-plan run \[2, 4\] lasts 3"):
             dsp_cost(Schedule(states[1].tolist()), cs, 1.0, 2)
 
     def test_rejects_bad_terms_and_shapes(self):
         cs = CostSeries.from_pairs([(0, 0)] * 3)
         states = np.ones((2, 3), dtype=np.int8)
         with pytest.raises(ValidationError):
-            batch_dsp_costs(states, cs, 1.0, 0)
+            dsp_costs(states, cs.g0, cs.g1, 1.0, 0)
         with pytest.raises(ValidationError):
-            batch_dsp_costs(states, cs, 1.0, 3, "both")
+            dsp_costs(states, cs.g0, cs.g1, 1.0, 3, "both")
         with pytest.raises(ValidationError):
-            batch_dsp_costs(states[:, :2], cs, 1.0, 3)
+            dsp_costs(states[:, :2], cs.g0, cs.g1, 1.0, 3)

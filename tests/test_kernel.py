@@ -6,14 +6,20 @@ rules, the per-slot expiry-guard fold the kernel replaced, kept here verbatim
 as a test-only oracle.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planswitch
 from planswitch import (
     CostSeries,
     OnlineState,
+    ValidationError,
     delta_trace,
     gchase_dsp,
     gchase_r,
@@ -235,3 +241,54 @@ def test_single_call_logs_one_line(caplog):
     assert forced > 1
     assert len(caplog.records) == 1
     assert f"forced {forced} switch(es)" in caplog.records[0].getMessage()
+
+
+class TestKernelInput:
+    """Bad kernel arguments are refused at entry with a named error."""
+
+    CS = CostSeries([3.0, 0.0, 1.0, 0.0, 2.0], [0.0, 2.0, 0.0, 3.0, 0.0])
+
+    def test_bad_contract_len_refused_without_hanging(self):
+        # A contract_len below 1 once sent the guard walk into an endless loop, so the calls
+        # run in a child process that a timeout stops: a missing check fails, it does not hang.
+        script = (
+            "import numpy as np\n"
+            "from planswitch import CostSeries, ValidationError, delta_trace\n"
+            "from planswitch.chase import chase_kernel\n"
+            f"dt = delta_trace(CostSeries({list(self.CS.g0)}, {list(self.CS.g1)}), 2.0)\n"
+            "for cap in (-1, 0, 2.5, float('nan')):\n"
+            "    for draws in (None, np.full((3, 5), 0.5)):\n"
+            "        try:\n"
+            "            chase_kernel(dt.values, dt.beta, draws, cap)\n"
+            "        except ValidationError as exc:\n"
+            "            print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(planswitch.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        try:
+            out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                                 timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("chase_kernel did not return on a bad contract_len")
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert len(lines) == 8 and all(line.startswith("contract_len must be an integer >= 1") for line in lines)
+
+    @pytest.mark.parametrize("beta", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_randomized_beta_checked(self, beta):
+        values = delta_trace(self.CS, 2.0).values
+        with pytest.raises(ValidationError, match="beta must be finite and > 0"):
+            chase_kernel(values, beta, np.full((2, 5), 0.5))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 6), (5,), (1, 2, 5)])
+    def test_randomized_draws_shape_checked(self, shape):
+        dt = delta_trace(self.CS, 2.0)
+        with pytest.raises(ValidationError, match=r"draws must be \(replicates x 5\)"):
+            chase_kernel(dt.values, dt.beta, np.full(shape, 0.5))
+
+    def test_randomized_rule_takes_one_trace_and_fee(self):
+        dt = delta_trace(self.CS, 2.0)
+        with pytest.raises(ValidationError, match="one gap trace with one fee"):
+            chase_kernel(np.stack([dt.values, dt.values]), dt.beta, np.full((2, 5), 0.5))
+        with pytest.raises(ValidationError, match="one gap trace with one fee"):
+            chase_kernel(dt.values, [dt.beta], np.full((2, 5), 0.5))

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scalar_objectives import dsp_loop, sp_loop
 
 from planswitch import (
     BRUTE_FORCE_MAX_T,
@@ -19,6 +21,7 @@ from planswitch import (
     delta_trace,
     dp_dsp,
     dsp_cost,
+    dsp_costs,
     ofa_s,
     phi_identity_dsp,
     phi_identity_sp,
@@ -27,6 +30,7 @@ from planswitch import (
     random_schedule,
     randomized_lb_instance,
     sp_cost,
+    sp_costs,
     zero_runs,
 )
 from planswitch import oracles
@@ -219,6 +223,13 @@ class TestPotentialCheck:
         xs = FractionalSchedule([0.0] * 4)
         assert potential_check(xs, xs, cs, 2.0) == [0.0] * 4
 
+    @pytest.mark.parametrize("beta", [math.nan, -1.0, math.inf])
+    def test_bad_beta_refused(self, beta):
+        cs = random_cost_series(np.random.default_rng(27), 4)
+        xs = cchase(delta_trace(cs, 1.0))
+        with pytest.raises(ValidationError, match="beta"):
+            potential_check(xs, xs, cs, beta)
+
     def test_against_offline_schedule_certifies_factor_two(self):
         rng = np.random.default_rng(26)
         for _ in range(60):
@@ -233,7 +244,7 @@ class TestPotentialCheck:
 
 # ---------------------------------------------------------------------------
 # Stacked exhaustive search against an independent enumeration: every schedule
-# from itertools.product (lexicographic order), priced by the scalar objective.
+# from itertools.product (lexicographic order), priced by the objectives' slot loops.
 # ---------------------------------------------------------------------------
 
 
@@ -242,7 +253,7 @@ def enumerate_best(period, price):
     priced = []
     for states in itertools.product((0, 1), repeat=period):
         try:
-            priced.append((price(Schedule(states)), states))
+            priced.append((price(states), states))
         except InfeasibleScheduleError:
             continue
     best = min(cost for cost, _ in priced)
@@ -252,22 +263,24 @@ def enumerate_best(period, price):
 
 def check_sp_rows(g0, g1, beta):
     states, ties = brute_force_sps(g0, g1, beta)
-    beta = np.broadcast_to(beta, len(g0))
-    for i, (a, b) in enumerate(zip(g0, g1)):
-        cs = CostSeries(a, b)
-        want, best, count = enumerate_best(len(cs), lambda s: sp_cost(s, cs, beta[i]))
+    beta = np.broadcast_to(beta, len(g0)).tolist()
+    priced = sp_costs(states, g0, g1, beta)
+    for i, (a, b) in enumerate(zip(g0.tolist(), g1.tolist())):
+        want, best, count = enumerate_best(len(a), lambda s: sp_loop(s, a, b, beta[i]))
         assert tuple(states[i].tolist()) == want
-        assert sp_cost(Schedule(want), cs, beta[i]) == best
+        assert priced[i] == sp_loop(want, a, b, beta[i])
+        assert best <= priced[i] <= best + TIE_TOL
         assert ties[i] == count
 
 
 def check_dsp_rows(g0, g1, alpha, cap, mode):
     states, ties = brute_force_dsps(g0, g1, alpha, cap, mode)
-    for i, (a, b) in enumerate(zip(g0, g1)):
-        cs = CostSeries(a, b)
-        want, best, count = enumerate_best(len(cs), lambda s: dsp_cost(s, cs, alpha[i], cap[i], mode[i]))
+    priced = dsp_costs(states, g0, g1, alpha, cap, mode)
+    for i, (a, b) in enumerate(zip(g0.tolist(), g1.tolist())):
+        want, best, count = enumerate_best(len(a), lambda s: dsp_loop(s, a, b, alpha[i], cap[i], mode[i]))
         assert tuple(states[i].tolist()) == want
-        assert dsp_cost(Schedule(want), cs, alpha[i], cap[i], mode[i]) == best
+        assert priced[i] == dsp_loop(want, a, b, alpha[i], cap[i], mode[i])
+        assert best <= priced[i] <= best + TIE_TOL
         assert ties[i] == count
 
 
@@ -296,6 +309,13 @@ class TestStackedSearch:
 
     @settings(max_examples=150, deadline=None)
     @given(int_stacks(), st.integers(0, 2**32 - 1))
+    # Row 3 (alpha 0.1) has tied schedules whose totals differ in the last bit:
+    # the first tied one is priced at 8.4, the cheapest at 8.399999999999999.
+    @example(g=(np.array([[3, 2, 2, 3, 2, 3, 3], [0, 0, 1, 1, 3, 3, 0], [1, 3, 0, 3, 0, 1, 3], [1, 1, 1, 2, 1, 3, 1]],
+                         dtype=np.float64),
+                np.array([[1, 2, 2, 2, 2, 3, 3], [3, 2, 2, 1, 3, 1, 0], [3, 0, 3, 2, 0, 0, 1], [0, 0, 2, 3, 1, 3, 3]],
+                         dtype=np.float64)),
+             seed=2293)
     def test_dsp_matches_enumeration_on_integer_costs(self, g, seed):
         check_dsp_rows(*g, *dsp_fees(np.random.default_rng(seed), len(g[0]), g[0].shape[1]))
 

@@ -4,18 +4,18 @@ Each stack function is checked row by row against its one-instance form:
 ``delta_traces`` against ``delta_trace`` (float for float, by ``repr``, so
 the sign of a zero counts), ``offline_states`` against the scalar backward
 pass kept here as the test-only oracle, the 2-D deterministic kernel against
-``gchase_s``, and ``sp_costs`` against the left fold ``sp_cost``.
+``gchase_s``, and ``sp_costs`` against the slot loop ``sp_loop``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_objectives import sp_loop
 
 from planswitch import (
     CostSeries,
     DeltaTrace,
-    Schedule,
     ValidationError,
     delta_trace,
     delta_traces,
@@ -24,10 +24,9 @@ from planswitch import (
     ofa_s,
     offline_states,
     random_cost_series,
-    sp_cost,
     sp_costs,
 )
-from planswitch.bench import DSP_FEES, MC_FEES, SP_FEES, _draw_fee, _random_stacks
+from planswitch.bench import DSP_FEES, MC_FEES, SP_FEES, _draw_fee, _random_stacks, _sp_instance
 from planswitch.chase import chase_kernel
 
 
@@ -190,16 +189,14 @@ class TestSpCosts:
     def test_rows_equal_sp_cost(self, stack, seed):
         g0, g1, beta = stack
         states = np.random.default_rng(seed).integers(0, 2, size=g0.shape)
-        want = [sp_cost(Schedule(s), CostSeries(a, b), fee)
-                for s, a, b, fee in zip(states.tolist(), g0.tolist(), g1.tolist(), beta.tolist())]
+        want = [sp_loop(*row) for row in zip(states.tolist(), g0.tolist(), g1.tolist(), beta.tolist())]
         assert np.array_equal(sp_costs(states, g0, g1, beta), want)
 
     def test_seeded_rows_and_schedules(self):
         rng = np.random.default_rng(405)
         for g0, g1, beta in _seeded_stacks(406, 60):
             for states in (rng.integers(0, 2, size=g0.shape), offline_states(delta_traces(g0, g1, beta), beta)):
-                want = [sp_cost(Schedule(s), CostSeries(a, b), fee)
-                        for s, a, b, fee in zip(states.tolist(), g0.tolist(), g1.tolist(), beta.tolist())]
+                want = [sp_loop(*row) for row in zip(states.tolist(), g0.tolist(), g1.tolist(), beta.tolist())]
                 assert np.array_equal(sp_costs(states, g0, g1, beta), want)
 
     def test_zero_fee_and_negative_zero_costs(self):
@@ -207,7 +204,7 @@ class TestSpCosts:
         g0 = np.array([[-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0]])
         g1 = np.array([[-0.0, 1.0, -0.0], [2.0, 2.0, 2.0]])
         got = sp_costs(states, g0, g1, 0.0)
-        want = [sp_cost(Schedule(s), CostSeries(a, b), 0.0) for s, a, b in zip(states.tolist(), g0, g1)]
+        want = [sp_loop(s, a, b, 0.0) for s, a, b in zip(states.tolist(), g0.tolist(), g1.tolist())]
         assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
 
 
@@ -282,7 +279,7 @@ def _instances_one_by_one(rng, n, fees):
 
 def test_random_stacks_hold_the_instances_drawn_one_by_one():
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    got = sorted((beta, tuple(a), tuple(b)) for g0, g1, betas in _random_stacks(rng, 400, SP_FEES)
+    got = sorted((beta, tuple(a), tuple(b)) for g0, g1, betas in _random_stacks(rng, 400, _sp_instance)
                  for a, b, beta in zip(g0.tolist(), g1.tolist(), betas.tolist()))
     want = sorted((beta, cs.g0, cs.g1) for cs, beta in _instances_one_by_one(ref, 400, SP_FEES))
     assert got == want
@@ -292,7 +289,7 @@ def test_random_stacks_hold_the_instances_drawn_one_by_one():
 def test_stacked_costs_equal_measure_ratio():
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)
     got = []
-    for g0, g1, beta in _random_stacks(rng, 400, SP_FEES):
+    for g0, g1, beta in _random_stacks(rng, 400, _sp_instance):
         values = delta_traces(g0, g1, beta)
         alg = sp_costs(chase_kernel(values, beta)[0], g0, g1, beta)
         opt = sp_costs(offline_states(values, beta), g0, g1, beta)
