@@ -121,6 +121,11 @@ MAX_SWEEP_POINTS = 100_000
 # flag, which would otherwise fail inside numpy's allocator.
 MAX_SYNTH_SLOTS = 10_000_000
 
+# Most replicates a run or sweep draws: ten thousand times the protocol's 100.
+# One run at the bound on the default 12 months takes about 20 s and 0.17 GB;
+# more is a mistyped flag, which would otherwise fail inside numpy's allocator.
+MAX_MC_RUNS = 1_000_000
+
 
 def _require_seed(seed: int) -> None:
     """The one check of a user's seed, for run, sweep, synth and verify."""
@@ -171,6 +176,8 @@ class RunConfig:
             require_finite("h_rate", self.h_rate)
         if self.mc_runs < 2:
             raise ValidationError(f"mc_runs must be >= 2, got {self.mc_runs!r}")
+        if self.mc_runs > MAX_MC_RUNS:
+            raise ValidationError(f"mc_runs must be <= {MAX_MC_RUNS}, got {self.mc_runs!r}")
         _require_seed(self.seed)
 
 

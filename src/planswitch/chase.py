@@ -43,6 +43,7 @@ from .tariff import (
     CostSeries,
     Schedule,
     ValidationError,
+    _fixed_runs,
     cost_stack,
     fee_terms,
     require_finite,
@@ -429,6 +430,31 @@ def _guarded_row(hit: np.ndarray, force: np.ndarray, contract_len: int, out: np.
         out[on:start] = 1
 
 
+def _guarded_block(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray, contract_len: int,
+                   out: np.ndarray) -> np.ndarray:
+    # Every replicate of a block at once (``out``, all zero): the unguarded fill, then each of its fixed runs
+    # longer than contract_len cut on its own. A run from slot c is cut at c + contract_len; plan 1 then holds
+    # until the next slot forcing 0, which starts the rest of the run, or through the run's end. One numpy
+    # step advances every cut run, so the steps are at most T // (contract_len + 1). Slots are flat indices.
+    states = _fill(hit, slots, plan_of)
+    lasted, ends = _fixed_runs(states)
+    end = np.flatnonzero(ends & (lasted > contract_len)) + 1
+    start = end - lasted.flat[end - 1]
+    downs = np.append(np.flatnonzero(hit & ~plan_of[1:]), states.size)  # the last entry: past every row
+    edges = np.zeros(states.size + 1, np.int8)  # +1 where a forced plan-1 stretch starts, -1 past its end
+    cuts = [np.empty(0, np.intp)]  # the flat slot of every cut
+    while len(end):
+        cut = start + contract_len
+        start = downs[np.searchsorted(downs, cut, "right")]
+        edges[cut] = 1
+        edges[np.minimum(start, end)] = -1
+        cuts.append(cut)
+        rest = start + contract_len < end
+        start, end = start[rest], end[rest]
+    np.add(states.ravel(), np.cumsum(edges[:-1], dtype=np.int8), out=out.reshape(-1))
+    return np.bincount(np.concatenate(cuts) // len(slots), minlength=len(out))
+
+
 def _fill(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray) -> np.ndarray:
     # Forward fill: each slot takes the plan of the last forcing slot up to it, else that of column 0.
     # plan_of is one row for every row of hit, or a (rows x (T + 1)) matrix with one row per row.
@@ -451,9 +477,15 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
     ``values`` may be a stack of traces, one per row, with ``beta`` one
     value or one per row. The drift rule alone can park the gap at -beta for
     good, so with ``contract_len`` a fixed run of one trace reaching that
-    length is cut by a forced switch to plan 1. ``contract_len`` is checked
-    as :func:`planswitch.tariff.fee_terms` checks it, and ``draws`` must be
-    (replicates x T). Returns int8 states and the forced-switch count per row.
+    length is cut by a forced switch to plan 1, which holds until the next
+    slot forcing 0. One row needs at most T // (contract_len + 1) cuts. A
+    block of replicate rows with more rows than that takes the lockstep
+    (:func:`_guarded_block`: one numpy step per cut for all rows); any other
+    block is walked row by row (:func:`_guarded_row`: at least one Python
+    iteration per row). Both paths give the same states. ``contract_len`` is
+    checked as :func:`planswitch.tariff.fee_terms` checks it, and ``draws``
+    must be (replicates x T). Returns int8 states and the forced-switch count
+    per row.
     """
     if contract_len is not None:
         contract_len = fee_terms(0.0, contract_len)[1]
@@ -484,6 +516,8 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
             hit = draws[i0:i0 + block] < thr
         if contract_len is None:
             states[i0:i0 + block] = _fill(hit, slots, plan_of)
+        elif len(hit) > len(slots) // (contract_len + 1):  # more rows than a row's most cuts
+            forced[i0:i0 + block] = _guarded_block(hit, slots, plan_of, contract_len, states[i0:i0 + block])
         else:
             for j, row in enumerate(hit):
                 forced[i0 + j] = _guarded_row(row, plan_of[1:], contract_len, states[i0 + j])

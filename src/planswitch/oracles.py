@@ -26,6 +26,7 @@ from .tariff import (
     CostSeries,
     Schedule,
     ValidationError,
+    _dsp_fold,
     _fee_rows,
     _fixed_runs,
     _fold_rows,
@@ -266,8 +267,10 @@ def dp_dsp(
         states[start - 1 : t - 1] = [0] * (t - start)
         t = start - 1
         start = t - run[t]
-    sched = Schedule(states)
-    return OracleResult(sched, dsp_cost(sched, cs, alpha, cap, fee_mode), ties)
+    # fee_terms checked the terms and CostSeries the costs: the fold alone prices the schedule
+    cost = _dsp_fold(np.array([states], dtype=np.int8), np.array([cs.g0]), np.array([cs.g1]),
+                     np.array([alpha]), np.array([cap]), np.array([fee_mode == "literal"]))
+    return OracleResult(Schedule(states), float(cost[0]), ties)
 
 
 def _gap_sums(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:

@@ -416,7 +416,14 @@ def dsp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typin
         InfeasibleScheduleError: some row has a run longer than its ``contract_len``.
     """
     states, g0, g1 = _stack(states, g0, g1)
-    alpha, cap, literal = _fee_rows(alpha, contract_len, fee_mode, len(states))
+    return _dsp_fold(states, g0, g1, *_fee_rows(alpha, contract_len, fee_mode, len(states)))
+
+
+def _dsp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, alpha: np.ndarray, cap: np.ndarray,
+              literal: np.ndarray) -> np.ndarray:
+    """:func:`dsp_costs` on checked input: a (rows x T) int8 0/1 matrix, costs
+    of its shape or one row of T, and each row's fee terms as arrays of
+    ``rows`` entries. A run longer than its row's ``cap`` still raises."""
     rows, period = states.shape
     if len(g0) != rows:  # one series for every row: each block takes its rows of it
         g0, g1 = np.broadcast_to(g0, states.shape), np.broadcast_to(g1, states.shape)

@@ -24,7 +24,7 @@ from planswitch import (
     trace_to_csv,
 )
 from planswitch import bench
-from planswitch.bench import FEE_REGIMES, MAX_SWEEP_POINTS, MAX_SYNTH_SLOTS, config_echo
+from planswitch.bench import FEE_REGIMES, MAX_MC_RUNS, MAX_SWEEP_POINTS, MAX_SYNTH_SLOTS, config_echo
 from planswitch.cli import _config_from_args, build_parser, main
 
 
@@ -438,11 +438,11 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("suite, calls", [
         ("identity", {}),
-        ("oracle", {"dp_dsp": 100, "dsp_cost within dp_dsp": 100}),
+        ("oracle", {"dp_dsp": 100}),
     ])
     def test_suites_price_whole_stacks(self, monkeypatch, suite, calls):
         # A one-row objective or identity per instance would make these suites several times slower;
-        # only the DP under test runs per instance, and prices its own optimum with dsp_cost.
+        # only the DP under test runs per instance, and prices its own optimum without a checked dsp_cost.
         from planswitch import oracles, tariff
 
         one_row = {f.__name__: f for f in (tariff.sp_cost, tariff.p2_cost, tariff.dsp_cost, tariff.zero_runs,
@@ -532,6 +532,16 @@ class TestCli:
         assert main(["run", "--slots", "12", "--mc-runs", "1"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "mc_runs must be >= 2" in err
+
+    @pytest.mark.parametrize("runs", [MAX_MC_RUNS + 1, 100_000_000_000])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_oversized_replicate_count_is_refused(self, command, runs, capsys, monkeypatch):
+        def allocated(*args):
+            raise AssertionError("the replicate count went past its check")
+
+        monkeypatch.setattr(np.random, "default_rng", allocated)
+        assert main([command, "--slots", "12", "--mc-runs", str(runs)]) == 2
+        assert capsys.readouterr().err == f"error: mc_runs must be <= {MAX_MC_RUNS}, got {runs}\n"
 
     def test_oversized_sweep_is_an_error(self, capsys):
         assert main(["sweep", "--slots", "12", "--from", "1", "--to", "2", "--step", "1e-12"]) == 2

@@ -3,7 +3,8 @@
 The kernel is checked against two independent slow references: the scalar
 step folds (``gchase_step``, ``gchase_r_step``) and, for the decreasing-fee
 rules, the per-slot expiry-guard fold the kernel replaced, kept here verbatim
-as a test-only oracle.
+as a test-only oracle. The guard's two paths, the lockstep over a block and
+the per-row walk, are each checked against the oracle and against each other.
 """
 
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import planswitch
 from planswitch import (
     CostSeries,
+    DeltaTrace,
     OnlineState,
     ValidationError,
     delta_trace,
@@ -27,8 +29,10 @@ from planswitch import (
     gchase_r_step,
     gchase_s,
     gchase_step,
+    protocol_cost_series,
     random_cost_series,
     simulate_randomized_batch,
+    synth_trace,
 )
 from planswitch import chase
 from planswitch.chase import SeededUniforms, chase_kernel, drift_trace
@@ -196,6 +200,156 @@ class TestDecreasingFee:
                 assert (states[i].tolist(), int(forced[i])) == want
                 checked_forced += want[1]
         assert checked_forced > 0  # the guard is exercised, not just the free rule
+
+
+# The guard's two paths, taken before any test counts their calls.
+WALK, LOCKSTEP = chase._guarded_row, chase._guarded_block
+
+
+class Replay:
+    """A generator stand-in that hands out one replicate's draws in order."""
+
+    def __init__(self, row):
+        self.draws = iter(row.tolist())
+
+    def random(self):
+        return next(self.draws)
+
+
+def walk_rows(hit, force, cap):
+    """The per-row walk on each row of a block: states and forced counts."""
+    out = np.zeros(hit.shape, np.int8)
+    return out, [WALK(row, force, cap, o) for row, o in zip(hit, out)]
+
+
+def check_guard(values, beta, draws, cap):
+    """The guarded kernel on one trace, with draws and without, against the
+    oracle fold and the per-row walk; returns the randomized forced counts."""
+    dt = DeltaTrace(tuple(values), beta)
+    thr, force = chase._slot_rule(np.asarray(values, dtype=np.float64), beta)
+    states, forced = chase_kernel(values, beta, draws, cap)
+    want_states, want_forced = walk_rows(draws < thr, force, cap)
+    assert np.array_equal(states, want_states) and forced.tolist() == want_forced
+    for i, row in enumerate(draws):
+        assert oracle_guarded(dt, cap, Replay(row)) == (states[i].tolist(), int(forced[i]))
+    det_states, det_forced = chase_kernel(values, beta, None, cap)
+    top, floor = values[1:] == 0.0, values[1:] == -beta
+    want_states, want_forced = walk_rows((top | floor)[None], top, cap)
+    assert np.array_equal(det_states, want_states) and det_forced.tolist() == want_forced
+    assert oracle_guarded(dt, cap) == (det_states[0].tolist(), int(det_forced[0]))
+    return forced
+
+
+def guard_case(rng):
+    """A random gap trace with draws and a contract length, and whether it parks.
+
+    Slot kinds are drawn with random densities: the top and the floor force
+    their plan, and interior slots force one when their draw falls below the
+    threshold, so scaling the draws sets the hit density. A parked trace sits
+    at the floor from some slot on, so every later slot forces plan 0.
+    """
+    period, rows, cap = int(rng.integers(1, 61)), int(rng.integers(1, 17)), int(rng.integers(1, 16))
+    beta = float(rng.choice([0.5, 2.0, 6.0]))
+    values = -beta * rng.random(period)
+    kind = rng.random(period)
+    p_top, p_floor = rng.random() * 0.3, rng.random() * 0.5
+    values[kind < p_top] = 0.0
+    values[(kind >= p_top) & (kind < p_top + p_floor)] = -beta
+    parked = bool(rng.random() < 0.25)
+    if parked:
+        values[rng.integers(0, period):] = -beta
+    draws = rng.random((rows, period)) * rng.uniform(0.05, 1.0)
+    return np.concatenate(([-beta], values)), beta, draws, cap, parked
+
+
+@pytest.fixture
+def guard_paths(monkeypatch):
+    """The kernel's calls of each guard path, counted by name."""
+    calls = {"_guarded_row": 0, "_guarded_block": 0}
+    for name, path in (("_guarded_row", WALK), ("_guarded_block", LOCKSTEP)):
+        def counted(*args, _name=name, _path=path):
+            calls[_name] += 1
+            return _path(*args)
+
+        monkeypatch.setattr(chase, name, counted)
+    return calls
+
+
+class TestExpiryGuardPaths:
+    """A block takes the lockstep when it has more rows than one row's most
+    cuts, T // (contract_len + 1), and the per-row walk otherwise; both give
+    the oracle's states and forced counts."""
+
+    def test_random_cases(self, guard_paths):
+        rng = np.random.default_rng(307)
+        parked = forced_total = 0
+        for _ in range(3000):
+            values, beta, draws, cap, is_parked = guard_case(rng)
+            rows, period = draws.shape
+            lockstep = rows > period // (cap + 1)
+            before = dict(guard_paths)
+            forced_total += int(check_guard(values, beta, draws, cap).sum())
+            # two kernel calls: randomized (rows) and deterministic (one row)
+            assert guard_paths["_guarded_block"] - before["_guarded_block"] == lockstep + (period <= cap)
+            assert guard_paths["_guarded_row"] - before["_guarded_row"] == (not lockstep) * rows + (period > cap)
+            parked += is_parked
+        assert 650 <= parked <= 850 and forced_total > 10_000
+        assert guard_paths["_guarded_block"] > 1000 and guard_paths["_guarded_row"] > 1000
+
+    @pytest.mark.parametrize("period, cap", [(1, 1), (1, 4), (2, 1), (9, 1), (12, 12), (12, 40), (37, 12)])
+    @pytest.mark.parametrize("rows", [1, 2, 5, 40])
+    def test_edge_shapes(self, period, cap, rows):
+        rng = np.random.default_rng(308 + period * cap + rows)
+        beta = 2.0
+        values = np.concatenate(([-beta], -beta * rng.uniform(0.01, 0.99, period)))  # interior only
+        draws = rng.random((rows, period))
+        draws[0] = 1.0  # no forcing slot: one run from slot 1, cut at every contract end it reaches
+        forced = check_guard(values, beta, draws, cap)
+        assert forced[0] == (period > cap)
+        parked = values.copy()
+        parked[1 + period // 2:] = -beta
+        check_guard(parked, beta, draws, cap)
+
+    @pytest.mark.parametrize("rows, period, cap, path", [
+        (1, 36, 12, "_guarded_row"),
+        (2, 36, 12, "_guarded_row"),  # 36 // 13 = 2 cuts at most: a tie walks
+        (3, 36, 12, "_guarded_block"),
+        (100, 36, 12, "_guarded_block"),
+        (1, 12, 12, "_guarded_block"),  # no run can outlast the contract
+        (1, 13, 12, "_guarded_row"),
+        (3, 20_000, 24, "_guarded_row"),
+        (4, 50, 24, "_guarded_block"),
+    ])
+    def test_path_follows_step_bound(self, guard_paths, rows, period, cap, path):
+        rng = np.random.default_rng(309 + rows + period)
+        beta = 3.0
+        values = np.concatenate(([-beta], -beta * rng.random(period)))
+        values[1 + period // 3:] = -beta  # parked: the guard cuts every contract from there on
+        thr, force = chase._slot_rule(values, beta)
+        draws = rng.random((rows, period))
+        states, forced = chase_kernel(values, beta, draws, cap)
+        other = "_guarded_block" if path == "_guarded_row" else "_guarded_row"
+        assert guard_paths[path] == (rows if path == "_guarded_row" else 1) and guard_paths[other] == 0
+        hit = draws < thr
+        want_states, want_forced = walk_rows(hit, force, cap)
+        block_states = np.zeros(hit.shape, np.int8)
+        block_forced = LOCKSTEP(hit, np.arange(1, period + 1, dtype=np.int32), np.concatenate(([False], force)),
+                                cap, block_states)
+        assert np.array_equal(states, want_states) and np.array_equal(states, block_states)
+        assert forced.tolist() == want_forced == block_forced.tolist()
+        if period - period // 3 > cap:  # the parked run outlasts a contract in every row
+            assert (forced > 0).all()
+
+    def test_seed1_linear_sweep(self, guard_paths):
+        # The linear sweep at seed 1: 100 fee points, each guarding the same 100 replicates of 36 months.
+        cs = protocol_cost_series(synth_trace(36, 1))
+        draws = SeededUniforms(1, 100, 36)[:]
+        forced_total = 0
+        for fee in range(1, 101):
+            dt = drift_trace(cs, fee / 12, 12)
+            forced_total += int(check_guard(np.array(dt.values), dt.beta, draws, 12).sum())
+        assert guard_paths["_guarded_block"] == 100 and guard_paths["_guarded_row"] == 100  # one gchase row each
+        assert forced_total > 0
 
 
 class TestBlocking:

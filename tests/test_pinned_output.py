@@ -1,0 +1,55 @@
+"""Pinned bytes: the output of a few CLI commands, held to recorded digests.
+
+Each command's stdout and stderr are compared by sha256 against the digests
+of the bytes the program wrote when they were recorded, so any change to a
+report, a CSV or a warning line fails here, not only where a test reads the
+changed figure. The commands cover the sweep workload in both fee regimes and
+one decreasing-fee run on each side of the expiry guard's path selection:
+100 replicates of 600 months (more rows than the 46 cuts one row can need,
+so the lockstep runs) and 20 replicates of 2,000 months (the per-row walk).
+
+A change that moves these bytes on purpose records the new digests here and
+names the change in CHANGES.md.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import planswitch
+
+SWEEP = ("sweep", "--slots", "36", "--seed", "1", "--from", "1", "--to", "100", "--step", "1",
+         "--algorithms", "ofa,gchase,gchase_r", "--mc-runs", "100")
+LINEAR_RUN = ("run", "--fee-regime", "linear", "--alpha", "10", "--algorithms", "ofa,gchase,gchase_r",
+              "--seed", "1")
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# argv after ``planswitch``, then the sha256 of stdout and of stderr.
+PINNED = [
+    (SWEEP + ("--fee-regime", "constant"),
+     "758b456f162c28e114099d6c9304676bcab661353b2f617b292fcb812515fe95", EMPTY),
+    (SWEEP + ("--fee-regime", "linear", "--contract-len", "12"),
+     "71e66612304cd08f5166753f7d39679f91deb05f74ee5284dded72408064d1fc",
+     "88a9037cda12527b1efc5bc187eb3155225956e97a558667884a7c2468189795"),
+    (LINEAR_RUN + ("--slots", "600", "--contract-len", "12", "--mc-runs", "100"),
+     "793f975143100a33a2d17a50a036a0526506f37e13d8adb2ad2526481281618d",
+     "8bbb31b964e53c44fa16b4795511bb4cb7d94db618e8ac371363e417035e0867"),
+    (LINEAR_RUN + ("--slots", "2000", "--contract-len", "24", "--mc-runs", "20"),
+     "b0f044ce70a001e28e255c3a054b6a195583c627b786af72a4636ee42ff9c67c",
+     "801387eaf71713980ef887393737698378a63cd93c87ea51262a2d707670f872"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha, stderr_sha", PINNED,
+                         ids=["sweep-constant", "sweep-linear", "run-lockstep", "run-walk"])
+def test_output_bytes_are_pinned(argv, stdout_sha, stderr_sha):
+    src = os.path.dirname(os.path.dirname(planswitch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-m", "planswitch.cli", *argv], capture_output=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr.decode(errors="replace")
+    assert hashlib.sha256(out.stdout).hexdigest() == stdout_sha
+    assert hashlib.sha256(out.stderr).hexdigest() == stderr_sha
