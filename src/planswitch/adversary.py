@@ -92,8 +92,7 @@ def random_cost_series(
     rng: np.random.Generator, period: int, low: float = 0.0, high: float = 10.0
 ) -> CostSeries:
     """Uniform random cost pairs, the workhorse of the property suites."""
-    g = random_costs(rng, period, low, high)
-    return CostSeries(g[0].tolist(), g[1].tolist())
+    return CostSeries(*random_costs(rng, period, low, high))
 
 
 def random_costs(rng: np.random.Generator, period: int, low: float = 0.0, high: float = 10.0) -> np.ndarray:
@@ -102,7 +101,7 @@ def random_costs(rng: np.random.Generator, period: int, low: float = 0.0, high: 
 
 
 def random_schedule(rng: np.random.Generator, period: int) -> Schedule:
-    return Schedule(rng.integers(0, 2, size=period).tolist())
+    return Schedule(rng.integers(0, 2, size=period))
 
 
 def randomized_lb_instance(beta: float, small_delta: float, horizon: int) -> CostSeries:
@@ -118,9 +117,9 @@ def randomized_lb_instance(beta: float, small_delta: float, horizon: int) -> Cos
         raise ValidationError(f"small_delta must lie in (0, 1), got {small_delta!r}")
     if horizon < 2:
         raise ValidationError(f"horizon must be >= 2, got {horizon!r}")
-    charge = small_delta * beta
-    pairs = [(charge, 0.0)] + [(0.0, charge)] * (horizon - 1)
-    return CostSeries.from_pairs(pairs)
+    g0 = np.zeros(horizon)
+    g0[0] = small_delta * beta
+    return CostSeries(g0, g0[0] - g0)
 
 
 def gchase_player(beta: float) -> Callable[[float, float], int]:
@@ -160,20 +159,14 @@ def deterministic_adversary(
     beta = require_finite("beta", beta, positive=True)
     unit = require_finite("unit", unit, positive=True)
     player = make_player()
-    pairs = []
-    states = []
-    current = 0
+    states = [0]  # s_0 = 0, then the plan the player picks in each slot
     for _ in range(horizon):
-        pair = (unit, 0.0) if current == 0 else (0.0, unit)
-        s = player(*pair)
-        if s not in (0, 1):
-            raise ValidationError(f"player emitted {s!r}, expected 0 or 1")
-        pairs.append(pair)
-        states.append(s)
-        current = s
-    cs = CostSeries.from_pairs(pairs)
+        states.append(player(unit, 0.0) if states[-1] == 0 else player(0.0, unit))
+    sched = Schedule(states[1:])  # refuses a plan that is not 0 or 1, naming its slot
+    fixed = np.concatenate(([True], sched.states[:-1] == 0))  # the plan entering each slot is fixed
+    cs = CostSeries(np.where(fixed, unit, 0.0), np.where(fixed, 0.0, unit))
     opt_cost = sp_cost(ofa_s(delta_trace(cs, beta)), cs, beta)
-    return cs, _make_report(sp_cost(Schedule(states), cs, beta), opt_cost)
+    return cs, _make_report(sp_cost(sched, cs, beta), opt_cost)
 
 
 def measure_ratio(
@@ -225,12 +218,10 @@ def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarra
     reports are its floats.
     """
     beta = require_finite("beta", beta)
-    g0 = np.asarray(cs.g0)
-    g1 = np.asarray(cs.g1)
-    states = _stack(states, g0, g1)[0]
+    states = _stack(states, cs.g0, cs.g1)[0]
     fstates = states.astype(np.float64)
-    service = fstates @ g1
-    service += np.subtract(1.0, fstates, out=fstates) @ g0
+    service = fstates @ cs.g1
+    service += np.subtract(1.0, fstates, out=fstates) @ cs.g0
     ups = states[:, 0].astype(np.int64)
     if states.shape[1] > 1:
         ups = ups + (states[:, 1:] > states[:, :-1]).sum(axis=1)

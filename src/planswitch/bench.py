@@ -35,7 +35,6 @@ from .adversary import (
     monte_carlo,
     random_cost_series,
     random_costs,
-    random_schedule,
     simulate_randomized_batch,
 )
 from .chase import (
@@ -272,7 +271,7 @@ def _savings(benchmark_cost: float, cost: float) -> Optional[float]:
 
 
 def _benchmark_cost(config: RunConfig, cs: CostSeries) -> float:
-    return float(sum(cs.g1 if config.benchmark == "all-variable" else cs.g0))
+    return float(sum((cs.g1 if config.benchmark == "all-variable" else cs.g0).tolist()))
 
 
 def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> list[SavingsReport]:
@@ -294,7 +293,7 @@ def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> list[SavingsRepo
         dt, guard = drift_trace(cs, config.alpha, config.contract_len), config.contract_len
         objective = batch_objective = lambda states: dsp_costs(states, cs.g0, cs.g1, *fee)
         best = dp_dsp(cs, *fee)
-        opt, opt_cost = best.best_schedule.states, best.best_cost
+        opt, opt_cost = tuple(best.best_schedule.states.tolist()), best.best_cost
     if draws is None:
         draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
     bench_cost = _benchmark_cost(config, cs)
@@ -316,7 +315,7 @@ def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> list[SavingsRepo
                                   stderr=float(costs.std(ddof=1) / math.sqrt(len(costs)))))
         elif name == "cchase":
             xs = cchase(dt)
-            reports.append(report(name, csp_cost(xs, cs, config.beta), xs.x))
+            reports.append(report(name, csp_cost(xs, cs, config.beta), tuple(xs.x.tolist())))
     return reports
 
 
@@ -486,10 +485,10 @@ def _dsp_instance(rng: np.random.Generator, period: int) -> tuple[np.ndarray, fl
     return random_costs(rng, period), alpha, cap, mode
 
 
-def _identity_instance(rng: np.random.Generator, period: int) -> tuple[np.ndarray, tuple[int, ...], float, float]:
+def _identity_instance(rng: np.random.Generator, period: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     beta = float(rng.uniform(0.1, 5.0))
     costs = random_costs(rng, period)
-    return costs, random_schedule(rng, period).states, beta, float(rng.uniform(0.0, 1.0))
+    return costs, rng.integers(0, 2, size=period), beta, float(rng.uniform(0.0, 1.0))  # random_schedule's draw
 
 
 def _verify_oracle(seed: int) -> tuple[bool, list[str]]:

@@ -19,6 +19,10 @@ Four algorithms share the trace:
 The decreasing-fee variants subtract a per-slot drift ``alpha`` from the gap
 and force a switch when a fixed contract reaches its maximum length.
 
+A ``DeltaTrace`` holds its values as a tuple, a ``FractionalSchedule`` its
+fractions as a read-only float64 array. The record and every kernel check a
+gap trace by one rule: value 0 is -beta and every value lies in [-beta, 0].
+
 Every forward rule runs in one numpy kernel over (replicates x slots),
 :func:`chase_kernel`, which also takes a stack of traces (one per row) for
 the deterministic rule; each online rule keeps a scalar step form as the
@@ -30,10 +34,8 @@ slot's decision is random, so scalar folds and the kernel see identical draws.
 from __future__ import annotations
 
 import logging
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import sub
 from typing import Iterable
 
 import numpy as np
@@ -44,6 +46,9 @@ from .tariff import (
     Schedule,
     ValidationError,
     _fixed_runs,
+    _first,
+    _fold_rows,
+    _record_array,
     cost_stack,
     fee_terms,
     require_finite,
@@ -102,11 +107,9 @@ class DeltaTrace:
         values = tuple(map(float, self.values))
         if not values:
             raise ValidationError("delta trace must contain the initial value")
-        if values[0] != -beta:
-            raise ValidationError(f"value[0] must equal -beta={-beta}, got {values[0]}")
-        # min and max skip a NaN that is not first; the sum is NaN if any entry is
-        if math.isnan(sum(values)) or min(values) < -beta or max(values) > 0.0:
-            raise ValidationError("delta trace values must lie in [-beta, 0]")
+        fault = _gap_fault(np.array([values]), -beta)
+        if fault is not None:
+            raise ValidationError(fault[1])
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "drift", drift)
@@ -138,19 +141,19 @@ class OnlineState:
         return cls(t=0, prev_delta=-float(beta), prev_state=0, beta=float(beta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalSchedule:
-    """Relaxed plan occupancy x_t in [0, 1], with the boundary x_0 = 0."""
+    """Relaxed plan occupancy x_t in [0, 1], with the boundary x_0 = 0: a
+    read-only float64 array, from any iterable of numbers."""
 
-    x: tuple[float, ...]
+    x: np.ndarray
 
     def __init__(self, x: Iterable[float]):
-        x = tuple(float(v) for v in x)
-        if not x:
-            raise ValidationError("fractional schedule must be nonempty")
-        for t, v in enumerate(x, start=1):
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"x[{t}] = {v!r} outside [0, 1]")
+        x = _record_array("fractional schedule", x, np.float64)
+        t = _first(~((x >= 0.0) & (x <= 1.0)))  # NaN too
+        if t >= 0:
+            raise ValidationError(f"x[{t + 1}] = {x.tolist()[t]!r} outside [0, 1]")
+        x.flags.writeable = False
         object.__setattr__(self, "x", x)
 
     def __len__(self) -> int:
@@ -193,7 +196,7 @@ def delta_trace(cs: CostSeries, beta: float, drift: float = 0.0) -> DeltaTrace:
     """
     beta = require_finite("beta", beta, positive=True)
     drift = require_finite("drift", drift)
-    return DeltaTrace(values=tuple(_gap_scan(map(sub, cs.g0, cs.g1), beta, drift)), beta=beta, drift=drift)
+    return DeltaTrace(values=tuple(_gap_scan((cs.g0 - cs.g1).tolist(), beta, drift)), beta=beta, drift=drift)
 
 
 def delta_traces(g0, g1, beta, drift: float = 0.0) -> np.ndarray:
@@ -213,6 +216,25 @@ def delta_traces(g0, g1, beta, drift: float = 0.0) -> np.ndarray:
     return values
 
 
+def _gap_fault(values: np.ndarray, neg: float | np.ndarray) -> tuple[int, str] | None:
+    """The one rule of gap traces, over (rows x (T + 1)) with -beta one value or a column: entry 0
+    is -beta and every entry lies in [-beta, 0] (NaN does not). The first row breaking it and how, or None."""
+    if isinstance(neg, float):  # one fee: three reductions clear a valid stack (or no rows), the common case
+        lo, hi = np.minimum.reduce(values, None, initial=neg), np.maximum.reduce(values, None, initial=neg)
+        if lo >= neg and hi <= 0.0 and np.maximum.reduce(values[:, 0], initial=neg) == neg:  # a NaN fails
+            return None
+        neg = np.full(len(values), neg)
+    else:
+        neg = neg[:, 0]
+    start = values[:, 0] != neg
+    row = _first(start | ~((values.min(axis=1) >= neg) & (values.max(axis=1) <= 0.0)))  # NaN fails both
+    if row < 0:
+        return None
+    if start[row]:
+        return row, f"value[0] must equal -beta={float(neg[row])}, got {float(values[row, 0])}"
+    return row, "delta trace values must lie in [-beta, 0]"
+
+
 def _as_stack(values, beta) -> tuple[np.ndarray, float | np.ndarray]:
     # A gap trace or a stack of them as (rows x (T + 1)) floats, and -beta: one value, or one per row as a
     # column. A single fee stays a Python float, which keeps a one-trace call a few microseconds cheaper.
@@ -221,9 +243,12 @@ def _as_stack(values, beta) -> tuple[np.ndarray, float | np.ndarray]:
         values = values[None]
     if values.ndim != 2 or values.shape[1] < 2:
         raise ValidationError(f"gap traces must be (rows x (T + 1)) with T >= 1, got shape {values.shape}")
-    if np.ndim(beta) == 0:
-        return values, -require_finite("beta", beta, positive=True)
-    return values, -require_finite_rows("beta", beta, len(values), positive=True)[:, None]
+    neg = -(require_finite("beta", beta, positive=True) if np.ndim(beta) == 0
+            else require_finite_rows("beta", beta, len(values), positive=True)[:, None])
+    fault = _gap_fault(values, neg)
+    if fault is not None:
+        raise ValidationError(f"gap trace row {fault[0]}: {fault[1]}")
+    return values, neg
 
 
 def offline_states(values, beta) -> np.ndarray:
@@ -246,7 +271,7 @@ def offline_states(values, beta) -> np.ndarray:
 def ofa_s(dt: DeltaTrace) -> Schedule:
     """Offline optimal schedule for the constant-fee objective: the one-row
     :func:`offline_states`. O(T) time and space."""
-    return Schedule(offline_states(dt.values, dt.beta)[0].tolist())
+    return Schedule(offline_states(dt.values, dt.beta)[0])
 
 
 def gchase_s(dt: DeltaTrace) -> Schedule:
@@ -255,7 +280,7 @@ def gchase_s(dt: DeltaTrace) -> Schedule:
     Switches only on boundary hits, otherwise keeps the previous plan
     (s_0 = 0). Worst-case cost is 3x the offline optimum.
     """
-    return Schedule(chase_kernel(dt.values, dt.beta)[0][0].tolist())
+    return Schedule(chase_kernel(dt.values, dt.beta)[0][0])
 
 
 def gchase_step(state: OnlineState, delta_t: float) -> tuple[OnlineState, int]:
@@ -316,29 +341,27 @@ def gchase_r_step(
 def gchase_r(dt: DeltaTrace, rng: np.random.Generator) -> Schedule:
     """Randomized online schedule: :func:`gchase_r_step` folded over the trace,
     one uniform per slot from ``rng``, computed by :func:`chase_kernel`."""
-    return Schedule(chase_kernel(dt.values, dt.beta, rng.random((1, len(dt))))[0][0].tolist())
+    return Schedule(chase_kernel(dt.values, dt.beta, rng.random((1, len(dt))))[0][0])
 
 
 def cchase(dt: DeltaTrace) -> FractionalSchedule:
     """Continuous online schedule: x_t = (beta + value_t)/beta, in [0, 1] by the clamp."""
-    beta = dt.beta
-    return FractionalSchedule((beta + v) / beta for v in dt.values[1:])
+    return FractionalSchedule((dt.beta + np.array(dt.values[1:])) / dt.beta)
 
 
 def csp_cost(xs: FractionalSchedule, cs: CostSeries, beta: float) -> float:
     """Cost of a fractional schedule: linear interpolation between the two
-    plans' costs plus ``beta`` per unit of upward movement (x_0 = 0)."""
+    plans' costs plus ``beta`` per unit of upward movement (x_0 = 0). A strict
+    left fold of 0.0, then per slot (g1 - g0) * x_t + g0 and, on an up move,
+    ``beta * (x_t - x_{t-1})``, else 0.0."""
     if len(xs) != len(cs):
         raise ValidationError(f"schedule length {len(xs)} != series length {len(cs)}")
     beta = require_finite("beta", beta)
-    total = 0.0
-    prev = 0.0
-    for x, a, b in zip(xs.x, cs.g0, cs.g1):
-        total += (b - a) * x + a
-        if x > prev:
-            total += beta * (x - prev)
-        prev = x
-    return total
+    up = np.diff(xs.x, prepend=0.0)
+    slots = np.empty((1, 2 * len(up)))
+    slots[0, 0::2] = (cs.g1 - cs.g0) * xs.x + cs.g0
+    slots[0, 1::2] = np.where(up > 0.0, beta * up, 0.0)
+    return float(_fold_rows(slots)[0])
 
 
 def marginal_probabilities(dt: DeltaTrace) -> tuple[float, ...]:
@@ -541,7 +564,7 @@ def gchase_dsp(cs: CostSeries, alpha: float, contract_len: int) -> tuple[Schedul
     guard. Returns the feasible schedule and the number of forced switches.
     """
     states, forced = chase_batch(drift_trace(cs, alpha, contract_len), None, contract_len)
-    return Schedule(states[0].tolist()), int(forced[0])
+    return Schedule(states[0]), int(forced[0])
 
 
 def gchase_r_dsp(
@@ -553,4 +576,4 @@ def gchase_r_dsp(
     """
     dt = drift_trace(cs, alpha, contract_len)
     states, forced = chase_batch(dt, rng.random((1, len(cs))), contract_len, "gchase_r_dsp")
-    return Schedule(states[0].tolist()), int(forced[0])
+    return Schedule(states[0]), int(forced[0])

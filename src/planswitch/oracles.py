@@ -191,8 +191,8 @@ def brute_force_dsps(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike, alpha: np
 def brute_force_sp(cs: CostSeries, beta: float) -> OracleResult:
     """Exact constant-fee minimum over all 2^T schedules: the one-row
     :func:`brute_force_sps`, its cost recomputed by :func:`sp_cost`."""
-    states, ties = brute_force_sps([cs.g0], [cs.g1], beta)
-    sched = Schedule(states[0].tolist())
+    states, ties = brute_force_sps(cs.g0[None], cs.g1[None], beta)
+    sched = Schedule(states[0])
     return OracleResult(sched, sp_cost(sched, cs, beta), int(ties[0]))
 
 
@@ -201,8 +201,8 @@ def brute_force_dsp(
 ) -> OracleResult:
     """Exact decreasing-fee minimum over all feasible schedules (runs <= L): the
     one-row :func:`brute_force_dsps`, its cost recomputed by :func:`dsp_cost`."""
-    states, ties = brute_force_dsps([cs.g0], [cs.g1], alpha, contract_len, fee_mode)
-    sched = Schedule(states[0].tolist())
+    states, ties = brute_force_dsps(cs.g0[None], cs.g1[None], alpha, contract_len, fee_mode)
+    sched = Schedule(states[0])
     return OracleResult(sched, dsp_cost(sched, cs, alpha, contract_len, fee_mode), int(ties[0]))
 
 
@@ -228,8 +228,8 @@ def dp_dsp(
     """
     period = len(cs)
     alpha, cap, fee_mode = fee_terms(alpha, contract_len, fee_mode)
-    g1 = cs.g1
-    prefix = [0.0, *accumulate(cs.g0)]
+    g1 = cs.g1.tolist()
+    prefix = [0.0, *accumulate(cs.g0.tolist())]
     value = [0.0] * (period + 1)
     run = [0] * (period + 1)  # length of the fixed run ended before variable slot t, 0 if none
     window: deque[tuple[float, int]] = deque()  # (K[s], s), K increasing from the front
@@ -267,10 +267,11 @@ def dp_dsp(
         states[start - 1 : t - 1] = [0] * (t - start)
         t = start - 1
         start = t - run[t]
+    sched = Schedule(states)
     # fee_terms checked the terms and CostSeries the costs: the fold alone prices the schedule
-    cost = _dsp_fold(np.array([states], dtype=np.int8), np.array([cs.g0]), np.array([cs.g1]),
-                     np.array([alpha]), np.array([cap]), np.array([fee_mode == "literal"]))
-    return OracleResult(Schedule(states), float(cost[0]), ties)
+    cost = _dsp_fold(sched.states[None], cs.g0[None], cs.g1[None], np.array([alpha]), np.array([cap]),
+                     np.array([fee_mode == "literal"]))
+    return OracleResult(sched, float(cost[0]), ties)
 
 
 def _gap_sums(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
@@ -345,7 +346,7 @@ def phi_identity_dsps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: 
 
 def phi_identity_sp(sched: Schedule, cs: CostSeries, beta: float) -> tuple[float, float]:
     """Constant-fee cost vs its segment decomposition: the one-row :func:`phi_identity_sps`."""
-    lhs, rhs = phi_identity_sps([sched.states], cs.g0, cs.g1, beta)
+    lhs, rhs = phi_identity_sps(sched.states[None], cs.g0, cs.g1, beta)
     return float(lhs[0]), float(rhs[0])
 
 
@@ -354,7 +355,7 @@ def phi_identity_dsp(
 ) -> tuple[float, float]:
     """Decreasing-fee (literal) cost vs its drift-adjusted decomposition: the
     one-row :func:`phi_identity_dsps`."""
-    lhs, rhs = phi_identity_dsps([sched.states], cs.g0, cs.g1, alpha, contract_len)
+    lhs, rhs = phi_identity_dsps(sched.states[None], cs.g0, cs.g1, alpha, contract_len)
     return float(lhs[0]), float(rhs[0])
 
 
@@ -372,7 +373,7 @@ def potential_check(
     above each slot's cheaper plan. A nonnegative running sum of slacks
     certifies that x's cost stays within twice z's along the whole prefix.
     """
-    zvals = list(zs.x) if isinstance(zs, FractionalSchedule) else [float(s) for s in zs.states]
+    zvals = (zs.x if isinstance(zs, FractionalSchedule) else zs.states.astype(np.float64)).tolist()
     if len(xs) != len(cs) or len(zvals) != len(cs):
         raise ValidationError("potential check requires equal-length trajectories and series")
     beta = require_finite("beta", beta)
@@ -383,7 +384,7 @@ def potential_check(
     slacks = []
     x_prev = 0.0
     z_prev = 0.0
-    for x, z, a, b in zip(xs.x, zvals, cs.g0, cs.g1):
+    for x, z, a, b in zip(xs.x.tolist(), zvals, cs.g0.tolist(), cs.g1.tolist()):
         floor = min(a, b)
         fx = (b - a) * x + a - floor
         fz = (b - a) * z + a - floor

@@ -6,6 +6,9 @@ A fixed-rate plan bills against a base load band [0.9*B, 1.1*B]: usage above
 the band is charged at the variable rate, usage below it earns an underusage
 correction at rate H (subtracted, as the tariff equation is written).
 
+The records hold read-only numpy arrays, checked by the stack forms' rules, so
+they pass to those forms as they are: ``sched.states[None]``, ``cs.g0``.
+
 Three objectives are evaluated here, each once, as a left fold over a stack
 of schedules; ``sp_cost``, ``p2_cost`` and ``dsp_cost`` are their one-row calls.
 
@@ -110,10 +113,14 @@ SLOT_FIELDS = ("demand_kwh", "fixed_rate", "variable_rate", "base_load_kwh")
 _SLOT_DTYPE = np.dtype([(name, np.float64) for name in SLOT_FIELDS])
 
 
+def _first(bad: np.ndarray) -> int:
+    """Flat (row-major) index of the first true entry of ``bad``, or -1."""
+    return int(bad.argmax()) if bad.any() else -1
+
+
 def _first_invalid(values: np.ndarray) -> int:
     """Flat (row-major) index of the first value that is not finite and >= 0, or -1."""
-    bad = ~(np.isfinite(values) & (values >= 0.0))
-    return int(bad.argmax()) if bad.any() else -1
+    return _first(~(np.isfinite(values) & (values >= 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,56 +152,76 @@ class Trace:
         return len(self.slots)
 
 
-@dataclass(frozen=True)
+def _record_array(name: str, values: Iterable, dtype=None) -> np.ndarray:
+    """A record's own copy of ``values`` (an array-like or any iterable), as a nonempty 1-D array."""
+    values = np.array(values if isinstance(values, (np.ndarray, list, tuple)) else list(values), dtype=dtype)
+    if values.ndim != 1 or not values.size:
+        raise ValidationError(f"{name} must be nonempty and one-dimensional, got shape {values.shape}")
+    return values
+
+
+def _first_nonfinite(g0: np.ndarray, g1: np.ndarray) -> int:
+    """The one finiteness rule of costs: the flat index of the first non-finite cost pair, or -1."""
+    return _first(~(np.isfinite(g0) & np.isfinite(g1)))
+
+
+def _first_nonbinary(states: np.ndarray) -> int:
+    """The one rule of states: the flat index of the first entry that is not 0 or 1, or -1.
+    Integer states pass if their greatest entry read as unsigned (a negative one is large) is at
+    most 1: one reduction, and no temporary the size of the matrix."""
+    if states.dtype.kind == "b" or states.size == 0 or (
+            states.dtype.kind in "iu" and states.view(f"u{states.itemsize}").max() <= 1):
+        return -1
+    return _first(~((states == 0) | (states == 1)))
+
+
+@dataclass(frozen=True, eq=False)
 class CostSeries:
     """Per-slot cost pair (g0, g1): the cost of each plan for that month.
 
-    This is the only view of the input the schedule algorithms ever see.
+    This is the only view of the input the schedule algorithms ever see:
+    read-only float64 arrays of one length, which compare by identity.
     Entries must be finite but may be negative (the underusage correction can
     push g0 below zero, and adversarial instances are unconstrained).
     """
 
-    g0: tuple[float, ...]
-    g1: tuple[float, ...]
+    g0: np.ndarray
+    g1: np.ndarray
 
     def __init__(self, g0: Iterable[float], g1: Iterable[float]):
-        g0 = tuple(map(float, g0))
-        g1 = tuple(map(float, g1))
+        g0, g1 = (_record_array("cost series", g, np.float64) for g in (g0, g1))
         if len(g0) != len(g1):
             raise ValidationError(f"g0/g1 length mismatch: {len(g0)} vs {len(g1)}")
-        if not g0:
-            raise ValidationError("cost series must be nonempty")
-        if not math.isfinite(sum(g0) + sum(g1)):  # a finite sum rules out inf and nan
-            for t, (a, b) in enumerate(zip(g0, g1), start=1):
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    raise ValidationError(f"non-finite cost pair at slot {t}")
+        bad = _first_nonfinite(g0, g1)
+        if bad >= 0:
+            raise ValidationError(f"non-finite cost pair at slot {bad + 1}")
+        g0.flags.writeable = g1.flags.writeable = False
         object.__setattr__(self, "g0", g0)
         object.__setattr__(self, "g1", g1)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "CostSeries":
-        pairs = list(pairs)
-        return cls((p[0] for p in pairs), (p[1] for p in pairs))
+        return cls(*np.array(list(pairs), dtype=np.float64).reshape(-1, 2).T)
 
     def __len__(self) -> int:
         return len(self.g0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """Binary plan choice per slot, with the implicit boundary s_0 = 0."""
+    """Binary plan choice per slot, with the implicit boundary s_0 = 0: a
+    read-only int8 array, from any iterable of 0s and 1s (ints, bools or floats)."""
 
-    states: tuple[int, ...]
+    states: np.ndarray
 
     def __init__(self, states: Iterable[int]):
-        states = tuple(states)
-        if not states:
-            raise ValidationError("schedule must be nonempty")
-        if states.count(0) + states.count(1) != len(states):  # the loop's check, in C
-            for t, s in enumerate(states, start=1):
-                if s not in (0, 1):
-                    raise ValidationError(f"schedule entry at slot {t} must be 0 or 1, got {s!r}")
-        object.__setattr__(self, "states", tuple(map(int, states)))
+        states = _record_array("schedule", states)
+        bad = _first_nonbinary(states)
+        if bad >= 0:
+            raise ValidationError(f"schedule entry at slot {bad + 1} must be 0 or 1, got {states.tolist()[bad]!r}")
+        states = states.astype(np.int8, copy=False)
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -231,7 +258,7 @@ def cost_series(trace: Trace, underusage_rate: np.typing.ArrayLike) -> CostSerie
         under = np.where(under < 0.0, 0.0, under)
         g0 = e * p0 + (p1 - p0) * over - h * under
         g1 = e * p1
-    return CostSeries(g0.tolist(), g1.tolist())
+    return CostSeries(g0, g1)
 
 
 def cost_stack(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +269,9 @@ def cost_stack(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike) -> tuple[np.nda
     if g0.ndim != 2 or 0 in g0.shape or g1.shape != g0.shape:
         raise ValidationError(f"cost stack shapes {g0.shape} and {g1.shape} must both be "
                               f"a nonempty (rows x T) {g0.shape}")
-    finite = np.isfinite(g0) & np.isfinite(g1)
-    if not finite.all():
-        row, t = np.unravel_index(int((~finite).argmax()), g0.shape)
+    bad = _first_nonfinite(g0, g1)
+    if bad >= 0:
+        row, t = divmod(bad, g0.shape[1])
         raise ValidationError(f"non-finite cost pair at row {row}, slot {t + 1}")
     return g0, g1
 
@@ -260,9 +287,7 @@ def _stack(states: np.typing.ArrayLike, g0: np.typing.ArrayLike,
 
     The costs are one series of T slots for every row (1-D) or one per row
     (rows x T); a shared series is returned as one row, which broadcasts
-    against the matrix. Integer states are checked by their greatest entry
-    read as unsigned, where a negative entry is large: one reduction and no
-    temporary the size of the matrix.
+    against the matrix.
     """
     states = np.asarray(states)
     g0 = np.asarray(g0, dtype=np.float64)
@@ -272,11 +297,7 @@ def _stack(states: np.typing.ArrayLike, g0: np.typing.ArrayLike,
     if states.shape != (states.shape[0] if shared and states.ndim == 2 else len(g0), g0.shape[1]):
         raise ValidationError(f"state matrix shape {states.shape} does not match "
                               + (f"series length {g0.shape[1]}" if shared else f"cost stack shape {g0.shape}"))
-    if states.dtype.kind in "iu":
-        binary = states.size == 0 or states.view(f"u{states.itemsize}").max() <= 1
-    else:
-        binary = states.dtype.kind == "b" or ((states == 0) | (states == 1)).all()
-    if not binary:
+    if _first_nonbinary(states) >= 0:
         raise ValidationError("state matrix entries must be 0 or 1")
     return states.astype(np.int8, copy=False), g0, g1
 
@@ -323,7 +344,7 @@ def _fee_rows(alpha: np.typing.ArrayLike, contract_len: np.typing.ArrayLike, fee
 
 def sp_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
     """Constant-fee cost of one schedule: the one-row :func:`sp_costs`."""
-    return float(sp_costs([sched.states], cs.g0, cs.g1, beta)[0])
+    return float(sp_costs(sched.states[None], cs.g0, cs.g1, beta)[0])
 
 
 def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
@@ -349,7 +370,7 @@ def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing
 
 def p2_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
     """Half-fee form of one schedule's constant-fee cost: the one-row :func:`p2_costs`."""
-    return float(p2_costs([sched.states], cs.g0, cs.g1, beta)[0])
+    return float(p2_costs(sched.states[None], cs.g0, cs.g1, beta)[0])
 
 
 def p2_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
@@ -376,7 +397,7 @@ def p2_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing
 
 def zero_runs(sched: Schedule) -> list[tuple[int, int]]:
     """Maximal runs of state 0 as 1-based inclusive (start, end) pairs."""
-    lasted, ends = _fixed_runs(np.array([sched.states]))
+    lasted, ends = _fixed_runs(sched.states[None])
     end = np.flatnonzero(ends[0])
     return list(zip((end + 2 - lasted[0, end]).tolist(), (end + 1).tolist()))
 
@@ -389,7 +410,7 @@ def dsp_cost(
     fee_mode: str = "literal",
 ) -> float:
     """Decreasing-fee cost of one schedule: the one-row :func:`dsp_costs`."""
-    return float(dsp_costs([sched.states], cs.g0, cs.g1, alpha, contract_len, fee_mode)[0])
+    return float(dsp_costs(sched.states[None], cs.g0, cs.g1, alpha, contract_len, fee_mode)[0])
 
 
 def dsp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,

@@ -3,8 +3,8 @@
 ``planswitch`` computes each objective and identity once, as a fold over a
 stack of schedules. These are the per-schedule loops that fold replaced, kept
 here so the differential tests can require the stack forms to give the same
-floats, row by row. Each takes a schedule's 0/1 states and its two cost
-sequences; sums are plain left folds from 0.0.
+floats, row by row. Each takes a schedule's 0/1 states (``csp_loop``: its
+fractions) and its two cost sequences; sums are plain left folds from 0.0.
 """
 
 from planswitch import InfeasibleScheduleError
@@ -19,6 +19,19 @@ def sp_loop(states, g0, g1, beta):
         if s > prev:
             total += beta
         prev = s
+    return total
+
+
+def csp_loop(x, g0, g1, beta):
+    """A fractional schedule's cost: each slot's interpolated cost, plus
+    ``beta`` per unit of upward movement, with x_0 = 0."""
+    total = 0.0
+    prev = 0.0
+    for v, a, b in zip(x, g0, g1):
+        total += (b - a) * v + a
+        if v > prev:
+            total += beta * (v - prev)
+        prev = v
     return total
 
 

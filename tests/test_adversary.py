@@ -29,7 +29,7 @@ from planswitch.chase import gchase_dsp
 class TestLowerBoundInstance:
     def test_exact_sequence(self):
         cs = randomized_lb_instance(1.0, 0.5, 3)
-        assert (cs.g0, cs.g1) == ((0.5, 0.0, 0.0), (0.0, 0.5, 0.5))
+        assert (cs.g0.tolist(), cs.g1.tolist()) == ([0.5, 0.0, 0.0], [0.0, 0.5, 0.5])
 
     def test_continuous_cost_closed_form(self):
         beta, small = 2.0, 0.25
@@ -90,6 +90,31 @@ class TestAdaptiveAdversary:
         assert list(zip(cs.g0, cs.g1)) == calls
         # an always-fixed player eats every charge
         assert report.alg_cost == pytest.approx(10 * 0.25, abs=1e-12)
+
+    def test_realized_series_is_what_the_player_saw(self):
+        # each slot charges the plan the player held entering it
+        calls = []
+
+        def make_player():
+            def step(g0, g1):
+                calls.append((g0, g1))
+                return (0, 1, 1, 0, 1)[len(calls) - 1]
+
+            return step
+
+        cs, report = deterministic_adversary(make_player, 2.0, 5, 0.5)
+        assert list(zip(cs.g0.tolist(), cs.g1.tolist())) == calls
+        assert calls == [(0.5, 0.0), (0.5, 0.0), (0.0, 0.5), (0.0, 0.5), (0.5, 0.0)]
+        assert report.alg_cost == 0.5 + 0.5 + 2 * 2.0  # slots 1 and 3 charged, two switches to plan 1
+
+    @pytest.mark.parametrize("plan", [2, -1, None])
+    def test_player_plan_outside_0_1_refused(self, plan):
+        def make_player():
+            plans = iter([0, 1, plan, 0])
+            return lambda g0, g1: next(plans)
+
+        with pytest.raises(ValidationError, match=f"schedule entry at slot 3 must be 0 or 1, got {plan}"):
+            deterministic_adversary(make_player, 1.0, 4, 0.1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):

@@ -81,12 +81,12 @@ class TestProtocolCostSeries:
         cs = protocol_cost_series(trace)
         # each month's H is a tenth of its own fixed rate
         own = cost_series(trace, [0.1 * s.fixed_rate for s in trace.slots])
-        assert (cs.g0, cs.g1) == (own.g0, own.g1)
+        assert (cs.g0.tolist(), cs.g1.tolist()) == (own.g0.tolist(), own.g1.tolist())
 
     def test_fixed_rate_override(self):
         trace = synth_trace(12, seed=8)
         cs = protocol_cost_series(trace, h_rate=0.0)
-        assert cs.g0 == cost_series(trace, 0.0).g0
+        assert cs.g0.tolist() == cost_series(trace, 0.0).g0.tolist()
 
 
 class TestRunConfigValidation:
@@ -512,6 +512,14 @@ class TestCli:
 
     def test_zero_slots_is_an_error(self, capsys):
         assert main(["synth", "-T", "0"]) == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--fee-regime", "linear"], ["--algorithms", "cchase"]])
+    def test_overflowing_trace_names_its_slot(self, flags, tmp_path, capsys):
+        # finite months whose cost overflows: the cost series refuses the slot, as one error line
+        path = tmp_path / "t.csv"
+        path.write_text("t,e,p0,p1,B\n1,100,0.1,0.12,100\n2,1e308,10.0,0.1,1e308\n")
+        assert main(["run", "--trace", str(path), *flags]) == 2
+        assert capsys.readouterr().err == "error: non-finite cost pair at slot 2\n"
 
     @pytest.mark.parametrize("argv", [["run"], ["sweep"], ["synth"], ["verify", "oracle"]])
     def test_negative_seed_names_the_flag(self, argv, capsys):

@@ -1,9 +1,12 @@
 """What the benchmark in perfbench/ takes from the package: the functions its
-tracer wraps and the trace fields its sweep checker reads. perfbench/ is only
-read here, never changed."""
+tracer wraps, what a traced pass reads from their arguments and results, and
+the trace fields its sweep checker reads. perfbench/ is only read here, never
+changed."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import re
 from pathlib import Path
 
@@ -27,6 +30,39 @@ TARGETS = [(module, name) for module, name, _, _ in _load_tracer()._TARGETS]
 @pytest.mark.parametrize("module, name", TARGETS, ids=[f"{m}.{n}" for m, n in TARGETS])
 def test_traced_function_exists(module, name):
     assert callable(getattr(importlib.import_module(f"planswitch.{module}"), name))
+
+
+# Small commands of each kind the workloads run, cchase among them.
+TRACED_COMMANDS = [
+    ["run", "--slots", "48", "--fee-regime", "constant", "--algorithms", "ofa,gchase,gchase_r,cchase",
+     "--mc-runs", "10", "--seed", "1"],
+    ["run", "--slots", "60", "--fee-regime", "linear", "--contract-len", "6", "--alpha", "10",
+     "--algorithms", "ofa,gchase,gchase_r", "--mc-runs", "10", "--seed", "1"],
+    ["sweep", "--slots", "24", "--from", "1", "--to", "5", "--algorithms", "ofa,gchase,gchase_r",
+     "--mc-runs", "10", "--seed", "1"],
+    ["verify", "oracle", "--seed", "0"],
+]
+
+
+def test_traced_pass_runs_and_counts():
+    # One pass as the benchmark's --trace 1 runs it: every wrapper installed, the
+    # commands through cli.main in-process, then the pass's counts summed.
+    from planswitch import cli
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    codes = []
+    try:
+        for argv in TRACED_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.main(list(argv)))
+    finally:
+        tracer.remove(0)
+    assert codes == [0] * len(TRACED_COMMANDS)
+    counts = tracer.passes[-1]
+    assert counts["chase.delta_trace.calls"] > 0
+    assert counts["oracles.dp_dsp.calls"] > 0
+    assert 0.0 <= counts["chase.boundary_share"] <= 1.0
 
 
 def test_sweep_checker_fields_exist():

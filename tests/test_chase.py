@@ -97,18 +97,18 @@ class TestDeltaTrace:
 class TestOfa:
     def test_switch_then_cancel(self):
         sched = ofa_s(delta_trace(CS_A, 2.0))
-        assert sched.states == (1, 0, 0)
+        assert sched.states.tolist() == [1, 0, 0]
         assert sp_cost(sched, CS_A, 2.0) == pytest.approx(brute_force_sp(CS_A, 2.0).best_cost)
 
     def test_interior_copies_later_decision(self):
         sched = ofa_s(delta_trace(CS_B, 2.0))
-        assert sched.states == (1, 1, 0)
+        assert sched.states.tolist() == [1, 1, 0]
         assert sp_cost(sched, CS_B, 2.0) == pytest.approx(2.0, abs=1e-12)
         assert brute_force_sp(CS_B, 2.0).best_cost == pytest.approx(2.0, abs=1e-12)
 
     def test_pinned_trace_stays_fixed(self):
         cs = CostSeries.from_pairs([(0, 5), (0, 1), (0, 2)])
-        assert ofa_s(delta_trace(cs, 2.0)).states == (0, 0, 0)
+        assert ofa_s(delta_trace(cs, 2.0)).states.tolist() == [0, 0, 0]
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(21)
@@ -134,17 +134,17 @@ class TestOfa:
 
 class TestGchase:
     def test_forward_rule(self):
-        assert gchase_s(delta_trace(CS_A, 2.0)).states == (1, 0, 0)
+        assert gchase_s(delta_trace(CS_A, 2.0)).states.tolist() == [1, 0, 0]
 
     def test_lags_offline_by_construction(self):
         dt = delta_trace(CS_B, 2.0)
         sched = gchase_s(dt)
-        assert sched.states == (0, 1, 0)
+        assert sched.states.tolist() == [0, 1, 0]
         assert sp_cost(sched, CS_B, 2.0) == pytest.approx(3.0, abs=1e-12)
 
     def test_pinned_trace_stays_fixed(self):
         cs = CostSeries.from_pairs([(0, 5), (0, 1)])
-        assert gchase_s(delta_trace(cs, 2.0)).states == (0, 0)
+        assert gchase_s(delta_trace(cs, 2.0)).states.tolist() == [0, 0]
 
     def test_streaming_fold_reproduces_batch(self):
         rng = np.random.default_rng(3)
@@ -157,7 +157,7 @@ class TestGchase:
             for t in range(1, len(dt) + 1):
                 state, s = gchase_step(state, dt.values[t])
                 folded.append(s)
-            assert tuple(folded) == gchase_s(dt).states
+            assert list(folded) == gchase_s(dt).states.tolist()
 
     def test_depends_only_on_gap_sequence(self):
         # same gaps, different absolute costs -> same schedule (integer costs
@@ -171,7 +171,7 @@ class TestGchase:
         )
         dt1, dt2 = delta_trace(cs1, 2.0), delta_trace(cs2, 2.0)
         assert dt1.values == dt2.values
-        assert gchase_s(dt1).states == gchase_s(dt2).states
+        assert gchase_s(dt1).states.tolist() == gchase_s(dt2).states.tolist()
 
 
 class TestGchaseRandomized:
@@ -179,7 +179,7 @@ class TestGchaseRandomized:
         cs = CostSeries.from_pairs([(5, 0)])
         dt = delta_trace(cs, 2.0)
         for seed in range(20):
-            assert gchase_r(dt, np.random.default_rng(seed)).states == (1,)
+            assert gchase_r(dt, np.random.default_rng(seed)).states.tolist() == [1]
 
     def test_flat_gap_never_switches(self):
         # gap unchanged => switch probability 0
@@ -196,7 +196,7 @@ class TestGchaseRandomized:
         cs = CostSeries.from_pairs([(1, 0)])
         dt = delta_trace(cs, 2.0)
         hits = sum(
-            gchase_r(dt, np.random.default_rng(seed)).states[0] for seed in range(4000)
+            int(gchase_r(dt, np.random.default_rng(seed)).states[0]) for seed in range(4000)
         )
         assert abs(hits / 4000 - 0.5) < 0.03
 
@@ -211,7 +211,7 @@ class TestGchaseRandomized:
         for t in range(1, len(dt) + 1):
             state, s = gchase_r_step(state, dt.values[t], fold_rng)
             folded.append(s)
-        assert tuple(folded) == batch.states
+        assert list(folded) == batch.states.tolist()
 
     def test_unreachable_states_raise(self):
         rng = np.random.default_rng(0)
@@ -235,7 +235,7 @@ class TestGchaseRandomized:
 
 class TestCchase:
     def test_tracks_gap_linearly(self):
-        assert cchase(delta_trace(CS_A, 2.0)).x == (1.0, 0.0, 0.0)
+        assert cchase(delta_trace(CS_A, 2.0)).x.tolist() == [1.0, 0.0, 0.0]
 
     def test_within_twice_the_offline_optimum(self):
         rng = np.random.default_rng(41)
@@ -248,11 +248,11 @@ class TestCchase:
 
     def test_midpoint(self):
         cs = CostSeries.from_pairs([(1, 0)])
-        assert cchase(delta_trace(cs, 2.0)).x == (0.5,)
+        assert cchase(delta_trace(cs, 2.0)).x.tolist() == [0.5]
 
     def test_pinned_gap_stays_out(self):
         cs = CostSeries.from_pairs([(0, 1), (0, 1)])
-        assert cchase(delta_trace(cs, 2.0)).x == (0.0, 0.0)
+        assert cchase(delta_trace(cs, 2.0)).x.tolist() == [0.0, 0.0]
 
 
 class TestCspCost:
@@ -278,6 +278,28 @@ class TestCspCost:
     def test_fraction_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             FractionalSchedule([1.5])
+
+    @pytest.mark.parametrize("x, message", [
+        ([0.5, float("nan")], r"x\[2\] = nan outside \[0, 1\]"),
+        ([-0.25, 0.5], r"x\[1\] = -0.25 outside \[0, 1\]"),
+        ([0.0, 1.0, 1.0000001], r"x\[3\] = 1.0000001 outside \[0, 1\]"),
+        ([], "fractional schedule must be nonempty"),
+    ], ids=["nan", "below-0", "above-1", "empty"])
+    def test_fraction_refusals_name_the_slot(self, x, message):
+        with pytest.raises(ValidationError, match=message):
+            FractionalSchedule(x)
+
+    def test_any_iterable_becomes_a_read_only_array(self):
+        values = [0.0, 0.25, 1.0]
+        for given in (values, tuple(values), iter(values), (v for v in values), np.array(values),
+                      reversed(values[::-1])):
+            xs = FractionalSchedule(given)
+            assert xs.x.dtype == np.float64 and xs.x.tolist() == values
+            assert not xs.x.flags.writeable
+        source = np.array(values)
+        xs = FractionalSchedule(source)
+        source[0] = 0.5  # the record holds its own copy
+        assert xs.x.tolist() == values
 
 
 class TestMarginals:

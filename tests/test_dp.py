@@ -100,7 +100,7 @@ def _integer_series(rng, period):
 def _assert_matches_table(cs, alpha, cap, mode):
     got = dp_dsp(cs, alpha, cap, mode)
     want, _ = table_dp_dsp(cs, alpha, cap, mode)
-    assert got.best_schedule.states == want.states
+    assert got.best_schedule.states.tolist() == want.states.tolist()
     assert got.best_cost == dsp_cost(want, cs, alpha, cap, mode)
     assert got.ties >= 1
 

@@ -409,7 +409,7 @@ class TestKernelInput:
             "import numpy as np\n"
             "from planswitch import CostSeries, ValidationError, delta_trace\n"
             "from planswitch.chase import chase_kernel\n"
-            f"dt = delta_trace(CostSeries({list(self.CS.g0)}, {list(self.CS.g1)}), 2.0)\n"
+            f"dt = delta_trace(CostSeries({self.CS.g0.tolist()}, {self.CS.g1.tolist()}), 2.0)\n"
             "for cap in (-1, 0, 2.5, float('nan')):\n"
             "    for draws in (None, np.full((3, 5), 0.5)):\n"
             "        try:\n"

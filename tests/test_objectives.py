@@ -6,7 +6,7 @@
 counts. Each runs on one cost series shared by every row and on one series
 per row, with fees given once or per row, zero fees and one-slot horizons
 included. The one-schedule forms are one-row calls and are checked the same
-way.
+way, and so is the fractional objective ``csp_cost``.
 """
 
 from decimal import Decimal
@@ -16,15 +16,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_objectives import dsp_loop, p2_loop, phi_dsp_loop, phi_sp_loop, sp_loop, zero_runs_loop
+from scalar_objectives import csp_loop, dsp_loop, p2_loop, phi_dsp_loop, phi_sp_loop, sp_loop, zero_runs_loop
 
 from planswitch import (
     CostSeries,
+    FractionalSchedule,
     InfeasibleScheduleError,
     Schedule,
     ValidationError,
     batch_sp_costs,
     brute_force_dsps,
+    csp_cost,
     dsp_cost,
     dsp_costs,
     p2_cost,
@@ -158,6 +160,43 @@ class TestStackFoldsEqualLoops:
             assert phi_identity_dsp(sched, cs, alpha, cap) == phi_dsp_loop(states, g0, g1, alpha, cap)
             assert zero_runs(sched) == zero_runs_loop(states)
             assert all(type(v) is float for v in (sp_cost(sched, cs, beta), *phi_identity_sp(sched, cs, beta)))
+
+
+class TestCspCostEqualsLoop:
+    """``csp_cost`` folds what ``csp_loop`` adds, slot by slot: the same floats."""
+
+    @staticmethod
+    def fractions(rng, period):
+        # plateaus (a value repeated), the ends 0 and 1, and interior values
+        x = rng.choice([0.0, 1.0, 0.5, rng.uniform()], size=period)
+        x[rng.random(period) < 0.4] = rng.uniform(0.0, 1.0)
+        return np.maximum.accumulate(x) if rng.random() < 0.2 else x
+
+    def test_random_fractional_schedules(self):
+        rng = np.random.default_rng(61)
+        for _ in range(2000):
+            period = int(rng.integers(1, 14))
+            if rng.random() < 0.5:
+                g = rng.integers(-3, 5, size=(2, period)).astype(np.float64)
+                g[(g == 0.0) & (rng.random(g.shape) < 0.5)] = -0.0
+            else:
+                g = rng.uniform(-10.0, 10.0, size=(2, period))
+            beta = float(rng.choice([0.0, 0.5, 2.0, rng.uniform(0.0, 9.0)]))
+            x = self.fractions(rng, period)
+            got = csp_cost(FractionalSchedule(x), CostSeries(g[0], g[1]), beta)
+            assert repr(got) == repr(csp_loop(x.tolist(), g[0].tolist(), g[1].tolist(), beta))
+
+    @pytest.mark.parametrize("x, g0, g1, beta", [
+        ([0.5], [-0.0], [-0.0], 0.0),
+        ([0.0], [-0.0], [-0.0], 1.0),
+        ([1.0], [2.0], [-0.0], 0.0),
+        ([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [1.0, -0.0, 3.0], 2.0),
+        ([1.0, 1.0, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0], [-1.0, -2.0, -0.0, 0.5], 0.0),
+        ([0.25, 0.25, 0.75, 0.75], [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 3.0),
+    ], ids=["T1-zero-fee", "T1-stay", "T1-up", "all-zero", "zero-fee-moves", "plateaus"])
+    def test_edge_cases(self, x, g0, g1, beta):
+        got = csp_cost(FractionalSchedule(x), CostSeries(g0, g1), beta)
+        assert repr(got) == repr(csp_loop(x, g0, g1, beta))
 
 
 class TestStateCheck:

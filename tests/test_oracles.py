@@ -44,16 +44,16 @@ class TestBruteForceSp:
     def test_enumerates_all_eight(self):
         res = brute_force_sp(CS_A, 2.0)
         assert res.best_cost == pytest.approx(2.0, abs=1e-12)
-        assert res.best_schedule.states == (1, 0, 0)
+        assert res.best_schedule.states.tolist() == [1, 0, 0]
 
     def test_single_slot_prefers_cheap_plan(self):
         res = brute_force_sp(CostSeries.from_pairs([(0, 10)]), 1.0)
-        assert res.best_schedule.states == (0,)
+        assert res.best_schedule.states.tolist() == [0]
         assert res.best_cost == pytest.approx(0.0, abs=1e-12)
 
     def test_single_slot_pays_fee_to_switch(self):
         res = brute_force_sp(CostSeries.from_pairs([(10, 0)]), 1.0)
-        assert res.best_schedule.states == (1,)
+        assert res.best_schedule.states.tolist() == [1]
         assert res.best_cost == pytest.approx(1.0, abs=1e-12)
 
     def test_refuses_large_horizons(self):
@@ -77,14 +77,14 @@ class TestBruteForceSp:
             cs = random_cost_series(rng, period)
             res = brute_force_sp(cs, beta)
             if res.ties == 1:
-                assert ofa_s(delta_trace(cs, beta)).states == res.best_schedule.states
+                assert ofa_s(delta_trace(cs, beta)).states.tolist() == res.best_schedule.states.tolist()
 
     def test_tie_break_is_lexicographic(self):
         # all-zero costs with zero-ish fee: every no-switch schedule ties;
         # the all-fixed schedule sorts first
         cs = CostSeries.from_pairs([(0, 0)] * 3)
         res = brute_force_sp(cs, 1e-12)
-        assert res.best_schedule.states == (0, 0, 0)
+        assert res.best_schedule.states.tolist() == [0, 0, 0]
         assert res.ties >= 2
 
 
@@ -92,7 +92,7 @@ class TestBruteForceDsp:
     def test_zero_costs_full_contract(self):
         res = brute_force_dsp(ZEROS3, 1.0, 3, "literal")
         assert res.best_cost == pytest.approx(0.0, abs=1e-12)
-        assert res.best_schedule.states == (0, 0, 0)
+        assert res.best_schedule.states.tolist() == [0, 0, 0]
 
     def test_shorter_contract_excludes_full_run(self):
         res = brute_force_dsp(ZEROS3, 1.0, 2, "literal")
@@ -348,9 +348,9 @@ class TestStackedSearch:
             for i in range(rows):
                 cs = CostSeries(g0[i], g1[i])
                 one = brute_force_sp(cs, beta[i])
-                assert (one.best_schedule.states, one.ties) == (tuple(sp_states[i].tolist()), sp_ties[i])
+                assert (one.best_schedule.states.tolist(), one.ties) == (sp_states[i].tolist(), sp_ties[i])
                 one = brute_force_dsp(cs, alpha[i], cap[i], mode[i])
-                assert (one.best_schedule.states, one.ties) == (tuple(dsp_states[i].tolist()), dsp_ties[i])
+                assert (one.best_schedule.states.tolist(), one.ties) == (dsp_states[i].tolist(), dsp_ties[i])
 
     @pytest.mark.parametrize("bits", [0, 1, 3])
     def test_small_blocks_give_the_same_result(self, monkeypatch, bits):

@@ -3,10 +3,12 @@
 Each command's stdout and stderr are compared by sha256 against the digests
 of the bytes the program wrote when they were recorded, so any change to a
 report, a CSV or a warning line fails here, not only where a test reads the
-changed figure. The commands cover the sweep workload in both fee regimes and
+changed figure. The commands cover the sweep workload in both fee regimes,
 one decreasing-fee run on each side of the expiry guard's path selection:
 100 replicates of 600 months (more rows than the 46 cuts one row can need,
-so the lockstep runs) and 20 replicates of 2,000 months (the per-row walk).
+so the lockstep runs) and 20 replicates of 2,000 months (the per-row walk),
+and one constant-fee run of every constant-regime algorithm, whose report
+holds the offline, deterministic and continuous schedules.
 
 A change that moves these bytes on purpose records the new digests here and
 names the change in CHANGES.md.
@@ -40,11 +42,14 @@ PINNED = [
     (LINEAR_RUN + ("--slots", "2000", "--contract-len", "24", "--mc-runs", "20"),
      "b0f044ce70a001e28e255c3a054b6a195583c627b786af72a4636ee42ff9c67c",
      "801387eaf71713980ef887393737698378a63cd93c87ea51262a2d707670f872"),
+    (("run", "--slots", "2000", "--fee-regime", "constant", "--beta", "100",
+      "--algorithms", "ofa,gchase,gchase_r,cchase", "--mc-runs", "20", "--seed", "1"),
+     "5d779d6f679e4d93f3246fdd94a0e7cdf42c1376a9bda50f2c6cad355b77d0f3", EMPTY),
 ]
 
 
 @pytest.mark.parametrize("argv, stdout_sha, stderr_sha", PINNED,
-                         ids=["sweep-constant", "sweep-linear", "run-lockstep", "run-walk"])
+                         ids=["sweep-constant", "sweep-linear", "run-lockstep", "run-walk", "run-constant"])
 def test_output_bytes_are_pinned(argv, stdout_sha, stderr_sha):
     src = os.path.dirname(os.path.dirname(planswitch.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -225,6 +225,49 @@ class TestValidation:
         with pytest.raises(ValidationError):
             offline_states(np.full((2, 1), -1.0), 1.0)  # no slot
 
+    # Row 1 of each stack breaks the gap-trace rule for beta = 2; row 0 keeps it.
+    BAD_GAPS = {
+        "start": ([-1.0, -0.5, 0.0], r"value\[0\] must equal -beta=-2.0, got -1.0"),
+        "nan-start": ([np.nan, -1.0, -1.0], r"value\[0\] must equal -beta=-2.0, got nan"),
+        "below": ([-2.0, -1.0, -3.0], r"delta trace values must lie in \[-beta, 0\]"),
+        "above": ([-2.0, 0.5, -1.0], r"delta trace values must lie in \[-beta, 0\]"),
+        "nan": ([-2.0, np.nan, -1.0], r"delta trace values must lie in \[-beta, 0\]"),
+    }
+
+    @pytest.mark.parametrize("beta", [2.0, [2.0, 2.0]], ids=["one-fee", "per-row"])
+    @pytest.mark.parametrize("row, message", BAD_GAPS.values(), ids=BAD_GAPS)
+    def test_kernels_refuse_what_delta_trace_refuses(self, row, message, beta):
+        with pytest.raises(ValidationError, match=message):
+            DeltaTrace(row, 2.0)
+        stack = np.array([[-2.0, -1.0, 0.0], row])
+        for call in (offline_states, chase_kernel):
+            with pytest.raises(ValidationError, match="gap trace row 1: " + message):
+                call(stack, beta)
+            with pytest.raises(ValidationError, match="gap trace row 0: " + message):
+                call(np.array(row), 2.0)
+        with pytest.raises(ValidationError, match="gap trace row 0: " + message):
+            chase_kernel(np.array(row), 2.0, np.full((3, 2), 0.5))  # the randomized rule
+        with pytest.raises(ValidationError, match="gap trace row 0: " + message):
+            chase_kernel(np.array(row), 2.0, None, 1)  # the expiry guard
+
+    def test_gap_rule_reads_each_rows_fee(self):
+        stack = np.array([[-1.0, -0.5, 0.0], [-3.0, -2.5, -3.0]])
+        assert offline_states(stack, [1.0, 3.0]).tolist() == [[1, 1], [0, 0]]
+        assert chase_kernel(stack, [1.0, 3.0])[0].tolist() == [[0, 1], [0, 0]]
+        with pytest.raises(ValidationError, match=r"row 1: value\[0\] must equal -beta=-1.0, got -3.0"):
+            offline_states(stack, [1.0, 1.0])
+        with pytest.raises(ValidationError, match=r"row 1: value\[0\] must equal -beta=-2.0, got -3.0"):
+            chase_kernel(stack, [1.0, 2.0])
+        with pytest.raises(ValidationError, match=r"row 0: delta trace values must lie in \[-beta, 0\]"):
+            offline_states(np.array([[-0.5, -1.0, 0.0], [-3.0, -2.5, -3.0]]), [0.5, 3.0])
+        # a stack of no rows breaks no rule
+        assert offline_states(np.zeros((0, 3)), 1.0).shape == chase_kernel(np.zeros((0, 3)), [])[0].shape == (0, 2)
+        # the traces from the defect report: out of the band, and a start that is not -beta
+        with pytest.raises(ValidationError, match="gap trace row 0"):
+            offline_states(np.array([[-1.0, 5.0, -3.0]]), 1.0)
+        with pytest.raises(ValidationError, match="gap trace row 0"):
+            chase_kernel(np.array([0.0, 0.5, -7.0]), 1.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cost(self, bad):
         g0 = np.zeros((2, 3))
@@ -281,7 +324,8 @@ def test_random_stacks_hold_the_instances_drawn_one_by_one():
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     got = sorted((beta, tuple(a), tuple(b)) for g0, g1, betas in _random_stacks(rng, 400, _sp_instance)
                  for a, b, beta in zip(g0.tolist(), g1.tolist(), betas.tolist()))
-    want = sorted((beta, cs.g0, cs.g1) for cs, beta in _instances_one_by_one(ref, 400, SP_FEES))
+    want = sorted((beta, tuple(cs.g0.tolist()), tuple(cs.g1.tolist()))
+                  for cs, beta in _instances_one_by_one(ref, 400, SP_FEES))
     assert got == want
     assert rng.bit_generator.state == ref.bit_generator.state
 

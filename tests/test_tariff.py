@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -103,12 +104,12 @@ class TestCostSeries:
         # zero demand implies a zero previous-cycle base load
         trace = Trace([(0, 0.4, 0.9, 0) for _ in range(4)])
         cs = cost_series(trace, 0.05)
-        assert cs.g0 == cs.g1 == (0.0,) * 4
+        assert cs.g0.tolist() == cs.g1.tolist() == [0.0] * 4
 
     def test_deterministic(self):
         trace = Trace([(80 + i, 0.1, 0.12, 100) for i in range(6)])
         a, b = cost_series(trace, 0.01), cost_series(trace, 0.01)
-        assert (a.g0, a.g1) == (b.g0, b.g1)
+        assert (a.g0.tolist(), a.g1.tolist()) == (b.g0.tolist(), b.g1.tolist())
 
     def test_length_matches_trace(self):
         trace = Trace([SLOT] * 7)
@@ -116,7 +117,7 @@ class TestCostSeries:
 
     def test_from_pairs_splits_columns(self):
         cs = CostSeries.from_pairs([(1, 2), (3, 4)])
-        assert (cs.g0, cs.g1) == ((1.0, 3.0), (2.0, 4.0))
+        assert (cs.g0.tolist(), cs.g1.tolist()) == ([1.0, 3.0], [2.0, 4.0])
 
     def test_per_slot_rate_shape_and_values_checked(self):
         trace = Trace([SLOT] * 3)
@@ -158,7 +159,7 @@ class TestCostSeries:
             for cs, hs in cases:
                 for plan, got in ((0, cs.g0), (1, cs.g1)):
                     want = [slot_cost(*row, h, plan) for row, h in zip(cols, hs)]
-                    assert list(map(repr, got)) == list(map(repr, want))
+                    assert list(map(repr, got.tolist())) == list(map(repr, want))
 
     def test_non_finite_pair_rejected(self):
         with pytest.raises(ValidationError):
@@ -198,7 +199,38 @@ class TestScheduleCosts:
             Schedule([0, 2])
         with pytest.raises(ValidationError, match="slot 3"):
             Schedule([1, 0, 0.5, 1])
-        assert Schedule([True, 0.0, np.int8(1)]).states == (1, 0, 1)
+        assert Schedule([True, 0.0, np.int8(1)]).states.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("states, message", [
+        ([0, 2], "schedule entry at slot 2 must be 0 or 1, got 2"),
+        ([1, 1, -1], "schedule entry at slot 3 must be 0 or 1, got -1"),
+        (np.array([0, 1, 256]), "schedule entry at slot 3 must be 0 or 1, got 256"),
+        ([0.0, float("nan")], "schedule entry at slot 2 must be 0 or 1, got nan"),
+        (["1"], "schedule entry at slot 1 must be 0 or 1, got '1'"),
+        ([0, None], "schedule entry at slot 2 must be 0 or 1, got None"),
+        ([], "schedule must be nonempty"),
+        ([[0, 1]], "schedule must be nonempty and one-dimensional, got shape (1, 2)"),
+    ], ids=["two", "minus-one", "int8-wrap", "nan", "string", "none", "empty", "2-D"])
+    def test_schedule_refusals_name_the_slot(self, states, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Schedule(states)
+
+    def test_records_hold_read_only_copies_of_any_iterable(self):
+        g0, g1, states = np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([0, 1])
+        cs, sched = CostSeries(g0, g1), Schedule(states)
+        g0[0] = g1[0] = 9.0
+        states[0] = 1
+        assert (cs.g0.tolist(), cs.g1.tolist(), sched.states.tolist()) == ([1.0, -2.0], [0.5, 3.0], [0, 1])
+        assert (cs.g0.dtype, cs.g1.dtype, sched.states.dtype) == (np.float64, np.float64, np.int8)
+        for values in (cs.g0, cs.g1, sched.states):
+            assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            cs.g0[0] = 0.0
+        for given in ([0, 1, 1], (False, True, True), [0.0, 1.0, 1.0], reversed([1, 1, 0]), iter([0, 1, 1])):
+            assert Schedule(given).states.tolist() == [0, 1, 1]
+        assert CostSeries(iter([1, 2]), (v for v in (3, 4))).g1.tolist() == [3.0, 4.0]
+        # records compare by identity, as Trace does
+        assert cs == cs and cs != CostSeries(cs.g0, cs.g1) and sched != Schedule(sched.states)
 
     @given(
         states=st.lists(st.integers(0, 1), min_size=1, max_size=20),
