@@ -95,9 +95,11 @@ def random_cost_series(
     return CostSeries(*random_costs(rng, period, low, high))
 
 
-def random_costs(rng: np.random.Generator, period: int, low: float = 0.0, high: float = 10.0) -> np.ndarray:
-    """The draw of :func:`random_cost_series` as a (2 x period) array: g0, then g1."""
-    return rng.uniform(low, high, size=(2, period))
+def random_costs(rng: np.random.Generator, shape: int | tuple[int, ...], low: float = 0.0,
+                 high: float = 10.0) -> np.ndarray:
+    """The draw of :func:`random_cost_series` as one array: g0, then g1, each of
+    ``shape`` (a period, or a stack's rows x period)."""
+    return rng.uniform(low, high, size=(2, *np.atleast_1d(shape)))
 
 
 def random_schedule(rng: np.random.Generator, period: int) -> Schedule:

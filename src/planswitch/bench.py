@@ -52,6 +52,7 @@ from .chase import (
 )
 from .oracles import brute_force_dsps, brute_force_sps, dp_dsp, phi_identity_dsps, phi_identity_sps
 from .tariff import (
+    FEE_MODES,
     CostSeries,
     Trace,
     ValidationError,
@@ -439,7 +440,8 @@ def sweep_csv(header: list[str], rows: list[list], config: Optional[RunConfig] =
 
 # ---------------------------------------------------------------------------
 # Verification suites: scaled-down versions of the acceptance properties,
-# runnable from the command line with any seed.
+# runnable from the command line with any seed. A suite draws its instances'
+# horizons first, then each horizon's instances as one (rows x T) stack.
 # ---------------------------------------------------------------------------
 
 # The fees the suites' random instances draw from.
@@ -448,61 +450,32 @@ DSP_FEES = (0.0, 0.1, 1.0)
 MC_FEES = (1.0, 2.0)
 
 
-def _draw_fee(rng: np.random.Generator, fees: tuple[float, ...]) -> float:
-    # By index: the value rng.choice(fees) gives, at a fraction of its cost, leaving the same generator state.
-    return fees[rng.integers(0, len(fees))]
+def _horizons(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
+    """The horizons of ``n`` random instances of 1 to 12 slots: each horizon drawn, and how many have it."""
+    # np.bincount, not np.unique, whose sort maps about 0.4 MB more of numpy into each verify process
+    return [(period, k) for period, k in enumerate(np.bincount(rng.integers(1, 13, n)).tolist()) if k]
 
 
-def _random_stacks(rng: np.random.Generator, n: int, draw) -> list[tuple[np.ndarray, ...]]:
-    """``n`` random instances of 1 to 12 slots, as stacks, one per horizon.
-
-    The instances are drawn one at a time from ``rng``: the horizon, then
-    ``draw(rng, period)``, which returns one instance's :func:`random_costs`
-    array first and its other fields after it. A stack is the instances'
-    g0 and g1 as (n x T) arrays, then each other field as one array whose
-    row i is instance i's.
-    """
-    by_period: dict[int, list] = {}
-    for _ in range(n):
-        period = int(rng.integers(1, 13))
-        by_period.setdefault(period, []).append(draw(rng, period))
-    stacks = []
-    for group in by_period.values():
-        g, *fields = (np.array(field) for field in zip(*group))
-        stacks.append((g[:, 0], g[:, 1], *fields))
-    return stacks
-
-
-def _sp_instance(rng: np.random.Generator, period: int) -> tuple[np.ndarray, float]:
-    beta = _draw_fee(rng, SP_FEES)
-    return random_costs(rng, period), beta
-
-
-def _dsp_instance(rng: np.random.Generator, period: int) -> tuple[np.ndarray, float, int, str]:
-    cap = int(rng.integers(1, period + 1))
-    alpha = _draw_fee(rng, DSP_FEES)
-    mode = "literal" if rng.integers(0, 2) else "transition-only"
-    return random_costs(rng, period), alpha, cap, mode
-
-
-def _identity_instance(rng: np.random.Generator, period: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    beta = float(rng.uniform(0.1, 5.0))
-    costs = random_costs(rng, period)
-    return costs, rng.integers(0, 2, size=period), beta, float(rng.uniform(0.0, 1.0))  # random_schedule's draw
+def _sp_stacks(rng: np.random.Generator, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``n`` random constant-fee instances, one stack per horizon: g0 and g1
+    as (k x T) arrays, then the k instances' fees."""
+    return [(*random_costs(rng, (k, period)), rng.choice(SP_FEES, k)) for period, k in _horizons(rng, n)]
 
 
 def _verify_oracle(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     sp_failures = 0
     n_sp = 200
-    for g0, g1, beta in _random_stacks(rng, n_sp, _sp_instance):
+    for g0, g1, beta in _sp_stacks(rng, n_sp):
         costs = sp_costs(offline_states(delta_traces(g0, g1, beta), beta), g0, g1, beta)
         best = sp_costs(brute_force_sps(g0, g1, beta)[0], g0, g1, beta)
         sp_failures += int(np.count_nonzero(np.abs(costs - best) > 1e-9))
     # The DP runs per instance (it is the code under test); exhaustive search per horizon.
     dsp_failures = 0
     n_dsp = 100
-    for g0, g1, *fees in _random_stacks(rng, n_dsp, _dsp_instance):
+    for period, k in _horizons(rng, n_dsp):
+        g0, g1 = random_costs(rng, (k, period))
+        fees = rng.choice(DSP_FEES, k), rng.integers(1, period + 1, k), rng.choice(FEE_MODES, k)
         best = dsp_costs(brute_force_dsps(g0, g1, *fees)[0], g0, g1, *fees)
         for row, fee in enumerate(zip(*(f.tolist() for f in fees))):
             dsp_failures += abs(dp_dsp(CostSeries(g0[row], g1[row]), *fee).best_cost - best[row]) > 1e-9
@@ -517,7 +490,7 @@ def _verify_ratio(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     violations = 0
     n = 2000
-    for g0, g1, beta in _random_stacks(rng, n, _sp_instance):
+    for g0, g1, beta in _sp_stacks(rng, n):
         values = delta_traces(g0, g1, beta)
         alg = sp_costs(chase_kernel(values, beta)[0], g0, g1, beta)
         opt = sp_costs(offline_states(values, beta), g0, g1, beta)
@@ -537,7 +510,7 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
     n_inst, n_runs = 5, 4000
     for k in range(n_inst):
         period = int(rng.integers(2, 11))
-        beta = _draw_fee(rng, MC_FEES)
+        beta = MC_FEES[rng.integers(0, len(MC_FEES))]
         cs = random_cost_series(rng, period)
         dt = delta_trace(cs, beta)
         rep = monte_carlo(cs, beta, n_runs, seed + 1000 * k)
@@ -561,7 +534,10 @@ def _verify_identity(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     failures = 0
     n = 300
-    for g0, g1, states, beta, alpha in _random_stacks(rng, n, _identity_instance):
+    for period, k in _horizons(rng, n):
+        g0, g1 = random_costs(rng, (k, period))
+        states = rng.integers(0, 2, size=(k, period))  # random_schedule's draw
+        beta, alpha = rng.uniform(0.1, 5.0, k), rng.uniform(0.0, 1.0, k)
         sp, rhs = phi_identity_sps(states, g0, g1, beta)
         failures += np.count_nonzero(np.abs(sp - rhs) > 1e-9)
         failures += np.count_nonzero(np.abs(sp - p2_costs(states, g0, g1, beta)) > 1e-9)

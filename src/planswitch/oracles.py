@@ -75,8 +75,8 @@ _CHUNK = 1 << _CHUNK_BITS
 class OracleResult:
     """An oracle's verdict: the best schedule, its cost, and how many schedules tie.
 
-    ``best_cost`` is recomputed from ``best_schedule`` with the scalar
-    objective, so the two always agree exactly. Tie counts treat costs within
+    ``best_cost`` is ``best_schedule`` priced by its objective's one-row
+    stack fold, so the two always agree exactly. Tie counts treat costs within
     ``TIE_TOL`` of the minimum as equal. Exhaustive search counts tied
     schedules; the dynamic program counts tied end states (the variable plan,
     or an open fixed run of each length), not every optimal path.

@@ -93,14 +93,22 @@ def require_finite_rows(name: str, value: np.typing.ArrayLike, rows: int,
     return values
 
 
+# The longest contract accepted. Up to 2**53 every integer is an exact float, so a
+# run's fee alpha * (L - d) is priced on the exact L - d, and the exhaustive
+# search's L * runs (at most 11 runs) stays within the int64 the stacks use.
+MAX_CONTRACT_LEN = 2**53
+
+
 def fee_terms(alpha: float, contract_len: int, fee_mode: str = "literal",
               positive: bool = False) -> tuple[float, int, str]:
     """Validated decreasing-fee terms: ``alpha`` as :func:`require_finite` takes it, an
-    integer ``contract_len`` >= 1 with a finite full fee ``alpha * contract_len``, and
-    a fee mode from ``FEE_MODES``."""
+    integer ``contract_len`` from 1 to ``MAX_CONTRACT_LEN`` with a finite full fee
+    ``alpha * contract_len``, and a fee mode from ``FEE_MODES``."""
     alpha = require_finite("alpha", alpha, positive)
     if not (contract_len >= 1 and contract_len % 1 == 0):  # also refuses nan and inf
         raise ValidationError(f"contract_len must be an integer >= 1, got {contract_len!r}")
+    if contract_len > MAX_CONTRACT_LEN:
+        raise ValidationError(f"contract_len must be <= {MAX_CONTRACT_LEN} (2**53), got {contract_len!r}")
     if not math.isfinite(alpha * contract_len):
         raise ValidationError(f"alpha * contract_len must be finite, got {alpha!r} * {contract_len!r}")
     if fee_mode not in FEE_MODES:
@@ -242,12 +250,7 @@ def cost_series(trace: Trace, underusage_rate: np.typing.ArrayLike) -> CostSerie
         underusage_rate: correction rate H in $/kWh, finite and >= 0: one
             value for every month, or one per month.
     """
-    h = np.asarray(underusage_rate, dtype=np.float64)
-    if h.ndim and h.shape != (len(trace),):
-        raise ValidationError(f"underusage_rate must be a scalar or one value per slot, got shape {h.shape}")
-    bad = _first_invalid(h)
-    if bad >= 0:
-        require_finite("underusage_rate", h.flat[bad])
+    h = require_finite_rows("underusage_rate", underusage_rate, len(trace))
     s = trace.slots
     e, p0, p1, b = s.demand_kwh, s.fixed_rate, s.variable_rate, s.base_load_kwh
     with np.errstate(all="ignore"):  # CostSeries refuses an overflow and names its slot

@@ -26,6 +26,7 @@ from planswitch import (
 from planswitch import bench
 from planswitch.bench import FEE_REGIMES, MAX_MC_RUNS, MAX_SWEEP_POINTS, MAX_SYNTH_SLOTS, config_echo
 from planswitch.cli import _config_from_args, build_parser, main
+from planswitch.tariff import MAX_CONTRACT_LEN
 
 
 class TestSynth:
@@ -362,7 +363,7 @@ class TestVerifySuites:
         assert lines[0] == "factor-3 bound: 2000 random instances, 0 violations"
         assert lines[-1] == "PASS"
 
-    @pytest.mark.parametrize("seed", [4, 5, 6, 7])
+    @pytest.mark.parametrize("seed", range(16))
     @pytest.mark.parametrize("suite", ["oracle", "ratio", "identity"])
     def test_suite_lines_are_pinned(self, suite, seed):
         # Lines the suites printed before they evaluated their instances in stacks; the
@@ -435,6 +436,47 @@ class TestVerifySuites:
 
         monkeypatch.setattr(bench, "phi_identity_dsps", one_fee_dropped)
         self._only_identity_fails(with_runs)
+
+    @pytest.mark.parametrize("seed", [4, 5, 6, 7])
+    def test_suites_draw_each_horizon_as_one_stack(self, monkeypatch, seed):
+        recorded = {name: [] for name in ("delta_traces", "brute_force_dsps", "phi_identity_sps")}
+
+        def recording(name, fn):
+            def wrapper(*args):
+                recorded[name].append(args)
+                return fn(*args)
+            return wrapper
+
+        for name in recorded:
+            monkeypatch.setattr(bench, name, recording(name, getattr(bench, name)))
+
+        def stacks(suite, name, n, costs_at=0):
+            # The stacks ``name`` receives in one run of ``suite``: n instances, one stack per horizon.
+            for calls in recorded.values():
+                calls.clear()
+            assert run_verify_suite(suite, seed)[0]
+            periods = []
+            for args in recorded[name]:
+                g0, g1 = args[costs_at:costs_at + 2]
+                assert g0.shape == g1.shape
+                assert min(g0.min(), g1.min()) >= 0.0 and max(g0.max(), g1.max()) < 10.0
+                periods += [g0.shape[1]] * len(g0)
+            assert len(periods) == n and set(periods) <= set(range(1, 13))
+            assert len(recorded[name]) == len(set(periods))
+            return recorded[name]
+
+        for suite, n in (("oracle", 200), ("ratio", 2000)):
+            for g0, _, beta in stacks(suite, "delta_traces", n):
+                assert beta.shape == (len(g0),) and set(beta.tolist()) <= set(bench.SP_FEES)
+        modes = set()
+        for g0, _, alpha, cap, mode in stacks("oracle", "brute_force_dsps", 100):
+            assert set(alpha.tolist()) <= set(bench.DSP_FEES)
+            assert cap.shape == (len(g0),) and cap.min() >= 1 and cap.max() <= g0.shape[1]
+            modes.update(mode.tolist())
+        assert modes == {"literal", "transition-only"}
+        for states, g0, _, beta in stacks("identity", "phi_identity_sps", 300, costs_at=1):
+            assert states.shape == g0.shape and set(np.unique(states).tolist()) <= {0, 1}
+            assert beta.shape == (len(g0),) and beta.min() >= 0.1 and beta.max() < 5.0
 
     @pytest.mark.parametrize("suite, calls", [
         ("identity", {}),
@@ -608,6 +650,9 @@ class TestCliConfigDefaults:
 BAD_FLAGS = [
     (["sweep", "--fee-regime", "linear", "--contract-len", "0"], "contract_len"),
     (["run", "--fee-regime", "linear", "--contract-len", "-3"], "contract_len"),
+    (["run", "--fee-regime", "linear", "--contract-len", "99999999999999999999", "--alpha", "1e-300"],
+     "contract_len must be <= 9007199254740992"),
+    (["sweep", "--fee-regime", "linear", "--contract-len", "9007199254740993"], "contract_len must be <="),
     (["run", "--algorithms", "ofa,ofa"], "more than once"),
     (["sweep", "--algorithms", "ofa,gchase,ofa"], "more than once"),
     (["run", "--fee-regime", "linear", "--alpha", "1e308"], "alpha * contract_len"),
@@ -642,6 +687,14 @@ BAD_FLAGS = [
     (["run", "--no-such-flag"], "unrecognized arguments"),
     (["run", "--beta"], "expected one argument"),
 ]
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--from", "1", "--to", "2"]])
+def test_longest_contract_is_accepted(capsys, command):
+    assert main(command + ["--fee-regime", "linear", "--slots", "30", "--contract-len", str(MAX_CONTRACT_LEN),
+                           "--alpha", "1e-300", "--algorithms", "ofa,gchase,gchase_r", "--mc-runs", "10"]) == 0
+    assert capsys.readouterr().err == ""
+
 
 # Trace file contents (None: no such file) that fail while the trace is read.
 BAD_TRACES = [

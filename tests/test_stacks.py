@@ -23,10 +23,9 @@ from planswitch import (
     measure_ratio,
     ofa_s,
     offline_states,
-    random_cost_series,
     sp_costs,
 )
-from planswitch.bench import DSP_FEES, MC_FEES, SP_FEES, _draw_fee, _random_stacks, _sp_instance
+from planswitch.bench import _sp_stacks
 from planswitch.chase import chase_kernel
 
 
@@ -300,44 +299,14 @@ class TestValidation:
             sp_costs(np.array([[0, 2]]), np.zeros((1, 2)), np.zeros((1, 2)), 1.0)
 
 
-@pytest.mark.parametrize("fees", [SP_FEES, DSP_FEES, MC_FEES])
-def test_fee_drawn_by_index_equals_choice(fees):
-    for seed in range(120):
-        by_index, by_choice = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(20):
-            fee = _draw_fee(by_index, fees)
-            assert type(fee) is float and fee == float(by_choice.choice(list(fees)))
-        assert by_index.bit_generator.state == by_choice.bit_generator.state
-
-
-def _instances_one_by_one(rng, n, fees):
-    # The suites' draws before they stacked: horizon, fee by rng.choice, then the costs.
-    out = []
-    for _ in range(n):
-        period = int(rng.integers(1, 13))
-        beta = float(rng.choice(list(fees)))
-        out.append((random_cost_series(rng, period), beta))
-    return out
-
-
-def test_random_stacks_hold_the_instances_drawn_one_by_one():
-    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    got = sorted((beta, tuple(a), tuple(b)) for g0, g1, betas in _random_stacks(rng, 400, _sp_instance)
-                 for a, b, beta in zip(g0.tolist(), g1.tolist(), betas.tolist()))
-    want = sorted((beta, tuple(cs.g0.tolist()), tuple(cs.g1.tolist()))
-                  for cs, beta in _instances_one_by_one(ref, 400, SP_FEES))
-    assert got == want
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
 def test_stacked_costs_equal_measure_ratio():
-    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-    got = []
-    for g0, g1, beta in _random_stacks(rng, 400, _sp_instance):
-        values = delta_traces(g0, g1, beta)
-        alg = sp_costs(chase_kernel(values, beta)[0], g0, g1, beta)
-        opt = sp_costs(offline_states(values, beta), g0, g1, beta)
+    got, want = [], []
+    for g0, g1, betas in _sp_stacks(np.random.default_rng(8), 400):
+        values = delta_traces(g0, g1, betas)
+        alg = sp_costs(chase_kernel(values, betas)[0], g0, g1, betas)
+        opt = sp_costs(offline_states(values, betas), g0, g1, betas)
         got += zip(alg.tolist(), opt.tolist())
-    want = [(r.alg_cost, r.opt_cost) for r in (measure_ratio(gchase_s, cs, beta)
-                                                for cs, beta in _instances_one_by_one(ref, 400, SP_FEES))]
-    assert sorted(got) == sorted(want)
+        want += [(r.alg_cost, r.opt_cost) for r in (measure_ratio(gchase_s, CostSeries(a, b), beta)
+                                                    for a, b, beta in zip(g0, g1, betas.tolist()))]
+    assert len(got) == 400
+    assert got == want

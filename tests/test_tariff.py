@@ -16,9 +16,11 @@ from planswitch import (
     TraceParseError,
     ValidationError,
     brute_force_dsp,
+    brute_force_dsps,
     cost_series,
     dp_dsp,
     dsp_cost,
+    dsp_costs,
     p2_cost,
     parse_trace,
     protocol_cost_series,
@@ -28,7 +30,7 @@ from planswitch import (
 from planswitch.bench import H_SCALE
 from planswitch.chase import drift_trace
 from planswitch import tariff
-from planswitch.tariff import _parse_rows, fee_terms
+from planswitch.tariff import MAX_CONTRACT_LEN, _parse_rows, fee_terms
 
 
 def slot_cost(e: float, p0: float, p1: float, b: float, h: float, plan: int) -> float:
@@ -121,7 +123,7 @@ class TestCostSeries:
 
     def test_per_slot_rate_shape_and_values_checked(self):
         trace = Trace([SLOT] * 3)
-        with pytest.raises(ValidationError, match="one value per slot"):
+        with pytest.raises(ValidationError, match=r"underusage_rate must be one value or one per row \(3\)"):
             cost_series(trace, [0.01, 0.02])
         with pytest.raises(ValidationError, match="underusage_rate must be finite and >= 0, got nan"):
             cost_series(trace, [0.01, math.nan, -1.0])
@@ -324,6 +326,7 @@ class TestFeeTerms:
         (1.0, 2.5, "literal", "contract_len"),
         (1.0, math.inf, "literal", "contract_len"),
         (1.0, math.nan, "literal", "contract_len"),
+        (1e-300, 2**53 + 1, "literal", "contract_len must be <= 9007199254740992"),
         (1e308, 12, "literal", "alpha \\* contract_len"),
         (1.0, 12, "sometimes", "fee_mode"),
     ])
@@ -340,6 +343,15 @@ class TestFeeTerms:
         for call in callers:
             with pytest.raises(ValidationError, match=needle):
                 call()
+
+    def test_longest_contract_per_row(self):
+        states, g0, g1 = np.zeros((2, 3), np.int8), np.ones((2, 3)), np.full((2, 3), 2.0)
+        with pytest.raises(ValidationError, match="contract_len must be <= 9007199254740992"):
+            dsp_costs(states, g0, g1, 1e-300, [12, 99999999999999999999])
+        # the longest contract's fee for a 3-slot run, 2**53 - 3, is priced exactly
+        assert dsp_costs(states, g0, g1, [0.0, 1.0], [12, MAX_CONTRACT_LEN]).tolist() == [3.0, 2.0**53]
+        best = brute_force_dsps(g0, g1, [0.0, 1.0], [12, MAX_CONTRACT_LEN])[0]
+        assert best.tolist() == [[0, 0, 0], [1, 1, 1]]
 
 
 class TestTrace:
