@@ -24,7 +24,6 @@ from .adversary import (
 )
 from .bench import (
     RunConfig,
-    SavingsReport,
     protocol_cost_series,
     report_json,
     run_report,

@@ -17,12 +17,10 @@ point on the same trace.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
-import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -68,7 +66,6 @@ from .tariff import (
 
 __all__ = [
     "RunConfig",
-    "SavingsReport",
     "ALGORITHMS",
     "BENCHMARK_PLANS",
     "FEE_REGIMES",
@@ -181,27 +178,6 @@ class RunConfig:
         _require_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class SavingsReport:
-    """One algorithm's outcome against the benchmark plan."""
-
-    algorithm: str
-    cost: float
-    benchmark_cost: float
-    savings_pct: Optional[float]
-    schedule: Optional[tuple] = None
-    ratio_vs_offline: Optional[float] = None
-    stderr: Optional[float] = None
-    mc_runs: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        """The fields by name, the schedule as a list (``asdict`` would deep-copy each entry)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.schedule is not None:
-            out["schedule"] = list(self.schedule)
-        return out
-
-
 def protocol_cost_series(trace: Trace, h_rate: Optional[float] = None) -> CostSeries:
     """Cost series under the protocol's underusage rule.
 
@@ -275,9 +251,12 @@ def _benchmark_cost(config: RunConfig, cs: CostSeries) -> float:
     return float(sum((cs.g1 if config.benchmark == "all-variable" else cs.g0).tolist()))
 
 
-def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> list[SavingsReport]:
-    """Each configured algorithm's report on one cost series.
+def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> dict[str, dict]:
+    """Each configured algorithm's report on one cost series, by name.
 
+    A report holds the algorithm, its cost, the benchmark cost, the savings,
+    the schedule (a list, or None for the randomized rule), the ratio to the
+    offline optimum, and the randomized rule's stderr and replicate count.
     The fee regimes differ only in the setup: the gap trace, the expiry
     guard, the offline optimum, and the objective of a stack of schedules
     and of the replicate rows. ``draws`` holds one row of uniforms per
@@ -288,35 +267,36 @@ def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> list[SavingsRepo
         objective = lambda states: sp_costs(states, cs.g0, cs.g1, config.beta)
         batch_objective = lambda states: batch_sp_costs(states, cs, config.beta)
         opt = offline_states(dt.values, dt.beta)
-        opt, opt_cost = tuple(opt[0].tolist()), float(objective(opt)[0])
+        opt, opt_cost = opt[0], float(objective(opt)[0])
     else:
         fee = (config.alpha, config.contract_len, config.fee_mode)
         dt, guard = drift_trace(cs, config.alpha, config.contract_len), config.contract_len
         objective = batch_objective = lambda states: dsp_costs(states, cs.g0, cs.g1, *fee)
         best = dp_dsp(cs, *fee)
-        opt, opt_cost = tuple(best.best_schedule.states.tolist()), best.best_cost
+        opt, opt_cost = best.best_schedule.states, best.best_cost
     if draws is None:
         draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
     bench_cost = _benchmark_cost(config, cs)
 
-    def report(name, cost, schedule=None, **extra):
-        return SavingsReport(name, cost, bench_cost, _savings(bench_cost, cost), schedule=schedule,
-                             ratio_vs_offline=competitive_ratio(cost, opt_cost), **extra)
+    def report(name, cost, schedule=None, stderr=None, mc_runs=None):
+        return {"algorithm": name, "cost": cost, "benchmark_cost": bench_cost,
+                "savings_pct": _savings(bench_cost, cost), "schedule": schedule,
+                "ratio_vs_offline": competitive_ratio(cost, opt_cost), "stderr": stderr, "mc_runs": mc_runs}
 
-    reports = []
+    reports = {}
     for name in config.algorithms:
         if name in ("ofa", "dp"):
-            reports.append(report(name, opt_cost, opt))
+            reports[name] = report(name, opt_cost, opt.tolist())
         elif name == "gchase":
             states = chase_batch(dt, None, guard, "gchase_dsp")[0]
-            reports.append(report(name, float(objective(states)[0]), tuple(states[0].tolist())))
+            reports[name] = report(name, float(objective(states)[0]), states[0].tolist())
         elif name == "gchase_r":
             costs = batch_objective(chase_batch(dt, draws, guard, "gchase_r")[0])
-            reports.append(report(name, float(costs.mean()), mc_runs=len(costs),
-                                  stderr=float(costs.std(ddof=1) / math.sqrt(len(costs)))))
+            stderr = float(costs.std(ddof=1) / math.sqrt(len(costs)))
+            reports[name] = report(name, float(costs.mean()), stderr=stderr, mc_runs=len(costs))
         elif name == "cchase":
             xs = cchase(dt)
-            reports.append(report(name, csp_cost(xs, cs, config.beta), tuple(xs.x.tolist())))
+            reports[name] = report(name, csp_cost(xs, cs, config.beta), xs.x.tolist())
     return reports
 
 
@@ -334,46 +314,41 @@ def run_report(config: RunConfig) -> dict:
         "config": config_echo(config),
         "slots": len(trace),
         "benchmark_cost": _benchmark_cost(config, cs),
-        "reports": {r.algorithm: r.to_dict() for r in reports},
+        "reports": reports,
     }
 
 
 def report_json(report: dict) -> str:
     """Stable-key-order JSON, byte-identical for identical configs and seeds.
 
-    The bytes are those of ``json.dumps(report, sort_keys=True, indent=2)``.
-    That indented dump runs the stdlib's pure-Python encoder, so each nonempty
-    list of plain ints and floats (the schedules) is dumped by the C encoder
-    instead and spliced in, one item per line, where a placeholder string
-    stood. A placeholder prefix that some string of the report already
-    contains is not used.
+    The bytes are those of ``json.dumps(report, sort_keys=True, indent=2)``,
+    written by a small recursive writer: the stdlib's indented dump runs its
+    pure-Python encoder, so each nonempty list of plain ints and floats (the
+    schedules) goes through the C encoder instead, one item per line. A dict
+    key that is not a string raises ``TypeError``.
     """
-    lists: list[tuple[list, int]] = []  # each spliced list and its nesting depth
 
-    def stub(obj, depth, prefix):
+    def write(obj, depth: int) -> str:
+        inner = "\n" + "  " * (depth + 1)
         if isinstance(obj, dict):
-            return {k: stub(v, depth + 1, prefix) for k, v in obj.items()}
+            if not obj:
+                return "{}"
+            for key in obj:
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            body = ("," + inner).join(f"{json.dumps(k)}: {write(obj[k], depth + 1)}" for k in sorted(obj))
+            return f"{{{inner}{body}\n{'  ' * depth}}}"
         if isinstance(obj, (list, tuple)):
-            if obj and set(map(type, obj)) <= {int, float}:
-                lists.append((obj, depth))
-                return f"{prefix}{len(lists) - 1}"
-            return [stub(v, depth + 1, prefix) for v in obj]
-        return obj
+            if not obj:
+                return "[]"
+            if set(map(type, obj)) <= {int, float}:
+                body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+            else:
+                body = ("," + inner).join(write(v, depth + 1) for v in obj)
+            return f"[{inner}{body}\n{'  ' * depth}]"
+        return json.dumps(obj)
 
-    for attempt in itertools.count():
-        prefix = f"@list{attempt}:"
-        lists.clear()
-        text = json.dumps(stub(report, 0, prefix), sort_keys=True, indent=2)
-        if text.count(f'"{prefix}') == len(lists):
-            break
-
-    def splice(match: re.Match) -> str:
-        items, depth = lists[int(match[1])]
-        inner = "  " * (depth + 1)
-        body = json.dumps(items)[1:-1].replace(", ", ",\n" + inner)
-        return f"[\n{inner}{body}\n{'  ' * depth}]"
-
-    return re.sub(rf'"{re.escape(prefix)}(\d+)"', splice, text) + "\n"
+    return write(report, 0) + "\n"
 
 
 def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) -> tuple[list[str], list[list]]:
@@ -414,17 +389,17 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
             point = replace(config, beta=fee)
         else:
             point = replace(config, alpha=fee / config.contract_len)
-        reports = {r.algorithm: r for r in _evaluate(point, cs, draws)}
+        reports = _evaluate(point, cs, draws)
         opt_name = "ofa" if "ofa" in reports else ("dp" if "dp" in reports else None)
         if opt_name is not None:
-            opt_cost = reports[opt_name].cost
+            opt_cost = reports[opt_name]["cost"]
             if opt_cost < prev_opt - 1e-9:
                 logger.warning(
                     "offline optimum cost decreased from %.6f to %.6f at fee %.4f",
                     prev_opt, opt_cost, fee,
                 )
             prev_opt = max(prev_opt, opt_cost)
-        rows.append([fee] + [reports[a].savings_pct for a in config.algorithms])
+        rows.append([fee] + [reports[a]["savings_pct"] for a in config.algorithms])
     return header, rows
 
 

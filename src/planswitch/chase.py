@@ -8,8 +8,9 @@ the variable plan is the safe choice; pinned at -beta says the opposite.
 Four algorithms share the trace:
 
 * ``ofa_s``     -- offline optimum, one backward pass from the boundary.
-  ``offline_states`` runs the pass over a stack of traces as one numpy
-  backward fill; ``ofa_s`` is its one-row call.
+  ``offline_states`` runs the pass over a stack of traces as the
+  deterministic online rule on the time-reversed traces; ``ofa_s`` is its
+  one-row call.
 * ``gchase_s``  -- deterministic online, forward pass; 3-competitive.
 * ``gchase_r``  -- randomized online, switches early with a probability
   proportional to how fast the gap moves; 2-competitive in expectation.
@@ -105,11 +106,7 @@ class DeltaTrace:
         beta = require_finite("beta", self.beta, positive=True)
         drift = require_finite("drift", self.drift)
         values = tuple(map(float, self.values))
-        if not values:
-            raise ValidationError("delta trace must contain the initial value")
-        fault = _gap_fault(np.array([values]), -beta)
-        if fault is not None:
-            raise ValidationError(fault[1])
+        _as_stack(values, beta)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "drift", drift)
@@ -254,18 +251,15 @@ def _as_stack(values, beta) -> tuple[np.ndarray, float | np.ndarray]:
 def offline_states(values, beta) -> np.ndarray:
     """Offline optimal states of each gap trace in a stack, as (rows x T) int8.
 
-    One backward pass from the boundary s_{T+1} = 0: a slot whose gap value
-    sits at -beta takes the fixed plan, one at 0 takes the variable plan, and
-    interior slots copy the later decision. It runs as one forward fill over
-    the reversed slots. ``values`` is one trace or a stack as
+    One backward pass from the boundary s_{T+1} = 0: each slot takes the plan
+    of the first boundary hit at or after it. That is the deterministic online
+    rule run backward, so it runs as :func:`chase_kernel` on the time-reversed
+    traces, column 0 kept at -beta. ``values`` is one trace or a stack as
     :func:`delta_traces` builds it; ``beta`` is one value or one per row.
     """
-    values, neg = _as_stack(values, beta)
-    backward = values[:, :0:-1]  # slots T..1
-    plan_of = np.zeros(values.shape, dtype=bool)  # column 0 is the boundary s_{T+1} = 0
-    top = np.equal(backward, 0.0, out=plan_of[:, 1:])
-    slots = np.arange(1, values.shape[1], dtype=np.int32)
-    return _fill(top | (backward == neg), slots, plan_of)[:, ::-1]
+    values = np.atleast_2d(values)
+    backward = np.concatenate((values[:, :1], values[:, :0:-1]), axis=1)  # -beta, then slots T..1
+    return chase_kernel(backward, beta)[0][:, ::-1]
 
 
 def ofa_s(dt: DeltaTrace) -> Schedule:
@@ -498,10 +492,11 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
     uniforms per replicate (a 2-D array or :class:`SeededUniforms`), or is
     None for the deterministic rule: only boundary slots force, and
     ``values`` may be a stack of traces, one per row, with ``beta`` one
-    value or one per row. The drift rule alone can park the gap at -beta for
-    good, so with ``contract_len`` a fixed run of one trace reaching that
-    length is cut by a forced switch to plan 1, which holds until the next
-    slot forcing 0. One row needs at most T // (contract_len + 1) cuts. A
+    value or one per row; run on the time-reversed traces, this rule is the
+    offline backward pass (:func:`offline_states`). The drift rule alone can
+    park the gap at -beta for good, so with ``contract_len`` a fixed run of
+    one trace reaching that length is cut by a forced switch to plan 1,
+    which holds until the next slot forcing 0. One row needs at most T // (contract_len + 1) cuts. A
     block of replicate rows with more rows than that takes the lockstep
     (:func:`_guarded_block`: one numpy step per cut for all rows); any other
     block is walked row by row (:func:`_guarded_row`: at least one Python

@@ -373,23 +373,15 @@ def potential_check(
     above each slot's cheaper plan. A nonnegative running sum of slacks
     certifies that x's cost stays within twice z's along the whole prefix.
     """
-    zvals = (zs.x if isinstance(zs, FractionalSchedule) else zs.states.astype(np.float64)).tolist()
-    if len(xs) != len(cs) or len(zvals) != len(cs):
+    x = xs.x
+    z = zs.x if isinstance(zs, FractionalSchedule) else zs.states.astype(np.float64)
+    if len(x) != len(cs) or len(z) != len(cs):
         raise ValidationError("potential check requires equal-length trajectories and series")
     beta = require_finite("beta", beta)
-
-    def pot(x: float, z: float) -> float:
-        return beta * (0.5 * x * x + 2.0 * z - 2.0 * z * x)
-
-    slacks = []
-    x_prev = 0.0
-    z_prev = 0.0
-    for x, z, a, b in zip(xs.x.tolist(), zvals, cs.g0.tolist(), cs.g1.tolist()):
-        floor = min(a, b)
-        fx = (b - a) * x + a - floor
-        fz = (b - a) * z + a - floor
-        step_x = fx + beta * max(x - x_prev, 0.0)
-        step_z = fz + beta * max(z - z_prev, 0.0)
-        slacks.append(2.0 * step_z - step_x - (pot(x, z) - pot(x_prev, z_prev)))
-        x_prev, z_prev = x, z
-    return slacks
+    a, b = cs.g0, cs.g1
+    floor = np.minimum(b, a)  # min(a, b): a on a tie
+    # each slot's change of x and z, from x_0 = z_0 = 0; max(d, 0.0) keeps d on a tie
+    step_x = (b - a) * x + a - floor + beta * np.maximum(0.0, np.diff(x, prepend=0.0))
+    step_z = (b - a) * z + a - floor + beta * np.maximum(0.0, np.diff(z, prepend=0.0))
+    pot = beta * (0.5 * x * x + 2.0 * z - 2.0 * z * x)  # 0.0 at x_0 = z_0 = 0
+    return (2.0 * step_z - step_x - np.diff(pot, prepend=0.0)).tolist()

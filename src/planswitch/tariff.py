@@ -87,9 +87,9 @@ def require_finite_rows(name: str, value: np.typing.ArrayLike, rows: int,
         return np.full(rows, require_finite(name, values, positive))
     if values.shape != (rows,):
         raise ValidationError(f"{name} must be one value or one per row ({rows}), got shape {values.shape}")
-    bad = ~np.isfinite(values) | (values <= 0.0 if positive else values < 0.0)
-    if bad.any():
-        require_finite(name, values[bad.argmax()], positive)
+    bad = _first_invalid(values, positive)
+    if bad >= 0:
+        require_finite(name, values[bad], positive)
     return values
 
 
@@ -126,9 +126,9 @@ def _first(bad: np.ndarray) -> int:
     return int(bad.argmax()) if bad.any() else -1
 
 
-def _first_invalid(values: np.ndarray) -> int:
-    """Flat (row-major) index of the first value that is not finite and >= 0, or -1."""
-    return _first(~(np.isfinite(values) & (values >= 0.0)))
+def _first_invalid(values: np.ndarray, positive: bool = False) -> int:
+    """Flat (row-major) index of the first value that is not finite and >= 0 (> 0 when ``positive``), or -1."""
+    return _first(~(np.isfinite(values) & ((values > 0.0) if positive else (values >= 0.0))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@
 stack of schedules. These are the per-schedule loops that fold replaced, kept
 here so the differential tests can require the stack forms to give the same
 floats, row by row. Each takes a schedule's 0/1 states (``csp_loop``: its
-fractions) and its two cost sequences; sums are plain left folds from 0.0.
+fractions; ``potential_loop``: two trajectories) and its two cost sequences;
+sums are plain left folds from 0.0.
 """
 
 from planswitch import InfeasibleScheduleError
@@ -118,3 +119,26 @@ def phi_dsp_loop(states, g0, g1, alpha, contract_len):
         big_start = phi[start] - alpha * start
         rhs += big_end - big_start + beta
     return dsp_loop(states, g0, g1, alpha, contract_len, "literal"), rhs
+
+
+def potential_loop(x, z, g0, g1, beta):
+    """Per-slot slack of the factor-2 inequality for trajectories x and z:
+    twice z's step cost minus x's minus the change of the potential
+    beta*(x^2/2 + 2z - 2zx), step costs measured above each slot's cheaper
+    plan, with x_0 = z_0 = 0."""
+
+    def pot(x, z):
+        return beta * (0.5 * x * x + 2.0 * z - 2.0 * z * x)
+
+    slacks = []
+    x_prev = 0.0
+    z_prev = 0.0
+    for xt, zt, a, b in zip(x, z, g0, g1):
+        floor = min(a, b)
+        fx = (b - a) * xt + a - floor
+        fz = (b - a) * zt + a - floor
+        step_x = fx + beta * max(xt - x_prev, 0.0)
+        step_z = fz + beta * max(zt - z_prev, 0.0)
+        slacks.append(2.0 * step_z - step_x - (pot(xt, zt) - pot(x_prev, z_prev)))
+        x_prev, z_prev = xt, zt
+    return slacks

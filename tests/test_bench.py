@@ -239,6 +239,19 @@ class TestReportJson:
     def test_matches_stdlib(self, report):
         assert report_json(report) == stdlib_report_json(report)
 
+    def test_strings_escaped_as_stdlib(self):
+        report = run_report(RunConfig(synth_slots=12, seed=4, algorithms=("ofa", "cchase")))
+        for text in ("Zürich €5 ☃", 'say "hi"', "back\\slash \\u00e9", '\\"\n\t\x00', "ключ"):
+            report["config"]["trace_path"] = text
+            report["reports"]["ofa"][text] = [text, {text: text}]
+            assert report_json(report) == stdlib_report_json(report)
+
+    @pytest.mark.parametrize("key", [1, 2.5, None, True])
+    def test_non_string_key_refused(self, key):
+        # json.dumps would write str(key); a report's keys are strings
+        with pytest.raises(TypeError, match="report keys must be str"):
+            report_json({"reports": {"ofa": {"cost": 1.0, key: [1, 2]}}})
+
     @pytest.mark.parametrize("path", ["@list0:0", '"@list0:0"', "@list0:1 @list1:0", 'x"@list0:0', "@list0:"])
     def test_placeholder_text_in_strings(self, path):
         report = run_report(RunConfig(synth_slots=12, seed=4, algorithms=("ofa", "gchase", "cchase")))

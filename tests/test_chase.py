@@ -57,6 +57,12 @@ class TestDeltaTrace:
         with pytest.raises(ValidationError):
             DeltaTrace(values=(-2.0, -1.0, -2.5, 0.0), beta=2.0)  # below -beta, mid-trace
 
+    @pytest.mark.parametrize("values", [(), (-1.0,)], ids=["empty", "initial-only"])
+    def test_trace_without_a_slot_refused(self, values):
+        # the kernels' shape rule: a trace the record accepts is one every kernel takes
+        with pytest.raises(ValidationError, match=r"gap traces must be \(rows x \(T \+ 1\)\) with T >= 1"):
+            DeltaTrace(values, 1.0)
+
     @pytest.mark.parametrize("values", [(-1.0, float("nan"), -0.5), (-1.0, -0.5, float("nan"))],
                              ids=["nan-middle", "nan-last"])
     def test_nan_rejected_anywhere(self, values):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scalar_objectives import dsp_loop, sp_loop
+from scalar_objectives import dsp_loop, potential_loop, sp_loop
 
 from planswitch import (
     BRUTE_FORCE_MAX_T,
     CostSeries,
+    FractionalSchedule,
     InfeasibleScheduleError,
     Schedule,
     ValidationError,
@@ -229,6 +230,30 @@ class TestPotentialCheck:
         xs = cchase(delta_trace(cs, 1.0))
         with pytest.raises(ValidationError, match="beta"):
             potential_check(xs, xs, cs, beta)
+
+    def test_slacks_equal_the_slot_loop(self):
+        # Costs, fractions and fees drawn partly from pools of signed zeros and
+        # repeated values, so min, max and the differences meet ties and -0.0.
+        rng = np.random.default_rng(28)
+        cost_pool = np.array([-0.0, 0.0, 1.0, 2.5, -1.5])
+        x_pool = np.array([-0.0, 0.0, 0.5, 1.0])
+
+        def pick(pool, draw, n):
+            return np.where(rng.random(n) < 0.5, rng.choice(pool, n), draw(n))
+
+        for i in range(2000):
+            period = int(rng.integers(1, 13))
+            g0 = pick(cost_pool, lambda n: rng.uniform(-2.0, 10.0, n), period)
+            g1 = np.where(rng.random(period) < 0.3, g0, pick(cost_pool, lambda n: rng.uniform(-2.0, 10.0, n), period))
+            beta = float(rng.choice([0.0, 0.5, 1.0, 3.0])) if i % 2 else float(rng.uniform(0.0, 5.0))
+            cs = CostSeries(g0, g1)
+            xs = FractionalSchedule(pick(x_pool, rng.random, period))
+            comparators = (Schedule(rng.integers(0, 2, period)), FractionalSchedule(pick(x_pool, rng.random, period)))
+            for zs in comparators:
+                z = zs.x if isinstance(zs, FractionalSchedule) else zs.states.astype(np.float64)
+                want = potential_loop(xs.x.tolist(), z.tolist(), g0.tolist(), g1.tolist(), beta)
+                got = potential_check(xs, zs, cs, beta)
+                assert list(map(repr, got)) == list(map(repr, want))
 
     def test_against_offline_schedule_certifies_factor_two(self):
         rng = np.random.default_rng(26)

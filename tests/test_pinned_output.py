@@ -7,8 +7,11 @@ changed figure. The commands cover the sweep workload in both fee regimes,
 one decreasing-fee run on each side of the expiry guard's path selection:
 100 replicates of 600 months (more rows than the 46 cuts one row can need,
 so the lockstep runs) and 20 replicates of 2,000 months (the per-row walk),
-and one constant-fee run of every constant-regime algorithm, whose report
-holds the offline, deterministic and continuous schedules.
+one constant-fee run of every constant-regime algorithm, whose report
+holds the offline, deterministic and continuous schedules, one
+decreasing-fee run of every linear-regime algorithm against the all-fixed
+benchmark in the transition-only fee mode, whose report holds a ``dp``
+entry, and one constant-fee run with a fixed underusage rate.
 
 A change that moves these bytes on purpose records the new digests here and
 names the change in CHANGES.md.
@@ -45,11 +48,17 @@ PINNED = [
     (("run", "--slots", "2000", "--fee-regime", "constant", "--beta", "100",
       "--algorithms", "ofa,gchase,gchase_r,cchase", "--mc-runs", "20", "--seed", "1"),
      "5d779d6f679e4d93f3246fdd94a0e7cdf42c1376a9bda50f2c6cad355b77d0f3", EMPTY),
+    (("run", "--fee-regime", "linear", "--algorithms", "ofa,dp,gchase,gchase_r", "--benchmark", "all-fixed",
+      "--fee-mode", "transition-only"),
+     "b4e77a0df5d23affb40f3022122b10d7a734454326c3eb92bf8d3b33b03188ab", EMPTY),
+    (("run", "--h-rate", "0.02"),
+     "8d3ae1d2979035824e2b50bc91f588846c15d0a18bed27f6e71dc50d7ecd4891", EMPTY),
 ]
 
 
 @pytest.mark.parametrize("argv, stdout_sha, stderr_sha", PINNED,
-                         ids=["sweep-constant", "sweep-linear", "run-lockstep", "run-walk", "run-constant"])
+                         ids=["sweep-constant", "sweep-linear", "run-lockstep", "run-walk", "run-constant",
+                              "run-linear-all-fixed", "run-h-rate"])
 def test_output_bytes_are_pinned(argv, stdout_sha, stderr_sha):
     src = os.path.dirname(os.path.dirname(planswitch.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

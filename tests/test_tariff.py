@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -352,6 +353,19 @@ class TestFeeTerms:
         assert dsp_costs(states, g0, g1, [0.0, 1.0], [12, MAX_CONTRACT_LEN]).tolist() == [3.0, 2.0**53]
         best = brute_force_dsps(g0, g1, [0.0, 1.0], [12, MAX_CONTRACT_LEN])[0]
         assert best.tolist() == [[0, 0, 0], [1, 1, 1]]
+
+
+class TestRequireFiniteRows:
+    @pytest.mark.parametrize("bad", list(itertools.permutations([0.0, -0.0, math.nan])),
+                             ids=lambda bad: ",".join(map(repr, bad)))
+    def test_positive_rows_name_the_first_refused(self, bad):
+        with pytest.raises(ValidationError, match=re.escape(f"beta must be finite and > 0, got {bad[0]!r}")):
+            tariff.require_finite_rows("beta", [1.0, 2.5, 1e-300, *bad], 6, positive=True)
+
+    def test_zero_rows_accepted_unless_positive(self):
+        assert tariff.require_finite_rows("h", [0.0, -0.0, 2.0], 3).tolist() == [0.0, -0.0, 2.0]
+        with pytest.raises(ValidationError, match=re.escape("h must be finite and >= 0, got -1e-300")):
+            tariff.require_finite_rows("h", [0.0, -1e-300, math.nan], 3)
 
 
 class TestTrace:
