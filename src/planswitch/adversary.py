@@ -27,7 +27,7 @@ from .chase import (
     DeltaTrace,
     OnlineState,
     SeededUniforms,
-    chase_kernel,
+    _chase,
     clamp_step,
     delta_trace,
     gchase_step,
@@ -205,8 +205,7 @@ def simulate_randomized_batch(dt: DeltaTrace, n_runs: int, seed: int) -> np.ndar
     ``seed + i``, exactly as the scalar fold does, so the rows are
     bit-identical to running :func:`planswitch.chase.gchase_r` once per seed.
     """
-    draws = SeededUniforms(seed, n_runs, len(dt))
-    return chase_kernel(dt.values, dt.beta, draws)[0]
+    return _chase(dt.values, -dt.beta, SeededUniforms(seed, n_runs, len(dt)))[0]
 
 
 def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarray:
@@ -220,7 +219,11 @@ def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarra
     reports are its floats.
     """
     beta = require_finite("beta", beta)
-    states = _stack(states, cs.g0, cs.g1)[0]
+    return _batch_sp(_stack(states, cs.g0, cs.g1)[0], cs, beta)
+
+
+def _batch_sp(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarray:
+    """:func:`batch_sp_costs` on a checked (runs x T) int8 0/1 matrix, its series and fee."""
     fstates = states.astype(np.float64)
     service = fstates @ cs.g1
     service += np.subtract(1.0, fstates, out=fstates) @ cs.g0
@@ -242,8 +245,6 @@ def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioRep
     if n_runs < 2:
         raise ValidationError(f"n_runs must be >= 2, got {n_runs!r}")
     dt = delta_trace(cs, beta)
-    costs = batch_sp_costs(simulate_randomized_batch(dt, n_runs, seed), cs, beta)
-    mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1) / math.sqrt(n_runs))
-    opt_cost = sp_cost(ofa_s(dt), cs, beta)
-    return _make_report(mean, opt_cost, mean=mean, stderr=stderr, n_runs=n_runs)
+    costs = _batch_sp(simulate_randomized_batch(dt, n_runs, seed), cs, dt.beta)
+    mean, stderr = float(costs.mean()), float(costs.std(ddof=1) / math.sqrt(n_runs))
+    return _make_report(mean, sp_cost(ofa_s(dt), cs, beta), mean=mean, stderr=stderr, n_runs=n_runs)

@@ -26,11 +26,11 @@ from typing import Optional
 import numpy as np
 
 from .adversary import (
+    _batch_sp,
     batch_sp_costs,
     competitive_ratio,
     deterministic_adversary,
     gchase_player,
-    monte_carlo,
     random_cost_series,
     random_costs,
     simulate_randomized_batch,
@@ -38,30 +38,32 @@ from .adversary import (
 from .chase import (
     BLOCK_CELLS,
     SeededUniforms,
+    _chase,
+    _offline,
     cchase,
     chase_batch,
-    chase_kernel,
     csp_cost,
     delta_trace,
     delta_traces,
-    drift_trace,
     marginal_probabilities,
+    ofa_s,
     offline_states,
 )
-from .oracles import brute_force_dsps, brute_force_sps, dp_dsp, phi_identity_dsps, phi_identity_sps
+from .oracles import _search, brute_force_dsps, dp_dsp, phi_identity_dsps, phi_identity_sps
 from .tariff import (
     FEE_MODES,
     CostSeries,
     Trace,
     ValidationError,
+    _dsp_fold,
     _fixed_runs,
+    _sp_fold,
     cost_series,
-    dsp_costs,
     fee_terms,
     p2_costs,
     parse_trace,
     require_finite,
-    sp_costs,
+    sp_cost,
 )
 
 __all__ = [
@@ -262,17 +264,19 @@ def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> dict[str, dict]:
     and of the replicate rows. ``draws`` holds one row of uniforms per
     replicate; by default row i comes from ``default_rng(seed + i)``.
     """
+    # RunConfig checked the terms and CostSeries the costs: the kernels and objectives run unchecked
     if config.fee_regime == "constant":
         dt, guard = delta_trace(cs, config.beta), None
-        objective = lambda states: sp_costs(states, cs.g0, cs.g1, config.beta)
-        batch_objective = lambda states: batch_sp_costs(states, cs, config.beta)
-        opt = offline_states(dt.values, dt.beta)
+        objective = lambda states: _sp_fold(states, cs.g0[None], cs.g1[None], np.array([dt.beta]))
+        batch_objective = lambda states: _batch_sp(states, cs, dt.beta)
+        opt = _offline(dt.values, -dt.beta)
         opt, opt_cost = opt[0], float(objective(opt)[0])
     else:
-        fee = (config.alpha, config.contract_len, config.fee_mode)
-        dt, guard = drift_trace(cs, config.alpha, config.contract_len), config.contract_len
-        objective = batch_objective = lambda states: dsp_costs(states, cs.g0, cs.g1, *fee)
-        best = dp_dsp(cs, *fee)
+        alpha, guard = float(config.alpha), int(config.contract_len)
+        dt, fee = delta_trace(cs, alpha * guard, alpha), (alpha, guard, config.fee_mode == "literal")
+        objective = batch_objective = lambda states: _dsp_fold(
+            states, cs.g0[None], cs.g1[None], *(np.full(len(states), v) for v in fee))
+        best = dp_dsp(cs, config.alpha, config.contract_len, config.fee_mode)
         opt, opt_cost = best.best_schedule.states, best.best_cost
     if draws is None:
         draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
@@ -441,9 +445,9 @@ def _verify_oracle(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     sp_failures = 0
     n_sp = 200
-    for g0, g1, beta in _sp_stacks(rng, n_sp):
-        costs = sp_costs(offline_states(delta_traces(g0, g1, beta), beta), g0, g1, beta)
-        best = sp_costs(brute_force_sps(g0, g1, beta)[0], g0, g1, beta)
+    for g0, g1, beta in _sp_stacks(rng, n_sp):  # checked by delta_traces, so the search and fold run unchecked
+        costs = _sp_fold(offline_states(delta_traces(g0, g1, beta), beta), g0, g1, beta)
+        best = _sp_fold(_search(g0, g1, beta=beta)[0], g0, g1, beta)
         sp_failures += int(np.count_nonzero(np.abs(costs - best) > 1e-9))
     # The DP runs per instance (it is the code under test); exhaustive search per horizon.
     dsp_failures = 0
@@ -451,13 +455,11 @@ def _verify_oracle(seed: int) -> tuple[bool, list[str]]:
     for period, k in _horizons(rng, n_dsp):
         g0, g1 = random_costs(rng, (k, period))
         fees = rng.choice(DSP_FEES, k), rng.integers(1, period + 1, k), rng.choice(FEE_MODES, k)
-        best = dsp_costs(brute_force_dsps(g0, g1, *fees)[0], g0, g1, *fees)
+        best = _dsp_fold(brute_force_dsps(g0, g1, *fees)[0], g0, g1, fees[0], fees[1], fees[2] == "literal")
         for row, fee in enumerate(zip(*(f.tolist() for f in fees))):
             dsp_failures += abs(dp_dsp(CostSeries(g0[row], g1[row]), *fee).best_cost - best[row]) > 1e-9
-    lines = [
-        f"offline vs exhaustive: {n_sp} instances, {sp_failures} failures",
-        f"dp vs exhaustive: {n_dsp} instances (both fee modes), {dsp_failures} failures",
-    ]
+    lines = [f"offline vs exhaustive: {n_sp} instances, {sp_failures} failures",
+             f"dp vs exhaustive: {n_dsp} instances (both fee modes), {dsp_failures} failures"]
     return sp_failures == 0 and dsp_failures == 0, lines
 
 
@@ -465,17 +467,15 @@ def _verify_ratio(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     violations = 0
     n = 2000
-    for g0, g1, beta in _sp_stacks(rng, n):
+    for g0, g1, beta in _sp_stacks(rng, n):  # checked by delta_traces, whose stack the clamp keeps valid
         values = delta_traces(g0, g1, beta)
-        alg = sp_costs(chase_kernel(values, beta)[0], g0, g1, beta)
-        opt = sp_costs(offline_states(values, beta), g0, g1, beta)
+        alg = _sp_fold(_chase(values, -beta[:, None])[0], g0, g1, beta)
+        opt = _sp_fold(_offline(values, -beta[:, None]), g0, g1, beta)
         violations += int(np.count_nonzero(alg > 3.0 * opt + 1e-9))
     _, report = deterministic_adversary(lambda: gchase_player(1.0), 1.0, 600, 0.01)
     adv_ok = report.ratio is not None and report.ratio >= 2.9
-    lines = [
-        f"factor-3 bound: {n} random instances, {violations} violations",
-        f"adaptive adversary realized ratio: {report.ratio:.4f} (floor 2.9)",
-    ]
+    lines = [f"factor-3 bound: {n} random instances, {violations} violations",
+             f"adaptive adversary realized ratio: {report.ratio:.4f} (floor 2.9)"]
     return violations == 0 and adv_ok, lines
 
 
@@ -488,19 +488,17 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
         beta = MC_FEES[rng.integers(0, len(MC_FEES))]
         cs = random_cost_series(rng, period)
         dt = delta_trace(cs, beta)
-        rep = monte_carlo(cs, beta, n_runs, seed + 1000 * k)
-        target = csp_cost(cchase(dt), cs, beta)
-        if abs(rep.mean - target) > 3.0 * rep.stderr + 1e-9:
+        states = simulate_randomized_batch(dt, n_runs, seed + 1000 * k)  # as monte_carlo draws them
+        costs = batch_sp_costs(states, cs, beta)
+        mean, stderr = float(costs.mean()), float(costs.std(ddof=1) / math.sqrt(n_runs))
+        if abs(mean - csp_cost(cchase(dt), cs, beta)) > 3.0 * stderr + 1e-9:
             failures += 1
-        if rep.mean > 2.0 * rep.opt_cost + 3.0 * rep.stderr + 1e-9:
+        if mean > 2.0 * sp_cost(ofa_s(dt), cs, beta) + 3.0 * stderr + 1e-9:
             failures += 1
-        marg = marginal_probabilities(dt)
-        emp = simulate_randomized_batch(dt, n_runs, seed + 1000 * k).mean(axis=0)
-        for p, e in zip(marg, emp):
+        for p, e in zip(marginal_probabilities(dt), states.mean(axis=0)):
             if abs(e - p) > 3.0 * math.sqrt(p * (1.0 - p) / n_runs) + 1e-12:
                 failures += 1
-    lines = [f"randomized vs continuous: {n_inst} instances x {n_runs} runs, {failures} failures"]
-    return failures == 0, lines
+    return failures == 0, [f"randomized vs continuous: {n_inst} instances x {n_runs} runs, {failures} failures"]
 
 
 def _verify_identity(seed: int) -> tuple[bool, list[str]]:

@@ -21,15 +21,14 @@ The decreasing-fee variants subtract a per-slot drift ``alpha`` from the gap
 and force a switch when a fixed contract reaches its maximum length.
 
 A ``DeltaTrace`` holds its values as a tuple, a ``FractionalSchedule`` its
-fractions as a read-only float64 array. The record and every kernel check a
-gap trace by one rule: value 0 is -beta and every value lies in [-beta, 0].
-
-Every forward rule runs in one numpy kernel over (replicates x slots),
-:func:`chase_kernel`, which also takes a stack of traces (one per row) for
-the deterministic rule; each online rule keeps a scalar step form as the
-readable reference (fold the steps to reproduce the kernel bit-exactly). The
-randomized step consumes exactly one uniform draw per slot whether or not the
-slot's decision is random, so scalar folds and the kernel see identical draws.
+fractions as a read-only float64 array. Every forward rule runs in one numpy
+kernel over (replicates x slots), :func:`chase_kernel`, which also takes a
+stack of traces for the deterministic rule. A gap trace is checked once, where
+it enters, by one rule: by the record, or by ``chase_kernel`` and
+``offline_states``; code holding a checked trace runs their unchecked cores.
+Each online rule keeps a scalar step form as the readable reference: folding
+the steps reproduces the kernel bit-exactly, as the randomized step consumes
+one uniform draw per slot whether or not the slot's decision is random.
 """
 
 from __future__ import annotations
@@ -213,28 +212,9 @@ def delta_traces(g0, g1, beta, drift: float = 0.0) -> np.ndarray:
     return values
 
 
-def _gap_fault(values: np.ndarray, neg: float | np.ndarray) -> tuple[int, str] | None:
-    """The one rule of gap traces, over (rows x (T + 1)) with -beta one value or a column: entry 0
-    is -beta and every entry lies in [-beta, 0] (NaN does not). The first row breaking it and how, or None."""
-    if isinstance(neg, float):  # one fee: three reductions clear a valid stack (or no rows), the common case
-        lo, hi = np.minimum.reduce(values, None, initial=neg), np.maximum.reduce(values, None, initial=neg)
-        if lo >= neg and hi <= 0.0 and np.maximum.reduce(values[:, 0], initial=neg) == neg:  # a NaN fails
-            return None
-        neg = np.full(len(values), neg)
-    else:
-        neg = neg[:, 0]
-    start = values[:, 0] != neg
-    row = _first(start | ~((values.min(axis=1) >= neg) & (values.max(axis=1) <= 0.0)))  # NaN fails both
-    if row < 0:
-        return None
-    if start[row]:
-        return row, f"value[0] must equal -beta={float(neg[row])}, got {float(values[row, 0])}"
-    return row, "delta trace values must lie in [-beta, 0]"
-
-
 def _as_stack(values, beta) -> tuple[np.ndarray, float | np.ndarray]:
-    # A gap trace or a stack of them as (rows x (T + 1)) floats, and -beta: one value, or one per row as a
-    # column. A single fee stays a Python float, which keeps a one-trace call a few microseconds cheaper.
+    """The one rule of gap traces: (rows x (T + 1)) floats, T >= 1, entry 0 -beta and every entry in
+    [-beta, 0] (NaN is not), the first row breaking it named. Returns them and -beta (a float or column)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values[None]
@@ -242,30 +222,36 @@ def _as_stack(values, beta) -> tuple[np.ndarray, float | np.ndarray]:
         raise ValidationError(f"gap traces must be (rows x (T + 1)) with T >= 1, got shape {values.shape}")
     neg = -(require_finite("beta", beta, positive=True) if np.ndim(beta) == 0
             else require_finite_rows("beta", beta, len(values), positive=True)[:, None])
-    fault = _gap_fault(values, neg)
-    if fault is not None:
-        raise ValidationError(f"gap trace row {fault[0]}: {fault[1]}")
+    row_neg = np.full((len(values), 1), neg)[:, 0]
+    start = values[:, 0] != row_neg
+    row = _first(start | ~((values.min(axis=1) >= row_neg) & (values.max(axis=1) <= 0.0)))  # NaN fails both
+    if row >= 0:
+        raise ValidationError(f"gap trace row {row}: " + (
+            f"value[0] must equal -beta={float(row_neg[row])}, got {float(values[row, 0])}" if start[row]
+            else "delta trace values must lie in [-beta, 0]"))
     return values, neg
 
 
 def offline_states(values, beta) -> np.ndarray:
-    """Offline optimal states of each gap trace in a stack, as (rows x T) int8.
+    """Offline optimal states of each gap trace in a stack, as (rows x T) int8: one backward pass
+    from the boundary s_{T+1} = 0, each slot taking the plan of the first boundary hit at or after
+    it. That is the deterministic rule of :func:`chase_kernel` on the time-reversed traces, column 0
+    kept at -beta. ``values`` is one trace or a stack as :func:`delta_traces` builds it; ``beta`` is
+    one value or one per row."""
+    return _offline(*_as_stack(values, beta))
 
-    One backward pass from the boundary s_{T+1} = 0: each slot takes the plan
-    of the first boundary hit at or after it. That is the deterministic online
-    rule run backward, so it runs as :func:`chase_kernel` on the time-reversed
-    traces, column 0 kept at -beta. ``values`` is one trace or a stack as
-    :func:`delta_traces` builds it; ``beta`` is one value or one per row.
-    """
-    values = np.atleast_2d(values)
+
+def _offline(values: np.ndarray, neg: float | np.ndarray) -> np.ndarray:
+    # offline_states on checked traces (one, or a stack) and -beta, a float or a column
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))  # the dtype: a tuple converts faster
     backward = np.concatenate((values[:, :1], values[:, :0:-1]), axis=1)  # -beta, then slots T..1
-    return chase_kernel(backward, beta)[0][:, ::-1]
+    return _chase(backward, neg)[0][:, ::-1]
 
 
 def ofa_s(dt: DeltaTrace) -> Schedule:
     """Offline optimal schedule for the constant-fee objective: the one-row
     :func:`offline_states`. O(T) time and space."""
-    return Schedule(offline_states(dt.values, dt.beta)[0])
+    return Schedule(_offline(dt.values, -dt.beta)[0])
 
 
 def gchase_s(dt: DeltaTrace) -> Schedule:
@@ -274,7 +260,7 @@ def gchase_s(dt: DeltaTrace) -> Schedule:
     Switches only on boundary hits, otherwise keeps the previous plan
     (s_0 = 0). Worst-case cost is 3x the offline optimum.
     """
-    return Schedule(chase_kernel(dt.values, dt.beta)[0][0])
+    return Schedule(_chase(dt.values, -dt.beta)[0][0])
 
 
 def gchase_step(state: OnlineState, delta_t: float) -> tuple[OnlineState, int]:
@@ -335,7 +321,7 @@ def gchase_r_step(
 def gchase_r(dt: DeltaTrace, rng: np.random.Generator) -> Schedule:
     """Randomized online schedule: :func:`gchase_r_step` folded over the trace,
     one uniform per slot from ``rng``, computed by :func:`chase_kernel`."""
-    return Schedule(chase_kernel(dt.values, dt.beta, rng.random((1, len(dt))))[0][0])
+    return Schedule(_chase(dt.values, -dt.beta, rng.random((1, len(dt))))[0][0])
 
 
 def cchase(dt: DeltaTrace) -> FractionalSchedule:
@@ -496,34 +482,39 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
     offline backward pass (:func:`offline_states`). The drift rule alone can
     park the gap at -beta for good, so with ``contract_len`` a fixed run of
     one trace reaching that length is cut by a forced switch to plan 1,
-    which holds until the next slot forcing 0. One row needs at most T // (contract_len + 1) cuts. A
-    block of replicate rows with more rows than that takes the lockstep
-    (:func:`_guarded_block`: one numpy step per cut for all rows); any other
-    block is walked row by row (:func:`_guarded_row`: at least one Python
-    iteration per row). Both paths give the same states. ``contract_len`` is
-    checked as :func:`planswitch.tariff.fee_terms` checks it, and ``draws``
-    must be (replicates x T). Returns int8 states and the forced-switch count
-    per row.
+    which holds until the next slot forcing 0. Returns int8 states and the
+    forced-switch count per row. Checks its input (the traces by the gap-trace
+    rule, ``contract_len`` as :func:`planswitch.tariff.fee_terms` takes it),
+    then runs :func:`_chase`, the core that code holding checked input calls.
     """
     if contract_len is not None:
         contract_len = fee_terms(0.0, contract_len)[1]
     values, neg = _as_stack(values, beta)
+    if draws is None and contract_len is not None and len(values) != 1:
+        raise ValidationError("the expiry guard runs on one gap trace")
+    if draws is not None:
+        if len(values) != 1 or np.ndim(beta):
+            raise ValidationError("the randomized rule runs on one gap trace with one fee")
+        draws = draws if isinstance(draws, SeededUniforms) else np.asarray(draws, dtype=np.float64)
+        if len(draws.shape) != 2 or draws.shape[1] != values.shape[1] - 1:
+            raise ValidationError(f"draws must be (replicates x {values.shape[1] - 1}), got shape {draws.shape}")
+    return _chase(values, neg, draws, contract_len)
+
+
+def _chase(values: np.ndarray, neg: float | np.ndarray, draws=None, contract_len: int | None = None):
+    """:func:`chase_kernel` on checked input: traces (one, or a stack) and -beta (a float or a column),
+    draws or None, and an int ``contract_len`` or None. One row needs at most T // (contract_len + 1)
+    cuts: a block with more rows takes the lockstep (:func:`_guarded_block`: one numpy step per cut for
+    all rows), any other is walked row by row (:func:`_guarded_row`). Both give the same states."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))  # the dtype: a tuple converts faster
     slots = np.arange(1, values.shape[1], dtype=np.int32)
     if draws is None:  # only boundary slots force: plan 1 at the top, 0 at the floor
         plan_of = values == 0.0  # column 0 is s_0 = 0, as values[:, 0] = -beta
         hit = plan_of[:, 1:] | (values[:, 1:] == neg)
         if contract_len is None:  # every row in one fill, no blocks: keeps short traces cheap
             return _fill(hit, slots, plan_of), np.zeros(len(values), dtype=np.int64)
-        if len(values) != 1:
-            raise ValidationError("the expiry guard runs on one gap trace")
         plan_of, n_runs = plan_of[0], 1
     else:
-        if len(values) != 1 or np.ndim(beta):
-            raise ValidationError("the randomized rule runs on one gap trace with one fee")
-        if not isinstance(draws, SeededUniforms):
-            draws = np.asarray(draws, dtype=np.float64)
-        if len(draws.shape) != 2 or draws.shape[1] != len(slots):
-            raise ValidationError(f"draws must be (replicates x {len(slots)}), got shape {draws.shape}")
         thr, force = _slot_rule(values[0], -neg)
         plan_of = np.concatenate(([False], force))
         n_runs = len(draws)
@@ -543,8 +534,8 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
 
 
 def chase_batch(dt: DeltaTrace, draws=None, contract_len: int | None = None, label: str = "gchase_dsp"):
-    """:func:`chase_kernel` on a gap trace; forced expiry switches are logged once per batch."""
-    states, forced = chase_kernel(dt.values, dt.beta, draws, contract_len)
+    """:func:`_chase` on a checked trace, draws and int ``contract_len``; forced switches logged once."""
+    states, forced = _chase(dt.values, -dt.beta, draws, contract_len)
     if forced.any():
         logger.warning("%s: forced %d switch(es) over %d replicate(s) to keep contract runs within %d slots",
                        label, int(forced.sum()), len(forced), contract_len)
@@ -558,17 +549,16 @@ def gchase_dsp(cs: CostSeries, alpha: float, contract_len: int) -> tuple[Schedul
     (beta = alpha * contract_len, drift = alpha) under the contract-expiry
     guard. Returns the feasible schedule and the number of forced switches.
     """
-    states, forced = chase_batch(drift_trace(cs, alpha, contract_len), None, contract_len)
+    states, forced = chase_batch(drift_trace(cs, alpha, contract_len), None, int(contract_len))
     return Schedule(states[0]), int(forced[0])
 
 
-def gchase_r_dsp(
-    cs: CostSeries, alpha: float, contract_len: int, rng: np.random.Generator
-) -> tuple[Schedule, int]:
+def gchase_r_dsp(cs: CostSeries, alpha: float, contract_len: int,
+                 rng: np.random.Generator) -> tuple[Schedule, int]:
     """Randomized counterpart of :func:`gchase_dsp`, same guard and trace.
 
     Consumes one uniform draw per slot, forced slots included.
     """
-    dt = drift_trace(cs, alpha, contract_len)
-    states, forced = chase_batch(dt, rng.random((1, len(cs))), contract_len, "gchase_r_dsp")
+    dt = drift_trace(cs, alpha, contract_len)  # checks contract_len, so int() takes it as it is
+    states, forced = chase_batch(dt, rng.random((1, len(cs))), int(contract_len), "gchase_r_dsp")
     return Schedule(states[0]), int(forced[0])

@@ -27,18 +27,16 @@ from .tariff import (
     Schedule,
     ValidationError,
     _dsp_fold,
-    _fee_rows,
     _fixed_runs,
     _fold_rows,
+    _sp_fold,
     _stack,
     cost_stack,
     dsp_cost,
-    dsp_costs,
-    fee_terms,
+    fee_term_rows,
     require_finite,
     require_finite_rows,
     sp_cost,
-    sp_costs,
 )
 
 __all__ = [
@@ -174,7 +172,7 @@ def brute_force_dsps(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike, alpha: np
     ``alpha``, ``contract_len`` and ``fee_mode`` each one value or one per row."""
     g0, g1 = cost_stack(g0, g1)
     rows, period = g0.shape
-    alpha, cap, literal = (v.tolist() for v in _fee_rows(alpha, contract_len, fee_mode, rows))
+    alpha, cap, literal = (v.tolist() for v in fee_term_rows(alpha, contract_len, fee_mode, rows))
 
     def fees(chunk: np.ndarray, sel: slice, lo: int) -> None:
         longest, n_runs, zeros, trailing = _run_stats(np.arange(lo, lo + chunk.shape[1]), period)
@@ -206,9 +204,7 @@ def brute_force_dsp(
     return OracleResult(sched, dsp_cost(sched, cs, alpha, contract_len, fee_mode), int(ties[0]))
 
 
-def dp_dsp(
-    cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal"
-) -> OracleResult:
+def dp_dsp(cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal") -> OracleResult:
     """Exact decreasing-fee minimum by dynamic programming, O(T).
 
     ``V[t]`` is the best cost of slots 1..t that ends on the variable plan
@@ -227,7 +223,8 @@ def dp_dsp(
     totals lie within ``TIE_TOL`` of the best.
     """
     period = len(cs)
-    alpha, cap, fee_mode = fee_terms(alpha, contract_len, fee_mode)
+    fees = fee_term_rows(alpha, contract_len, fee_mode, 1)
+    alpha, cap, literal = float(fees[0][0]), int(fees[1][0]), bool(fees[2][0])
     g1 = cs.g1.tolist()
     prefix = [0.0, *accumulate(cs.g0.tolist())]
     value = [0.0] * (period + 1)
@@ -255,7 +252,7 @@ def dp_dsp(
     finals = [(value[period], period + 1)]
     for s in range(period, max(period - cap, 0), -1):
         c = value[s - 1] + (prefix[period] - prefix[s - 1])
-        if fee_mode == "literal":
+        if literal:
             c += alpha * (cap - (period - s + 1))
         finals.append((c, s))
     best, start = min(finals, key=lambda f: f[0])
@@ -268,10 +265,8 @@ def dp_dsp(
         t = start - 1
         start = t - run[t]
     sched = Schedule(states)
-    # fee_terms checked the terms and CostSeries the costs: the fold alone prices the schedule
-    cost = _dsp_fold(sched.states[None], cs.g0[None], cs.g1[None], np.array([alpha]), np.array([cap]),
-                     np.array([fee_mode == "literal"]))
-    return OracleResult(sched, float(cost[0]), ties)
+    # the fee rule checked the terms and CostSeries the costs: the fold alone prices the schedule
+    return OracleResult(sched, float(_dsp_fold(sched.states[None], cs.g0[None], cs.g1[None], *fees)[0]), ties)
 
 
 def _gap_sums(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
@@ -301,7 +296,6 @@ def phi_identity_sps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: n
     the identity is exercised empirically rather than trusted. Each side is
     a left fold, its segments' terms in segment order.
     """
-    lhs = sp_costs(states, g0, g1, beta)
     states, g0, g1 = _stack(states, g0, g1)
     beta = require_finite_rows("beta", beta, len(states))
     rows, period = states.shape
@@ -314,12 +308,11 @@ def phi_identity_sps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: n
     slots = np.zeros((rows, 2 * period + 3))
     slots[:, :period], slots[:, period] = g1, -beta
     np.copyto(slots[:, period + 1:], phi[:, 1:] - start + beta[:, None], where=ends)
-    return lhs, _fold_rows(slots)
+    return _sp_fold(states, g0, g1, beta), _fold_rows(slots)
 
 
 def phi_identity_dsps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
-                      alpha: np.typing.ArrayLike,
-                      contract_len: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+                      alpha: np.typing.ArrayLike, contract_len: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """Decreasing-fee (literal) cost vs its drift-adjusted decomposition, both
     sides, for each row, priced as :func:`planswitch.tariff.dsp_costs` prices it.
 
@@ -327,9 +320,8 @@ def phi_identity_dsps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: 
     by alpha per slot and beta = alpha * L; segments here are the schedule's
     own fixed-plan runs within [1, T], since those are what the fee charges.
     """
-    lhs = dsp_costs(states, g0, g1, alpha, contract_len, "literal")
     states, g0, g1 = _stack(states, g0, g1)
-    alpha, cap, _ = _fee_rows(alpha, contract_len, "literal", len(states))
+    alpha, cap, literal = fee_term_rows(alpha, contract_len, "literal", len(states))
     rows, period = states.shape
     phi = _gap_sums(g0, g1)
     lasted, ends = _fixed_runs(states)
@@ -341,7 +333,7 @@ def phi_identity_dsps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: 
     slots = np.zeros((rows, 2 * period))
     slots[:, :period] = g1
     np.copyto(slots[:, period:], big_end - big_start + a * cap[:, None], where=ends)
-    return lhs, _fold_rows(slots)
+    return _dsp_fold(states, g0, g1, alpha, cap, literal), _fold_rows(slots)
 
 
 def phi_identity_sp(sched: Schedule, cs: CostSeries, beta: float) -> tuple[float, float]:

@@ -53,6 +53,7 @@ __all__ = [
     "require_finite_rows",
     "cost_stack",
     "fee_terms",
+    "fee_term_rows",
 ]
 
 FEE_MODES = ("literal", "transition-only")
@@ -99,21 +100,58 @@ def require_finite_rows(name: str, value: np.typing.ArrayLike, rows: int,
 MAX_CONTRACT_LEN = 2**53
 
 
+def fee_term_rows(alpha: np.typing.ArrayLike, contract_len: np.typing.ArrayLike, fee_mode: str | list[str],
+                  rows: int, positive: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one decreasing-fee rule, over ``rows`` rows, each term one value or one per row: ``alpha``
+    as :func:`require_finite` takes it, an integer ``contract_len`` from 1 to ``MAX_CONTRACT_LEN``
+    with a finite ``alpha * contract_len``, and a mode from ``FEE_MODES``. Returns each row's alpha,
+    contract_len (int64) and whether its mode is literal. Numbers in an array are tested as one, a
+    list or other array as its Python objects. A test reads only the rows before the first fault so
+    far, so the error names the first faulty row and its first faulty term; a test that raises (a str
+    compared with a number) may do so past a fault, so the rows are then checked one by one."""
+    terms = (alpha, contract_len, fee_mode)
+    entry = lambda term, row: np.broadcast_to(np.asarray(term, dtype=object), (rows,))[row]  # as Python shows it
+    columns = []
+    for term, kinds in zip(terms, ("biuf", "biuf", "U")):  # numpy would round 2**53 + 1 in a list of floats
+        column = np.asarray(term, dtype=object if isinstance(term, (list, tuple)) else None)
+        if column.ndim and column.shape != (rows,):
+            raise ValidationError(f"fee terms must be one value or one per row ({rows}), got shape {column.shape}")
+        column = column if column.dtype.kind in kinds else np.asarray(term, dtype=object)
+        columns.append(column if column.ndim else column.repeat(rows))
+    alpha, cap, mode = columns
+    row = rows  # the first faulty row so far, and its first failed test
+    try:
+        with np.errstate(all="ignore"):
+            alpha = (np.frompyfunc(float, 1, 1)(alpha) if alpha.dtype == object else alpha).astype(np.float64)
+            tests = (lambda p: _first_invalid(alpha[p], positive),
+                     lambda p: _first(~((cap[p] >= 1) & (cap[p] % 1 == 0))),
+                     lambda p: _first(cap[p] > MAX_CONTRACT_LEN),
+                     lambda p: _first(~np.isfinite(np.asarray(alpha[p] * cap[p], dtype=np.float64))),
+                     lambda p: _first(~((mode[p] == FEE_MODES[0]) | (mode[p] == FEE_MODES[1]))))
+            for i, test in enumerate(tests):
+                bad = test(slice(row))
+                if bad >= 0:
+                    row, fault = bad, i
+    except (TypeError, ValueError, ArithmeticError):
+        for r in range(rows if rows > 1 else 0):
+            fee_term_rows(*(entry(term, r) for term in terms), 1, positive)
+        raise
+    if row < rows:
+        if fault == 0:
+            require_finite("alpha", alpha[row], positive)
+        length = entry(contract_len, row)
+        raise ValidationError((f"contract_len must be an integer >= 1, got {length!r}",
+                               f"contract_len must be <= {MAX_CONTRACT_LEN} (2**53), got {length!r}",
+                               f"alpha * contract_len must be finite, got {float(alpha[row])!r} * {length!r}",
+                               f"fee_mode must be one of {FEE_MODES}, got {entry(fee_mode, row)!r}")[fault - 1])
+    return alpha, cap.astype(np.int64), mode == FEE_MODES[0]
+
+
 def fee_terms(alpha: float, contract_len: int, fee_mode: str = "literal",
               positive: bool = False) -> tuple[float, int, str]:
-    """Validated decreasing-fee terms: ``alpha`` as :func:`require_finite` takes it, an
-    integer ``contract_len`` from 1 to ``MAX_CONTRACT_LEN`` with a finite full fee
-    ``alpha * contract_len``, and a fee mode from ``FEE_MODES``."""
-    alpha = require_finite("alpha", alpha, positive)
-    if not (contract_len >= 1 and contract_len % 1 == 0):  # also refuses nan and inf
-        raise ValidationError(f"contract_len must be an integer >= 1, got {contract_len!r}")
-    if contract_len > MAX_CONTRACT_LEN:
-        raise ValidationError(f"contract_len must be <= {MAX_CONTRACT_LEN} (2**53), got {contract_len!r}")
-    if not math.isfinite(alpha * contract_len):
-        raise ValidationError(f"alpha * contract_len must be finite, got {alpha!r} * {contract_len!r}")
-    if fee_mode not in FEE_MODES:
-        raise ValidationError(f"fee_mode must be one of {FEE_MODES}, got {fee_mode!r}")
-    return alpha, int(contract_len), fee_mode
+    """Validated decreasing-fee terms of one contract: the one-row :func:`fee_term_rows`."""
+    alpha, cap, _ = fee_term_rows(alpha, contract_len, fee_mode, 1, positive)
+    return float(alpha[0]), int(cap[0]), fee_mode
 
 
 # The four columns of a trace, one month per row.
@@ -123,7 +161,8 @@ _SLOT_DTYPE = np.dtype([(name, np.float64) for name in SLOT_FIELDS])
 
 def _first(bad: np.ndarray) -> int:
     """Flat (row-major) index of the first true entry of ``bad``, or -1."""
-    return int(bad.argmax()) if bad.any() else -1
+    first = int(bad.argmax()) if bad.size else -1  # argmax stops at the first true entry; any() is slower
+    return first if first >= 0 and bad.item(first) else -1
 
 
 def _first_invalid(values: np.ndarray, positive: bool = False) -> int:
@@ -327,24 +366,6 @@ def _fold_rows(slots: np.ndarray) -> np.ndarray:
     return np.cumsum(slots, axis=1)[:, -1] + 0.0
 
 
-def _fee_rows(alpha: np.typing.ArrayLike, contract_len: np.typing.ArrayLike, fee_mode: str | list[str],
-              rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fee_terms` of each of ``rows`` rows, each term one value or one
-    per row: the rows' ``alpha``, their integer ``contract_len`` and whether
-    their fee mode is literal."""
-    values = (alpha, contract_len, fee_mode)
-    if not any(isinstance(v, (list, tuple, np.ndarray)) for v in values):
-        alpha, cap, fee_mode = fee_terms(*values)
-        return np.full(rows, alpha), np.full(rows, cap), np.full(rows, fee_mode == "literal")
-    for v in values:
-        if np.ndim(v) and np.shape(v) != (rows,):
-            raise ValidationError(f"fee terms must be one value or one per row ({rows}), got shape {np.shape(v)}")
-    columns = (np.broadcast_to(np.asarray(v, dtype=object), (rows,)) for v in values)
-    terms = [fee_terms(*row) for row in zip(*columns)]
-    alpha, cap, modes = (np.array([term[i] for term in terms]) for i in range(3))
-    return alpha.astype(np.float64), cap.astype(np.int64), modes == "literal"
-
-
 def sp_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
     """Constant-fee cost of one schedule: the one-row :func:`sp_costs`."""
     return float(sp_costs(sched.states[None], cs.g0, cs.g1, beta)[0])
@@ -362,7 +383,11 @@ def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing
     move, or 0.0 for none, for t = 1..T.
     """
     states, g0, g1 = _stack(states, g0, g1)
-    beta = require_finite_rows("beta", beta, len(states))
+    return _sp_fold(states, g0, g1, require_finite_rows("beta", beta, len(states)))
+
+
+def _sp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """:func:`sp_costs` on a checked int8 0/1 matrix, costs of its shape or one row, and fees."""
     slots = np.empty((len(states), 2 * states.shape[1]))
     slots[:, 0::2] = np.where(states, g1, g0)
     slots[:, 1] = states[:, 0]  # up moves, with s_0 = 0
@@ -405,13 +430,7 @@ def zero_runs(sched: Schedule) -> list[tuple[int, int]]:
     return list(zip((end + 2 - lasted[0, end]).tolist(), (end + 1).tolist()))
 
 
-def dsp_cost(
-    sched: Schedule,
-    cs: CostSeries,
-    alpha: float,
-    contract_len: int,
-    fee_mode: str = "literal",
-) -> float:
+def dsp_cost(sched: Schedule, cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal") -> float:
     """Decreasing-fee cost of one schedule: the one-row :func:`dsp_costs`."""
     return float(dsp_costs(sched.states[None], cs.g0, cs.g1, alpha, contract_len, fee_mode)[0])
 
@@ -440,7 +459,7 @@ def dsp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typin
         InfeasibleScheduleError: some row has a run longer than its ``contract_len``.
     """
     states, g0, g1 = _stack(states, g0, g1)
-    return _dsp_fold(states, g0, g1, *_fee_rows(alpha, contract_len, fee_mode, len(states)))
+    return _dsp_fold(states, g0, g1, *fee_term_rows(alpha, contract_len, fee_mode, len(states)))
 
 
 def _dsp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, alpha: np.ndarray, cap: np.ndarray,

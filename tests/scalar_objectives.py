@@ -5,10 +5,16 @@ stack of schedules. These are the per-schedule loops that fold replaced, kept
 here so the differential tests can require the stack forms to give the same
 floats, row by row. Each takes a schedule's 0/1 states (``csp_loop``: its
 fractions; ``potential_loop``: two trajectories) and its two cost sequences;
-sums are plain left folds from 0.0.
+sums are plain left folds from 0.0. ``fee_rows_loop`` is the decreasing-fee
+check as it ran before it became one array rule: one scalar check per row.
 """
 
-from planswitch import InfeasibleScheduleError
+import math
+
+import numpy as np
+
+from planswitch import InfeasibleScheduleError, ValidationError
+from planswitch.tariff import FEE_MODES, MAX_CONTRACT_LEN, require_finite
 
 
 def sp_loop(states, g0, g1, beta):
@@ -142,3 +148,34 @@ def potential_loop(x, z, g0, g1, beta):
         slacks.append(2.0 * step_z - step_x - (pot(xt, zt) - pot(x_prev, z_prev)))
         x_prev, z_prev = xt, zt
     return slacks
+
+
+def fee_terms_loop(alpha, contract_len, fee_mode="literal", positive=False):
+    """One row's decreasing-fee terms, checked term by term in Python."""
+    alpha = require_finite("alpha", alpha, positive)
+    if not (contract_len >= 1 and contract_len % 1 == 0):  # also refuses nan and inf
+        raise ValidationError(f"contract_len must be an integer >= 1, got {contract_len!r}")
+    if contract_len > MAX_CONTRACT_LEN:
+        raise ValidationError(f"contract_len must be <= {MAX_CONTRACT_LEN} (2**53), got {contract_len!r}")
+    if not math.isfinite(alpha * contract_len):
+        raise ValidationError(f"alpha * contract_len must be finite, got {alpha!r} * {contract_len!r}")
+    if fee_mode not in FEE_MODES:
+        raise ValidationError(f"fee_mode must be one of {FEE_MODES}, got {fee_mode!r}")
+    return alpha, int(contract_len), fee_mode
+
+
+def fee_rows_loop(alpha, contract_len, fee_mode, rows, positive=False):
+    """Each of ``rows`` rows' terms (each term one value or one per row) by
+    :func:`fee_terms_loop`, row by row: the rows' alpha, integer contract_len and
+    whether their fee mode is literal."""
+    values = (alpha, contract_len, fee_mode)
+    if not any(isinstance(v, (list, tuple, np.ndarray)) for v in values):
+        alpha, cap, fee_mode = fee_terms_loop(*values, positive=positive)
+        return np.full(rows, alpha), np.full(rows, cap), np.full(rows, fee_mode == "literal")
+    for v in values:
+        if np.ndim(v) and np.shape(v) != (rows,):
+            raise ValidationError(f"fee terms must be one value or one per row ({rows}), got shape {np.shape(v)}")
+    columns = (np.broadcast_to(np.asarray(v, dtype=object), (rows,)) for v in values)
+    terms = [fee_terms_loop(*row, positive=positive) for row in zip(*columns)]
+    alpha, cap, modes = (np.array([term[i] for term in terms]) for i in range(3))
+    return alpha.astype(np.float64), cap.astype(np.int64), modes == "literal"

@@ -11,7 +11,8 @@ one constant-fee run of every constant-regime algorithm, whose report
 holds the offline, deterministic and continuous schedules, one
 decreasing-fee run of every linear-regime algorithm against the all-fixed
 benchmark in the transition-only fee mode, whose report holds a ``dp``
-entry, and one constant-fee run with a fixed underusage rate.
+entry, one constant-fee run with a fixed underusage rate, and every
+verification suite at one seed.
 
 A change that moves these bytes on purpose records the new digests here and
 names the change in CHANGES.md.
@@ -53,12 +54,14 @@ PINNED = [
      "b4e77a0df5d23affb40f3022122b10d7a734454326c3eb92bf8d3b33b03188ab", EMPTY),
     (("run", "--h-rate", "0.02"),
      "8d3ae1d2979035824e2b50bc91f588846c15d0a18bed27f6e71dc50d7ecd4891", EMPTY),
+    (("verify", "all", "--seed", "1"),
+     "69c8d31022692040c0761f6a4f664376d2bd97f273b535d7f0e9a6636d00f89c", EMPTY),
 ]
 
 
 @pytest.mark.parametrize("argv, stdout_sha, stderr_sha", PINNED,
                          ids=["sweep-constant", "sweep-linear", "run-lockstep", "run-walk", "run-constant",
-                              "run-linear-all-fixed", "run-h-rate"])
+                              "run-linear-all-fixed", "run-h-rate", "verify-all"])
 def test_output_bytes_are_pinned(argv, stdout_sha, stderr_sha):
     src = os.path.dirname(os.path.dirname(planswitch.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -3,6 +3,8 @@ import math
 import random
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from planswitch import (
 from planswitch.bench import H_SCALE
 from planswitch.chase import drift_trace
 from planswitch import tariff
-from planswitch.tariff import MAX_CONTRACT_LEN, _parse_rows, fee_terms
+from planswitch.tariff import MAX_CONTRACT_LEN, _parse_rows, fee_term_rows, fee_terms
+from scalar_objectives import fee_rows_loop
 
 
 def slot_cost(e: float, p0: float, p1: float, b: float, h: float, plan: int) -> float:
@@ -353,6 +356,97 @@ class TestFeeTerms:
         assert dsp_costs(states, g0, g1, [0.0, 1.0], [12, MAX_CONTRACT_LEN]).tolist() == [3.0, 2.0**53]
         best = brute_force_dsps(g0, g1, [0.0, 1.0], [12, MAX_CONTRACT_LEN])[0]
         assert best.tolist() == [[0, 0, 0], [1, 1, 1]]
+
+
+def _fee_outcome(check, *args):
+    """What a fee-term check gives: its columns (dtype, values and the repr of each
+    value, so -0.0 and the int/float kind count), or its exception's type and text."""
+    try:
+        columns = check(*args)
+    except Exception as exc:  # any type: the type is what is compared
+        return type(exc), str(exc)
+    return [(c.dtype.str, c.tolist(), [repr(v) for v in c.tolist()]) for c in columns]
+
+
+# Entries of each fee term, valid and not: exact and inexact numbers, numpy scalars,
+# integers past the exact float range, non-finite values and strings.
+FEE_ALPHAS = [0.5, 0, 1, -1.0, -0.0, 5e-324, 1e308, math.nan, math.inf, Decimal("0.5"), Decimal("-1"),
+              Decimal("NaN"), Fraction(1, 3), np.int64(2), np.float32(0.1), 2**70, True, "0.5", "abc", None]
+FEE_LENGTHS = [12, 1, 12.0, 0, -1, 2.5, 1e20, math.nan, math.inf, -math.inf, 2**53, 2**53 + 1, 2**70,
+               Decimal("3"), Decimal("2.5"), Decimal("NaN"), Fraction(3), Fraction(5, 2), np.int64(0),
+               np.int64(7), np.uint64(2**63), np.float32(12), True, False, "3", None]
+FEE_MODE_VALUES = ["literal", "transition-only", np.str_("literal"), "bogus", b"literal", 3, None]
+
+
+class TestFeeTermRows:
+    """The array rule against the per-row loop it replaced (``scalar_objectives.fee_rows_loop``):
+    the same columns, or the same exception type and text, on every input."""
+
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_one_row_matches_the_loop(self, positive):
+        for alpha, length, mode in itertools.product(FEE_ALPHAS, FEE_LENGTHS, FEE_MODE_VALUES):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the loop's numpy-scalar overflow
+                want = _fee_outcome(fee_rows_loop, alpha, length, mode, 1, positive)
+            assert _fee_outcome(fee_term_rows, alpha, length, mode, 1, positive) == want, (alpha, length, mode)
+
+    @pytest.mark.parametrize("alpha, length, mode, rows", [
+        ([0.5, Decimal("0.5"), Fraction(1, 3)], [12, Fraction(3), np.int64(7)], "literal", 3),
+        (np.array([0.1, 1.0]), np.array([2**53, 5]), np.array(["literal", "transition-only"]), 2),
+        ([0.5, 0.5], [1.0, 2**53 + 1], "literal", 2),  # a list keeps 2**53 + 1 exact among floats
+        ([0.5, 0.5], [12, 2**70], "literal", 2),
+        ([0.5, 0.5], [12, math.nan], "literal", 2),
+        ([0.5, 0.5], [math.inf, 12], "literal", 2),
+        ([0.5, math.inf], 12, "literal", 2),
+        ([0.5, 0.5], ["3", "3"], "literal", 2),  # a string column raises TypeError
+        (["0.5", "abc"], 12, "literal", 2),
+        ([0.5, 0.5], [12, Decimal("3")], "literal", 2),  # float * Decimal raises TypeError
+        ([1.0, 1e308], [12, 12], "literal", 2),  # alpha * contract_len overflows
+        (1e300, [2, 2**53], "literal", 2),
+        (0.5, 12, ["literal", "sometimes"], 2),  # a bad mode
+        (0.5, 12, ["literal", b"literal"], 2),  # a list keeps bytes apart from str
+        # the first fault is a later term on an earlier row: row order wins over term order
+        ([0.5, -1.0], [12, 12], ["literal", "bogus"], 2),
+        ([0.5, 0.5, -1.0], [12, 0, 12], ["bogus", "literal", "literal"], 3),
+        ([1e308, -1.0], [12, 12], "literal", 2),
+        ([0.5, -1.0], [0, 12], "literal", 2),
+        # a Python error on a later row than a fault: the fault's row still wins
+        ([0.5, "abc"], [0, 12], "literal", 2),
+        ([0.5, 0.5], [0, "3"], "literal", 2),
+        ([-1.0, 0.5], 12, ["literal", None], 2),
+        (np.array([0.5, 0.5]), np.array([3, 4]), "literal", 3),  # a column of the wrong length
+    ])
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_columns_match_the_loop(self, alpha, length, mode, rows, positive):
+        want = _fee_outcome(fee_rows_loop, alpha, length, mode, rows, positive)
+        assert _fee_outcome(fee_term_rows, alpha, length, mode, rows, positive) == want
+
+    def test_random_columns_match_the_loop(self):
+        # columns of random entries, as lists, tuples, arrays or one value, against the loop
+        rng = random.Random(16)
+        for _ in range(3000):
+            rows = rng.randint(1, 5)
+            terms = []
+            for pool in (FEE_ALPHAS, FEE_LENGTHS, FEE_MODE_VALUES):
+                form = rng.choice(("one", "list", "tuple", "array"))
+                column = [rng.choice(pool) for _ in range(rows)]
+                if form == "one":
+                    terms.append(column[0])
+                elif form == "array":
+                    terms.append(np.array(column))
+                else:
+                    terms.append(column if form == "list" else tuple(column))
+            positive = rng.random() < 0.5
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = _fee_outcome(fee_rows_loop, *terms, rows, positive)
+            assert _fee_outcome(fee_term_rows, *terms, rows, positive) == want, terms
+
+    def test_fee_terms_is_the_one_row_call(self):
+        assert fee_terms(1, 12.0, "transition-only") == (1.0, 12, "transition-only")
+        assert fee_terms(Fraction(1, 2), Fraction(12), "literal") == (0.5, 12, "literal")
+        with pytest.raises(TypeError):
+            fee_terms(1.0, "12")
 
 
 class TestRequireFiniteRows:
