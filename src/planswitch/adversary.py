@@ -84,6 +84,17 @@ def competitive_ratio(cost: float, opt_cost: float) -> Optional[float]:
     return cost / opt_cost if opt_cost > 0.0 else None
 
 
+def _mean_stderr(costs: np.ndarray) -> tuple[float, float]:
+    """The replicates' mean cost and its standard error ``std(ddof=1) / sqrt(n)``, on the costs scaled by a
+    power of two where a sum or a square overflows: exact, so it moves no bits where the plain ones are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std, scale = costs.mean(), costs.std(ddof=1), 1.0
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            scale = 2.0 ** (math.frexp(float(np.abs(costs).max()))[1] - 1)
+            mean, std = (costs / scale).mean(), (costs / scale).std(ddof=1)
+    return float(mean) * scale, float(std / math.sqrt(len(costs))) * scale
+
+
 def _make_report(alg_cost, opt_cost, **extra) -> RatioReport:
     return RatioReport(alg_cost, opt_cost, competitive_ratio(alg_cost, opt_cost), **extra)
 
@@ -245,6 +256,5 @@ def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioRep
     if n_runs < 2:
         raise ValidationError(f"n_runs must be >= 2, got {n_runs!r}")
     dt = delta_trace(cs, beta)
-    costs = _batch_sp(simulate_randomized_batch(dt, n_runs, seed), cs, dt.beta)
-    mean, stderr = float(costs.mean()), float(costs.std(ddof=1) / math.sqrt(n_runs))
+    mean, stderr = _mean_stderr(_batch_sp(simulate_randomized_batch(dt, n_runs, seed), cs, dt.beta))
     return _make_report(mean, sp_cost(ofa_s(dt), cs, beta), mean=mean, stderr=stderr, n_runs=n_runs)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .adversary import (
     _batch_sp,
+    _mean_stderr,
     batch_sp_costs,
     competitive_ratio,
     deterministic_adversary,
@@ -243,12 +244,6 @@ def _load_trace(config: RunConfig) -> Trace:
     return synth_trace(config.synth_slots, config.seed, config.profile)
 
 
-def _savings(benchmark_cost: float, cost: float) -> Optional[float]:
-    if benchmark_cost > 0.0:
-        return 100.0 * (benchmark_cost - cost) / benchmark_cost
-    return None
-
-
 def _benchmark_cost(config: RunConfig, cs: CostSeries) -> float:
     return float(sum((cs.g1 if config.benchmark == "all-variable" else cs.g0).tolist()))
 
@@ -282,25 +277,30 @@ def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> dict[str, dict]:
         draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
     bench_cost = _benchmark_cost(config, cs)
 
-    def report(name, cost, schedule=None, stderr=None, mc_runs=None):
-        return {"algorithm": name, "cost": cost, "benchmark_cost": bench_cost,
-                "savings_pct": _savings(bench_cost, cost), "schedule": schedule,
-                "ratio_vs_offline": competitive_ratio(cost, opt_cost), "stderr": stderr, "mc_runs": mc_runs}
+    def report(name, cost, stderr=None, mc_runs=None, schedule=None):
+        savings = 100.0 * (bench_cost - cost) / bench_cost if bench_cost > 0.0 else None
+        if savings is not None and math.isinf(savings):  # 100 x the gap overflowed: take it on costs / 128, exact
+            savings = 100.0 * (bench_cost / 128.0 - cost / 128.0) / bench_cost * 128.0
+        numbers = {"cost": cost, "benchmark_cost": bench_cost, "savings_pct": savings,
+                   "ratio_vs_offline": competitive_ratio(cost, opt_cost), "stderr": stderr}
+        for key, value in numbers.items():
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{key} of {name} overflows a float: {value!r}")
+        return {"algorithm": name, **numbers, "schedule": schedule, "mc_runs": mc_runs}
 
     reports = {}
     for name in config.algorithms:
         if name in ("ofa", "dp"):
-            reports[name] = report(name, opt_cost, opt.tolist())
+            reports[name] = report(name, opt_cost, schedule=opt.tolist())
         elif name == "gchase":
             states = chase_batch(dt, None, guard, "gchase_dsp")[0]
-            reports[name] = report(name, float(objective(states)[0]), states[0].tolist())
+            reports[name] = report(name, float(objective(states)[0]), schedule=states[0].tolist())
         elif name == "gchase_r":
             costs = batch_objective(chase_batch(dt, draws, guard, "gchase_r")[0])
-            stderr = float(costs.std(ddof=1) / math.sqrt(len(costs)))
-            reports[name] = report(name, float(costs.mean()), stderr=stderr, mc_runs=len(costs))
+            reports[name] = report(name, *_mean_stderr(costs), mc_runs=len(costs))
         elif name == "cchase":
             xs = cchase(dt)
-            reports[name] = report(name, csp_cost(xs, cs, config.beta), xs.x.tolist())
+            reports[name] = report(name, csp_cost(xs, cs, config.beta), schedule=xs.x.tolist())
     return reports
 
 
@@ -313,7 +313,8 @@ def run_report(config: RunConfig) -> dict:
     """Run the configured algorithms on one trace and assemble the report."""
     trace = _load_trace(config)
     cs = protocol_cost_series(trace, config.h_rate)
-    reports = _evaluate(config, cs)
+    with np.errstate(over="ignore", invalid="ignore"):  # _evaluate names a number that overflows
+        reports = _evaluate(config, cs)
     return {
         "config": config_echo(config),
         "slots": len(trace),
@@ -393,7 +394,8 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
             point = replace(config, beta=fee)
         else:
             point = replace(config, alpha=fee / config.contract_len)
-        reports = _evaluate(point, cs, draws)
+        with np.errstate(over="ignore", invalid="ignore"):  # _evaluate names a number that overflows
+            reports = _evaluate(point, cs, draws)
         opt_name = "ofa" if "ofa" in reports else ("dp" if "dp" in reports else None)
         if opt_name is not None:
             opt_cost = reports[opt_name]["cost"]
@@ -489,8 +491,7 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
         cs = random_cost_series(rng, period)
         dt = delta_trace(cs, beta)
         states = simulate_randomized_batch(dt, n_runs, seed + 1000 * k)  # as monte_carlo draws them
-        costs = batch_sp_costs(states, cs, beta)
-        mean, stderr = float(costs.mean()), float(costs.std(ddof=1) / math.sqrt(n_runs))
+        mean, stderr = _mean_stderr(batch_sp_costs(states, cs, beta))
         if abs(mean - csp_cost(cchase(dt), cs, beta)) > 3.0 * stderr + 1e-9:
             failures += 1
         if mean > 2.0 * sp_cost(ofa_s(dt), cs, beta) + 3.0 * stderr + 1e-9:

@@ -102,49 +102,37 @@ MAX_CONTRACT_LEN = 2**53
 
 def fee_term_rows(alpha: np.typing.ArrayLike, contract_len: np.typing.ArrayLike, fee_mode: str | list[str],
                   rows: int, positive: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one decreasing-fee rule, over ``rows`` rows, each term one value or one per row: ``alpha``
-    as :func:`require_finite` takes it, an integer ``contract_len`` from 1 to ``MAX_CONTRACT_LEN``
-    with a finite ``alpha * contract_len``, and a mode from ``FEE_MODES``. Returns each row's alpha,
-    contract_len (int64) and whether its mode is literal. Numbers in an array are tested as one, a
-    list or other array as its Python objects. A test reads only the rows before the first fault so
-    far, so the error names the first faulty row and its first faulty term; a test that raises (a str
-    compared with a number) may do so past a fault, so the rows are then checked one by one."""
+    """The one decreasing-fee rule, over ``rows`` rows, each term one value or one per row: ``alpha`` as
+    :func:`require_finite` takes it, an integer ``contract_len`` from 1 to ``MAX_CONTRACT_LEN`` with a finite
+    ``alpha * contract_len``, and a mode from ``FEE_MODES``. Returns each row's alpha, contract_len (int64) and
+    whether its mode is literal. One value of each term is checked once; otherwise each row's Python objects
+    are, in row order, so the error names the first faulty row and in it the first faulty term."""
     terms = (alpha, contract_len, fee_mode)
-    entry = lambda term, row: np.broadcast_to(np.asarray(term, dtype=object), (rows,))[row]  # as Python shows it
-    columns = []
-    for term, kinds in zip(terms, ("biuf", "biuf", "U")):  # numpy would round 2**53 + 1 in a list of floats
-        column = np.asarray(term, dtype=object if isinstance(term, (list, tuple)) else None)
-        if column.ndim and column.shape != (rows,):
-            raise ValidationError(f"fee terms must be one value or one per row ({rows}), got shape {column.shape}")
-        column = column if column.dtype.kind in kinds else np.asarray(term, dtype=object)
-        columns.append(column if column.ndim else column.repeat(rows))
-    alpha, cap, mode = columns
-    row = rows  # the first faulty row so far, and its first failed test
-    try:
-        with np.errstate(all="ignore"):
-            alpha = (np.frompyfunc(float, 1, 1)(alpha) if alpha.dtype == object else alpha).astype(np.float64)
-            tests = (lambda p: _first_invalid(alpha[p], positive),
-                     lambda p: _first(~((cap[p] >= 1) & (cap[p] % 1 == 0))),
-                     lambda p: _first(cap[p] > MAX_CONTRACT_LEN),
-                     lambda p: _first(~np.isfinite(np.asarray(alpha[p] * cap[p], dtype=np.float64))),
-                     lambda p: _first(~((mode[p] == FEE_MODES[0]) | (mode[p] == FEE_MODES[1]))))
-            for i, test in enumerate(tests):
-                bad = test(slice(row))
-                if bad >= 0:
-                    row, fault = bad, i
-    except (TypeError, ValueError, ArithmeticError):
-        for r in range(rows if rows > 1 else 0):
-            fee_term_rows(*(entry(term, r) for term in terms), 1, positive)
-        raise
-    if row < rows:
-        if fault == 0:
-            require_finite("alpha", alpha[row], positive)
-        length = entry(contract_len, row)
-        raise ValidationError((f"contract_len must be an integer >= 1, got {length!r}",
-                               f"contract_len must be <= {MAX_CONTRACT_LEN} (2**53), got {length!r}",
-                               f"alpha * contract_len must be finite, got {float(alpha[row])!r} * {length!r}",
-                               f"fee_mode must be one of {FEE_MODES}, got {entry(fee_mode, row)!r}")[fault - 1])
-    return alpha, cap.astype(np.int64), mode == FEE_MODES[0]
+    with np.errstate(all="ignore"):  # a numpy scalar term overflows to inf, which the check refuses
+        if not any(isinstance(term, (list, tuple, np.ndarray)) for term in terms):
+            alpha, cap, literal = _fee_row(*terms, positive)
+            return np.full(rows, alpha), np.full(rows, cap, dtype=np.int64), np.full(rows, literal)
+        columns = [np.asarray(term, dtype=object) for term in terms]  # a list keeps 2**53 + 1 exact
+        for column in columns:
+            if column.ndim and column.shape != (rows,):
+                raise ValidationError(f"fee terms must be one value or one per row ({rows}), got shape {column.shape}")
+        checked = [_fee_row(*row, positive) for row in zip(*(np.broadcast_to(c, (rows,)) for c in columns))]
+    table = np.array(checked, dtype=object).reshape(rows, 3)
+    return table[:, 0].astype(np.float64), table[:, 1].astype(np.int64), table[:, 2].astype(bool)
+
+
+def _fee_row(alpha, contract_len, fee_mode, positive: bool) -> tuple[float, int, bool]:
+    """One row of :func:`fee_term_rows`: its alpha, contract_len and whether its mode is literal."""
+    alpha = require_finite("alpha", alpha, positive)
+    if not (contract_len >= 1 and contract_len % 1 == 0):  # also refuses nan and inf
+        raise ValidationError(f"contract_len must be an integer >= 1, got {contract_len!r}")
+    if contract_len > MAX_CONTRACT_LEN:
+        raise ValidationError(f"contract_len must be <= {MAX_CONTRACT_LEN} (2**53), got {contract_len!r}")
+    if not math.isfinite(alpha * contract_len):
+        raise ValidationError(f"alpha * contract_len must be finite, got {alpha!r} * {contract_len!r}")
+    if fee_mode not in FEE_MODES:
+        raise ValidationError(f"fee_mode must be one of {FEE_MODES}, got {fee_mode!r}")
+    return alpha, int(contract_len), fee_mode == FEE_MODES[0]
 
 
 def fee_terms(alpha: float, contract_len: int, fee_mode: str = "literal",
@@ -526,7 +514,7 @@ def _loadtxt_trace(data: bytes | str) -> Trace | None:
     """The trace read by one numpy call, or None if the row loop must read it."""
     try:
         raw = data.encode("utf-8") if isinstance(data, str) else data
-        if raw.count(b"\r") != raw.count(b"\r\n"):
+        if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
             return None  # numpy ends no line at a lone CR
         _check_header(csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")))
         with warnings.catch_warnings():

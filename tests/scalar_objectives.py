@@ -6,7 +6,7 @@ here so the differential tests can require the stack forms to give the same
 floats, row by row. Each takes a schedule's 0/1 states (``csp_loop``: its
 fractions; ``potential_loop``: two trajectories) and its two cost sequences;
 sums are plain left folds from 0.0. ``fee_rows_loop`` is the decreasing-fee
-check as it ran before it became one array rule: one scalar check per row.
+check written apart from the package's rule: one scalar check per row.
 """
 
 import math

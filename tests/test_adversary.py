@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from planswitch import (
     randomized_lb_instance,
     sp_cost,
 )
+from planswitch.adversary import _mean_stderr
 from planswitch.chase import gchase_dsp
 
 
@@ -186,6 +189,21 @@ class TestMonteCarlo:
         report = monte_carlo(cs, 2.0, 20000, seed=17)
         target = csp_cost(cchase(dt), cs, 2.0)
         assert abs(report.mean - target) <= 3 * report.stderr + 1e-9
+
+
+class TestMeanStderr:
+    """The replicate statistics that run, sweep and monte_carlo report."""
+
+    def test_plain_formulas(self):
+        costs = np.random.default_rng(4).uniform(-5.0, 50.0, 37)
+        assert _mean_stderr(costs) == (float(costs.mean()), float(costs.std(ddof=1) / math.sqrt(37)))
+
+    @pytest.mark.parametrize("exponent", [500, 900, 1018])
+    def test_overflow_is_rescaled_exactly(self, exponent):
+        # sums or squares of these costs overflow; the statistics are the unscaled ones times 2**exponent
+        costs = np.random.default_rng(5).uniform(1.0, 40.0, 100)
+        mean, stderr = _mean_stderr(costs)
+        assert _mean_stderr(costs * 2.0**exponent) == (mean * 2.0**exponent, stderr * 2.0**exponent)
 
 
 def two_matrix_sp_costs(states, cs, beta):

@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -738,3 +741,45 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, trace, ne
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert needle in err and "Traceback" not in err
+
+
+# Fees that RunConfig accepts, with costs near the top of the float range: the
+# replicate statistics and the savings overflowed on the way to finite values.
+HUGE_FEES = [
+    ["run", "--fee-regime", "linear", "--alpha", "1e294", "--contract-len", "1000000"],
+    ["run", "--fee-regime", "linear", "--alpha", "1e303", "--contract-len", "100000", "--slots", "12"],
+    ["sweep", "--fee-regime", "linear", "--from", "1e300", "--to", "1e300", "--step", "1",
+     "--contract-len", "1000000"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_FEES, ids=["run-stderr", "run-mean", "sweep"])
+def test_huge_fees_write_finite_numbers_and_no_warning(argv):
+    src = os.path.dirname(os.path.dirname(bench.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-m", "planswitch.cli", *argv], capture_output=True, env=env,
+                         timeout=120, text=True)
+    assert out.returncode == 0, out.stderr
+    assert not any(word in out.stdout for word in ("Infinity", "NaN", "inf")), out.stdout
+    assert "RuntimeWarning" not in out.stderr
+
+
+# Each month's variable bill is 1e308, so the all-variable benchmark's total is not a float.
+HUGE_BILLS = "".join(f"{t},1e300,1e7,1e8,1e300\n" for t in (1, 2, 3))
+# The plans' bills alternate between 1e308 and 0, so every schedule's total overflows.
+ALTERNATING_BILLS = "".join(f"{t},1e300,{1e8 * (t % 2)},{1e8 * (1 - t % 2)},1e300\n" for t in range(1, 13))
+
+
+@pytest.mark.parametrize("argv, rows, message", [
+    (["run"], HUGE_BILLS, "benchmark_cost of ofa overflows a float: inf"),
+    (["sweep", "--from", "1", "--to", "2"], HUGE_BILLS, "benchmark_cost of ofa overflows a float: inf"),
+    (["run", "--fee-regime", "linear", "--alpha", "1e290", "--contract-len", "2"], ALTERNATING_BILLS,
+     "cost of ofa overflows a float: inf"),
+], ids=["run-benchmark", "sweep-benchmark", "run-cost"])
+def test_overflowing_number_exits_2_with_one_line(tmp_path, capsys, argv, rows, message):
+    path = tmp_path / "t.csv"
+    path.write_text("t,e,p0,p1,B\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow on the way warns nothing
+        assert main(argv + ["--trace", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -379,7 +379,7 @@ FEE_MODE_VALUES = ["literal", "transition-only", np.str_("literal"), "bogus", b"
 
 
 class TestFeeTermRows:
-    """The array rule against the per-row loop it replaced (``scalar_objectives.fee_rows_loop``):
+    """The fee rule against its independent per-row loop (``scalar_objectives.fee_rows_loop``):
     the same columns, or the same exception type and text, on every input."""
 
     @pytest.mark.parametrize("positive", [False, True])
@@ -441,6 +441,24 @@ class TestFeeTermRows:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 want = _fee_outcome(fee_rows_loop, *terms, rows, positive)
             assert _fee_outcome(fee_term_rows, *terms, rows, positive) == want, terms
+
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_no_warning_on_any_entry(self, positive):
+        # numpy-scalar terms overflow (1e308 * np.float32(12)); the rule refuses them without a warning
+        for alpha, length, mode in itertools.product(FEE_ALPHAS, FEE_LENGTHS, FEE_MODE_VALUES):
+            for terms in ((alpha, length, mode), ([alpha], [length], [mode])):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        fee_term_rows(*terms, 1, positive)
+                    except Exception as exc:  # a refusal, but not a warning raised as an error
+                        assert not isinstance(exc, Warning), (terms, exc)
+
+    def test_zero_rows_give_empty_columns(self):
+        for terms in (([], [], []), (0.5, 12, "literal")):
+            alpha, cap, literal = fee_term_rows(*terms, 0)
+            assert (alpha.dtype, cap.dtype, literal.dtype) == (np.float64, np.int64, np.bool_)
+            assert alpha.shape == cap.shape == literal.shape == (0,)
 
     def test_fee_terms_is_the_one_row_call(self):
         assert fee_terms(1, 12.0, "transition-only") == (1.0, 12, "transition-only")
