@@ -10,9 +10,9 @@ The fixed lower-bound instance for the randomized/continuous pair front-loads
 a single small charge against the fixed plan and then penalizes the variable
 plan forever, making any hedging overpay by a factor approaching 2.
 
-A matrix of replicate schedules is priced in one call: ``batch_sp_costs``
-under the constant fee, :func:`planswitch.tariff.dsp_costs` under the
-decreasing fee.
+A matrix of replicate schedules is priced in one call, by the left folds
+that price every schedule: ``batch_sp_costs`` under the constant fee,
+:func:`planswitch.tariff.dsp_costs` under the decreasing fee.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ from .tariff import (
     CostSeries,
     Schedule,
     ValidationError,
-    _stack,
+    _sp_fold,
     dsp_cost,
     require_finite,
     sp_cost,
+    sp_costs,
 )
 
 __all__ = [
@@ -220,28 +221,10 @@ def simulate_randomized_batch(dt: DeltaTrace, n_runs: int, seed: int) -> np.ndar
 
 
 def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarray:
-    """Constant-fee cost of each row of a (runs x T) 0/1 state matrix.
-
-    One float copy of the states is held: it becomes ``1.0 - states`` in place
-    once its product with g1 is taken. Row blocks would hold less, but they
-    change the matrix products' rounding. A row agrees with the left fold of
-    :func:`planswitch.tariff.sp_costs` to about 1e-9 relative, not bit for
-    bit; the matrix product is kept because the replicate costs that ``run``
-    reports are its floats.
-    """
-    beta = require_finite("beta", beta)
-    return _batch_sp(_stack(states, cs.g0, cs.g1)[0], cs, beta)
-
-
-def _batch_sp(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarray:
-    """:func:`batch_sp_costs` on a checked (runs x T) int8 0/1 matrix, its series and fee."""
-    fstates = states.astype(np.float64)
-    service = fstates @ cs.g1
-    service += np.subtract(1.0, fstates, out=fstates) @ cs.g0
-    ups = states[:, 0].astype(np.int64)
-    if states.shape[1] > 1:
-        ups = ups + (states[:, 1:] > states[:, :-1]).sum(axis=1)
-    return service + beta * ups
+    """Constant-fee cost of each row of a (runs x T) 0/1 state matrix on one
+    series: :func:`planswitch.tariff.sp_costs`, so row i's cost is
+    :func:`planswitch.tariff.sp_cost` of row i, bit for bit."""
+    return sp_costs(states, cs.g0, cs.g1, beta)
 
 
 def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioReport:
@@ -256,5 +239,6 @@ def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioRep
     if n_runs < 2:
         raise ValidationError(f"n_runs must be >= 2, got {n_runs!r}")
     dt = delta_trace(cs, beta)
-    mean, stderr = _mean_stderr(_batch_sp(simulate_randomized_batch(dt, n_runs, seed), cs, dt.beta))
+    states = simulate_randomized_batch(dt, n_runs, seed)
+    mean, stderr = _mean_stderr(_sp_fold(states, cs.g0[None], cs.g1[None], np.full(n_runs, dt.beta)))
     return _make_report(mean, sp_cost(ofa_s(dt), cs, beta), mean=mean, stderr=stderr, n_runs=n_runs)

@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .adversary import (
-    _batch_sp,
     _mean_stderr,
     batch_sp_costs,
     competitive_ratio,
@@ -248,34 +247,33 @@ def _benchmark_cost(config: RunConfig, cs: CostSeries) -> float:
     return float(sum((cs.g1 if config.benchmark == "all-variable" else cs.g0).tolist()))
 
 
-def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> dict[str, dict]:
+def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws=None) -> dict[str, dict]:
     """Each configured algorithm's report on one cost series, by name.
 
     A report holds the algorithm, its cost, the benchmark cost, the savings,
     the schedule (a list, or None for the randomized rule), the ratio to the
     offline optimum, and the randomized rule's stderr and replicate count.
     The fee regimes differ only in the setup: the gap trace, the expiry
-    guard, the offline optimum, and the objective of a stack of schedules
-    and of the replicate rows. ``draws`` holds one row of uniforms per
-    replicate; by default row i comes from ``default_rng(seed + i)``.
+    guard, the offline optimum, and the objective: one fold prices a stack
+    of schedules and the replicate rows alike. ``draws`` holds one row of
+    uniforms per replicate, by default row i from ``default_rng(seed + i)``;
+    ``bench_cost`` is the benchmark bill, which the caller sums once.
     """
     # RunConfig checked the terms and CostSeries the costs: the kernels and objectives run unchecked
     if config.fee_regime == "constant":
         dt, guard = delta_trace(cs, config.beta), None
-        objective = lambda states: _sp_fold(states, cs.g0[None], cs.g1[None], np.array([dt.beta]))
-        batch_objective = lambda states: _batch_sp(states, cs, dt.beta)
+        objective = lambda states: _sp_fold(states, cs.g0[None], cs.g1[None], np.full(len(states), dt.beta))
         opt = _offline(dt.values, -dt.beta)
         opt, opt_cost = opt[0], float(objective(opt)[0])
     else:
         alpha, guard = float(config.alpha), int(config.contract_len)
         dt, fee = delta_trace(cs, alpha * guard, alpha), (alpha, guard, config.fee_mode == "literal")
-        objective = batch_objective = lambda states: _dsp_fold(
+        objective = lambda states: _dsp_fold(
             states, cs.g0[None], cs.g1[None], *(np.full(len(states), v) for v in fee))
         best = dp_dsp(cs, config.alpha, config.contract_len, config.fee_mode)
         opt, opt_cost = best.best_schedule.states, best.best_cost
     if draws is None:
         draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
-    bench_cost = _benchmark_cost(config, cs)
 
     def report(name, cost, stderr=None, mc_runs=None, schedule=None):
         savings = 100.0 * (bench_cost - cost) / bench_cost if bench_cost > 0.0 else None
@@ -296,7 +294,7 @@ def _evaluate(config: RunConfig, cs: CostSeries, draws=None) -> dict[str, dict]:
             states = chase_batch(dt, None, guard, "gchase_dsp")[0]
             reports[name] = report(name, float(objective(states)[0]), schedule=states[0].tolist())
         elif name == "gchase_r":
-            costs = batch_objective(chase_batch(dt, draws, guard, "gchase_r")[0])
+            costs = objective(chase_batch(dt, draws, guard, "gchase_r")[0])
             reports[name] = report(name, *_mean_stderr(costs), mc_runs=len(costs))
         elif name == "cchase":
             xs = cchase(dt)
@@ -313,12 +311,13 @@ def run_report(config: RunConfig) -> dict:
     """Run the configured algorithms on one trace and assemble the report."""
     trace = _load_trace(config)
     cs = protocol_cost_series(trace, config.h_rate)
+    bench_cost = _benchmark_cost(config, cs)
     with np.errstate(over="ignore", invalid="ignore"):  # _evaluate names a number that overflows
-        reports = _evaluate(config, cs)
+        reports = _evaluate(config, cs, bench_cost)
     return {
         "config": config_echo(config),
         "slots": len(trace),
-        "benchmark_cost": _benchmark_cost(config, cs),
+        "benchmark_cost": bench_cost,
         "reports": reports,
     }
 
@@ -382,6 +381,7 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
     n_points = int(math.floor(span)) + 1
     trace = _load_trace(config)
     cs = protocol_cost_series(trace, config.h_rate)
+    bench_cost = _benchmark_cost(config, cs)
     draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
     if "gchase_r" in config.algorithms and config.mc_runs * len(cs) <= BLOCK_CELLS:
         draws = draws[:]
@@ -395,7 +395,7 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
         else:
             point = replace(config, alpha=fee / config.contract_len)
         with np.errstate(over="ignore", invalid="ignore"):  # _evaluate names a number that overflows
-            reports = _evaluate(point, cs, draws)
+            reports = _evaluate(point, cs, bench_cost, draws)
         opt_name = "ofa" if "ofa" in reports else ("dp" if "dp" in reports else None)
         if opt_name is not None:
             opt_cost = reports[opt_name]["cost"]
@@ -429,6 +429,10 @@ def sweep_csv(header: list[str], rows: list[list], config: Optional[RunConfig] =
 SP_FEES = (0.5, 1.0, 2.0, 5.0)
 DSP_FEES = (0.0, 0.1, 1.0)
 MC_FEES = (1.0, 2.0)
+# verify montecarlo's band in standard errors: a correct program fails a seed with probability at most 1e-4,
+# split by Bonferroni over both tails of up to 5 x (2 + 10) = 60 comparisons (two means and 10 marginals each).
+# NormalDist().inv_cdf(1 - 1e-4 / 120) written out, as importing statistics adds about 6 ms to every CLI call.
+MC_Z = 4.790137978787522
 
 
 def _horizons(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
@@ -492,12 +496,12 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
         dt = delta_trace(cs, beta)
         states = simulate_randomized_batch(dt, n_runs, seed + 1000 * k)  # as monte_carlo draws them
         mean, stderr = _mean_stderr(batch_sp_costs(states, cs, beta))
-        if abs(mean - csp_cost(cchase(dt), cs, beta)) > 3.0 * stderr + 1e-9:
+        if abs(mean - csp_cost(cchase(dt), cs, beta)) > MC_Z * stderr + 1e-9:
             failures += 1
-        if mean > 2.0 * sp_cost(ofa_s(dt), cs, beta) + 3.0 * stderr + 1e-9:
+        if mean > 2.0 * sp_cost(ofa_s(dt), cs, beta) + MC_Z * stderr + 1e-9:
             failures += 1
         for p, e in zip(marginal_probabilities(dt), states.mean(axis=0)):
-            if abs(e - p) > 3.0 * math.sqrt(p * (1.0 - p) / n_runs) + 1e-12:
+            if abs(e - p) > MC_Z * math.sqrt(p * (1.0 - p) / n_runs) + 1e-12:
                 failures += 1
     return failures == 0, [f"randomized vs continuous: {n_inst} instances x {n_runs} runs, {failures} failures"]
 

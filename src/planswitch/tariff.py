@@ -343,6 +343,20 @@ def _fixed_runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lasted, zero
 
 
+def _row_blocks(states: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """The one block rule of the stack folds: slices of the rows of a (rows x T) 0/1 matrix, each with its
+    rows' g_t(s_t), such that a block's 2T float slots per row fit in ``BLOCK_CELLS`` bytes (one row at
+    least). The costs are of the matrix's shape or one row for every row. A caller may hold replicate
+    states as it prices them, so a larger block would raise its peak memory."""
+    rows, period = states.shape
+    shared = len(g0) != rows  # one series for every row, which broadcasts against each block
+    block = max(1, BLOCK_CELLS // (16 * period))
+    for i0 in range(0, rows, block):
+        sel = slice(i0, i0 + block)
+        g = slice(None) if shared else sel
+        yield sel, np.where(states[sel], g1[g], g0[g])
+
+
 def _fold_rows(slots: np.ndarray) -> np.ndarray:
     """Each row's strict left fold of 0.0 and then its ``slots``.
 
@@ -368,20 +382,23 @@ def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing
     Sums g_t(s_t) plus ``beta`` for every 0 -> 1 transition, with s_0 = 0.
     The horizon simply ends at T; closing back to state 0 is free. Each total
     is a strict left fold of 0.0, then g_t(s_t) and the fee of slot t's up
-    move, or 0.0 for none, for t = 1..T.
+    move, or 0.0 for none, for t = 1..T. Rows are taken in the blocks of
+    :func:`_row_blocks`, so no float matrix of every row is built.
     """
     states, g0, g1 = _stack(states, g0, g1)
     return _sp_fold(states, g0, g1, require_finite_rows("beta", beta, len(states)))
 
 
 def _sp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """:func:`sp_costs` on a checked int8 0/1 matrix, costs of its shape or one row, and fees."""
-    slots = np.empty((len(states), 2 * states.shape[1]))
-    slots[:, 0::2] = np.where(states, g1, g0)
-    slots[:, 1] = states[:, 0]  # up moves, with s_0 = 0
-    slots[:, 3::2] = states[:, 1:] > states[:, :-1]
-    slots[:, 1::2] *= beta[:, None]
-    return _fold_rows(slots)
+    """:func:`sp_costs` on a checked int8 0/1 matrix, costs of its shape or one row, and one fee per row."""
+    totals = np.empty(len(states))
+    for sel, service in _row_blocks(states, g0, g1):
+        slots = np.empty((len(service), 2 * states.shape[1]))
+        slots[:, 0::2] = service
+        np.multiply(states[sel, :1], beta[sel, None], out=slots[:, 1:2])  # up moves, with s_0 = 0
+        np.multiply(states[sel, 1:] > states[sel, :-1], beta[sel, None], out=slots[:, 3::2])
+        totals[sel] = _fold_rows(slots)
+    return totals
 
 
 def p2_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
@@ -439,9 +456,7 @@ def dsp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typin
 
     Each total is a strict left fold of 0.0, g_t(s_t) for t = 1..T, then each
     run's fee in run order: at its last slot's place in T more columns, 0.0
-    elsewhere. Rows are taken in blocks whose float matrix fits in
-    ``BLOCK_CELLS`` bytes (one row at least): a caller may hold the replicate
-    states at the same time, so a larger block would raise its peak memory.
+    elsewhere. Rows are taken in the blocks of :func:`_row_blocks`.
 
     Raises:
         InfeasibleScheduleError: some row has a run longer than its ``contract_len``.
@@ -455,23 +470,19 @@ def _dsp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, alpha: np.ndar
     """:func:`dsp_costs` on checked input: a (rows x T) int8 0/1 matrix, costs
     of its shape or one row of T, and each row's fee terms as arrays of
     ``rows`` entries. A run longer than its row's ``cap`` still raises."""
-    rows, period = states.shape
-    if len(g0) != rows:  # one series for every row: each block takes its rows of it
-        g0, g1 = np.broadcast_to(g0, states.shape), np.broadcast_to(g1, states.shape)
-    totals = np.empty(rows)
-    block = max(1, BLOCK_CELLS // (16 * period))
-    for i0 in range(0, rows, block):
-        sel = slice(i0, i0 + block)
+    period = states.shape[1]
+    totals = np.empty(len(states))
+    for sel, service in _row_blocks(states, g0, g1):
         lasted, ends = _fixed_runs(states[sel])
         over = ends & (lasted > cap[sel, None])
         if over.any():
             row, end = divmod(int(over.argmax()), period)  # the first in row-major order
             raise InfeasibleScheduleError(
-                f"row {i0 + row}: fixed-plan run [{end + 2 - lasted[row, end]}, {end + 1}] lasts "
-                f"{lasted[row, end]} > contract_len {cap[i0 + row]}")
+                f"row {sel.start + row}: fixed-plan run [{end + 2 - lasted[row, end]}, {end + 1}] lasts "
+                f"{lasted[row, end]} > contract_len {cap[sel.start + row]}")
         ends[:, -1] &= literal[sel]  # transition-only: no fee for a run open at T
         slots = np.zeros((len(ends), 2 * period))
-        slots[:, :period] = np.where(states[sel], g1[sel], g0[sel])
+        slots[:, :period] = service
         np.copyto(slots[:, period:], alpha[sel, None] * (cap[sel, None] - lasted), where=ends)
         totals[sel] = _fold_rows(slots)
     return totals

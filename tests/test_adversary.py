@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from planswitch import (
     random_cost_series,
     randomized_lb_instance,
     sp_cost,
+    tariff,
 )
 from planswitch.adversary import _mean_stderr
 from planswitch.chase import gchase_dsp
@@ -207,16 +209,22 @@ class TestMeanStderr:
 
 
 def two_matrix_sp_costs(states, cs, beta):
-    """Oracle of batch_sp_costs: the formula with both float matrices held at once."""
+    """Cross-check of batch_sp_costs: the formula as matrix products, equal to the fold to about 1e-9."""
     g0, g1 = np.asarray(cs.g0), np.asarray(cs.g1)
     fstates = states.astype(np.float64)
     ups = states[:, 0].astype(np.int64) + (states[:, 1:] > states[:, :-1]).sum(axis=1)
     return fstates @ g1 + (1.0 - fstates) @ g0 + float(beta) * ups
 
 
+def one_row_costs(states, cs, beta):
+    """sp_cost of each row on its own, as one float array."""
+    return np.array([sp_cost(Schedule(row), cs, beta) for row in states])
+
+
 class TestBatchSpCosts:
-    @pytest.mark.parametrize("runs,period", [(1, 1), (1, 7), (5, 1), (13, 40), (64, 300), (3, 5000)])
+    @pytest.mark.parametrize("runs,period", [(1, 1), (1, 7), (5, 1), (13, 40), (64, 300), (3, 5000), (0, 5)])
     def test_bit_identical_to_two_matrix_formula(self, runs, period):
+        # Row i's cost is sp_cost of row i, bit for bit; the matrix products agree to 1e-9.
         rng = np.random.default_rng(runs * 1000 + period)
         for density in (0.0, 0.3, 0.9, 1.0):
             states = (rng.random((runs, period)) < density).astype(np.int8)
@@ -224,10 +232,43 @@ class TestBatchSpCosts:
             beta = float(rng.uniform(0.1, 10.0))
             snapshot = states.copy()
             got = batch_sp_costs(states, cs, beta)
-            assert got.tobytes() == two_matrix_sp_costs(states, cs, beta).tobytes()
+            assert got.tobytes() == one_row_costs(states, cs, beta).tobytes()
             assert np.array_equal(states, snapshot) and states.dtype == np.int8
-            for row, cost in zip(states, got):
-                assert cost == pytest.approx(sp_cost(Schedule(row.tolist()), cs, beta), rel=1e-9, abs=1e-9)
+            np.testing.assert_allclose(got, two_matrix_sp_costs(states, cs, beta), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.0, 2.5])
+    def test_signed_zero_costs_and_zero_fee(self, beta):
+        # -0.0 costs total 0.0 as the fold from 0.0 gives it, with or without a fee
+        states = np.array([[0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 1]], dtype=np.int8)
+        for g0, g1 in (([-0.0] * 3, [-0.0] * 3), ([-0.0, 1.5, -0.0], [-2.0, -0.0, 3.0])):
+            cs = CostSeries(g0, g1)
+            got = batch_sp_costs(states, cs, beta)
+            assert got.tobytes() == one_row_costs(states, cs, beta).tobytes()
+        assert repr(float(batch_sp_costs(states[:1], CostSeries([-0.0] * 3, [-0.0] * 3), beta)[0])) == "0.0"
+
+    @pytest.mark.parametrize("cells", [1, 17, 250, 1 << 16])
+    def test_independent_of_the_block_size(self, monkeypatch, cells):
+        # blocks of one row, of three (250 bytes hold 3 rows of 2 x 5 float slots) and the whole
+        # stack: the floats stay those of sp_cost
+        rng = np.random.default_rng(cells)
+        states = (rng.random((37, 5)) < 0.4).astype(np.int8)
+        cs = CostSeries(rng.normal(0.0, 50.0, 5), rng.normal(0.0, 50.0, 5))
+        want = one_row_costs(states, cs, 3.0)
+        monkeypatch.setattr(tariff, "BLOCK_CELLS", cells)
+        assert batch_sp_costs(states, cs, 3.0).tobytes() == want.tobytes()
+
+    def test_no_float_copy_of_the_matrix(self):
+        # 40 x 50,000 states: one float64 copy would be 16 MB, a quarter of it 4 MB
+        rng = np.random.default_rng(6)
+        states = (rng.random((40, 50_000)) < 0.5).astype(np.int8)
+        cs = random_cost_series(rng, 50_000)
+        tracemalloc.start()
+        try:
+            batch_sp_costs(states, cs, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < states.size * 8 / 4
 
     @pytest.mark.parametrize("beta", [float("nan"), -1.0, float("inf")])
     def test_bad_beta_refused(self, beta):

@@ -6,6 +6,7 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from planswitch import (
     RunConfig,
     ValidationError,
     cost_series,
+    delta_trace,
     dsp_cost,
+    gchase_r,
     gchase_r_dsp,
     parse_trace,
     protocol_cost_series,
     report_json,
     run_report,
     run_verify_suite,
+    sp_cost,
     sweep,
     sweep_csv,
     synth_trace,
@@ -208,6 +212,16 @@ class TestRunReport:
         assert entry["cost"] == float(costs.mean())
         assert entry["stderr"] == float(costs.std(ddof=1) / np.sqrt(12))
 
+    def test_constant_batch_equals_single_calls(self):
+        # each replicate is priced as sp_cost prices its schedule, bit for bit
+        cfg = RunConfig(synth_slots=30, seed=18, algorithms=("gchase_r",), mc_runs=12)
+        entry = run_report(cfg)["reports"]["gchase_r"]
+        cs = protocol_cost_series(synth_trace(30, 18))
+        dt = delta_trace(cs, 100.0)
+        costs = np.array([sp_cost(gchase_r(dt, np.random.default_rng(18 + i)), cs, 100.0) for i in range(12)])
+        assert entry["cost"] == float(costs.mean())
+        assert entry["stderr"] == float(costs.std(ddof=1) / np.sqrt(12))
+
     def test_trace_file_input(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(trace_to_csv(synth_trace(12, seed=12)))
@@ -333,6 +347,18 @@ class TestSweep:
         assert len(rows) == 20
         assert sorted(seeds) == [3] + list(range(3, 13))  # the synthetic trace, then one per replicate
 
+    @pytest.mark.parametrize("regime", FEE_REGIMES)
+    def test_benchmark_bill_summed_once_per_command(self, monkeypatch, regime):
+        calls = []
+        real = bench._benchmark_cost
+        monkeypatch.setattr(bench, "_benchmark_cost", lambda *args: calls.append(args) or real(*args))
+        cfg = RunConfig(synth_slots=12, seed=5, fee_regime=regime)
+        report = run_report(cfg)
+        assert len(calls) == 1
+        assert all(r["benchmark_cost"] == report["benchmark_cost"] for r in report["reports"].values())
+        _, rows = sweep(cfg, 1.0, 10.0, 1.0)
+        assert len(rows) == 10 and len(calls) == 2
+
     def test_nonpositive_fee_refused_before_any_work(self, monkeypatch):
         def no_work(*_):
             raise AssertionError("loaded a trace for a refused sweep")
@@ -392,6 +418,10 @@ class TestVerifySuites:
             "identity": ["segment identities and cost equivalence: 300 random triples, 0 failures", "PASS"],
         }
         assert run_verify_suite(suite, seed) == (True, want[suite])
+
+    def test_montecarlo_band_is_the_declared_false_alarm_rate(self):
+        # 1e-4 per seed, split over both tails of 5 instances x (2 means + up to 10 marginals)
+        assert bench.MC_Z == NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 5 * (2 + 10)))
 
     def test_unknown_suite(self):
         with pytest.raises(ValidationError):

@@ -36,7 +36,7 @@ EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 # argv after ``planswitch``, then the sha256 of stdout and of stderr.
 PINNED = [
     (SWEEP + ("--fee-regime", "constant"),
-     "758b456f162c28e114099d6c9304676bcab661353b2f617b292fcb812515fe95", EMPTY),
+     "82d25954fec83cb1f1dfc504d48ac253b59a46094b11eb94c27de428d3d20268", EMPTY),
     (SWEEP + ("--fee-regime", "linear", "--contract-len", "12"),
      "71e66612304cd08f5166753f7d39679f91deb05f74ee5284dded72408064d1fc",
      "88a9037cda12527b1efc5bc187eb3155225956e97a558667884a7c2468189795"),
@@ -48,7 +48,7 @@ PINNED = [
      "801387eaf71713980ef887393737698378a63cd93c87ea51262a2d707670f872"),
     (("run", "--slots", "2000", "--fee-regime", "constant", "--beta", "100",
       "--algorithms", "ofa,gchase,gchase_r,cchase", "--mc-runs", "20", "--seed", "1"),
-     "5d779d6f679e4d93f3246fdd94a0e7cdf42c1376a9bda50f2c6cad355b77d0f3", EMPTY),
+     "560aa3902e9f55a975519820ab8be71fe22f720a36638d841f162daaf85412b8", EMPTY),
     (("run", "--fee-regime", "linear", "--algorithms", "ofa,dp,gchase,gchase_r", "--benchmark", "all-fixed",
       "--fee-mode", "transition-only"),
      "b4e77a0df5d23affb40f3022122b10d7a734454326c3eb92bf8d3b33b03188ab", EMPTY),
