@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -36,7 +37,6 @@ from .adversary import (
     simulate_randomized_batch,
 )
 from .chase import (
-    BLOCK_CELLS,
     SeededUniforms,
     _chase,
     _offline,
@@ -57,6 +57,7 @@ from .tariff import (
     ValidationError,
     _dsp_fold,
     _fixed_runs,
+    _row_blocks,
     _sp_fold,
     cost_series,
     fee_terms,
@@ -126,10 +127,15 @@ MAX_SYNTH_SLOTS = 10_000_000
 MAX_MC_RUNS = 1_000_000
 
 
-def _require_seed(seed: int) -> None:
-    """The one check of a user's seed, for run, sweep, synth and verify."""
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed!r}")
+def _require_int(name: str, value: int, low: float = -math.inf, high: float = math.inf) -> int:
+    """The one check of a count or seed (run, sweep, synth, verify): an integer from low to high, as an int."""
+    if not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
+    if value > high:
+        raise ValidationError(f"{name} must be <= {high}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -173,11 +179,10 @@ class RunConfig:
             fee_terms(self.alpha, self.contract_len, self.fee_mode, positive=True)
         if self.h_rate is not None:
             require_finite("h_rate", self.h_rate)
-        if self.mc_runs < 2:
-            raise ValidationError(f"mc_runs must be >= 2, got {self.mc_runs!r}")
-        if self.mc_runs > MAX_MC_RUNS:
-            raise ValidationError(f"mc_runs must be <= {MAX_MC_RUNS}, got {self.mc_runs!r}")
-        _require_seed(self.seed)
+        # echoed as the ints they run as (a numpy integer is not JSON); synth_trace checks the slots' range
+        object.__setattr__(self, "synth_slots", _require_int("synth_slots", self.synth_slots))
+        object.__setattr__(self, "mc_runs", _require_int("mc_runs", self.mc_runs, 2, MAX_MC_RUNS))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
 
 
 def protocol_cost_series(trace: Trace, h_rate: Optional[float] = None) -> CostSeries:
@@ -197,15 +202,12 @@ def synth_trace(slots: int, seed: int, profile: str = "seasonal") -> Trace:
     seasonal cycle around $0.115/kWh while the fixed rate hovers near
     $0.098/kWh; each month's base load is the same month's demand one cycle
     earlier (the seasonal baseline stands in for the unobserved first cycle).
-    ``flat`` drops the seasonality from demand and prices. More than
-    ``MAX_SYNTH_SLOTS`` months, or a negative seed, is refused before any
-    array is built.
+    ``flat`` drops the seasonality from demand and prices. A slot count or
+    seed that is not an integer, more than ``MAX_SYNTH_SLOTS`` months, or a
+    negative seed, is refused before any array is built.
     """
-    if slots < 1:
-        raise ValidationError(f"slots must be >= 1, got {slots!r}")
-    if slots > MAX_SYNTH_SLOTS:
-        raise ValidationError(f"slots must be <= {MAX_SYNTH_SLOTS}, got {slots!r}")
-    _require_seed(seed)
+    _require_int("slots", slots, 1, MAX_SYNTH_SLOTS)
+    _require_int("seed", seed, 0)
     if profile not in PROFILES:
         raise ValidationError(f"unknown profile {profile!r}")
     rng = np.random.default_rng(seed)
@@ -247,7 +249,18 @@ def _benchmark_cost(config: RunConfig, cs: CostSeries) -> float:
     return float(sum((cs.g1 if config.benchmark == "all-variable" else cs.g0).tolist()))
 
 
-def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws=None) -> dict[str, dict]:
+def _setup(config: RunConfig) -> tuple[CostSeries, float, SeededUniforms | np.ndarray]:
+    """What run and sweep share: the cost series, the benchmark bill and the replicate draws. The draws
+    do not depend on the fee: when they fit one kernel block they are drawn here, once for every point."""
+    cs = protocol_cost_series(_load_trace(config), config.h_rate)
+    draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
+    if "gchase_r" in config.algorithms and len(_row_blocks(config.mc_runs, len(cs))) == 1:
+        draws = draws[:]
+    return cs, _benchmark_cost(config, cs), draws
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the report names a number that overflows
+def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws) -> dict[str, dict]:
     """Each configured algorithm's report on one cost series, by name.
 
     A report holds the algorithm, its cost, the benchmark cost, the savings,
@@ -255,9 +268,8 @@ def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws=None) 
     offline optimum, and the randomized rule's stderr and replicate count.
     The fee regimes differ only in the setup: the gap trace, the expiry
     guard, the offline optimum, and the objective: one fold prices a stack
-    of schedules and the replicate rows alike. ``draws`` holds one row of
-    uniforms per replicate, by default row i from ``default_rng(seed + i)``;
-    ``bench_cost`` is the benchmark bill, which the caller sums once.
+    of schedules and the replicate rows alike. ``bench_cost`` and ``draws``
+    (one row of uniforms per replicate) come from :func:`_setup`.
     """
     # RunConfig checked the terms and CostSeries the costs: the kernels and objectives run unchecked
     if config.fee_regime == "constant":
@@ -272,8 +284,6 @@ def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws=None) 
             states, cs.g0[None], cs.g1[None], *(np.full(len(states), v) for v in fee))
         best = dp_dsp(cs, config.alpha, config.contract_len, config.fee_mode)
         opt, opt_cost = best.best_schedule.states, best.best_cost
-    if draws is None:
-        draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
 
     def report(name, cost, stderr=None, mc_runs=None, schedule=None):
         savings = 100.0 * (bench_cost - cost) / bench_cost if bench_cost > 0.0 else None
@@ -309,16 +319,12 @@ def config_echo(config: RunConfig) -> dict:
 
 def run_report(config: RunConfig) -> dict:
     """Run the configured algorithms on one trace and assemble the report."""
-    trace = _load_trace(config)
-    cs = protocol_cost_series(trace, config.h_rate)
-    bench_cost = _benchmark_cost(config, cs)
-    with np.errstate(over="ignore", invalid="ignore"):  # _evaluate names a number that overflows
-        reports = _evaluate(config, cs, bench_cost)
+    cs, bench_cost, draws = _setup(config)
     return {
         "config": config_echo(config),
-        "slots": len(trace),
+        "slots": len(cs),
         "benchmark_cost": bench_cost,
-        "reports": reports,
+        "reports": _evaluate(config, cs, bench_cost, draws),
     }
 
 
@@ -363,9 +369,7 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
     by the contract length to get alpha. The offline optimum's cost must be
     non-decreasing in the fee; violations are logged, not raised. More than
     ``MAX_SWEEP_POINTS`` fee points, a fee or step that is not finite, or a
-    fee that is not positive, is refused before anything is evaluated. The
-    replicate draws do not depend on the fee: when they fit one kernel block
-    they are drawn once for all points.
+    fee that is not positive, is refused before anything is evaluated.
     """
     for name, value in (("fee_from", fee_from), ("fee_to", fee_to), ("fee_step", fee_step)):
         require_finite(name, value)
@@ -379,12 +383,7 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
     if not fee_from > 0.0:
         raise ValidationError(f"fee_from must be > 0, got {fee_from!r}")
     n_points = int(math.floor(span)) + 1
-    trace = _load_trace(config)
-    cs = protocol_cost_series(trace, config.h_rate)
-    bench_cost = _benchmark_cost(config, cs)
-    draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
-    if "gchase_r" in config.algorithms and config.mc_runs * len(cs) <= BLOCK_CELLS:
-        draws = draws[:]
+    cs, bench_cost, draws = _setup(config)
     header = ["fee"] + [f"{a}_savings_pct" for a in config.algorithms]
     rows: list[list] = []
     prev_opt = -math.inf
@@ -394,8 +393,7 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
             point = replace(config, beta=fee)
         else:
             point = replace(config, alpha=fee / config.contract_len)
-        with np.errstate(over="ignore", invalid="ignore"):  # _evaluate names a number that overflows
-            reports = _evaluate(point, cs, bench_cost, draws)
+        reports = _evaluate(point, cs, bench_cost, draws)
         opt_name = "ofa" if "ofa" in reports else ("dp" if "dp" in reports else None)
         if opt_name is not None:
             opt_cost = reports[opt_name]["cost"]
@@ -535,19 +533,14 @@ VERIFY_SUITES = {
 
 
 def run_verify_suite(name: str, seed: int) -> tuple[bool, list[str]]:
-    """Run one named verification suite, or all of them."""
-    _require_seed(seed)
-    if name == "all":
-        ok = True
-        lines: list[str] = []
-        for key in VERIFY_SUITES:
-            suite_ok, suite_lines = VERIFY_SUITES[key](seed)
-            ok = ok and suite_ok
-            lines.extend(f"[{key}] {line}" for line in suite_lines)
-            lines.append(f"[{key}] {'PASS' if suite_ok else 'FAIL'}")
-        return ok, lines
-    if name not in VERIFY_SUITES:
+    """Run one named verification suite, or all of them with each line tagged by its suite."""
+    _require_int("seed", seed, 0)
+    if name != "all" and name not in VERIFY_SUITES:
         raise ValidationError(f"unknown suite {name!r}, expected one of {tuple(VERIFY_SUITES)} or 'all'")
-    ok, lines = VERIFY_SUITES[name](seed)
-    lines.append("PASS" if ok else "FAIL")
+    ok, lines = True, []
+    for key in VERIFY_SUITES if name == "all" else (name,):
+        suite_ok, suite_lines = VERIFY_SUITES[key](seed)
+        ok = ok and suite_ok
+        tag = f"[{key}] " if name == "all" else ""
+        lines += [tag + line for line in [*suite_lines, "PASS" if suite_ok else "FAIL"]]
     return ok, lines

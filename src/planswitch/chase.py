@@ -41,7 +41,6 @@ from typing import Iterable
 import numpy as np
 
 from .tariff import (
-    BLOCK_CELLS,
     CostSeries,
     Schedule,
     ValidationError,
@@ -49,6 +48,7 @@ from .tariff import (
     _first,
     _fold_rows,
     _record_array,
+    _row_blocks,
     cost_stack,
     fee_terms,
     require_finite,
@@ -484,8 +484,9 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
     one trace reaching that length is cut by a forced switch to plan 1,
     which holds until the next slot forcing 0. Returns int8 states and the
     forced-switch count per row. Checks its input (the traces by the gap-trace
-    rule, ``contract_len`` as :func:`planswitch.tariff.fee_terms` takes it),
-    then runs :func:`_chase`, the core that code holding checked input calls.
+    rule, array draws as finite, ``contract_len`` as
+    :func:`planswitch.tariff.fee_terms` takes it), then runs :func:`_chase`,
+    the core that code holding checked input calls.
     """
     if contract_len is not None:
         contract_len = fee_terms(0.0, contract_len)[1]
@@ -498,6 +499,10 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
         draws = draws if isinstance(draws, SeededUniforms) else np.asarray(draws, dtype=np.float64)
         if len(draws.shape) != 2 or draws.shape[1] != values.shape[1] - 1:
             raise ValidationError(f"draws must be (replicates x {values.shape[1] - 1}), got shape {draws.shape}")
+        bad = -1 if isinstance(draws, SeededUniforms) else _first(~np.isfinite(draws))
+        if bad >= 0:  # no threshold acts on a NaN or +inf draw, so a boundary slot would not force its plan
+            row, t = divmod(bad, draws.shape[1])
+            raise ValidationError(f"draws must be finite, got {draws.item(bad)!r} in replicate {row}, slot {t + 1}")
     return _chase(values, neg, draws, contract_len)
 
 
@@ -519,17 +524,16 @@ def _chase(values: np.ndarray, neg: float | np.ndarray, draws=None, contract_len
         plan_of = np.concatenate(([False], force))
         n_runs = len(draws)
     states, forced = np.zeros((n_runs, len(slots)), np.int8), np.zeros(n_runs, np.int64)
-    block = max(1, BLOCK_CELLS // max(len(slots), 1))
-    for i0 in range(0, n_runs, block):
+    for sel in _row_blocks(n_runs, len(slots)):
         if draws is not None:
-            hit = draws[i0:i0 + block] < thr
+            hit = draws[sel] < thr
         if contract_len is None:
-            states[i0:i0 + block] = _fill(hit, slots, plan_of)
+            states[sel] = _fill(hit, slots, plan_of)
         elif len(hit) > len(slots) // (contract_len + 1):  # more rows than a row's most cuts
-            forced[i0:i0 + block] = _guarded_block(hit, slots, plan_of, contract_len, states[i0:i0 + block])
+            forced[sel] = _guarded_block(hit, slots, plan_of, contract_len, states[sel])
         else:
-            for j, row in enumerate(hit):
-                forced[i0 + j] = _guarded_row(row, plan_of[1:], contract_len, states[i0 + j])
+            for i, row in enumerate(hit, sel.start):
+                forced[i] = _guarded_row(row, plan_of[1:], contract_len, states[i])
     return states, forced
 
 

@@ -306,7 +306,8 @@ def cost_stack(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike) -> tuple[np.nda
     return g0, g1
 
 
-# Cells per block of rows: bounds the temporaries of a stack computation at any row count.
+# Cells per block of rows of a computation's widest per-row array, read by _row_blocks alone: bounds
+# the temporaries of the kernel and the folds at any row count.
 BLOCK_CELLS = 1 << 16
 
 
@@ -343,18 +344,19 @@ def _fixed_runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lasted, zero
 
 
-def _row_blocks(states: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """The one block rule of the stack folds: slices of the rows of a (rows x T) 0/1 matrix, each with its
-    rows' g_t(s_t), such that a block's 2T float slots per row fit in ``BLOCK_CELLS`` bytes (one row at
-    least). The costs are of the matrix's shape or one row for every row. A caller may hold replicate
-    states as it prices them, so a larger block would raise its peak memory."""
-    rows, period = states.shape
-    shared = len(g0) != rows  # one series for every row, which broadcasts against each block
-    block = max(1, BLOCK_CELLS // (16 * period))
-    for i0 in range(0, rows, block):
-        sel = slice(i0, i0 + block)
-        g = slice(None) if shared else sel
-        yield sel, np.where(states[sel], g1[g], g0[g])
+def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
+    """The one block rule: ``rows`` rows cut into slices of as many rows as fit in ``BLOCK_CELLS`` cells (one
+    at least), a row taking ``cells_per_row``, the cells of the caller's widest per-row array. A caller may
+    hold a whole matrix as it works through the blocks, so a larger block would raise its peak memory; no
+    result depends on the blocks."""
+    block = max(1, BLOCK_CELLS // cells_per_row)
+    return [slice(i0, i0 + block) for i0 in range(0, rows, block)]
+
+
+def _service(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, sel: slice) -> np.ndarray:
+    """g_t(s_t) of the rows ``sel`` of a (rows x T) 0/1 matrix, on costs of its shape or one row for all."""
+    g = sel if len(g0) == len(states) else slice(None)
+    return np.where(states[sel], g1[g], g0[g])
 
 
 def _fold_rows(slots: np.ndarray) -> np.ndarray:
@@ -392,9 +394,9 @@ def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing
 def _sp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """:func:`sp_costs` on a checked int8 0/1 matrix, costs of its shape or one row, and one fee per row."""
     totals = np.empty(len(states))
-    for sel, service in _row_blocks(states, g0, g1):
-        slots = np.empty((len(service), 2 * states.shape[1]))
-        slots[:, 0::2] = service
+    for sel in _row_blocks(len(states), 2 * states.shape[1]):
+        slots = np.empty((len(states[sel]), 2 * states.shape[1]))
+        slots[:, 0::2] = _service(states, g0, g1, sel)
         np.multiply(states[sel, :1], beta[sel, None], out=slots[:, 1:2])  # up moves, with s_0 = 0
         np.multiply(states[sel, 1:] > states[sel, :-1], beta[sel, None], out=slots[:, 3::2])
         totals[sel] = _fold_rows(slots)
@@ -472,7 +474,7 @@ def _dsp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, alpha: np.ndar
     ``rows`` entries. A run longer than its row's ``cap`` still raises."""
     period = states.shape[1]
     totals = np.empty(len(states))
-    for sel, service in _row_blocks(states, g0, g1):
+    for sel in _row_blocks(len(states), 2 * period):
         lasted, ends = _fixed_runs(states[sel])
         over = ends & (lasted > cap[sel, None])
         if over.any():
@@ -482,7 +484,7 @@ def _dsp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, alpha: np.ndar
                 f"{lasted[row, end]} > contract_len {cap[sel.start + row]}")
         ends[:, -1] &= literal[sel]  # transition-only: no fee for a run open at T
         slots = np.zeros((len(ends), 2 * period))
-        slots[:, :period] = service
+        slots[:, :period] = _service(states, g0, g1, sel)
         np.copyto(slots[:, period:], alpha[sel, None] * (cap[sel, None] - lasted), where=ends)
         totals[sel] = _fold_rows(slots)
     return totals

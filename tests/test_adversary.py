@@ -248,11 +248,11 @@ class TestBatchSpCosts:
 
     @pytest.mark.parametrize("cells", [1, 17, 250, 1 << 16])
     def test_independent_of_the_block_size(self, monkeypatch, cells):
-        # blocks of one row, of three (250 bytes hold 3 rows of 2 x 5 float slots) and the whole
+        # blocks of one row, of three (250 cells hold 3 rows of 2 x 40 float slots) and the whole
         # stack: the floats stay those of sp_cost
         rng = np.random.default_rng(cells)
-        states = (rng.random((37, 5)) < 0.4).astype(np.int8)
-        cs = CostSeries(rng.normal(0.0, 50.0, 5), rng.normal(0.0, 50.0, 5))
+        states = (rng.random((37, 40)) < 0.4).astype(np.int8)
+        cs = CostSeries(rng.normal(0.0, 50.0, 40), rng.normal(0.0, 50.0, 40))
         want = one_row_costs(states, cs, 3.0)
         monkeypatch.setattr(tariff, "BLOCK_CELLS", cells)
         assert batch_sp_costs(states, cs, 3.0).tobytes() == want.tobytes()

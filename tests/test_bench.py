@@ -30,7 +30,7 @@ from planswitch import (
     synth_trace,
     trace_to_csv,
 )
-from planswitch import bench
+from planswitch import bench, tariff
 from planswitch.bench import FEE_REGIMES, MAX_MC_RUNS, MAX_SWEEP_POINTS, MAX_SYNTH_SLOTS, config_echo
 from planswitch.cli import _config_from_args, build_parser, main
 from planswitch.tariff import MAX_CONTRACT_LEN
@@ -44,6 +44,11 @@ class TestSynth:
 
     def test_seed_changes_output(self):
         assert trace_to_csv(synth_trace(12, seed=1)) != trace_to_csv(synth_trace(12, seed=2))
+
+    @pytest.mark.parametrize("slots, seed, field", [(3.5, 1, "slots"), (3, 1.5, "seed"), (3.0, 1, "slots")])
+    def test_non_integer_slots_or_seed_rejected(self, slots, seed, field):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            synth_trace(slots, seed)
 
     def test_zero_slots_rejected(self):
         with pytest.raises(ValidationError):
@@ -140,6 +145,17 @@ class TestRunConfigValidation:
         with pytest.raises(ValidationError, match=needle):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["synth_slots", "mc_runs", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        # 2.5 would run 2 replicates yet echo 2.5, and a float slot count or seed would fail inside numpy
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
+            RunConfig(**{field: value})
+
+    def test_numpy_integers_echoed_as_ints(self):
+        cfg = RunConfig(synth_slots=np.int64(12), mc_runs=np.int32(5), seed=np.uint8(3))
+        assert report_json(run_report(cfg)) == report_json(run_report(RunConfig(synth_slots=12, mc_runs=5, seed=3)))
+
     def test_unused_fee_fields_not_checked(self):
         RunConfig(fee_regime="constant", contract_len=0, alpha=-1.0)
         RunConfig(fee_regime="linear", beta=0.0)
@@ -164,6 +180,17 @@ class TestRunReport:
         assert gch <= 3 * ofa + 1e-9
         assert mc["cost"] <= 2 * ofa + 3 * (mc["stderr"] or 0.0) + 1e-9
         assert cch <= 2 * ofa + 1e-9
+
+    @pytest.mark.parametrize("regime", FEE_REGIMES)
+    def test_bytes_independent_of_the_block_size(self, monkeypatch, regime):
+        # one tariff.BLOCK_CELLS cuts the kernel blocks (T cells a row), the fold blocks (2T) and the
+        # draw reuse: blocks of one row, of three kernel rows, of three fold rows, and one block
+        cfg = RunConfig(synth_slots=36, seed=2, fee_regime=regime, contract_len=4, alpha=20.0,
+                        algorithms=("ofa", "gchase", "gchase_r"), mc_runs=20)
+        want = report_json(run_report(cfg))
+        for cells in (1, 3 * 36, 3 * 2 * 36, tariff.BLOCK_CELLS):
+            monkeypatch.setattr(tariff, "BLOCK_CELLS", cells)
+            assert report_json(run_report(cfg)) == want
 
     def test_byte_identical_under_fixed_seed(self):
         cfg = RunConfig(synth_slots=12, seed=9)
@@ -320,11 +347,11 @@ class TestSweep:
         with pytest.raises(Evaluated):
             sweep(cfg, 1.0, float(MAX_SWEEP_POINTS), 1.0)
 
-    @pytest.mark.parametrize("block_cells", [bench.BLOCK_CELLS, 0])
+    @pytest.mark.parametrize("block_cells", [tariff.BLOCK_CELLS, 0])
     @pytest.mark.parametrize("regime", FEE_REGIMES)
     def test_shared_draws_match_fresh_points(self, monkeypatch, regime, block_cells):
         # drawn once (fits a block) or re-drawn per point, each point equals a fresh run
-        monkeypatch.setattr(bench, "BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(tariff, "BLOCK_CELLS", block_cells)
         cfg = RunConfig(synth_slots=30, seed=4, fee_regime=regime, contract_len=6,
                         algorithms=("gchase", "gchase_r"), mc_runs=8)
         _, rows = sweep(cfg, 10.0, 50.0, 20.0)
@@ -426,6 +453,11 @@ class TestVerifySuites:
     def test_unknown_suite(self):
         with pytest.raises(ValidationError):
             run_verify_suite("everything", 42)
+
+    @pytest.mark.parametrize("suite", ["oracle", "all"])
+    def test_non_integer_seed_refused(self, suite):
+        with pytest.raises(ValidationError, match="seed must be an integer, got 1.5"):
+            run_verify_suite(suite, 1.5)
 
     def test_oracle_suite_catches_a_wrong_offline_pass(self, monkeypatch):
         real = bench.offline_states

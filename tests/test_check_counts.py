@@ -52,8 +52,9 @@ def test_evaluate_checks_nothing_twice(checks, config, want):
     # The cost series and the config are checked before _evaluate: the gap trace, the
     # offline pass, the kernels and the objectives add no check of their own.
     cs = protocol_cost_series(synth_trace(36, 1))
+    draws = chase.SeededUniforms(config.seed, config.mc_runs, len(cs))
     checks.clear()
-    bench._evaluate(config, cs, bench._benchmark_cost(config, cs))
+    bench._evaluate(config, cs, bench._benchmark_cost(config, cs), draws)
     assert dict(checks) == want
 
 

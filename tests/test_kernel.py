@@ -10,6 +10,7 @@ the per-row walk, are each checked against the oracle and against each other.
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from planswitch import (
     simulate_randomized_batch,
     synth_trace,
 )
-from planswitch import chase
+from planswitch import chase, tariff
 from planswitch.chase import SeededUniforms, chase_kernel, drift_trace
 
 
@@ -359,7 +360,7 @@ class TestBlocking:
         cs = random_cost_series(np.random.default_rng(304), 50, 0.0, 3.0)
         dt = drift_trace(cs, 0.4, 3) if cap else delta_trace(cs, 2.0)
         ref_states, ref_forced = chase_kernel(dt.values, dt.beta, SeededUniforms(9, 40, len(dt)), cap)
-        monkeypatch.setattr(chase, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(tariff, "BLOCK_CELLS", cells)
         for n_runs in (1, 7, 40):
             states, forced = chase_kernel(dt.values, dt.beta, SeededUniforms(9, n_runs, len(dt)), cap)
             assert np.array_equal(states, ref_states[:n_runs])
@@ -439,6 +440,24 @@ class TestKernelInput:
         dt = delta_trace(self.CS, 2.0)
         with pytest.raises(ValidationError, match=r"draws must be \(replicates x 5\)"):
             chase_kernel(dt.values, dt.beta, np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_draws_refused(self, bad):
+        # a NaN or +inf draw is never below a boundary slot's threshold, so the boundary would not force
+        dt = delta_trace(self.CS, 2.0)
+        draws = np.full((2, 5), 0.5)
+        draws[1, 2] = bad
+        with pytest.raises(ValidationError, match=rf"draws must be finite, got {bad!r} in replicate 1, slot 3"):
+            chase_kernel(dt.values, dt.beta, draws)
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0), 1.0, 5.0])
+    def test_edge_draws_match_step_fold(self, u):
+        # every draw of every slot is u: boundary slots force their plan whatever u is, as in gchase_r_step
+        traces = [DeltaTrace((-2.0, 0.0, -2.0, -2.0, 0.0), 2.0), delta_trace(self.CS, 2.0)]
+        traces += [delta_trace(cs, beta) for cs, beta, _, _ in _seeded_instances(307, 40)]
+        for dt in traces:
+            states, _ = chase_kernel(dt.values, dt.beta, np.full((1, len(dt)), u))
+            assert states[0].tolist() == step_fold(dt, types.SimpleNamespace(random=lambda: u))
 
     def test_randomized_rule_takes_one_trace_and_fee(self):
         dt = delta_trace(self.CS, 2.0)
