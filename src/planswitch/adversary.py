@@ -41,6 +41,7 @@ from .tariff import (
     _sp_fold,
     dsp_cost,
     require_finite,
+    require_int,
     sp_cost,
     sp_costs,
 )
@@ -129,8 +130,7 @@ def randomized_lb_instance(beta: float, small_delta: float, horizon: int) -> Cos
     beta = require_finite("beta", beta, positive=True)
     if not 0.0 < small_delta < 1.0:
         raise ValidationError(f"small_delta must lie in (0, 1), got {small_delta!r}")
-    if horizon < 2:
-        raise ValidationError(f"horizon must be >= 2, got {horizon!r}")
+    horizon = require_int("horizon", horizon, 2)
     g0 = np.zeros(horizon)
     g0[0] = small_delta * beta
     return CostSeries(g0, g0[0] - g0)
@@ -168,8 +168,7 @@ def deterministic_adversary(
     realized cost series and the player's ratio against the offline optimum,
     the backward pass.
     """
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon!r}")
+    horizon = require_int("horizon", horizon, 1)
     beta = require_finite("beta", beta, positive=True)
     unit = require_finite("unit", unit, positive=True)
     player = make_player()
@@ -236,8 +235,7 @@ def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioRep
     (seed, n_runs) and independent of evaluation order. The ratio compares
     the replication mean against the offline optimum.
     """
-    if n_runs < 2:
-        raise ValidationError(f"n_runs must be >= 2, got {n_runs!r}")
+    n_runs = require_int("n_runs", n_runs, 2)
     dt = delta_trace(cs, beta)
     states = simulate_randomized_batch(dt, n_runs, seed)
     mean, stderr = _mean_stderr(_sp_fold(states, cs.g0[None], cs.g1[None], np.full(n_runs, dt.beta)))

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -64,6 +63,7 @@ from .tariff import (
     p2_costs,
     parse_trace,
     require_finite,
+    require_int,
     sp_cost,
 )
 
@@ -127,17 +127,6 @@ MAX_SYNTH_SLOTS = 10_000_000
 MAX_MC_RUNS = 1_000_000
 
 
-def _require_int(name: str, value: int, low: float = -math.inf, high: float = math.inf) -> int:
-    """The one check of a count or seed (run, sweep, synth, verify): an integer from low to high, as an int."""
-    if not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
-    if value > high:
-        raise ValidationError(f"{name} must be <= {high}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one benchmark run needs; defaults mirror the protocol
@@ -159,7 +148,11 @@ class RunConfig:
     benchmark: str = "all-variable"
 
     def __post_init__(self):
-        """The input boundary of run and sweep: every field the regime uses is checked here."""
+        """The input boundary of run and sweep: every field the regime uses is checked here and kept as its
+        check returns it; a fee field it does not use is echoed unchecked, a numpy scalar as a Python number."""
+        for name in ("beta", "alpha", "contract_len"):
+            if isinstance(getattr(self, name), np.generic):
+                object.__setattr__(self, name, getattr(self, name).item())
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         for name, allowed in (("fee_regime", FEE_REGIMES), ("benchmark", BENCHMARK_PLANS)):
             if getattr(self, name) not in allowed:
@@ -174,15 +167,17 @@ class RunConfig:
             if self.fee_regime not in ALGORITHMS[a]:
                 raise ValidationError(f"{a} runs in the {' and '.join(ALGORITHMS[a])} fee regime only")
         if self.fee_regime == "constant":
-            require_finite("beta", self.beta, positive=True)
+            object.__setattr__(self, "beta", require_finite("beta", self.beta, positive=True))
         else:
-            fee_terms(self.alpha, self.contract_len, self.fee_mode, positive=True)
+            alpha, cap, _ = fee_terms(self.alpha, self.contract_len, self.fee_mode, positive=True)
+            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "contract_len", cap)
         if self.h_rate is not None:
-            require_finite("h_rate", self.h_rate)
-        # echoed as the ints they run as (a numpy integer is not JSON); synth_trace checks the slots' range
-        object.__setattr__(self, "synth_slots", _require_int("synth_slots", self.synth_slots))
-        object.__setattr__(self, "mc_runs", _require_int("mc_runs", self.mc_runs, 2, MAX_MC_RUNS))
-        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
+            object.__setattr__(self, "h_rate", require_finite("h_rate", self.h_rate))
+        # synth_trace checks the slots' range: a trace file needs none
+        object.__setattr__(self, "synth_slots", require_int("synth_slots", self.synth_slots))
+        object.__setattr__(self, "mc_runs", require_int("mc_runs", self.mc_runs, 2, MAX_MC_RUNS))
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
 
 
 def protocol_cost_series(trace: Trace, h_rate: Optional[float] = None) -> CostSeries:
@@ -206,8 +201,8 @@ def synth_trace(slots: int, seed: int, profile: str = "seasonal") -> Trace:
     seed that is not an integer, more than ``MAX_SYNTH_SLOTS`` months, or a
     negative seed, is refused before any array is built.
     """
-    _require_int("slots", slots, 1, MAX_SYNTH_SLOTS)
-    _require_int("seed", seed, 0)
+    slots = require_int("slots", slots, 1, MAX_SYNTH_SLOTS)
+    seed = require_int("seed", seed, 0)
     if profile not in PROFILES:
         raise ValidationError(f"unknown profile {profile!r}")
     rng = np.random.default_rng(seed)
@@ -260,8 +255,8 @@ def _setup(config: RunConfig) -> tuple[CostSeries, float, SeededUniforms | np.nd
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the report names a number that overflows
-def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws) -> dict[str, dict]:
-    """Each configured algorithm's report on one cost series, by name.
+def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws, fee: float) -> dict[str, dict]:
+    """Each configured algorithm's report on one cost series at a checked ``fee`` (beta or alpha), by name.
 
     A report holds the algorithm, its cost, the benchmark cost, the savings,
     the schedule (a list, or None for the randomized rule), the ratio to the
@@ -273,16 +268,15 @@ def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws) -> di
     """
     # RunConfig checked the terms and CostSeries the costs: the kernels and objectives run unchecked
     if config.fee_regime == "constant":
-        dt, guard = delta_trace(cs, config.beta), None
+        dt, guard = delta_trace(cs, fee), None
         objective = lambda states: _sp_fold(states, cs.g0[None], cs.g1[None], np.full(len(states), dt.beta))
         opt = _offline(dt.values, -dt.beta)
         opt, opt_cost = opt[0], float(objective(opt)[0])
     else:
-        alpha, guard = float(config.alpha), int(config.contract_len)
-        dt, fee = delta_trace(cs, alpha * guard, alpha), (alpha, guard, config.fee_mode == "literal")
-        objective = lambda states: _dsp_fold(
-            states, cs.g0[None], cs.g1[None], *(np.full(len(states), v) for v in fee))
-        best = dp_dsp(cs, config.alpha, config.contract_len, config.fee_mode)
+        dt, guard = delta_trace(cs, fee * config.contract_len, fee), config.contract_len
+        objective = lambda states: _dsp_fold(states, cs.g0[None], cs.g1[None], *(
+            np.full(len(states), v) for v in (fee, guard, config.fee_mode == "literal")))
+        best = dp_dsp(cs, fee, guard, config.fee_mode)
         opt, opt_cost = best.best_schedule.states, best.best_cost
 
     def report(name, cost, stderr=None, mc_runs=None, schedule=None):
@@ -308,7 +302,7 @@ def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws) -> di
             reports[name] = report(name, *_mean_stderr(costs), mc_runs=len(costs))
         elif name == "cchase":
             xs = cchase(dt)
-            reports[name] = report(name, csp_cost(xs, cs, config.beta), schedule=xs.x.tolist())
+            reports[name] = report(name, csp_cost(xs, cs, fee), schedule=xs.x.tolist())
     return reports
 
 
@@ -324,7 +318,8 @@ def run_report(config: RunConfig) -> dict:
         "config": config_echo(config),
         "slots": len(cs),
         "benchmark_cost": bench_cost,
-        "reports": _evaluate(config, cs, bench_cost, draws),
+        "reports": _evaluate(config, cs, bench_cost, draws,
+                             config.alpha if config.fee_regime == "linear" else config.beta),
     }
 
 
@@ -369,10 +364,10 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
     by the contract length to get alpha. The offline optimum's cost must be
     non-decreasing in the fee; violations are logged, not raised. More than
     ``MAX_SWEEP_POINTS`` fee points, a fee or step that is not finite, or a
-    fee that is not positive, is refused before anything is evaluated.
+    fee whose beta or alpha RunConfig refuses, is refused before the trace is read.
     """
-    for name, value in (("fee_from", fee_from), ("fee_to", fee_to), ("fee_step", fee_step)):
-        require_finite(name, value)
+    fee_from, fee_to, fee_step = (require_finite(name, value) for name, value in
+                                  (("fee_from", fee_from), ("fee_to", fee_to), ("fee_step", fee_step)))
     if fee_from > fee_to:
         raise ValidationError(f"fee_from {fee_from} > fee_to {fee_to}")
     if fee_step <= 0.0:
@@ -382,18 +377,16 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
         raise ValidationError(f"fees {fee_from} to {fee_to} by {fee_step} exceed {MAX_SWEEP_POINTS} points")
     if not fee_from > 0.0:
         raise ValidationError(f"fee_from must be > 0, got {fee_from!r}")
-    n_points = int(math.floor(span)) + 1
+    fees = [fee_from + i * fee_step for i in range(int(math.floor(span)) + 1)]
+    key, scale = ("beta", 1) if config.fee_regime == "constant" else ("alpha", config.contract_len)
+    # beta = fee / 1 and alpha = fee / contract_len rise with the fee: the ends bound every point's check
+    replace(config, **{key: fees[0] / scale}), replace(config, **{key: fees[-1] / scale})
     cs, bench_cost, draws = _setup(config)
     header = ["fee"] + [f"{a}_savings_pct" for a in config.algorithms]
     rows: list[list] = []
     prev_opt = -math.inf
-    for i in range(n_points):
-        fee = fee_from + i * fee_step
-        if config.fee_regime == "constant":
-            point = replace(config, beta=fee)
-        else:
-            point = replace(config, alpha=fee / config.contract_len)
-        reports = _evaluate(point, cs, bench_cost, draws)
+    for fee in fees:
+        reports = _evaluate(config, cs, bench_cost, draws, fee / scale)
         opt_name = "ofa" if "ofa" in reports else ("dp" if "dp" in reports else None)
         if opt_name is not None:
             opt_cost = reports[opt_name]["cost"]
@@ -534,7 +527,7 @@ VERIFY_SUITES = {
 
 def run_verify_suite(name: str, seed: int) -> tuple[bool, list[str]]:
     """Run one named verification suite, or all of them with each line tagged by its suite."""
-    _require_int("seed", seed, 0)
+    seed = require_int("seed", seed, 0)
     if name != "all" and name not in VERIFY_SUITES:
         raise ValidationError(f"unknown suite {name!r}, expected one of {tuple(VERIFY_SUITES)} or 'all'")
     ok, lines = True, []

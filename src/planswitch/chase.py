@@ -53,6 +53,7 @@ from .tariff import (
     fee_terms,
     require_finite,
     require_finite_rows,
+    require_int,
 )
 
 __all__ = [
@@ -102,13 +103,9 @@ class DeltaTrace:
     drift: float = 0.0
 
     def __post_init__(self):
-        beta = require_finite("beta", self.beta, positive=True)
-        drift = require_finite("drift", self.drift)
-        values = tuple(map(float, self.values))
-        _as_stack(values, beta)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        object.__setattr__(self, "beta", -_as_stack(self.values, self.beta)[1])  # the gap-trace rule checks beta
+        object.__setattr__(self, "drift", require_finite("drift", self.drift))
 
     def __len__(self) -> int:
         """Number of slots T (the stored sequence has T + 1 entries)."""
@@ -134,7 +131,8 @@ class OnlineState:
 
     @classmethod
     def initial(cls, beta: float) -> "OnlineState":
-        return cls(t=0, prev_delta=-float(beta), prev_state=0, beta=float(beta))
+        beta = require_finite("beta", beta, positive=True)
+        return cls(t=0, prev_delta=-beta, prev_state=0, beta=beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,7 +379,8 @@ class SeededUniforms:
     ``default_rng(seed + i).random(period)``, whatever the replicate count."""
 
     def __init__(self, seed: int, n_runs: int, period: int):
-        self.seed, self.n_runs, self.period = int(seed), int(n_runs), int(period)
+        self.seed, self.n_runs = require_int("seed", seed, 0), require_int("n_runs", n_runs, 0)
+        self.period = require_int("period", period, 1)
         self.shape = (self.n_runs, self.period)
 
     def __len__(self) -> int:

@@ -114,7 +114,7 @@ def _search(g0: np.ndarray, g1: np.ndarray, beta=None, fees=None) -> tuple[np.nd
     """
     rows, period = g0.shape
     if period > BRUTE_FORCE_MAX_T:
-        raise ValueError(f"refusing exhaustive search for T={period} > {BRUTE_FORCE_MAX_T}")
+        raise ValidationError(f"refusing exhaustive search for T={period} > {BRUTE_FORCE_MAX_T}")
     head = max(period - _CHUNK_BITS, 0)
     width = 1 << (period - head)
     block = max(1, _CHUNK >> period)
@@ -210,14 +210,16 @@ def dp_dsp(cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "lit
     ``V[t]`` is the best cost of slots 1..t that ends on the variable plan
     (``V[0] = 0``: the boundary s_0 = 0 opens no run), and ``P[k]`` sums g0
     over slots 1..k. A fixed run over slots s..t-1 ended before slot t costs
-    ``K[s] + P[t-1] + alpha * (L - t)`` with ``K[s] = V[s-1] - P[s-1] +
-    alpha * s``; runs may not extend past L, so s ranges over the last L
-    slots and a monotone deque of starts gives the least K in amortized O(1).
-    One O(L) pass at the end prices a run still open at the horizon, charged
-    its fee only in ``literal`` mode.
+    ``A[s] + P[t-1] + alpha * (L - (t - s))`` with ``A[s] = V[s-1] - P[s-1]``;
+    runs may not extend past L, so s ranges over the last L slots and a
+    monotone deque of starts gives the least ``A[s] + alpha * s`` in amortized
+    O(1), comparing starts b < s by ``A[b] - A[s] >= alpha * (s - b)``: alpha
+    times an absolute slot would round away the costs at large alpha. One
+    O(L) pass at the end prices a run still open at the horizon, charged its
+    fee only in ``literal`` mode.
 
     Ties break toward staying on the variable plan, then toward the shortest
-    run (the deque drops a start whose key is >= a later one's); at the
+    run (the deque drops a start b that compares >= a later one); at the
     horizon the variable end wins, then the shortest open run. ``ties``
     counts the end states (variable, or an open run of each length) whose
     totals lie within ``TIE_TOL`` of the best.
@@ -229,20 +231,20 @@ def dp_dsp(cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "lit
     prefix = [0.0, *accumulate(cs.g0.tolist())]
     value = [0.0] * (period + 1)
     run = [0] * (period + 1)  # length of the fixed run ended before variable slot t, 0 if none
-    window: deque[tuple[float, int]] = deque()  # (K[s], s), K increasing from the front
+    window: deque[tuple[float, int]] = deque()  # (A[s], s), A[s] + alpha * s increasing from the front
     for t in range(1, period + 1):
         s = t - 1
         if s:
-            k = value[s - 1] - prefix[s - 1] + alpha * s
-            while window and window[-1][0] >= k:
+            a = value[s - 1] - prefix[s - 1]
+            while window and window[-1][0] - a >= alpha * (s - window[-1][1]):
                 window.pop()
-            window.append((k, s))
+            window.append((a, s))
             if window[0][1] < t - cap:
                 window.popleft()
         best = value[t - 1]
         if window:
-            k, s = window[0]
-            c = k + prefix[t - 1] + alpha * (cap - t)
+            a, s = window[0]
+            c = a + prefix[t - 1] + alpha * (cap - (t - s))
             if c < best:
                 best = c
                 run[t] = t - s

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -51,6 +52,7 @@ __all__ = [
     "FEE_MODES",
     "require_finite",
     "require_finite_rows",
+    "require_int",
     "cost_stack",
     "fee_terms",
     "fee_term_rows",
@@ -77,6 +79,17 @@ def require_finite(name: str, value: float, positive: bool = False) -> float:
     if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
         raise ValidationError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
     return value
+
+
+def require_int(name: str, value: int, low: float = -math.inf, high: float = math.inf) -> int:
+    """The one check of a count, seed or horizon: an integer from low to high, as an int."""
+    if not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
+    if value > high:
+        raise ValidationError(f"{name} must be <= {high}, got {value!r}")
+    return int(value)
 
 
 def require_finite_rows(name: str, value: np.typing.ArrayLike, rows: int,

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from planswitch import (
     ofa_s,
     random_cost_series,
     randomized_lb_instance,
+    simulate_randomized_batch,
     sp_cost,
     tariff,
 )
@@ -191,6 +193,39 @@ class TestMonteCarlo:
         report = monte_carlo(cs, 2.0, 20000, seed=17)
         target = csp_cost(cchase(dt), cs, 2.0)
         assert abs(report.mean - target) <= 3 * report.stderr + 1e-9
+
+
+CS2 = CostSeries.from_pairs([(1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: monte_carlo(CS2, 1.0, 2.5, 0), "n_runs must be an integer, got 2.5"),
+    (lambda: monte_carlo(CS2, 1.0, 4, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: monte_carlo(CS2, 1.0, 4, -1), "seed must be >= 0, got -1"),
+    (lambda: monte_carlo(CS2, 1.0, 1, 0), "n_runs must be >= 2, got 1"),
+    (lambda: simulate_randomized_batch(delta_trace(CS2, 1.0), 2.5, 0), "n_runs must be an integer, got 2.5"),
+    (lambda: simulate_randomized_batch(delta_trace(CS2, 1.0), -1, 0), "n_runs must be >= 0, got -1"),
+    (lambda: deterministic_adversary(lambda: gchase_player(1.0), 1.0, 2.5, 0.01),
+     "horizon must be an integer, got 2.5"),
+    (lambda: deterministic_adversary(lambda: gchase_player(1.0), 1.0, 0, 0.01), "horizon must be >= 1, got 0"),
+    (lambda: randomized_lb_instance(1.0, 0.5, 2.5), "horizon must be an integer, got 2.5"),
+    (lambda: randomized_lb_instance(1.0, 0.5, 1), "horizon must be >= 2, got 1"),
+    # a player at fee 0 never switches: the adaptive game at beta 1 read ratio 5, above the bound of 3
+    (lambda: gchase_player(0.0), "beta must be finite and > 0, got 0.0"),
+], ids=["monte_carlo-runs-float", "monte_carlo-seed-float", "monte_carlo-seed-negative", "monte_carlo-one-run",
+        "batch-runs-float", "batch-runs-negative", "adversary-horizon-float", "adversary-horizon-zero",
+        "lb-horizon-float", "lb-horizon-one", "player-zero-fee"])
+def test_argument_refused_by_name(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integer_arguments_run_as_ints():
+    dt = delta_trace(CS2, 1.0)
+    assert (simulate_randomized_batch(dt, np.int64(3), np.uint8(2)) == simulate_randomized_batch(dt, 3, 2)).all()
+    assert monte_carlo(CS2, 1.0, np.int32(4), np.int64(1)) == monte_carlo(CS2, 1.0, 4, 1)
+    assert deterministic_adversary(lambda: gchase_player(1.0), 1.0, np.int16(5), 0.1)[1] == \
+        deterministic_adversary(lambda: gchase_player(1.0), 1.0, 5, 0.1)[1]
 
 
 class TestMeanStderr:

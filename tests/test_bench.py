@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -155,6 +156,21 @@ class TestRunConfigValidation:
     def test_numpy_integers_echoed_as_ints(self):
         cfg = RunConfig(synth_slots=np.int64(12), mc_runs=np.int32(5), seed=np.uint8(3))
         assert report_json(run_report(cfg)) == report_json(run_report(RunConfig(synth_slots=12, mc_runs=5, seed=3)))
+
+    @pytest.mark.parametrize("given, plain", [
+        (dict(fee_regime="linear", contract_len=np.int64(12)), dict(fee_regime="linear", contract_len=12)),
+        (dict(fee_regime="linear", contract_len=12.0), dict(fee_regime="linear", contract_len=12)),
+        (dict(fee_regime="linear", alpha=np.float32(10)), dict(fee_regime="linear", alpha=10.0)),
+        (dict(beta=np.float32(100)), dict(beta=100.0)),
+        (dict(h_rate=np.float32(0.01)), dict(h_rate=float(np.float32(0.01)))),
+        # a fee field the regime does not use
+        (dict(alpha=np.float32(1)), dict(alpha=1.0)),
+        (dict(contract_len=np.int64(6)), dict(contract_len=6)),
+        (dict(fee_regime="linear", beta=np.float32(5)), dict(fee_regime="linear", beta=5.0)),
+    ], ids=["contract_len-int64", "contract_len-12.0", "alpha", "beta", "h_rate", "unused-alpha",
+            "unused-contract_len", "unused-beta"])
+    def test_fee_fields_echoed_as_python_numbers(self, given, plain):
+        assert report_json(run_report(RunConfig(**given))) == report_json(run_report(RunConfig(**plain)))
 
     def test_unused_fee_fields_not_checked(self):
         RunConfig(fee_regime="constant", contract_len=0, alpha=-1.0)
@@ -394,6 +410,31 @@ class TestSweep:
         for regime in FEE_REGIMES:
             with pytest.raises(ValidationError, match="fee_from"):
                 sweep(RunConfig(fee_regime=regime, algorithms=("ofa",)), 0.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("fees, needle", [
+        ((5e-324, 1.0, 0.5), "alpha must be finite and > 0, got 0.0"),  # the first point's alpha underflows
+        ((1e308, 1.7976931348623157e308, 7.976931348623157e307), "alpha * contract_len must be finite"),
+    ], ids=["first", "last"])
+    def test_point_fees_refused_before_any_work(self, monkeypatch, fees, needle):
+        def no_work(*_):
+            raise AssertionError("loaded a trace for a refused sweep")
+
+        monkeypatch.setattr(bench, "_load_trace", no_work)
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            sweep(RunConfig(fee_regime="linear", contract_len=12, algorithms=("ofa",)), *fees)
+
+    def test_numpy_fees_swept_as_python_floats(self):
+        # float32 fees were stepped in float32 arithmetic, and the rows held float32 fees
+        cfg = RunConfig(synth_slots=12, seed=13, algorithms=("ofa",))
+        low, high = np.float32(0.1), np.float32(0.5)
+        assert sweep(cfg, low, high, 0.1) == sweep(cfg, float(low), float(high), 0.1)
+
+    def test_huge_fees_keep_the_optimum_monotone(self, caplog):
+        # alpha near 6e307: the DP's float rounding once swamped the costs, and the optimum fell as the fee rose
+        cfg = RunConfig(synth_slots=12, fee_regime="linear", contract_len=3)
+        with caplog.at_level("WARNING"):
+            sweep(cfg, 1e308, 1.7976931348623157e308, 1e307)
+        assert not [r for r in caplog.records if "decreased" in r.getMessage()]
 
     def test_regimes_share_the_trace(self):
         # same seed -> same trace, so fee columns align point by point and the
@@ -731,6 +772,8 @@ BAD_FLAGS = [
     (["run", "--fee-regime", "linear", "--contract-len", "99999999999999999999", "--alpha", "1e-300"],
      "contract_len must be <= 9007199254740992"),
     (["sweep", "--fee-regime", "linear", "--contract-len", "9007199254740993"], "contract_len must be <="),
+    (["sweep", "--fee-regime", "linear", "--from", "5e-324", "--to", "5e-324", "--contract-len", "12"],
+     "error: alpha must be finite and > 0, got 0.0"),
     (["run", "--algorithms", "ofa,ofa"], "more than once"),
     (["sweep", "--algorithms", "ofa,gchase,ofa"], "more than once"),
     (["run", "--fee-regime", "linear", "--alpha", "1e308"], "alpha * contract_len"),

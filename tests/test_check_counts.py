@@ -53,26 +53,28 @@ def test_evaluate_checks_nothing_twice(checks, config, want):
     # offline pass, the kernels and the objectives add no check of their own.
     cs = protocol_cost_series(synth_trace(36, 1))
     draws = chase.SeededUniforms(config.seed, config.mc_runs, len(cs))
+    fee = config.beta if config.fee_regime == "constant" else config.alpha
     checks.clear()
-    bench._evaluate(config, cs, bench._benchmark_cost(config, cs), draws)
+    bench._evaluate(config, cs, bench._benchmark_cost(config, cs), draws, fee)
     assert dict(checks) == want
 
 
-@pytest.mark.parametrize("config, want", [
-    (CONSTANT, RECORD),
-    # the point's RunConfig checks its alpha, contract length and fee mode, and so does dp_dsp
-    (LINEAR, {"_as_stack": 1, "fee_term_rows": 1 + 1, "_first_nonbinary": 1}),
+@pytest.mark.parametrize("config, once", [
+    (CONSTANT, {"require_finite_rows": 1}),
+    # RunConfig checks the first and the last point's alpha, contract length and fee mode
+    (LINEAR, {"require_finite_rows": 1, "fee_term_rows": 2}),
 ], ids=["constant", "linear"])
-def test_sweep_point_checks_nothing_twice(checks, config, want):
-    # Each fee point adds its RunConfig, its gap trace record and its offline reference;
-    # the sweep itself checks the underusage rate of its one cost series.
+def test_sweep_point_checks_nothing_twice(checks, config, once):
+    # A fee point is checked as a run is: its gap trace record and its offline reference.
+    # The sweep itself checks the underusage rate of its one cost series, and its ends.
+    want = RECORD | (OFFLINE_REFERENCE if config.fee_regime == "linear" else {})
     sweeps = []
     for points in (1, 2):
         checks.clear()
         bench.sweep(config, 5.0, 5.0 + points - 1, 1.0)
         sweeps.append(Counter(checks))
     assert dict(sweeps[1] - sweeps[0]) == want
-    assert dict(sweeps[0] - Counter(want)) == {"require_finite_rows": 1}
+    assert dict(sweeps[0] - Counter(want)) == once
 
 
 # One horizon stack per suite: k instances of T slots.

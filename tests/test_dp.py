@@ -17,6 +17,7 @@ from planswitch import (
     InfeasibleScheduleError,
     Schedule,
     ValidationError,
+    brute_force_dsps,
     dp_dsp,
     dsp_cost,
     dsp_costs,
@@ -151,6 +152,20 @@ class TestDpMatchesTable:
             for alpha in (0.0, 1.0):
                 for mode in MODES:
                     _assert_matches_table(zeros, alpha, cap, mode)
+
+
+class TestDpAtLargeFees:
+    # The optimum pays no fee (staying variable is free), so it is a sum of costs near 50. A DP that adds
+    # alpha times an absolute slot to those sums rounds them away: at alpha = 1e16 one ulp of 1e16 * s is 2 * s.
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("alpha", [1e15, 1e16, 1e100])
+    def test_matches_exhaustive_search(self, alpha, mode):
+        rng = np.random.default_rng(108)
+        g0, g1 = rng.uniform(0.0, 10.0, size=(2, 60, 16))
+        caps = rng.integers(2, 8, 60)
+        want = dsp_costs(brute_force_dsps(g0, g1, alpha, caps, mode)[0], g0, g1, alpha, caps, mode)
+        got = [dp_dsp(CostSeries(a, b), alpha, int(cap), mode).best_cost for a, b, cap in zip(g0, g1, caps)]
+        assert got == pytest.approx(want.tolist(), abs=1e-9)
 
 
 class TestDpTies:

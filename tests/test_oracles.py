@@ -401,6 +401,10 @@ class TestStackedSearch:
         with pytest.raises(ValueError, match="refusing"):
             brute_force_dsps(g, g, 1.0, 3)
 
+    def test_long_horizon_refusal_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match=f"refusing exhaustive search for T={BRUTE_FORCE_MAX_T + 1}"):
+            brute_force_sps(np.zeros((1, BRUTE_FORCE_MAX_T + 1)), np.zeros((1, BRUTE_FORCE_MAX_T + 1)), 1.0)
+
     @pytest.mark.parametrize("fees, needle", [
         (dict(alpha=[1.0, float("nan")]), "alpha"),
         (dict(alpha=[1.0, -0.5]), "alpha"),
