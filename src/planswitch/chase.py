@@ -34,7 +34,7 @@ one uniform draw per slot whether or not the slot's decision is random.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,7 +44,6 @@ from .tariff import (
     CostSeries,
     Schedule,
     ValidationError,
-    _fixed_runs,
     _first,
     _fold_rows,
     _record_array,
@@ -411,50 +410,52 @@ def _slot_rule(values: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]
     return thr, rising
 
 
-def _guarded_row(hit: np.ndarray, force: np.ndarray, contract_len: int, out: np.ndarray) -> int:
-    # Walk one replicate (``out``, all zero) over its forcing slots: a fixed run lasts until the next
-    # slot forcing 1 or is cut after contract_len slots; plan 1 holds until the next slot forcing 0.
-    pos = np.flatnonzero(hit)
-    ups, downs = pos[force[pos]].tolist(), pos[~force[pos]].tolist()
-    forced = start = iu = idn = 0
-    while True:
-        iu = bisect_left(ups, start, iu)
-        expiry = start + contract_len
-        if iu < len(ups) and ups[iu] <= expiry:
-            on = ups[iu]
-        elif expiry < len(out):
-            on = expiry
-            forced += 1
-        else:
-            return forced
-        idn = bisect_right(downs, on, idn)
-        start = downs[idn] if idn < len(downs) else len(out)
-        out[on:start] = 1
+# Fewest fixed runs still needing a cut for one numpy step to cut them all; fewer are cut one by one in
+# Python, so a block's last long chains do not pay a whole-block step per cut. 8, 16 and 32 time the same.
+STEP_RUNS = 16
 
 
-def _guarded_block(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray, contract_len: int,
-                   out: np.ndarray) -> np.ndarray:
-    # Every replicate of a block at once (``out``, all zero): the unguarded fill, then each of its fixed runs
-    # longer than contract_len cut on its own. A run from slot c is cut at c + contract_len; plan 1 then holds
-    # until the next slot forcing 0, which starts the rest of the run, or through the run's end. One numpy
-    # step advances every cut run, so the steps are at most T // (contract_len + 1). Slots are flat indices.
-    states = _fill(hit, slots, plan_of)
-    lasted, ends = _fixed_runs(states)
-    end = np.flatnonzero(ends & (lasted > contract_len)) + 1
-    start = end - lasted.flat[end - 1]
-    downs = np.append(np.flatnonzero(hit & ~plan_of[1:]), states.size)  # the last entry: past every row
-    edges = np.zeros(states.size + 1, np.int8)  # +1 where a forced plan-1 stretch starts, -1 past its end
-    cuts = [np.empty(0, np.intp)]  # the flat slot of every cut
-    while len(end):
-        cut = start + contract_len
-        start = downs[np.searchsorted(downs, cut, "right")]
-        edges[cut] = 1
-        edges[np.minimum(start, end)] = -1
-        cuts.append(cut)
-        rest = start + contract_len < end
-        start, end = start[rest], end[rest]
-    np.add(states.ravel(), np.cumsum(edges[:-1], dtype=np.int8), out=out.reshape(-1))
-    return np.bincount(np.concatenate(cuts) // len(slots), minlength=len(out))
+def _guarded(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray, contract_len: int,
+             out: np.ndarray) -> np.ndarray:
+    # Every replicate of a block (``out``, all zero) under the guard: the unguarded fill, then each of its fixed
+    # runs longer than contract_len cut on its own. A run from slot c is cut at c + contract_len; plan 1 then
+    # holds until the next forcing slot, which inside a run forces 0 and starts the rest of the run, or through
+    # the run's end. Slots are flat indices. Returns the forced-switch count per row.
+    out[...] = _fill(hit, slots, plan_of)
+    # Slots more than contract_len into a fixed run: a too-long run's first cut through its end. A row's
+    # first slot is never one, so no stretch of them spans two rows.
+    over = (slots - np.maximum.accumulate(out * slots, axis=1) > contract_len).ravel()
+    bounds = (over[1:] != over[:-1]).nonzero()[0] + 1
+    if over[-1]:
+        bounds = np.append(bounds, over.size)
+    start, end = bounds[0::2] - contract_len, bounds[1::2]
+    flat, period, hits = out.reshape(-1), len(slots), hit.ravel().nonzero()[0]
+    forced = np.zeros(len(out), np.int64)
+    if len(end) >= STEP_RUNS:
+        after = np.append(hits, flat.size)  # the last entry: past every row
+        edges = np.zeros(flat.size + 1, np.int8)  # +1 where a forced plan-1 stretch starts, -1 past its end
+        cuts = []  # the flat slot of every cut
+        while len(end) >= STEP_RUNS:
+            cut = start + contract_len
+            start = after[after.searchsorted(cut, "right")]
+            edges[cut] = 1
+            edges[np.minimum(start, end)] = -1
+            cuts.append(cut)
+            rest = start + contract_len < end
+            start, end = start[rest], end[rest]
+        flat += np.cumsum(edges[:-1], dtype=np.int8)
+        forced += np.bincount(np.concatenate(cuts) // period, minlength=len(out))
+    for on, stop, lo, hi in zip(start.tolist(), end.tolist(), hits.searchsorted(start).tolist(),
+                                hits.searchsorted(end).tolist()):
+        run_hits, i, n = hits[lo:hi].tolist(), 0, 0
+        while on + contract_len < stop:
+            cut = on + contract_len
+            i = bisect_right(run_hits, cut, i)
+            on = run_hits[i] if i < len(run_hits) else stop
+            flat[cut:on] = 1
+            n += 1
+        forced[(stop - 1) // period] += n
+    return forced
 
 
 def _fill(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray) -> np.ndarray:
@@ -507,9 +508,8 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
 
 def _chase(values: np.ndarray, neg: float | np.ndarray, draws=None, contract_len: int | None = None):
     """:func:`chase_kernel` on checked input: traces (one, or a stack) and -beta (a float or a column),
-    draws or None, and an int ``contract_len`` or None. One row needs at most T // (contract_len + 1)
-    cuts: a block with more rows takes the lockstep (:func:`_guarded_block`: one numpy step per cut for
-    all rows), any other is walked row by row (:func:`_guarded_row`). Both give the same states."""
+    draws or None, and an int ``contract_len`` or None. Every guarded block of rows goes through
+    :func:`_guarded`: numpy steps while at least ``STEP_RUNS`` runs need a cut, then one cut at a time."""
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))  # the dtype: a tuple converts faster
     slots = np.arange(1, values.shape[1], dtype=np.int32)
     if draws is None:  # only boundary slots force: plan 1 at the top, 0 at the floor
@@ -528,11 +528,8 @@ def _chase(values: np.ndarray, neg: float | np.ndarray, draws=None, contract_len
             hit = draws[sel] < thr
         if contract_len is None:
             states[sel] = _fill(hit, slots, plan_of)
-        elif len(hit) > len(slots) // (contract_len + 1):  # more rows than a row's most cuts
-            forced[sel] = _guarded_block(hit, slots, plan_of, contract_len, states[sel])
         else:
-            for i, row in enumerate(hit, sel.start):
-                forced[i] = _guarded_row(row, plan_of[1:], contract_len, states[i])
+            forced[sel] = _guarded(hit, slots, plan_of, contract_len, states[sel])
     return states, forced
 
 

@@ -7,9 +7,12 @@ floats, row by row. Each takes a schedule's 0/1 states (``csp_loop``: its
 fractions; ``potential_loop``: two trajectories) and its two cost sequences;
 sums are plain left folds from 0.0. ``fee_rows_loop`` is the decreasing-fee
 check written apart from the package's rule: one scalar check per row.
+``guarded_walk`` is the expiry guard's retired per-row walk over forcing
+slots, one Python iteration per cut.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -179,3 +182,27 @@ def fee_rows_loop(alpha, contract_len, fee_mode, rows, positive=False):
     terms = [fee_terms_loop(*row, positive=positive) for row in zip(*columns)]
     alpha, cap, modes = (np.array([term[i] for term in terms]) for i in range(3))
     return alpha.astype(np.float64), cap.astype(np.int64), modes == "literal"
+
+
+def guarded_walk(hit, force, contract_len, out):
+    """One replicate of the expiry guard, walked over its forcing slots:
+    ``hit`` marks the slots that force a plan and ``force`` that plan (True
+    for 1). A fixed run lasts until the next slot forcing 1 or is cut after
+    ``contract_len`` slots; plan 1 holds until the next slot forcing 0. Writes
+    the states into ``out`` (all zero) and returns the forced-switch count."""
+    pos = np.flatnonzero(hit)
+    ups, downs = pos[force[pos]].tolist(), pos[~force[pos]].tolist()
+    forced = start = iu = idn = 0
+    while True:
+        iu = bisect_left(ups, start, iu)
+        expiry = start + contract_len
+        if iu < len(ups) and ups[iu] <= expiry:
+            on = ups[iu]
+        elif expiry < len(out):
+            on = expiry
+            forced += 1
+        else:
+            return forced
+        idn = bisect_right(downs, on, idn)
+        start = downs[idn] if idn < len(downs) else len(out)
+        out[on:start] = 1

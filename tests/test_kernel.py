@@ -3,8 +3,8 @@
 The kernel is checked against two independent slow references: the scalar
 step folds (``gchase_step``, ``gchase_r_step``) and, for the decreasing-fee
 rules, the per-slot expiry-guard fold the kernel replaced, kept here verbatim
-as a test-only oracle. The guard's two paths, the lockstep over a block and
-the per-row walk, are each checked against the oracle and against each other.
+as a test-only oracle. The guard is also checked against its retired per-row
+walk over forcing slots, ``scalar_objectives.guarded_walk``.
 """
 
 import os
@@ -37,6 +37,7 @@ from planswitch import (
 )
 from planswitch import chase, tariff
 from planswitch.chase import SeededUniforms, chase_kernel, drift_trace
+from scalar_objectives import guarded_walk
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +204,6 @@ class TestDecreasingFee:
         assert checked_forced > 0  # the guard is exercised, not just the free rule
 
 
-# The guard's two paths, taken before any test counts their calls.
-WALK, LOCKSTEP = chase._guarded_row, chase._guarded_block
-
-
 class Replay:
     """A generator stand-in that hands out one replicate's draws in order."""
 
@@ -218,9 +215,9 @@ class Replay:
 
 
 def walk_rows(hit, force, cap):
-    """The per-row walk on each row of a block: states and forced counts."""
+    """The retired per-row walk on each row of a block: states and forced counts."""
     out = np.zeros(hit.shape, np.int8)
-    return out, [WALK(row, force, cap, o) for row, o in zip(hit, out)]
+    return out, [guarded_walk(row, force, cap, o) for row, o in zip(hit, out)]
 
 
 def check_guard(values, beta, draws, cap):
@@ -263,39 +260,19 @@ def guard_case(rng):
     return np.concatenate(([-beta], values)), beta, draws, cap, parked
 
 
-@pytest.fixture
-def guard_paths(monkeypatch):
-    """The kernel's calls of each guard path, counted by name."""
-    calls = {"_guarded_row": 0, "_guarded_block": 0}
-    for name, path in (("_guarded_row", WALK), ("_guarded_block", LOCKSTEP)):
-        def counted(*args, _name=name, _path=path):
-            calls[_name] += 1
-            return _path(*args)
-
-        monkeypatch.setattr(chase, name, counted)
-    return calls
-
-
 class TestExpiryGuardPaths:
-    """A block takes the lockstep when it has more rows than one row's most
-    cuts, T // (contract_len + 1), and the per-row walk otherwise; both give
-    the oracle's states and forced counts."""
+    """Every guarded block takes one path: numpy steps while at least
+    ``STEP_RUNS`` runs still need a cut, then one cut at a time. Each case is
+    checked against the oracle fold and the retired per-row walk."""
 
-    def test_random_cases(self, guard_paths):
+    def test_random_cases(self):
         rng = np.random.default_rng(307)
         parked = forced_total = 0
         for _ in range(3000):
             values, beta, draws, cap, is_parked = guard_case(rng)
-            rows, period = draws.shape
-            lockstep = rows > period // (cap + 1)
-            before = dict(guard_paths)
             forced_total += int(check_guard(values, beta, draws, cap).sum())
-            # two kernel calls: randomized (rows) and deterministic (one row)
-            assert guard_paths["_guarded_block"] - before["_guarded_block"] == lockstep + (period <= cap)
-            assert guard_paths["_guarded_row"] - before["_guarded_row"] == (not lockstep) * rows + (period > cap)
             parked += is_parked
         assert 650 <= parked <= 850 and forced_total > 10_000
-        assert guard_paths["_guarded_block"] > 1000 and guard_paths["_guarded_row"] > 1000
 
     @pytest.mark.parametrize("period, cap", [(1, 1), (1, 4), (2, 1), (9, 1), (12, 12), (12, 40), (37, 12)])
     @pytest.mark.parametrize("rows", [1, 2, 5, 40])
@@ -311,37 +288,20 @@ class TestExpiryGuardPaths:
         parked[1 + period // 2:] = -beta
         check_guard(parked, beta, draws, cap)
 
-    @pytest.mark.parametrize("rows, period, cap, path", [
-        (1, 36, 12, "_guarded_row"),
-        (2, 36, 12, "_guarded_row"),  # 36 // 13 = 2 cuts at most: a tie walks
-        (3, 36, 12, "_guarded_block"),
-        (100, 36, 12, "_guarded_block"),
-        (1, 12, 12, "_guarded_block"),  # no run can outlast the contract
-        (1, 13, 12, "_guarded_row"),
-        (3, 20_000, 24, "_guarded_row"),
-        (4, 50, 24, "_guarded_block"),
+    @pytest.mark.parametrize("rows, period, cap", [
+        (1, 36, 12), (2, 36, 12), (3, 36, 12), (100, 36, 12), (1, 12, 12), (1, 13, 12), (3, 20_000, 24),
+        (4, 50, 24),
     ])
-    def test_path_follows_step_bound(self, guard_paths, rows, period, cap, path):
+    def test_parked_tail(self, rows, period, cap):
         rng = np.random.default_rng(309 + rows + period)
         beta = 3.0
         values = np.concatenate(([-beta], -beta * rng.random(period)))
         values[1 + period // 3:] = -beta  # parked: the guard cuts every contract from there on
-        thr, force = chase._slot_rule(values, beta)
-        draws = rng.random((rows, period))
-        states, forced = chase_kernel(values, beta, draws, cap)
-        other = "_guarded_block" if path == "_guarded_row" else "_guarded_row"
-        assert guard_paths[path] == (rows if path == "_guarded_row" else 1) and guard_paths[other] == 0
-        hit = draws < thr
-        want_states, want_forced = walk_rows(hit, force, cap)
-        block_states = np.zeros(hit.shape, np.int8)
-        block_forced = LOCKSTEP(hit, np.arange(1, period + 1, dtype=np.int32), np.concatenate(([False], force)),
-                                cap, block_states)
-        assert np.array_equal(states, want_states) and np.array_equal(states, block_states)
-        assert forced.tolist() == want_forced == block_forced.tolist()
+        forced = check_guard(values, beta, rng.random((rows, period)), cap)
         if period - period // 3 > cap:  # the parked run outlasts a contract in every row
             assert (forced > 0).all()
 
-    def test_seed1_linear_sweep(self, guard_paths):
+    def test_seed1_linear_sweep(self):
         # The linear sweep at seed 1: 100 fee points, each guarding the same 100 replicates of 36 months.
         cs = protocol_cost_series(synth_trace(36, 1))
         draws = SeededUniforms(1, 100, 36)[:]
@@ -349,8 +309,40 @@ class TestExpiryGuardPaths:
         for fee in range(1, 101):
             dt = drift_trace(cs, fee / 12, 12)
             forced_total += int(check_guard(np.array(dt.values), dt.beta, draws, 12).sum())
-        assert guard_paths["_guarded_block"] == 100 and guard_paths["_guarded_row"] == 100  # one gchase row each
         assert forced_total > 0
+
+
+class TestLongCutChains:
+    """Cut chains far longer than the random cases reach, so the one-by-one
+    cuts run for long; ``STEP_RUNS`` keeps its value."""
+
+    def test_one_row_cut_after_the_others_stop(self):
+        # A falling trace: a draw of 0 makes every slot force plan 0, so a row's one fixed run is cut once
+        # per contract; from its stop slot on a row draws 1 and plan 1 then holds. The last row never stops.
+        rows, period, cap, beta = 40, 400, 3, 2.0
+        values = np.concatenate(([-beta], np.linspace(-0.01, -0.99, period) * beta))
+        draws = np.zeros((rows, period))
+        for i, stop in enumerate(np.linspace(8, period, rows).astype(int)[:-1]):
+            draws[i, stop:] = 1.0
+        forced = check_guard(values, beta, draws, cap)
+        chains = np.sort(forced)[::-1]
+        assert chains[chase.STEP_RUNS - 1] > 0  # the first cuts come in numpy steps
+        assert forced[-1] == chains[0] > chains[1] > chains[chase.STEP_RUNS - 1]  # the last ones one by one
+        assert forced[-1] >= period // (cap + 1) - 1
+
+    @pytest.mark.parametrize("tops", [False, True], ids=["parked", "sparse-tops"])
+    @pytest.mark.parametrize("cap", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_pinned_long_trace(self, rows, cap, tops):
+        # 20,000 slots pinned at -beta, in one block of ``rows`` rows: every contract is cut, about
+        # 20,000 / (cap + 1) times per row, in one run per row or, between sparse tops, in many.
+        period, beta = 20_000, 1.5
+        rng = np.random.default_rng(310 + rows + 10 * cap + 100 * tops)
+        values = np.full(period + 1, -beta)
+        if tops:
+            values[1 + rng.choice(period, 150, replace=False)] = 0.0
+        forced = check_guard(values, beta, rng.random((rows, period)), cap)
+        assert (forced > period // (cap + 1) // 2).all()
 
 
 class TestBlocking:

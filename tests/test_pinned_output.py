@@ -4,9 +4,9 @@ Each command's stdout and stderr are compared by sha256 against the digests
 of the bytes the program wrote when they were recorded, so any change to a
 report, a CSV or a warning line fails here, not only where a test reads the
 changed figure. The commands cover the sweep workload in both fee regimes,
-one decreasing-fee run on each side of the expiry guard's path selection:
-100 replicates of 600 months (more rows than the 46 cuts one row can need,
-so the lockstep runs) and 20 replicates of 2,000 months (the per-row walk),
+two decreasing-fee runs under the expiry guard, each in one block: 100
+replicates of 600 months and 20 replicates of 2,000 months (their ids name
+the paths they took when the guard had a lockstep and a per-row walk),
 one constant-fee run of every constant-regime algorithm, whose report
 holds the offline, deterministic and continuous schedules, one
 decreasing-fee run of every linear-regime algorithm against the all-fixed
