@@ -28,6 +28,7 @@ from .chase import (
     OnlineState,
     SeededUniforms,
     _chase,
+    _offline,
     clamp_step,
     delta_trace,
     gchase_step,
@@ -236,7 +237,7 @@ def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioRep
     the replication mean against the offline optimum.
     """
     n_runs = require_int("n_runs", n_runs, 2)
-    dt = delta_trace(cs, beta)
-    states = simulate_randomized_batch(dt, n_runs, seed)
-    mean, stderr = _mean_stderr(_sp_fold(states, cs.g0[None], cs.g1[None], np.full(n_runs, dt.beta)))
-    return _make_report(mean, sp_cost(ofa_s(dt), cs, beta), mean=mean, stderr=stderr, n_runs=n_runs)
+    dt = delta_trace(cs, beta)  # the record checks the trace: the replicates and the optimum are priced unchecked
+    fold = lambda states: _sp_fold(states, cs.g0[None], cs.g1[None], np.full(len(states), dt.beta))
+    mean, stderr = _mean_stderr(fold(simulate_randomized_batch(dt, n_runs, seed)))
+    return _make_report(mean, float(fold(_offline(dt.values, -dt.beta))[0]), mean=mean, stderr=stderr, n_runs=n_runs)

@@ -22,10 +22,11 @@ and force a switch when a fixed contract reaches its maximum length.
 
 A ``DeltaTrace`` holds its values as a tuple, a ``FractionalSchedule`` its
 fractions as a read-only float64 array. Every forward rule runs in one numpy
-kernel over (replicates x slots), :func:`chase_kernel`, which also takes a
-stack of traces for the deterministic rule. A gap trace is checked once, where
-it enters, by one rule: by the record, or by ``chase_kernel`` and
-``offline_states``; code holding a checked trace runs their unchecked cores.
+kernel over (replicates x slots), :func:`chase_kernel`. The deterministic rule
+is the randomized one without draws, and also takes a stack of traces. A gap
+trace is checked once, where it enters, by one rule: by the record, or by
+``chase_kernel`` and ``offline_states``; code holding a checked trace runs
+their unchecked cores.
 Each online rule keeps a scalar step form as the readable reference: folding
 the steps reproduces the kernel bit-exactly, as the randomized step consumes
 one uniform draw per slot whether or not the slot's decision is random.
@@ -393,21 +394,24 @@ class SeededUniforms:
         return out
 
 
-def _slot_rule(values: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    # Per slot: the threshold below which its uniform forces a plan, and that plan.
-    # Interior thresholds are gchase_r_step's IEEE operations, built in place.
-    prev, d = values[:-1], values[1:]
-    rising = prev <= d
-    thr = beta + d
+def _slot_rule(values: np.ndarray, neg: float | np.ndarray, randomized: bool) -> tuple[np.ndarray, np.ndarray]:
+    # The one boundary rule: a top slot forces plan 1, a floor slot 0. On traces (rows x (T + 1)) and -beta (a float
+    # or column), returns per slot the boundary mask, or if ``randomized`` the threshold below which its uniform
+    # forces (inside: gchase_r_step's IEEE operations, in place), and per column the forced plan, column 0 s_0 = 0.
+    top, floor = values == 0.0, values[:, 1:] == neg  # column 0 is -beta
+    boundary = top[:, 1:] | floor
+    if not randomized:
+        return boundary, top
+    prev, d = values[:, :-1], values[:, 1:]
+    rising = prev <= d  # a top slot is rising: no value is above 0
+    thr = d - neg
     with np.errstate(divide="ignore", invalid="ignore"):
-        thr /= beta + prev
+        thr /= prev - neg
         np.divide(d, prev, out=thr, where=rising)
     np.subtract(1.0, thr, out=thr)
-    at_top, at_floor = d == 0.0, d == -beta
-    thr[at_top | at_floor] = np.inf
-    rising |= at_top
-    rising &= ~at_floor
-    return thr, rising
+    thr[boundary] = np.inf
+    top[:, 1:] = rising & ~floor
+    return thr, top
 
 
 # Fewest fixed runs still needing a cut for one numpy step to cut them all; fewer are cut one by one in
@@ -417,7 +421,7 @@ STEP_RUNS = 16
 
 def _guarded(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray, contract_len: int,
              out: np.ndarray) -> np.ndarray:
-    # Every replicate of a block (``out``, all zero) under the guard: the unguarded fill, then each of its fixed
+    # Every row of a block (``out``, all zero) under the guard: the unguarded fill, then each of its fixed
     # runs longer than contract_len cut on its own. A run from slot c is cut at c + contract_len; plan 1 then
     # holds until the next forcing slot, which inside a run forces 0 and starts the rest of the run, or through
     # the run's end. Slots are flat indices. Returns the forced-switch count per row.
@@ -460,9 +464,9 @@ def _guarded(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray, contract_l
 
 def _fill(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray) -> np.ndarray:
     # Forward fill: each slot takes the plan of the last forcing slot up to it, else that of column 0.
-    # plan_of is one row for every row of hit, or a (rows x (T + 1)) matrix with one row per row.
+    # plan_of is (rows x (T + 1)): one row for every row of hit, or one per row.
     last = np.maximum.accumulate(hit * slots, axis=-1)
-    if plan_of.ndim == 2 and len(plan_of) > 1:
+    if len(plan_of) > 1:
         last = last + np.arange(0, plan_of.size, plan_of.shape[1])[:, None]
     return plan_of.take(last).view(np.int8)
 
@@ -476,23 +480,21 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
     forces 0 when u < 1 - (beta + d)/(beta + prev). A replicate is a forward
     fill of its last forcing slot from s_0 = 0. ``draws`` has one row of T
     uniforms per replicate (a 2-D array or :class:`SeededUniforms`), or is
-    None for the deterministic rule: only boundary slots force, and
-    ``values`` may be a stack of traces, one per row, with ``beta`` one
-    value or one per row; run on the time-reversed traces, this rule is the
-    offline backward pass (:func:`offline_states`). The drift rule alone can
-    park the gap at -beta for good, so with ``contract_len`` a fixed run of
-    one trace reaching that length is cut by a forced switch to plan 1,
-    which holds until the next slot forcing 0. Returns int8 states and the
-    forced-switch count per row. Checks its input (the traces by the gap-trace
-    rule, array draws as finite, ``contract_len`` as
-    :func:`planswitch.tariff.fee_terms` takes it), then runs :func:`_chase`,
-    the core that code holding checked input calls.
+    None for the deterministic rule: the same rule with no draws, so only
+    boundary slots force, and ``values`` may be a stack of traces, one per
+    row, with ``beta`` one value or one per row; run on the time-reversed
+    traces, this rule is the offline backward pass (:func:`offline_states`).
+    The drift rule alone can park the gap at -beta for good, so with
+    ``contract_len`` a fixed run of a row reaching that length is cut by a
+    forced switch to plan 1, which holds until the next slot forcing 0.
+    Returns int8 states and the forced-switch count per row. Checks its
+    input (the traces by the gap-trace rule, array draws as finite,
+    ``contract_len`` as :func:`planswitch.tariff.fee_terms` takes it), then
+    runs :func:`_chase`, the core that code holding checked input calls.
     """
     if contract_len is not None:
         contract_len = fee_terms(0.0, contract_len)[1]
     values, neg = _as_stack(values, beta)
-    if draws is None and contract_len is not None and len(values) != 1:
-        raise ValidationError("the expiry guard runs on one gap trace")
     if draws is not None:
         if len(values) != 1 or np.ndim(beta):
             raise ValidationError("the randomized rule runs on one gap trace with one fee")
@@ -508,24 +510,16 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
 
 def _chase(values: np.ndarray, neg: float | np.ndarray, draws=None, contract_len: int | None = None):
     """:func:`chase_kernel` on checked input: traces (one, or a stack) and -beta (a float or a column),
-    draws or None, and an int ``contract_len`` or None. Every guarded block of rows goes through
-    :func:`_guarded`: numpy steps while at least ``STEP_RUNS`` runs need a cut, then one cut at a time."""
+    draws or None, and an int ``contract_len`` or None. One loop over row blocks runs every rule: a row is a
+    draw row of one trace, or a trace of a stack. Every guarded block goes through :func:`_guarded`."""
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))  # the dtype: a tuple converts faster
     slots = np.arange(1, values.shape[1], dtype=np.int32)
-    if draws is None:  # only boundary slots force: plan 1 at the top, 0 at the floor
-        plan_of = values == 0.0  # column 0 is s_0 = 0, as values[:, 0] = -beta
-        hit = plan_of[:, 1:] | (values[:, 1:] == neg)
-        if contract_len is None:  # every row in one fill, no blocks: keeps short traces cheap
-            return _fill(hit, slots, plan_of), np.zeros(len(values), dtype=np.int64)
-        plan_of, n_runs = plan_of[0], 1
-    else:
-        thr, force = _slot_rule(values[0], -neg)
-        plan_of = np.concatenate(([False], force))
-        n_runs = len(draws)
+    n_runs = len(values) if draws is None else len(draws)
+    rule = _slot_rule(values, neg, draws is not None) if len(values) == 1 else None  # one trace serves all rows
     states, forced = np.zeros((n_runs, len(slots)), np.int8), np.zeros(n_runs, np.int64)
     for sel in _row_blocks(n_runs, len(slots)):
-        if draws is not None:
-            hit = draws[sel] < thr
+        force, plan_of = rule or _slot_rule(values[sel], neg[sel] if np.ndim(neg) else neg, draws is not None)
+        hit = force if draws is None else draws[sel] < force
         if contract_len is None:
             states[sel] = _fill(hit, slots, plan_of)
         else:

@@ -121,8 +121,8 @@ def main(argv: list[str] | None = None) -> int:
             for line in lines:
                 print(line)
             return 0 if ok else 1
-    except (ValidationError, TraceParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, TraceParseError, OSError, ValueError, MemoryError) as exc:
+        print("error:", str(exc) or type(exc).__name__, file=sys.stderr)  # numpy names a refused allocation
         return 2
     return 2
 

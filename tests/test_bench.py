@@ -712,6 +712,21 @@ class TestCli:
         assert main([command, "--slots", "12", "--mc-runs", str(runs)]) == 2
         assert capsys.readouterr().err == f"error: mc_runs must be <= {MAX_MC_RUNS}, got {runs}\n"
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 931. GiB for an array with shape (1000000, 1000000) and data type int8", None),
+        ("", "MemoryError"),
+    ], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_memory_error_is_one_line(self, command, message, line, capsys, monkeypatch):
+        # run --slots 1000000 --mc-runs 1000000 asks for a 931 GiB state matrix. Whether a host refuses
+        # that allocation depends on its overcommit setting, so the evaluation raises here instead.
+        def refused(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(bench, "_evaluate", refused)
+        assert main([command, "--slots", "12"]) == 2
+        assert capsys.readouterr().err == f"error: {line or message}\n"
+
     def test_oversized_sweep_is_an_error(self, capsys):
         assert main(["sweep", "--slots", "12", "--from", "1", "--to", "2", "--step", "1e-12"]) == 2
         err = capsys.readouterr().err

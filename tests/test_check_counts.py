@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from planswitch import RunConfig, bench, chase, protocol_cost_series, synth_trace, tariff
-from planswitch.adversary import RatioReport
+from planswitch.adversary import RatioReport, monte_carlo
 
 RULES = {"_as_stack": chase._as_stack, "cost_stack": tariff.cost_stack, "_first_nonbinary": tariff._first_nonbinary,
          "fee_term_rows": tariff.fee_term_rows, "require_finite_rows": tariff.require_finite_rows}
@@ -75,6 +75,14 @@ def test_sweep_point_checks_nothing_twice(checks, config, once):
         sweeps.append(Counter(checks))
     assert dict(sweeps[1] - sweeps[0]) == want
     assert dict(sweeps[0] - Counter(want)) == once
+
+
+def test_monte_carlo_checks_nothing_twice(checks):
+    # Its gap trace record checks the trace; the fold prices the replicates and the offline optimum unchecked.
+    cs = protocol_cost_series(synth_trace(36, 1))
+    checks.clear()
+    monte_carlo(cs, 5.0, 20, 1)
+    assert dict(checks) == RECORD
 
 
 # One horizon stack per suite: k instances of T slots.

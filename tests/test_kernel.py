@@ -164,6 +164,16 @@ class TestConstantFee:
             assert np.array_equal(free, guarded)
             assert not forced.any()
 
+    @pytest.mark.parametrize("guarded", [False, True], ids=["free", "guarded"])
+    def test_deterministic_rule_is_the_randomized_rule_without_draws(self, guarded):
+        # A draw of 1.0 is below no interior threshold, so only boundary slots force, as with no draws.
+        for cs, alpha, cap, _ in _seeded_instances(311, 150):
+            for dt in (delta_trace(cs, alpha), drift_trace(cs, alpha, cap)):
+                guard = cap if guarded else None
+                states, forced = chase_kernel(dt.values, dt.beta, None, guard)
+                drawn, drawn_forced = chase_kernel(dt.values, dt.beta, np.ones((1, len(dt))), guard)
+                assert np.array_equal(drawn, states) and np.array_equal(drawn_forced, forced)
+
 
 class TestDecreasingFee:
     @settings(max_examples=200, deadline=None)
@@ -224,9 +234,9 @@ def check_guard(values, beta, draws, cap):
     """The guarded kernel on one trace, with draws and without, against the
     oracle fold and the per-row walk; returns the randomized forced counts."""
     dt = DeltaTrace(tuple(values), beta)
-    thr, force = chase._slot_rule(np.asarray(values, dtype=np.float64), beta)
+    thr, plan_of = chase._slot_rule(np.asarray(values, dtype=np.float64)[None], -beta, True)
     states, forced = chase_kernel(values, beta, draws, cap)
-    want_states, want_forced = walk_rows(draws < thr, force, cap)
+    want_states, want_forced = walk_rows(draws < thr, plan_of[0, 1:], cap)
     assert np.array_equal(states, want_states) and forced.tolist() == want_forced
     for i, row in enumerate(draws):
         assert oracle_guarded(dt, cap, Replay(row)) == (states[i].tolist(), int(forced[i]))

@@ -4,14 +4,18 @@ Each stack function is checked row by row against its one-instance form:
 ``delta_traces`` against ``delta_trace`` (float for float, by ``repr``, so
 the sign of a zero counts), ``offline_states`` against the scalar backward
 pass kept here as the test-only oracle, the 2-D deterministic kernel against
-``gchase_s``, and ``sp_costs`` against the slot loop ``sp_loop``.
+``gchase_s`` and, under the expiry guard, against the per-slot guard fold
+``oracle_guarded``, and ``sp_costs`` against the slot loop ``sp_loop``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_objectives import sp_loop
+from test_kernel import oracle_guarded
 
 from planswitch import (
     CostSeries,
@@ -25,6 +29,7 @@ from planswitch import (
     offline_states,
     sp_costs,
 )
+from planswitch import tariff
 from planswitch.bench import _sp_stacks
 from planswitch.chase import chase_kernel
 
@@ -79,6 +84,12 @@ def _seeded_stacks(seed, count):
 
 def _traces(g0, g1, beta, drift=0.0):
     return [delta_trace(CostSeries(a, b), fee, drift) for a, b, fee in zip(g0, g1, beta.tolist())]
+
+
+def _drift_stack(rng, rows, period):
+    # Small integer costs and a drift of 0.5 park many rows at -beta, where the expiry guard cuts.
+    g = rng.integers(0, 4, size=(2, rows, period)).astype(float)
+    return g[0], g[1], rng.choice([1.0, 1.5, 3.0], size=rows)
 
 
 def _same_floats(row, values):
@@ -176,10 +187,43 @@ class TestKernelStack:
             for row, dt in zip(states, _traces(g0, g1, beta)):
                 assert row.tolist() == list(gchase_s(dt).states)
 
-    def test_guard_takes_one_trace(self):
-        values = delta_traces(np.zeros((2, 3)), np.ones((2, 3)), 1.0)
-        with pytest.raises(ValidationError):
-            chase_kernel(values, 1.0, None, 2)
+    def test_guard_takes_a_stack_with_per_row_fees(self):
+        # Each row of a guarded stack is its own trace and fee, run as if alone, and is the per-slot guard fold.
+        rng = np.random.default_rng(407)
+        forced_total = 0
+        for _ in range(60):
+            rows, period, cap = int(rng.integers(1, 30)), int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            g0, g1, beta = _drift_stack(rng, rows, period)
+            states, forced = chase_kernel(delta_traces(g0, g1, beta, 0.5), beta, None, cap)
+            for row, n, dt in zip(states.tolist(), forced.tolist(), _traces(g0, g1, beta, 0.5)):
+                alone, alone_forced = chase_kernel(dt.values, dt.beta, None, cap)
+                assert (row, n) == (alone[0].tolist(), int(alone_forced[0])) == oracle_guarded(dt, cap)
+            forced_total += int(forced.sum())
+        assert forced_total > 0
+
+    @pytest.mark.parametrize("cap", [None, 4])
+    def test_stack_taller_than_a_block(self, cap):
+        rng = np.random.default_rng(408)
+        period = 12
+        rows = 2 * (tariff.BLOCK_CELLS // period) + 7  # three blocks, the last one short
+        g0, g1, beta = _drift_stack(rng, rows, period)
+        states, forced = chase_kernel(delta_traces(g0, g1, beta, 0.5), beta, None, cap)
+        for row, n, dt in zip(states.tolist(), forced.tolist(), _traces(g0, g1, beta, 0.5)):
+            assert (row, n) == (oracle_guarded(dt, cap) if cap else (list(gchase_s(dt).states), 0))
+        assert (forced.sum() > 0) == bool(cap)
+
+    @pytest.mark.parametrize("cap", [None, 4])
+    def test_tall_stack_holds_no_whole_stack_temporary(self, cap):
+        # The peak is the states and forced counts plus one row block's temporaries, not a multiple of the stack.
+        g0, g1, beta = _drift_stack(np.random.default_rng(409), 50_000, 12)
+        values = delta_traces(g0, g1, beta, 0.5)
+        tracemalloc.start()
+        try:
+            states, forced = chase_kernel(values, beta, None, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < states.nbytes + forced.nbytes + 40 * tariff.BLOCK_CELLS
 
 
 class TestSpCosts:
