@@ -56,7 +56,6 @@ from .tariff import (
     ValidationError,
     _dsp_fold,
     _fixed_runs,
-    _row_blocks,
     _sp_fold,
     cost_series,
     fee_terms,
@@ -244,14 +243,11 @@ def _benchmark_cost(config: RunConfig, cs: CostSeries) -> float:
     return float(sum((cs.g1 if config.benchmark == "all-variable" else cs.g0).tolist()))
 
 
-def _setup(config: RunConfig) -> tuple[CostSeries, float, SeededUniforms | np.ndarray]:
+def _setup(config: RunConfig) -> tuple[CostSeries, float, SeededUniforms]:
     """What run and sweep share: the cost series, the benchmark bill and the replicate draws. The draws
-    do not depend on the fee: when they fit one kernel block they are drawn here, once for every point."""
+    do not depend on the fee; :class:`SeededUniforms` keeps them when one kernel block takes them all."""
     cs = protocol_cost_series(_load_trace(config), config.h_rate)
-    draws = SeededUniforms(config.seed, config.mc_runs, len(cs))
-    if "gchase_r" in config.algorithms and len(_row_blocks(config.mc_runs, len(cs))) == 1:
-        draws = draws[:]
-    return cs, _benchmark_cost(config, cs), draws
+    return cs, _benchmark_cost(config, cs), SeededUniforms(config.seed, config.mc_runs, len(cs))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the report names a number that overflows

@@ -46,6 +46,7 @@ from .tariff import (
     Schedule,
     ValidationError,
     _first,
+    _fixed_runs,
     _fold_rows,
     _record_array,
     _row_blocks,
@@ -375,22 +376,27 @@ def drift_trace(cs: CostSeries, alpha: float, contract_len: int) -> DeltaTrace:
 
 
 class SeededUniforms:
-    """Replicate draws made on demand, sliced like a 2-D array: row i is
-    ``default_rng(seed + i).random(period)``, whatever the replicate count."""
+    """Replicate draws made on demand, sliced like a 2-D array: row i is ``default_rng(seed + i).random(period)``,
+    whatever the replicate count. Every row, when one request draws them all, is kept to serve later requests;
+    rows drawn block by block are not, so the draws held are at most one kernel block's."""
 
     def __init__(self, seed: int, n_runs: int, period: int):
         self.seed, self.n_runs = require_int("seed", seed, 0), require_int("n_runs", n_runs, 0)
         self.period = require_int("period", period, 1)
         self.shape = (self.n_runs, self.period)
+        self._every_row = None  # every row, once one request has drawn them all
 
     def __len__(self) -> int:
         return self.n_runs
 
     def __getitem__(self, rows: slice) -> np.ndarray:
+        if self._every_row is not None:
+            return self._every_row[rows]
         runs = range(self.n_runs)[rows]
         out = np.empty((len(runs), self.period))
         for j, i in enumerate(runs):
             np.random.default_rng(self.seed + i).random(out=out[j])
+        self._every_row = out if runs == range(self.n_runs) else None
         return out
 
 
@@ -426,9 +432,9 @@ def _guarded(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray, contract_l
     # holds until the next forcing slot, which inside a run forces 0 and starts the rest of the run, or through
     # the run's end. Slots are flat indices. Returns the forced-switch count per row.
     out[...] = _fill(hit, slots, plan_of)
-    # Slots more than contract_len into a fixed run: a too-long run's first cut through its end. A row's
-    # first slot is never one, so no stretch of them spans two rows.
-    over = (slots - np.maximum.accumulate(out * slots, axis=1) > contract_len).ravel()
+    # Slots more than contract_len into a fixed run, measured by the fee's own rule: a too-long run's first
+    # cut through its end. A row's first slot is never one, so no stretch of them spans two rows.
+    over = (_fixed_runs(out)[0] > contract_len).ravel()
     bounds = (over[1:] != over[:-1]).nonzero()[0] + 1
     if over[-1]:
         bounds = np.append(bounds, over.size)

@@ -83,7 +83,7 @@ def require_finite(name: str, value: float, positive: bool = False) -> float:
 
 def require_int(name: str, value: int, low: float = -math.inf, high: float = math.inf) -> int:
     """The one check of a count, seed or horizon: an integer from low to high, as an int."""
-    if not isinstance(value, numbers.Integral):
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):  # a bool is an Integral
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValidationError(f"{name} must be >= {low}, got {value!r}")
@@ -347,14 +347,13 @@ def _stack(states: np.typing.ArrayLike, g0: np.typing.ArrayLike,
 
 
 def _fixed_runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per slot of a (rows x T) 0/1 matrix: how long the fixed-plan (state 0)
-    run through it has lasted, 0 on plan 1, and whether the slot is the last
-    of its run. A run's last slot thus holds its length."""
-    t = np.arange(1, states.shape[1] + 1)
-    zero = states == 0
-    lasted = t - np.maximum.accumulate(np.where(zero, 0, t), axis=1)
-    zero[:, :-1] &= states[:, 1:] != 0
-    return lasted, zero
+    """The one rule of run lengths, which the decreasing fee and the expiry guard read: per slot of a
+    (rows x T) 0/1 matrix (bool or integers), how long the fixed-plan (state 0) run through it has lasted,
+    0 on plan 1, and whether the slot ends its run. A run's last slot thus holds its length."""
+    t = np.arange(1, states.shape[1] + 1, dtype=np.int32)
+    ends = states == 0
+    ends[:, :-1] &= states[:, 1:] != 0
+    return t - np.maximum.accumulate(states * t, axis=1), ends
 
 
 def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:

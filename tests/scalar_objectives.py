@@ -57,6 +57,16 @@ def p2_loop(states, g0, g1, beta):
     return total
 
 
+def fixed_runs_loop(states):
+    """Per slot: how long the run of state 0 through it has lasted (0 in state 1), and whether it ends the run."""
+    lasted, ends, d = [], [], 0
+    for t, s in enumerate(states):
+        d = d + 1 if s == 0 else 0
+        lasted.append(d)
+        ends.append(s == 0 and (t + 1 == len(states) or states[t + 1] != 0))
+    return lasted, ends
+
+
 def zero_runs_loop(states):
     """Maximal runs of state 0 as 1-based inclusive (start, end) pairs."""
     runs = []

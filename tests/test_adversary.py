@@ -202,6 +202,7 @@ CS2 = CostSeries.from_pairs([(1, 0), (0, 1)])
     (lambda: monte_carlo(CS2, 1.0, 2.5, 0), "n_runs must be an integer, got 2.5"),
     (lambda: monte_carlo(CS2, 1.0, 4, 1.5), "seed must be an integer, got 1.5"),
     (lambda: monte_carlo(CS2, 1.0, 4, -1), "seed must be >= 0, got -1"),
+    (lambda: monte_carlo(CS2, 1.0, 4, True), "seed must be an integer, got True"),  # not seed 1
     (lambda: monte_carlo(CS2, 1.0, 1, 0), "n_runs must be >= 2, got 1"),
     (lambda: simulate_randomized_batch(delta_trace(CS2, 1.0), 2.5, 0), "n_runs must be an integer, got 2.5"),
     (lambda: simulate_randomized_batch(delta_trace(CS2, 1.0), -1, 0), "n_runs must be >= 0, got -1"),
@@ -212,7 +213,8 @@ CS2 = CostSeries.from_pairs([(1, 0), (0, 1)])
     (lambda: randomized_lb_instance(1.0, 0.5, 1), "horizon must be >= 2, got 1"),
     # a player at fee 0 never switches: the adaptive game at beta 1 read ratio 5, above the bound of 3
     (lambda: gchase_player(0.0), "beta must be finite and > 0, got 0.0"),
-], ids=["monte_carlo-runs-float", "monte_carlo-seed-float", "monte_carlo-seed-negative", "monte_carlo-one-run",
+], ids=["monte_carlo-runs-float", "monte_carlo-seed-float", "monte_carlo-seed-negative",
+        "monte_carlo-seed-bool", "monte_carlo-one-run",
         "batch-runs-float", "batch-runs-negative", "adversary-horizon-float", "adversary-horizon-zero",
         "lb-horizon-float", "lb-horizon-one", "player-zero-fee"])
 def test_argument_refused_by_name(call, message):

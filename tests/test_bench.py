@@ -147,9 +147,10 @@ class TestRunConfigValidation:
             RunConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["synth_slots", "mc_runs", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True])
     def test_counts_and_seed_must_be_integers(self, field, value):
-        # 2.5 would run 2 replicates yet echo 2.5, and a float slot count or seed would fail inside numpy
+        # 2.5 would run 2 replicates yet echo 2.5, a float slot count or seed would fail inside numpy, and
+        # True, an Integral, would run and echo as 1
         with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
             RunConfig(**{field: value})
 

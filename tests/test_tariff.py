@@ -34,7 +34,7 @@ from planswitch.bench import H_SCALE
 from planswitch.chase import drift_trace
 from planswitch import tariff
 from planswitch.tariff import MAX_CONTRACT_LEN, _parse_rows, fee_term_rows, fee_terms
-from scalar_objectives import fee_rows_loop
+from scalar_objectives import fee_rows_loop, fixed_runs_loop
 
 
 def slot_cost(e: float, p0: float, p1: float, b: float, h: float, plan: int) -> float:
@@ -275,6 +275,23 @@ class TestZeroRuns:
             prev_end = end
             covered.update(range(start, end + 1))
         assert covered == {t for t, s in enumerate(states, start=1) if s == 0}
+
+
+class TestFixedRuns:
+    """The one run-length rule, on the dtypes its callers pass: int8 (the stack objectives and the expiry
+    guard), int64 (``verify identity``'s draws) and bool."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, bool])
+    @pytest.mark.parametrize("period", [1, 2, 37, 20_000])
+    def test_equals_slot_loop(self, dtype, period):
+        rng = np.random.default_rng(period)
+        states = np.vstack([np.zeros(period), np.ones(period), rng.integers(0, 2, (3, period)),
+                            rng.random((2, period)) < 0.05]).astype(dtype)  # long fixed runs too
+        lasted, ends = tariff._fixed_runs(states)
+        assert lasted.dtype.kind == "i" and ends.dtype == bool
+        for i, row in enumerate(states.tolist()):
+            assert (lasted[i].tolist(), ends[i].tolist()) == fixed_runs_loop(row), i
+        assert lasted[0, -1] == period and not lasted[1].any()  # all fixed: one run of every slot; all variable: none
 
 
 ZEROS3 = CostSeries.from_pairs([(0, 0)] * 3)
