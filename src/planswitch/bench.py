@@ -21,7 +21,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,11 +36,13 @@ from .adversary import (
     simulate_randomized_batch,
 )
 from .chase import (
+    FractionalSchedule,
     SeededUniforms,
     _chase,
+    _delta_rows,
     _offline,
+    _warn_forced,
     cchase,
-    chase_batch,
     csp_cost,
     delta_trace,
     delta_traces,
@@ -56,6 +58,7 @@ from .tariff import (
     ValidationError,
     _dsp_fold,
     _fixed_runs,
+    _row_blocks,
     _sp_fold,
     cost_series,
     fee_terms,
@@ -250,56 +253,59 @@ def _setup(config: RunConfig) -> tuple[CostSeries, float, SeededUniforms]:
     return cs, _benchmark_cost(config, cs), SeededUniforms(config.seed, config.mc_runs, len(cs))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the report names a number that overflows
-def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws, fee: float) -> dict[str, dict]:
-    """Each configured algorithm's report on one cost series at a checked ``fee`` (beta or alpha), by name.
-
-    A report holds the algorithm, its cost, the benchmark cost, the savings,
-    the schedule (a list, or None for the randomized rule), the ratio to the
-    offline optimum, and the randomized rule's stderr and replicate count.
-    The fee regimes differ only in the setup: the gap trace, the expiry
-    guard, the offline optimum, and the objective: one fold prices a stack
-    of schedules and the replicate rows alike. ``bench_cost`` and ``draws``
-    (one row of uniforms per replicate) come from :func:`_setup`.
-    """
+def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws, fees: list) -> Iterator[dict[str, dict]]:
+    """Each configured algorithm's report on one cost series at each checked fee (beta or alpha), by name: a
+    dict per fee, yielded in fee order. The fees are evaluated together, in stacks of a row per fee: the gap
+    traces, the offline pass (``dp_dsp`` per fee in the linear regime: the code under test), each kernel (the
+    randomized one on every fee's ``draws``, from :func:`_setup`) and a fold of each. A fee's reports then
+    follow in configured order, each algorithm's forced switches logged first: its cost, the benchmark cost,
+    the savings, the schedule (None for the randomized rule), the ratio to the optimum, and the randomized
+    rule's stderr and replicate count. A number that overflows a float is refused by name."""
     # RunConfig checked the terms and CostSeries the costs: the kernels and objectives run unchecked
-    if config.fee_regime == "constant":
-        dt, guard = delta_trace(cs, fee), None
-        objective = lambda states: _sp_fold(states, cs.g0[None], cs.g1[None], np.full(len(states), dt.beta))
-        opt = _offline(dt.values, -dt.beta)
-        opt, opt_cost = opt[0], float(objective(opt)[0])
-    else:
-        dt, guard = delta_trace(cs, fee * config.contract_len, fee), config.contract_len
-        objective = lambda states: _dsp_fold(states, cs.g0[None], cs.g1[None], *(
-            np.full(len(states), v) for v in (fee, guard, config.fee_mode == "literal")))
-        best = dp_dsp(cs, fee, guard, config.fee_mode)
-        opt, opt_cost = best.best_schedule.states, best.best_cost
-
-    def report(name, cost, stderr=None, mc_runs=None, schedule=None):
-        savings = 100.0 * (bench_cost - cost) / bench_cost if bench_cost > 0.0 else None
-        if savings is not None and math.isinf(savings):  # 100 x the gap overflowed: take it on costs / 128, exact
-            savings = 100.0 * (bench_cost / 128.0 - cost / 128.0) / bench_cost * 128.0
-        numbers = {"cost": cost, "benchmark_cost": bench_cost, "savings_pct": savings,
-                   "ratio_vs_offline": competitive_ratio(cost, opt_cost), "stderr": stderr}
-        for key, value in numbers.items():
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{key} of {name} overflows a float: {value!r}")
-        return {"algorithm": name, **numbers, "schedule": schedule, "mc_runs": mc_runs}
-
-    reports = {}
-    for name in config.algorithms:
-        if name in ("ofa", "dp"):
-            reports[name] = report(name, opt_cost, schedule=opt.tolist())
-        elif name == "gchase":
-            states = chase_batch(dt, None, guard, "gchase_dsp")[0]
-            reports[name] = report(name, float(objective(states)[0]), schedule=states[0].tolist())
-        elif name == "gchase_r":
-            costs = objective(chase_batch(dt, draws, guard, "gchase_r")[0])
-            reports[name] = report(name, *_mean_stderr(costs), mc_runs=len(costs))
-        elif name == "cchase":
-            xs = cchase(dt)
-            reports[name] = report(name, csp_cost(xs, cs, fee), schedule=xs.x.tolist())
-    return reports
+    fee, g0, g1 = np.array(fees), cs.g0[None], cs.g1[None]
+    with np.errstate(over="ignore", invalid="ignore"):  # the report names a number that overflows
+        guard = None if config.fee_regime == "constant" else config.contract_len
+        beta, drift = (fee, np.zeros(len(fee))) if guard is None else (fee * guard, fee)
+        values, neg = _delta_rows(np.broadcast_to(cs.g0 - cs.g1, (len(fee), len(cs))), beta, drift), -beta[:, None]
+        if guard is None:
+            fold = lambda states: _sp_fold(states, g0, g1, np.repeat(fee, len(states) // len(fee)))
+            opt = _offline(values, neg)
+            opt_costs = fold(opt).tolist()
+        else:
+            fold = lambda states: _dsp_fold(states, g0, g1, np.repeat(fee, len(states) // len(fee)), *(
+                np.full(len(states), v) for v in (guard, config.fee_mode == "literal")))
+            best = [dp_dsp(cs, f, guard, config.fee_mode) for f in fees]
+            opt, opt_costs = [b.best_schedule.states for b in best], [b.best_cost for b in best]
+        columns = []  # per algorithm, per fee: cost, stderr, schedule, and the forced switches of its rows
+        for name in config.algorithms:
+            if name in ("ofa", "dp"):
+                columns.append([(c, None, s.tolist(), None) for c, s in zip(opt_costs, opt)])
+            elif name == "gchase":
+                states, forced = _chase(values, neg, None, guard)
+                columns.append(list(zip(fold(states).tolist(), [None] * len(fee), states.tolist(), forced[:, None])))
+            elif name == "gchase_r":
+                states, forced = _chase(values, neg, draws, guard)
+                costs, forced = fold(states).reshape(len(fee), -1), forced.reshape(len(fee), -1)
+                columns.append([(*_mean_stderr(c), None, n) for c, n in zip(costs, forced)])
+            elif name == "cchase":
+                xs = [FractionalSchedule((b + v[1:]) / b) for b, v in zip(fees, values)]
+                columns.append([(csp_cost(x, cs, b), None, x.x.tolist(), None) for b, x in zip(fees, xs)])
+    for opt_cost, results in zip(opt_costs, zip(*columns)):
+        reports = {}
+        for name, (cost, stderr, schedule, forced) in zip(config.algorithms, results):
+            if forced is not None:
+                _warn_forced(forced, guard, "gchase_dsp" if name == "gchase" else name)
+            savings = 100.0 * (bench_cost - cost) / bench_cost if bench_cost > 0.0 else None
+            if savings is not None and math.isinf(savings):  # 100 x the gap overflowed: take it on costs / 128, exact
+                savings = 100.0 * (bench_cost / 128.0 - cost / 128.0) / bench_cost * 128.0
+            numbers = {"cost": cost, "benchmark_cost": bench_cost, "savings_pct": savings,
+                       "ratio_vs_offline": competitive_ratio(cost, opt_cost), "stderr": stderr}
+            for key, value in numbers.items():
+                if value is not None and not math.isfinite(value):
+                    raise ValidationError(f"{key} of {name} overflows a float: {value!r}")
+            reports[name] = {"algorithm": name, **numbers, "schedule": schedule,
+                             "mc_runs": len(forced) if name == "gchase_r" else None}
+        yield reports
 
 
 def config_echo(config: RunConfig) -> dict:
@@ -310,12 +316,12 @@ def config_echo(config: RunConfig) -> dict:
 def run_report(config: RunConfig) -> dict:
     """Run the configured algorithms on one trace and assemble the report."""
     cs, bench_cost, draws = _setup(config)
+    fee = config.alpha if config.fee_regime == "linear" else config.beta
     return {
         "config": config_echo(config),
         "slots": len(cs),
         "benchmark_cost": bench_cost,
-        "reports": _evaluate(config, cs, bench_cost, draws,
-                             config.alpha if config.fee_regime == "linear" else config.beta),
+        "reports": next(_evaluate(config, cs, bench_cost, draws, [fee])),
     }
 
 
@@ -355,12 +361,12 @@ def report_json(report: dict) -> str:
 def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) -> tuple[list[str], list[list]]:
     """Savings per algorithm across a range of headline fees.
 
-    One row per fee value on a shared trace (same seed at every point). The
-    constant regime sets beta to the fee; the linear regime divides the fee
-    by the contract length to get alpha. The offline optimum's cost must be
-    non-decreasing in the fee; violations are logged, not raised. More than
-    ``MAX_SWEEP_POINTS`` fee points, a fee or step that is not finite, or a
-    fee whose beta or alpha RunConfig refuses, is refused before the trace is read.
+    One row per fee value on a shared trace (same seed at every point). The constant regime sets beta to
+    the fee; the linear regime divides the fee by the contract length to get alpha. Fees are evaluated in
+    chunks, cut by :func:`_row_blocks` on the replicate fold's 2T cells per replicate. The offline optimum's
+    cost must be non-decreasing in the fee; violations are logged, not raised. More than
+    ``MAX_SWEEP_POINTS`` fee points, a fee or step that is not finite, or a fee whose beta or alpha
+    RunConfig refuses, is refused before the trace is read.
     """
     fee_from, fee_to, fee_step = (require_finite(name, value) for name, value in
                                   (("fee_from", fee_from), ("fee_to", fee_to), ("fee_step", fee_step)))
@@ -379,20 +385,15 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
     replace(config, **{key: fees[0] / scale}), replace(config, **{key: fees[-1] / scale})
     cs, bench_cost, draws = _setup(config)
     header = ["fee"] + [f"{a}_savings_pct" for a in config.algorithms]
-    rows: list[list] = []
-    prev_opt = -math.inf
-    for fee in fees:
-        reports = _evaluate(config, cs, bench_cost, draws, fee / scale)
-        opt_name = "ofa" if "ofa" in reports else ("dp" if "dp" in reports else None)
-        if opt_name is not None:
-            opt_cost = reports[opt_name]["cost"]
+    rows, prev_opt = [], -math.inf
+    for chunk in _row_blocks(len(fees), 2 * len(cs) * config.mc_runs):
+        for fee, reports in zip(fees[chunk], _evaluate(config, cs, bench_cost, draws,
+                                                       [fee / scale for fee in fees[chunk]])):
+            opt_cost = next((reports[a]["cost"] for a in ("ofa", "dp") if a in reports), prev_opt)
             if opt_cost < prev_opt - 1e-9:
-                logger.warning(
-                    "offline optimum cost decreased from %.6f to %.6f at fee %.4f",
-                    prev_opt, opt_cost, fee,
-                )
+                logger.warning("offline optimum cost decreased from %.6f to %.6f at fee %.4f", prev_opt, opt_cost, fee)
             prev_opt = max(prev_opt, opt_cost)
-        rows.append([fee] + [reports[a]["savings_pct"] for a in config.algorithms])
+            rows.append([fee] + [reports[a]["savings_pct"] for a in config.algorithms])
     return header, rows
 
 

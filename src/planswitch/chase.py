@@ -77,7 +77,6 @@ __all__ = [
     "SeededUniforms",
     "chase_kernel",
     "drift_trace",
-    "chase_batch",
     "gchase_dsp",
     "gchase_r_dsp",
 ]
@@ -168,18 +167,16 @@ def clamp_step(prev: float, gap: float, beta: float, drift: float = 0.0) -> floa
 
 def _gap_scan(gaps: Iterable[float], beta: float, drift: float) -> list[float]:
     # The gap scan: -beta, then the running sum of (gap - drift) clamped to [-beta, 0] slot by slot.
-    neg = -beta
+    v = neg = -beta
     values = [neg]
     append = values.append
-    prev = neg
     for gap in gaps:
-        v = prev + gap - drift
+        v = v + gap - drift
         if v >= 0.0:
             v = 0.0
         elif v <= neg:
             v = neg
         append(v)
-        prev = v
     return values
 
 
@@ -194,19 +191,21 @@ def delta_trace(cs: CostSeries, beta: float, drift: float = 0.0) -> DeltaTrace:
     return DeltaTrace(values=tuple(_gap_scan((cs.g0 - cs.g1).tolist(), beta, drift)), beta=beta, drift=drift)
 
 
-def delta_traces(g0, g1, beta, drift: float = 0.0) -> np.ndarray:
-    """Gap traces of a stack of cost series, as a (rows x (T + 1)) float array.
-
-    Row i is ``delta_trace(CostSeries(g0[i], g1[i]), beta[i], drift).values``
-    float for float: the same scan runs on each row. ``g0`` and ``g1`` are
-    (rows x T) arrays of finite costs and ``beta`` is one value > 0 or one per
-    row; they are validated once, as whole arrays, and the clamp then keeps
-    every row a valid trace.
-    """
+def delta_traces(g0, g1, beta, drift=0.0) -> np.ndarray:
+    """Gap traces of a stack of cost series, as a read-only (rows x (T + 1)) float array: row i is
+    ``delta_trace(CostSeries(g0[i], g1[i]), beta[i], drift[i]).values`` float for float. ``g0`` and ``g1`` are
+    (rows x T) finite costs, ``beta`` (> 0) and ``drift`` one value or one per row; they are checked once, as
+    whole arrays, then scanned by :func:`_delta_rows`, and the clamp keeps every row a valid trace."""
     g0, g1 = cost_stack(g0, g1)
-    beta = require_finite_rows("beta", beta, len(g0), positive=True)
-    drift = require_finite("drift", drift)
-    values = np.array([_gap_scan(gaps, b, drift) for gaps, b in zip((g0 - g1).tolist(), beta.tolist())])
+    return _delta_rows(g0 - g1, require_finite_rows("beta", beta, len(g0), positive=True),
+                       require_finite_rows("drift", drift, len(g0)))
+
+
+def _delta_rows(gaps: np.ndarray, beta: np.ndarray, drift: np.ndarray) -> np.ndarray:
+    # delta_traces on checked input (gaps g0 - g1, beta and drift per row), scanned a _row_blocks block at a time
+    values = np.empty((len(gaps), gaps.shape[1] + 1))
+    for sel in _row_blocks(len(values), values.shape[1]):
+        values[sel] = [_gap_scan(*row) for row in zip(gaps[sel].tolist(), beta[sel].tolist(), drift[sel].tolist())]
     values.flags.writeable = False
     return values
 
@@ -425,13 +424,11 @@ def _slot_rule(values: np.ndarray, neg: float | np.ndarray, randomized: bool) ->
 STEP_RUNS = 16
 
 
-def _guarded(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray, contract_len: int,
-             out: np.ndarray) -> np.ndarray:
-    # Every row of a block (``out``, all zero) under the guard: the unguarded fill, then each of its fixed
-    # runs longer than contract_len cut on its own. A run from slot c is cut at c + contract_len; plan 1 then
-    # holds until the next forcing slot, which inside a run forces 0 and starts the rest of the run, or through
-    # the run's end. Slots are flat indices. Returns the forced-switch count per row.
-    out[...] = _fill(hit, slots, plan_of)
+def _guarded(hit: np.ndarray, contract_len: int, out: np.ndarray) -> np.ndarray:
+    # The guard on every row of a block, ``out``, filled without it: each fixed run longer than contract_len
+    # cut on its own. A run from slot c is cut at c + contract_len; plan 1 then holds until the next forcing
+    # slot, which inside a run forces 0 and starts the rest of the run, or through the run's end. Slots are
+    # flat indices. Returns the forced-switch count per row.
     # Slots more than contract_len into a fixed run, measured by the fee's own rule: a too-long run's first
     # cut through its end. A row's first slot is never one, so no stretch of them spans two rows.
     over = (_fixed_runs(out)[0] > contract_len).ravel()
@@ -439,7 +436,7 @@ def _guarded(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray, contract_l
     if over[-1]:
         bounds = np.append(bounds, over.size)
     start, end = bounds[0::2] - contract_len, bounds[1::2]
-    flat, period, hits = out.reshape(-1), len(slots), hit.ravel().nonzero()[0]
+    flat, period, hits = out.reshape(-1), out.shape[1], hit.ravel().nonzero()[0]
     forced = np.zeros(len(out), np.int64)
     if len(end) >= STEP_RUNS:
         after = np.append(hits, flat.size)  # the last entry: past every row
@@ -470,10 +467,10 @@ def _guarded(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray, contract_l
 
 def _fill(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray) -> np.ndarray:
     # Forward fill: each slot takes the plan of the last forcing slot up to it, else that of column 0.
-    # plan_of is (rows x (T + 1)): one row for every row of hit, or one per row.
+    # plan_of is (traces x (T + 1)), and the rows of hit are each trace's in turn, as many for every trace.
     last = np.maximum.accumulate(hit * slots, axis=-1)
     if len(plan_of) > 1:
-        last = last + np.arange(0, plan_of.size, plan_of.shape[1])[:, None]
+        last += np.arange(0, plan_of.size, plan_of.shape[1], dtype=np.int32).repeat(len(last) // len(plan_of))[:, None]
     return plan_of.take(last).view(np.int8)
 
 
@@ -515,31 +512,30 @@ def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
 
 
 def _chase(values: np.ndarray, neg: float | np.ndarray, draws=None, contract_len: int | None = None):
-    """:func:`chase_kernel` on checked input: traces (one, or a stack) and -beta (a float or a column),
-    draws or None, and an int ``contract_len`` or None. One loop over row blocks runs every rule: a row is a
-    draw row of one trace, or a trace of a stack. Every guarded block goes through :func:`_guarded`."""
+    """:func:`chase_kernel` on checked input: traces (one, or a stack) and -beta (a float or a column), draws or
+    None, and an int ``contract_len`` or None. Every trace runs every draw row, trace-major. One loop runs every
+    rule: over blocks of traces (whole traces while all their draw rows fit), each trace's thresholds and forced
+    plans made once, then over blocks of draw rows, each compared with its own trace's thresholds."""
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))  # the dtype: a tuple converts faster
     slots = np.arange(1, values.shape[1], dtype=np.int32)
-    n_runs = len(values) if draws is None else len(draws)
-    rule = _slot_rule(values, neg, draws is not None) if len(values) == 1 else None  # one trace serves all rows
-    states, forced = np.zeros((n_runs, len(slots)), np.int8), np.zeros(n_runs, np.int64)
-    for sel in _row_blocks(n_runs, len(slots)):
-        force, plan_of = rule or _slot_rule(values[sel], neg[sel] if np.ndim(neg) else neg, draws is not None)
-        hit = force if draws is None else draws[sel] < force
-        if contract_len is None:
-            states[sel] = _fill(hit, slots, plan_of)
-        else:
-            forced[sel] = _guarded(hit, slots, plan_of, contract_len, states[sel])
+    runs = 1 if draws is None else len(draws)  # rows per trace
+    states, forced = np.zeros((len(values) * runs, len(slots)), np.int8), np.zeros(len(values) * runs, np.int64)
+    for traces in _row_blocks(len(values), runs * len(slots)):
+        force, plan_of = _slot_rule(values[traces], neg[traces] if np.ndim(neg) else neg, draws is not None)
+        for sel in _row_blocks(runs, len(plan_of) * len(slots)):
+            hit = force if draws is None else (draws[sel] < force[:, None]).reshape(-1, len(slots))
+            rows = slice(traces.start * runs + sel.start, (traces.start + len(force) - 1) * runs + min(sel.stop, runs))
+            states[rows] = _fill(hit, slots, plan_of)
+            if contract_len is not None:
+                forced[rows] = _guarded(hit, contract_len, states[rows])
     return states, forced
 
 
-def chase_batch(dt: DeltaTrace, draws=None, contract_len: int | None = None, label: str = "gchase_dsp"):
-    """:func:`_chase` on a checked trace, draws and int ``contract_len``; forced switches logged once."""
-    states, forced = _chase(dt.values, -dt.beta, draws, contract_len)
+def _warn_forced(forced: np.ndarray, contract_len: int | None, label: str) -> None:
+    """Log the forced switches of one run's rows (its replicates, or its one deterministic row), if any."""
     if forced.any():
         logger.warning("%s: forced %d switch(es) over %d replicate(s) to keep contract runs within %d slots",
                        label, int(forced.sum()), len(forced), contract_len)
-    return states, forced
 
 
 def gchase_dsp(cs: CostSeries, alpha: float, contract_len: int) -> tuple[Schedule, int]:
@@ -549,7 +545,9 @@ def gchase_dsp(cs: CostSeries, alpha: float, contract_len: int) -> tuple[Schedul
     (beta = alpha * contract_len, drift = alpha) under the contract-expiry
     guard. Returns the feasible schedule and the number of forced switches.
     """
-    states, forced = chase_batch(drift_trace(cs, alpha, contract_len), None, int(contract_len))
+    dt = drift_trace(cs, alpha, contract_len)
+    states, forced = _chase(dt.values, -dt.beta, None, int(contract_len))
+    _warn_forced(forced, contract_len, "gchase_dsp")
     return Schedule(states[0]), int(forced[0])
 
 
@@ -560,5 +558,6 @@ def gchase_r_dsp(cs: CostSeries, alpha: float, contract_len: int,
     Consumes one uniform draw per slot, forced slots included.
     """
     dt = drift_trace(cs, alpha, contract_len)  # checks contract_len, so int() takes it as it is
-    states, forced = chase_batch(dt, rng.random((1, len(cs))), int(contract_len), "gchase_r_dsp")
+    states, forced = _chase(dt.values, -dt.beta, rng.random((1, len(cs))), int(contract_len))
+    _warn_forced(forced, contract_len, "gchase_r_dsp")
     return Schedule(states[0]), int(forced[0])

@@ -358,10 +358,10 @@ def _fixed_runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
     """The one block rule: ``rows`` rows cut into slices of as many rows as fit in ``BLOCK_CELLS`` cells (one
-    at least), a row taking ``cells_per_row``, the cells of the caller's widest per-row array. A caller may
-    hold a whole matrix as it works through the blocks, so a larger block would raise its peak memory; no
-    result depends on the blocks."""
-    block = max(1, BLOCK_CELLS // cells_per_row)
+    at least), a row taking ``cells_per_row``, the cells of the caller's widest per-row array (a row of no cells
+    counting as one). A caller may hold a whole matrix as it works through the blocks, so a larger block would
+    raise its peak memory; no result depends on the blocks."""
+    block = max(1, BLOCK_CELLS // max(1, cells_per_row))
     return [slice(i0, i0 + block) for i0 in range(0, rows, block)]
 
 
@@ -372,14 +372,14 @@ def _service(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, sel: slice) -> 
 
 
 def _fold_rows(slots: np.ndarray) -> np.ndarray:
-    """Each row's strict left fold of 0.0 and then its ``slots``.
+    """Each row's strict left fold of 0.0 and then its ``slots``, which it consumes (the sum runs in place).
 
     A fold from 0.0 is never -0.0, so a slot of 0.0 (no fee, say) leaves its
     total as it is. The cumulative sum starts at the first slot instead; the
     two differ only in the -0.0 it gives when every slot is -0.0, which
     adding 0.0 turns into the fold's 0.0.
     """
-    return np.cumsum(slots, axis=1)[:, -1] + 0.0
+    return np.cumsum(slots, axis=1, out=slots)[:, -1] + 0.0
 
 
 def sp_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:

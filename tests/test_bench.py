@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -364,18 +365,38 @@ class TestSweep:
         with pytest.raises(Evaluated):
             sweep(cfg, 1.0, float(MAX_SWEEP_POINTS), 1.0)
 
-    @pytest.mark.parametrize("block_cells", [tariff.BLOCK_CELLS, 0])
+    @pytest.mark.parametrize("block_cells", [tariff.BLOCK_CELLS, 0, 960, 480])
     @pytest.mark.parametrize("regime", FEE_REGIMES)
-    def test_shared_draws_match_fresh_points(self, monkeypatch, regime, block_cells):
-        # drawn once (fits a block) or re-drawn per point, each point equals a fresh run
+    def test_shared_draws_match_fresh_points(self, monkeypatch, caplog, regime, block_cells):
+        # Five points of 8 replicates x 2T = 480 fold cells: all in one chunk, in chunks of two with a short last
+        # one (960), or one a chunk, with the draws kept (480) or drawn again per point (0). Each point equals a
+        # fresh run and logs what that run logs, then its monotonicity warning: the optimum is made to fall at
+        # every point, so every point after the first warns.
         monkeypatch.setattr(tariff, "BLOCK_CELLS", block_cells)
+        falls, evaluate = itertools.count(1), bench._evaluate
+
+        def falling(*args):
+            for reports in evaluate(*args):
+                reports["ofa"]["cost"] = -float(next(falls))
+                yield reports
+
+        monkeypatch.setattr(bench, "_evaluate", falling)
         cfg = RunConfig(synth_slots=30, seed=4, fee_regime=regime, contract_len=6,
-                        algorithms=("gchase", "gchase_r"), mc_runs=8)
-        _, rows = sweep(cfg, 10.0, 50.0, 20.0)
-        for fee, *savings in rows:
-            point = replace(cfg, beta=fee) if regime == "constant" else replace(cfg, alpha=fee / 6)
-            reports = run_report(point)["reports"]
-            assert savings == [reports[a]["savings_pct"] for a in cfg.algorithms]
+                        algorithms=("ofa", "gchase", "gchase_r"), mc_runs=8)
+        with caplog.at_level("WARNING"):
+            _, rows = sweep(cfg, 10.0, 90.0, 20.0)
+            swept, want = [(r.name, r.getMessage()) for r in caplog.records], []
+            for i, (fee, *savings) in enumerate(rows):
+                caplog.clear()
+                point = replace(cfg, beta=fee) if regime == "constant" else replace(cfg, alpha=fee / 6)
+                reports = run_report(point)["reports"]
+                assert savings == [reports[a]["savings_pct"] for a in cfg.algorithms]
+                want += [(r.name, r.getMessage()) for r in caplog.records]
+                if i:
+                    want.append(("planswitch.bench", f"offline optimum cost decreased from -1.000000 to "
+                                                     f"-{i + 1}.000000 at fee {fee:.4f}"))
+        assert len(rows) == 5 and swept == want
+        assert any("forced" in message for _, message in want) == (regime == "linear")
 
     def test_replicate_generators_built_once(self, monkeypatch):
         seeds = []

@@ -41,6 +41,8 @@ TRACED_COMMANDS = [
     ["sweep", "--slots", "24", "--from", "1", "--to", "5", "--algorithms", "ofa,gchase,gchase_r",
      "--mc-runs", "10", "--seed", "1"],
     ["verify", "oracle", "--seed", "0"],
+    # run and sweep build no DeltaTrace record: the ratio suite's adversary is what reaches delta_trace
+    ["verify", "ratio", "--seed", "0"],
 ]
 
 

@@ -39,23 +39,22 @@ def checks(monkeypatch):
 
 CONSTANT = RunConfig(synth_slots=36, seed=1, algorithms=("ofa", "gchase", "gchase_r", "cchase"), mc_runs=20)
 LINEAR = replace(CONSTANT, fee_regime="linear", algorithms=("ofa", "dp", "gchase", "gchase_r"))
-# the DeltaTrace that _evaluate builds checks the trace its clamp made
+# the DeltaTrace record checks the trace its clamp made
 RECORD = {"_as_stack": 1}
 # dp_dsp, the public oracle that run reports as the offline optimum, checks its terms,
 # and its Schedule record the states it found
 OFFLINE_REFERENCE = {"fee_term_rows": 1, "_first_nonbinary": 1}
 
 
-@pytest.mark.parametrize("config, want", [(CONSTANT, RECORD), (LINEAR, RECORD | OFFLINE_REFERENCE)],
-                         ids=["constant", "linear"])
+@pytest.mark.parametrize("config, want", [(CONSTANT, {}), (LINEAR, OFFLINE_REFERENCE)], ids=["constant", "linear"])
 def test_evaluate_checks_nothing_twice(checks, config, want):
-    # The cost series and the config are checked before _evaluate: the gap trace, the
+    # The cost series and the config are checked before _evaluate: the gap traces, the
     # offline pass, the kernels and the objectives add no check of their own.
     cs = protocol_cost_series(synth_trace(36, 1))
     draws = chase.SeededUniforms(config.seed, config.mc_runs, len(cs))
     fee = config.beta if config.fee_regime == "constant" else config.alpha
     checks.clear()
-    bench._evaluate(config, cs, bench._benchmark_cost(config, cs), draws, fee)
+    list(bench._evaluate(config, cs, bench._benchmark_cost(config, cs), draws, [fee]))
     assert dict(checks) == want
 
 
@@ -65,9 +64,9 @@ def test_evaluate_checks_nothing_twice(checks, config, want):
     (LINEAR, {"require_finite_rows": 1, "fee_term_rows": 2}),
 ], ids=["constant", "linear"])
 def test_sweep_point_checks_nothing_twice(checks, config, once):
-    # A fee point is checked as a run is: its gap trace record and its offline reference.
+    # A fee point is checked as a run is: by its offline reference alone, in the linear regime.
     # The sweep itself checks the underusage rate of its one cost series, and its ends.
-    want = RECORD | (OFFLINE_REFERENCE if config.fee_regime == "linear" else {})
+    want = OFFLINE_REFERENCE if config.fee_regime == "linear" else {}
     sweeps = []
     for points in (1, 2):
         checks.clear()
@@ -90,14 +89,14 @@ ONE_STACK = [(5, 7)]
 
 
 @pytest.mark.parametrize("suite, want", [
-    # delta_traces checks the costs and fees; offline_states, which the suite calls as the
+    # delta_traces checks the costs, fees and drifts; offline_states, which the suite calls as the
     # code under test, checks the stack it is given (and its fees); the exhaustive search and
     # the folds run unchecked. The decreasing-fee stack: brute_force_dsps checks its costs and
     # fee columns; each instance's dp_dsp, the code under test, its own terms and result.
-    ("oracle", {"cost_stack": 1 + 1, "require_finite_rows": 1 + 1, "_as_stack": 1,
+    ("oracle", {"cost_stack": 1 + 1, "require_finite_rows": 2 + 1, "_as_stack": 1,
                 "fee_term_rows": 1 + 7, "_first_nonbinary": 7}),
-    # delta_traces checks the costs and fees; the kernel, the offline pass and the folds add none.
-    ("ratio", {"cost_stack": 1, "require_finite_rows": 1}),
+    # delta_traces checks the costs, fees and drifts; the kernel, the offline pass and the folds add none.
+    ("ratio", {"cost_stack": 1, "require_finite_rows": 2}),
     # Each of the three public identities the suite checks takes the stack and checks it once.
     ("identity", {"cost_stack": 3, "_first_nonbinary": 3, "require_finite_rows": 2, "fee_term_rows": 1}),
 ])

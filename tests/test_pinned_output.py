@@ -4,7 +4,9 @@ Each command's stdout and stderr are compared by sha256 against the digests
 of the bytes the program wrote when they were recorded, so any change to a
 report, a CSV or a warning line fails here, not only where a test reads the
 changed figure. The commands cover the sweep workload in both fee regimes,
-two decreasing-fee runs under the expiry guard, each in one block: 100
+a sweep in each regime whose 600 replicates of 120 months take two kernel
+blocks per fee point, so each point is evaluated on its own and its draws
+are made again, two decreasing-fee runs under the expiry guard, each in one block: 100
 replicates of 600 months and 20 replicates of 2,000 months (their ids name
 the paths they took when the guard had a lockstep and a per-row walk),
 one constant-fee run of every constant-regime algorithm, whose report
@@ -29,6 +31,8 @@ import planswitch
 
 SWEEP = ("sweep", "--slots", "36", "--seed", "1", "--from", "1", "--to", "100", "--step", "1",
          "--algorithms", "ofa,gchase,gchase_r", "--mc-runs", "100")
+BLOCKED_SWEEP = ("sweep", "--slots", "120", "--seed", "1", "--from", "1", "--to", "20", "--step", "1",
+                 "--algorithms", "ofa,gchase,gchase_r", "--mc-runs", "600")
 LINEAR_RUN = ("run", "--fee-regime", "linear", "--alpha", "10", "--algorithms", "ofa,gchase,gchase_r",
               "--seed", "1")
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -40,6 +44,11 @@ PINNED = [
     (SWEEP + ("--fee-regime", "linear", "--contract-len", "12"),
      "71e66612304cd08f5166753f7d39679f91deb05f74ee5284dded72408064d1fc",
      "88a9037cda12527b1efc5bc187eb3155225956e97a558667884a7c2468189795"),
+    (BLOCKED_SWEEP + ("--fee-regime", "constant"),
+     "b098db7fcf999889908ee804361114e6a6ef9b821c582430f01aa5c1f5cb1b21", EMPTY),
+    (BLOCKED_SWEEP + ("--fee-regime", "linear", "--contract-len", "12"),
+     "2354cdb6c14e27f23d59a83fd3985cf90b741daa588f0b48456c95b5188fe6b4",
+     "2742775a0e1268f520d47a51da570facbd19411983411490bad4f6eb76f3ceda"),
     (LINEAR_RUN + ("--slots", "600", "--contract-len", "12", "--mc-runs", "100"),
      "793f975143100a33a2d17a50a036a0526506f37e13d8adb2ad2526481281618d",
      "8bbb31b964e53c44fa16b4795511bb4cb7d94db618e8ac371363e417035e0867"),
@@ -60,7 +69,8 @@ PINNED = [
 
 
 @pytest.mark.parametrize("argv, stdout_sha, stderr_sha", PINNED,
-                         ids=["sweep-constant", "sweep-linear", "run-lockstep", "run-walk", "run-constant",
+                         ids=["sweep-constant", "sweep-linear", "sweep-blocked-constant",
+                              "sweep-blocked-linear", "run-lockstep", "run-walk", "run-constant",
                               "run-linear-all-fixed", "run-h-rate", "verify-all"])
 def test_output_bytes_are_pinned(argv, stdout_sha, stderr_sha):
     src = os.path.dirname(os.path.dirname(planswitch.__file__))

@@ -132,6 +132,32 @@ class TestDeltaTraces:
         with pytest.raises(ValueError):
             values[0, 0] = 0.0
 
+    def test_per_row_drift(self):
+        # a drift per row gives each row the floats of its one-row delta_trace at that drift
+        rng = np.random.default_rng(403)
+        for g0, g1, beta in _seeded_stacks(404, 60):
+            drift = rng.choice([0.0, 0.25, 1.0, 3.0], size=len(g0))
+            values = delta_traces(g0, g1, beta, drift)
+            for row, a, b, fee, d in zip(values, g0, g1, beta.tolist(), drift.tolist()):
+                _same_floats(row, delta_trace(CostSeries(a, b), fee, d).values)
+
+    @pytest.mark.parametrize("drift", [[0.5, -1.0], [0.5, np.nan], [np.inf, 0.5], [0.5, 0.5, 0.5], -0.5])
+    def test_bad_drift_refused(self, drift):
+        with pytest.raises(ValidationError, match="drift"):
+            delta_traces(np.zeros((2, 3)), np.zeros((2, 3)), 1.0, drift)
+
+    def test_tall_stack_holds_no_whole_stack_as_lists(self):
+        # The peak is the gaps and the result plus one row block's Python floats (about 64 bytes a cell, the
+        # gaps' and the trace's: some 4 MB), not the whole stack's, which peaks near 39 MB here.
+        g0, g1, beta = _drift_stack(np.random.default_rng(410), 50_000, 12)
+        tracemalloc.start()
+        try:
+            values = delta_traces(g0, g1, beta, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * values.nbytes + 120 * tariff.BLOCK_CELLS
+
 
 class TestOfflineStates:
     @settings(max_examples=200, deadline=None)

@@ -1,7 +1,10 @@
+import functools
 import itertools
 import math
+import operator
 import random
 import re
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -177,6 +180,23 @@ class TestCostSeries:
 
 
 CS3 = CostSeries.from_pairs([(3, 0), (0, 3), (0, 0)])
+
+
+class TestFoldRows:
+    def test_strict_left_fold_in_place(self):
+        # The fold runs in the caller's scratch array: a call allocates its totals, not a copy of the slots.
+        rng = np.random.default_rng(61)
+        slots = rng.normal(size=(900, 72)) * 10.0 ** rng.integers(-5, 6, size=(900, 72))
+        slots[0] = -0.0  # every slot -0.0: the fold from 0.0 gives +0.0
+        want = [repr(functools.reduce(operator.add, row, 0.0)) for row in slots.tolist()]
+        tracemalloc.start()
+        try:
+            totals = tariff._fold_rows(slots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [repr(v) for v in totals.tolist()] == want
+        assert peak < slots.nbytes / 10
 
 
 class TestScheduleCosts:
