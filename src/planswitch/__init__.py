@@ -61,6 +61,7 @@ from .oracles import (
     brute_force_sp,
     brute_force_sps,
     dp_dsp,
+    dp_dsps,
     phi_identity_dsp,
     phi_identity_dsps,
     phi_identity_sp,

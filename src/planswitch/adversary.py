@@ -87,15 +87,17 @@ def competitive_ratio(cost: float, opt_cost: float) -> Optional[float]:
     return cost / opt_cost if opt_cost > 0.0 else None
 
 
-def _mean_stderr(costs: np.ndarray) -> tuple[float, float]:
-    """The replicates' mean cost and its standard error ``std(ddof=1) / sqrt(n)``, on the costs scaled by a
-    power of two where a sum or a square overflows: exact, so it moves no bits where the plain ones are finite."""
+def _mean_stderr(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean of (rows x n) replicate costs and its standard error ``std(ddof=1) / sqrt(n)``, a row whose
+    sum or square overflows on its costs scaled by a power of two: exact, so no bits move where both are finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, std, scale = costs.mean(), costs.std(ddof=1), 1.0
-        if not (math.isfinite(mean) and math.isfinite(std)):
-            scale = 2.0 ** (math.frexp(float(np.abs(costs).max()))[1] - 1)
-            mean, std = (costs / scale).mean(), (costs / scale).std(ddof=1)
-    return float(mean) * scale, float(std / math.sqrt(len(costs))) * scale
+        mean, std, scale = costs.mean(axis=1), costs.std(axis=1, ddof=1), np.ones(len(costs))
+        big = ~(np.isfinite(mean) & np.isfinite(std))
+        if big.any():
+            scale[big] = np.ldexp(1.0, np.frexp(np.abs(costs[big]).max(axis=1))[1] - 1)
+            scaled = costs[big] / scale[big, None]
+            mean[big], std[big] = scaled.mean(axis=1), scaled.std(axis=1, ddof=1)
+    return mean * scale, std / math.sqrt(costs.shape[1]) * scale
 
 
 def _make_report(alg_cost, opt_cost, **extra) -> RatioReport:
@@ -238,5 +240,5 @@ def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioRep
     n_runs = require_int("n_runs", n_runs, 2)
     dt = delta_trace(cs, beta)  # the record checks the trace: the replicates and the optimum are priced unchecked
     fold = lambda states: _sp_fold(states, cs.g0[None], cs.g1[None], np.full(len(states), dt.beta))
-    mean, stderr = _mean_stderr(fold(simulate_randomized_batch(dt, n_runs, seed)))
+    mean, stderr = (float(v[0]) for v in _mean_stderr(fold(simulate_randomized_batch(dt, n_runs, seed))[None]))
     return _make_report(mean, float(fold(_offline(dt.values, -dt.beta))[0]), mean=mean, stderr=stderr, n_runs=n_runs)

@@ -50,7 +50,7 @@ from .chase import (
     ofa_s,
     offline_states,
 )
-from .oracles import _search, brute_force_dsps, dp_dsp, phi_identity_dsps, phi_identity_sps
+from .oracles import _dp, _search, brute_force_dsps, dp_dsps, phi_identity_dsps, phi_identity_sps
 from .tariff import (
     FEE_MODES,
     CostSeries,
@@ -256,8 +256,8 @@ def _setup(config: RunConfig) -> tuple[CostSeries, float, SeededUniforms]:
 def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws, fees: list) -> Iterator[dict[str, dict]]:
     """Each configured algorithm's report on one cost series at each checked fee (beta or alpha), by name: a
     dict per fee, yielded in fee order. The fees are evaluated together, in stacks of a row per fee: the gap
-    traces, the offline pass (``dp_dsp`` per fee in the linear regime: the code under test), each kernel (the
-    randomized one on every fee's ``draws``, from :func:`_setup`) and a fold of each. A fee's reports then
+    traces, the offline optimum (the backward pass, or the DP's core in the linear regime), each kernel (the
+    randomized one on every fee's ``draws``, from :func:`_setup`) and one fold of each. A fee's reports then
     follow in configured order, each algorithm's forced switches logged first: its cost, the benchmark cost,
     the savings, the schedule (None for the randomized rule), the ratio to the optimum, and the randomized
     rule's stderr and replicate count. A number that overflows a float is refused by name."""
@@ -268,14 +268,13 @@ def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws, fees:
         beta, drift = (fee, np.zeros(len(fee))) if guard is None else (fee * guard, fee)
         values, neg = _delta_rows(np.broadcast_to(cs.g0 - cs.g1, (len(fee), len(cs))), beta, drift), -beta[:, None]
         if guard is None:
-            fold = lambda states: _sp_fold(states, g0, g1, np.repeat(fee, len(states) // len(fee)))
-            opt = _offline(values, neg)
-            opt_costs = fold(opt).tolist()
+            objective, terms, opt = _sp_fold, (fee,), _offline(values, neg)
         else:
-            fold = lambda states: _dsp_fold(states, g0, g1, np.repeat(fee, len(states) // len(fee)), *(
-                np.full(len(states), v) for v in (guard, config.fee_mode == "literal")))
-            best = [dp_dsp(cs, f, guard, config.fee_mode) for f in fees]
-            opt, opt_costs = [b.best_schedule.states for b in best], [b.best_cost for b in best]
+            objective, terms = _dsp_fold, (fee, *(np.full(len(fee), v) for v in (guard, config.fee_mode == "literal")))
+            opt = _dp(g0, g1, *terms)[0]
+        # one fold prices every stack, the optimum's too: each fee row's terms, repeated for its replicates
+        fold = lambda states: objective(states, g0, g1, *(np.repeat(v, len(states) // len(fee)) for v in terms))
+        opt_costs = fold(opt).tolist()
         columns = []  # per algorithm, per fee: cost, stderr, schedule, and the forced switches of its rows
         for name in config.algorithms:
             if name in ("ofa", "dp"):
@@ -285,8 +284,8 @@ def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws, fees:
                 columns.append(list(zip(fold(states).tolist(), [None] * len(fee), states.tolist(), forced[:, None])))
             elif name == "gchase_r":
                 states, forced = _chase(values, neg, draws, guard)
-                costs, forced = fold(states).reshape(len(fee), -1), forced.reshape(len(fee), -1)
-                columns.append([(*_mean_stderr(c), None, n) for c, n in zip(costs, forced)])
+                mean, stderr = (v.tolist() for v in _mean_stderr(fold(states).reshape(len(fee), -1)))
+                columns.append(list(zip(mean, stderr, [None] * len(fee), forced.reshape(len(fee), -1))))
             elif name == "cchase":
                 xs = [FractionalSchedule((b + v[1:]) / b) for b, v in zip(fees, values)]
                 columns.append([(csp_cost(x, cs, b), None, x.x.tolist(), None) for b, x in zip(fees, xs)])
@@ -443,15 +442,15 @@ def _verify_oracle(seed: int) -> tuple[bool, list[str]]:
         costs = _sp_fold(offline_states(delta_traces(g0, g1, beta), beta), g0, g1, beta)
         best = _sp_fold(_search(g0, g1, beta=beta)[0], g0, g1, beta)
         sp_failures += int(np.count_nonzero(np.abs(costs - best) > 1e-9))
-    # The DP runs per instance (it is the code under test); exhaustive search per horizon.
     dsp_failures = 0
     n_dsp = 100
-    for period, k in _horizons(rng, n_dsp):
+    for period, k in _horizons(rng, n_dsp):  # the DP, the code under test, and the search each check the stack
         g0, g1 = random_costs(rng, (k, period))
         fees = rng.choice(DSP_FEES, k), rng.integers(1, period + 1, k), rng.choice(FEE_MODES, k)
-        best = _dsp_fold(brute_force_dsps(g0, g1, *fees)[0], g0, g1, fees[0], fees[1], fees[2] == "literal")
-        for row, fee in enumerate(zip(*(f.tolist() for f in fees))):
-            dsp_failures += abs(dp_dsp(CostSeries(g0[row], g1[row]), *fee).best_cost - best[row]) > 1e-9
+        terms = fees[0], fees[1], fees[2] == "literal"  # the fee columns as the fold takes them
+        costs = _dsp_fold(dp_dsps(g0, g1, *fees)[0], g0, g1, *terms)
+        best = _dsp_fold(brute_force_dsps(g0, g1, *fees)[0], g0, g1, *terms)
+        dsp_failures += int(np.count_nonzero(np.abs(costs - best) > 1e-9))
     lines = [f"offline vs exhaustive: {n_sp} instances, {sp_failures} failures",
              f"dp vs exhaustive: {n_dsp} instances (both fee modes), {dsp_failures} failures"]
     return sp_failures == 0 and dsp_failures == 0, lines
@@ -483,7 +482,7 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
         cs = random_cost_series(rng, period)
         dt = delta_trace(cs, beta)
         states = simulate_randomized_batch(dt, n_runs, seed + 1000 * k)  # as monte_carlo draws them
-        mean, stderr = _mean_stderr(batch_sp_costs(states, cs, beta))
+        mean, stderr = (float(v[0]) for v in _mean_stderr(batch_sp_costs(states, cs, beta)[None]))
         if abs(mean - csp_cost(cchase(dt), cs, beta)) > MC_Z * stderr + 1e-9:
             failures += 1
         if mean > 2.0 * sp_cost(ofa_s(dt), cs, beta) + MC_Z * stderr + 1e-9:

@@ -3,12 +3,13 @@
 Exhaustive enumeration realizes "for every schedule" claims directly. It
 runs per horizon stack: a (rows x T) cost stack's 2^T schedules are
 enumerated once and priced for every row, by a doubling pass that extends
-each priced prefix by one slot at a time; the one-instance oracles are its
-one-row calls. The dynamic program solves the decreasing-fee objective
-exactly in O(T); the segment-decomposition identities re-express both
-objectives through prefix sums of the per-slot cost gap, over a stack of
-schedules like the objectives, with the one-schedule forms as one-row
-calls; and the potential
+each priced prefix by one slot at a time; the dynamic program solves the
+decreasing-fee objective exactly in O(T) per row. Each stack oracle checks
+its stack once and returns states and tie counts; its one-instance form
+runs the same unchecked core on one row, priced by the objective's fold.
+The segment-decomposition identities re-express both objectives through
+prefix sums of the per-slot cost gap, over a stack of schedules like the
+objectives, with the one-schedule forms as one-row calls; and the potential
 check traces the inequality behind the randomized algorithm's factor-2
 guarantee slot by slot.
 """
@@ -32,11 +33,9 @@ from .tariff import (
     _sp_fold,
     _stack,
     cost_stack,
-    dsp_cost,
     fee_term_rows,
     require_finite,
     require_finite_rows,
-    sp_cost,
 )
 
 __all__ = [
@@ -48,6 +47,7 @@ __all__ = [
     "brute_force_sps",
     "brute_force_dsps",
     "dp_dsp",
+    "dp_dsps",
     "phi_identity_sp",
     "phi_identity_dsp",
     "phi_identity_sps",
@@ -171,11 +171,16 @@ def brute_force_dsps(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike, alpha: np
     feasible schedules (fixed runs <= L); as :func:`brute_force_sps`, with
     ``alpha``, ``contract_len`` and ``fee_mode`` each one value or one per row."""
     g0, g1 = cost_stack(g0, g1)
-    rows, period = g0.shape
-    alpha, cap, literal = (v.tolist() for v in fee_term_rows(alpha, contract_len, fee_mode, rows))
+    return _dsp_search(g0, g1, *fee_term_rows(alpha, contract_len, fee_mode, len(g0)))
+
+
+def _dsp_search(g0: np.ndarray, g1: np.ndarray, alpha: np.ndarray, cap: np.ndarray,
+                literal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`brute_force_dsps` on a checked stack and each row's checked fee terms."""
+    alpha, cap, literal = alpha.tolist(), cap.tolist(), literal.tolist()
 
     def fees(chunk: np.ndarray, sel: slice, lo: int) -> None:
-        longest, n_runs, zeros, trailing = _run_stats(np.arange(lo, lo + chunk.shape[1]), period)
+        longest, n_runs, zeros, trailing = _run_stats(np.arange(lo, lo + chunk.shape[1]), g0.shape[1])
         # transition-only mode charges no fee for a run still open at the horizon
         charged = {True: (n_runs, zeros), False: (n_runs - (trailing > 0), zeros - trailing)}
         for row, a, c, lit in zip(chunk, alpha[sel], cap[sel], literal[sel]):
@@ -186,26 +191,28 @@ def brute_force_dsps(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike, alpha: np
     return _search(g0, g1, fees=fees)
 
 
+def _one_row(core, fold, cs: CostSeries, *terms) -> OracleResult:
+    """A stack oracle's one-instance form: its unchecked ``core`` on the one row of ``cs`` and its checked
+    ``terms``, the schedule priced by its objective's unchecked ``fold`` on the same terms."""
+    g0, g1 = cs.g0[None], cs.g1[None]
+    states, ties = core(g0, g1, *terms)
+    return OracleResult(Schedule(states[0]), float(fold(states, g0, g1, *terms)[0]), int(ties[0]))
+
+
 def brute_force_sp(cs: CostSeries, beta: float) -> OracleResult:
-    """Exact constant-fee minimum over all 2^T schedules: the one-row
-    :func:`brute_force_sps`, its cost recomputed by :func:`sp_cost`."""
-    states, ties = brute_force_sps(cs.g0[None], cs.g1[None], beta)
-    sched = Schedule(states[0])
-    return OracleResult(sched, sp_cost(sched, cs, beta), int(ties[0]))
+    """Exact constant-fee minimum over all 2^T schedules: the one-row :func:`brute_force_sps`."""
+    return _one_row(_search, _sp_fold, cs, require_finite_rows("beta", beta, 1))
 
 
-def brute_force_dsp(
-    cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal"
-) -> OracleResult:
-    """Exact decreasing-fee minimum over all feasible schedules (runs <= L): the
-    one-row :func:`brute_force_dsps`, its cost recomputed by :func:`dsp_cost`."""
-    states, ties = brute_force_dsps(cs.g0[None], cs.g1[None], alpha, contract_len, fee_mode)
-    sched = Schedule(states[0])
-    return OracleResult(sched, dsp_cost(sched, cs, alpha, contract_len, fee_mode), int(ties[0]))
+def brute_force_dsp(cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal") -> OracleResult:
+    """Exact decreasing-fee minimum over all feasible schedules (runs <= L): the one-row :func:`brute_force_dsps`."""
+    return _one_row(_dsp_search, _dsp_fold, cs, *fee_term_rows(alpha, contract_len, fee_mode, 1))
 
 
-def dp_dsp(cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal") -> OracleResult:
-    """Exact decreasing-fee minimum by dynamic programming, O(T).
+def dp_dsps(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike, alpha: np.typing.ArrayLike,
+            contract_len: np.typing.ArrayLike, fee_mode: str | list[str] = "literal") -> tuple[np.ndarray, np.ndarray]:
+    """Exact decreasing-fee minimum of each row of a cost stack by dynamic
+    programming, O(T) per row; as :func:`brute_force_dsps`, whose results it matches.
 
     ``V[t]`` is the best cost of slots 1..t that ends on the variable plan
     (``V[0] = 0``: the boundary s_0 = 0 opens no run), and ``P[k]`` sums g0
@@ -220,15 +227,28 @@ def dp_dsp(cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "lit
 
     Ties break toward staying on the variable plan, then toward the shortest
     run (the deque drops a start b that compares >= a later one); at the
-    horizon the variable end wins, then the shortest open run. ``ties``
-    counts the end states (variable, or an open run of each length) whose
-    totals lie within ``TIE_TOL`` of the best.
+    horizon the variable end wins, then the shortest open run. A row's tie
+    count is the number of its end states (variable, or an open run of each
+    length) whose totals lie within ``TIE_TOL`` of the best.
     """
-    period = len(cs)
-    fees = fee_term_rows(alpha, contract_len, fee_mode, 1)
-    alpha, cap, literal = float(fees[0][0]), int(fees[1][0]), bool(fees[2][0])
-    g1 = cs.g1.tolist()
-    prefix = [0.0, *accumulate(cs.g0.tolist())]
+    g0, g1 = cost_stack(g0, g1)
+    return _dp(g0, g1, *fee_term_rows(alpha, contract_len, fee_mode, len(g0)))
+
+
+def _dp(g0: np.ndarray, g1: np.ndarray, alpha: np.ndarray, cap: np.ndarray,
+        literal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dp_dsps` on checked input, row by row: costs of the stack's shape
+    or one row for all, and each row's fee terms as arrays of ``rows`` entries."""
+    states, ties = np.empty((len(alpha), g0.shape[1]), np.int8), np.empty(len(alpha), np.int64)
+    series = [(b, [0.0, *accumulate(a)]) for a, b in zip(g0.tolist(), g1.tolist())]
+    for row, terms in enumerate(zip(alpha.tolist(), cap.tolist(), literal.tolist())):
+        states[row], ties[row] = _dp_row(*series[row % len(series)], *terms)  # its own series, or the shared one
+    return states, ties
+
+
+def _dp_row(g1: list[float], prefix: list[float], alpha: float, cap: int, literal: bool) -> tuple[list[int], int]:
+    """One row of :func:`_dp`, on g1 and the prefix sums P of g0: its schedule and tie count."""
+    period = len(g1)
     value = [0.0] * (period + 1)
     run = [0] * (period + 1)  # length of the fixed run ended before variable slot t, 0 if none
     window: deque[tuple[float, int]] = deque()  # (A[s], s), A[s] + alpha * s increasing from the front
@@ -258,7 +278,6 @@ def dp_dsp(cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "lit
             c += alpha * (cap - (period - s + 1))
         finals.append((c, s))
     best, start = min(finals, key=lambda f: f[0])
-    ties = sum(c <= best + TIE_TOL for c, _ in finals)
 
     states = [1] * period
     t = period + 1
@@ -266,9 +285,12 @@ def dp_dsp(cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "lit
         states[start - 1 : t - 1] = [0] * (t - start)
         t = start - 1
         start = t - run[t]
-    sched = Schedule(states)
-    # the fee rule checked the terms and CostSeries the costs: the fold alone prices the schedule
-    return OracleResult(sched, float(_dsp_fold(sched.states[None], cs.g0[None], cs.g1[None], *fees)[0]), ties)
+    return states, sum(c <= best + TIE_TOL for c, _ in finals)
+
+
+def dp_dsp(cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal") -> OracleResult:
+    """Exact decreasing-fee minimum by dynamic programming, O(T): the one-row :func:`dp_dsps`."""
+    return _one_row(_dp, _dsp_fold, cs, *fee_term_rows(alpha, contract_len, fee_mode, 1))
 
 
 def _gap_sums(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:

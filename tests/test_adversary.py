@@ -230,19 +230,50 @@ def test_numpy_integer_arguments_run_as_ints():
         deterministic_adversary(lambda: gchase_player(1.0), 1.0, 5, 0.1)[1]
 
 
+def row_mean_stderr(costs):
+    """One row's statistics as numpy's 1-D ``mean`` and ``std(ddof=1)`` give them, on the row scaled by a power
+    of two when they overflow: the one-row rule ``_mean_stderr`` applies to each row of a matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std, scale = costs.mean(), costs.std(ddof=1), 1.0
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            scale = 2.0 ** (math.frexp(float(np.abs(costs).max()))[1] - 1)
+            mean, std = (costs / scale).mean(), (costs / scale).std(ddof=1)
+    return float(mean) * scale, float(std / math.sqrt(len(costs))) * scale
+
+
 class TestMeanStderr:
-    """The replicate statistics that run, sweep and monte_carlo report."""
+    """The replicate statistics that run, sweep and monte_carlo report, one row of replicates at a time."""
 
     def test_plain_formulas(self):
-        costs = np.random.default_rng(4).uniform(-5.0, 50.0, 37)
-        assert _mean_stderr(costs) == (float(costs.mean()), float(costs.std(ddof=1) / math.sqrt(37)))
+        costs = np.random.default_rng(4).uniform(-5.0, 50.0, (9, 37))
+        mean, stderr = _mean_stderr(costs)
+        assert mean.tolist() == [float(row.mean()) for row in costs]
+        assert stderr.tolist() == [float(row.std(ddof=1) / math.sqrt(37)) for row in costs]
 
     @pytest.mark.parametrize("exponent", [500, 900, 1018])
     def test_overflow_is_rescaled_exactly(self, exponent):
-        # sums or squares of these costs overflow; the statistics are the unscaled ones times 2**exponent
-        costs = np.random.default_rng(5).uniform(1.0, 40.0, 100)
+        # sums or squares of the middle row's costs overflow; its statistics are the unscaled ones times
+        # 2**exponent, and the other rows keep their plain ones
+        costs = np.random.default_rng(5).uniform(1.0, 40.0, (3, 100))
         mean, stderr = _mean_stderr(costs)
-        assert _mean_stderr(costs * 2.0**exponent) == (mean * 2.0**exponent, stderr * 2.0**exponent)
+        scaled = costs.copy()
+        scaled[1] *= 2.0**exponent
+        for got, plain in zip(_mean_stderr(scaled), (mean, stderr)):
+            assert got.tolist() == [plain[0], plain[1] * 2.0**exponent, plain[2]]
+
+    def test_rows_match_the_one_row_rule(self):
+        # Random matrices, some rows near 1e308 (their sums or squares overflow), some of one repeated value.
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            rows, n = int(rng.integers(1, 12)), int(rng.integers(2, 60))
+            costs = rng.uniform(-40.0, 40.0, (rows, n)) * 2.0 ** rng.choice([0, 0, 20, 1000, 1018], (rows, 1))
+            costs[rng.random(rows) < 0.1] = 7.25
+            mean, stderr = _mean_stderr(costs)
+            assert list(zip(mean.tolist(), stderr.tolist())) == [row_mean_stderr(row) for row in costs]
+        near_max = np.full((1, 4), 1.7e308)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(near_max.mean())
+        assert [v.tolist() for v in _mean_stderr(near_max)] == [[1.7e308], [0.0]]
 
 
 def two_matrix_sp_costs(states, cs, beta):

@@ -533,17 +533,22 @@ class TestVerifySuites:
         assert lines[-1] == "FAIL"
 
     def test_oracle_suite_catches_a_wrong_dp(self, monkeypatch):
-        real = bench.dp_dsp
+        # A feasible but wrong schedule, all plan 1, in place of each row's optimum: every row it makes
+        # dearer than the optimum must fail, and the constant-fee line must not move.
+        real, dearer = bench.dp_dsps, []
 
-        def off_by_one(*args):
-            res = real(*args)
-            return replace(res, best_cost=res.best_cost + 1.0)
+        def all_variable(g0, g1, alpha, contract_len, fee_mode):
+            states, ties = real(g0, g1, alpha, contract_len, fee_mode)
+            wrong = np.ones_like(states)
+            costs = [tariff.dsp_costs(s, g0, g1, alpha, contract_len, fee_mode) for s in (states, wrong)]
+            dearer.append(int(np.count_nonzero(costs[1] > costs[0] + 1e-9)))
+            return wrong, ties
 
-        monkeypatch.setattr(bench, "dp_dsp", off_by_one)
+        monkeypatch.setattr(bench, "dp_dsps", all_variable)
         ok, lines = run_verify_suite("oracle", 4)
-        assert not ok
+        assert not ok and sum(dearer) > 0
         assert lines[:2] == ["offline vs exhaustive: 200 instances, 0 failures",
-                             "dp vs exhaustive: 100 instances (both fee modes), 100 failures"]
+                             f"dp vs exhaustive: 100 instances (both fee modes), {sum(dearer)} failures"]
         assert lines[-1] == "FAIL"
 
     @staticmethod
@@ -580,7 +585,7 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("seed", [4, 5, 6, 7])
     def test_suites_draw_each_horizon_as_one_stack(self, monkeypatch, seed):
-        recorded = {name: [] for name in ("delta_traces", "brute_force_dsps", "phi_identity_sps")}
+        recorded = {name: [] for name in ("delta_traces", "brute_force_dsps", "dp_dsps", "phi_identity_sps")}
 
         def recording(name, fn):
             def wrapper(*args):
@@ -610,36 +615,40 @@ class TestVerifySuites:
             for g0, _, beta in stacks(suite, "delta_traces", n):
                 assert beta.shape == (len(g0),) and set(beta.tolist()) <= set(bench.SP_FEES)
         modes = set()
-        for g0, _, alpha, cap, mode in stacks("oracle", "brute_force_dsps", 100):
+        searched = stacks("oracle", "brute_force_dsps", 100)
+        for g0, _, alpha, cap, mode in searched:
             assert set(alpha.tolist()) <= set(bench.DSP_FEES)
             assert cap.shape == (len(g0),) and cap.min() >= 1 and cap.max() <= g0.shape[1]
             modes.update(mode.tolist())
         assert modes == {"literal", "transition-only"}
+        # the DP under test gets exactly the stacks the exhaustive search gets, one call per horizon
+        solved = recorded["dp_dsps"]
+        assert len(solved) == len(searched)
+        for dp_args, search_args in zip(solved, searched):
+            assert len(dp_args) == len(search_args)
+            assert all(a is b or np.array_equal(a, b) for a, b in zip(dp_args, search_args))
         for states, g0, _, beta in stacks("identity", "phi_identity_sps", 300, costs_at=1):
             assert states.shape == g0.shape and set(np.unique(states).tolist()) <= {0, 1}
             assert beta.shape == (len(g0),) and beta.min() >= 0.1 and beta.max() < 5.0
 
     @pytest.mark.parametrize("suite, calls", [
         ("identity", {}),
-        ("oracle", {"dp_dsp": 100}),
+        ("oracle", {}),
     ])
     def test_suites_price_whole_stacks(self, monkeypatch, suite, calls):
-        # A one-row objective or identity per instance would make these suites several times slower;
-        # only the DP under test runs per instance, and prices its own optimum without a checked dsp_cost.
+        # A one-row objective, identity or oracle per instance would make these suites several times slower:
+        # the DP under test runs per horizon stack, as exhaustive search does.
         from planswitch import oracles, tariff
 
         one_row = {f.__name__: f for f in (tariff.sp_cost, tariff.p2_cost, tariff.dsp_cost, tariff.zero_runs,
-                                           oracles.phi_identity_sp, oracles.phi_identity_dsp, oracles.dp_dsp)}
-        counts, depth = Counter(), [0]
+                                           oracles.phi_identity_sp, oracles.phi_identity_dsp, oracles.dp_dsp,
+                                           oracles.brute_force_sp, oracles.brute_force_dsp)}
+        counts = Counter()
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                counts[f"{name} within dp_dsp" if depth[0] else name] += 1
-                depth[0] += name == "dp_dsp"
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    depth[0] -= name == "dp_dsp"
+                counts[name] += 1
+                return fn(*args, **kwargs)
             return wrapper
 
         wrappers = {name: counted(name, fn) for name, fn in one_row.items()}

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from planswitch import synth_trace
+from planswitch import CostSeries, synth_trace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,7 +49,7 @@ TRACED_COMMANDS = [
 def test_traced_pass_runs_and_counts():
     # One pass as the benchmark's --trace 1 runs it: every wrapper installed, the
     # commands through cli.main in-process, then the pass's counts summed.
-    from planswitch import cli
+    from planswitch import cli, oracles
 
     tracer = _load_tracer().Tracer()
     tracer.install()
@@ -58,6 +58,9 @@ def test_traced_pass_runs_and_counts():
         for argv in TRACED_COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 codes.append(cli.main(list(argv)))
+        # No command calls the one-row DP: run and sweep call its core, verify its stack form. One direct
+        # call, through the installed wrapper, keeps the tracer's counter checked against its signature.
+        oracles.dp_dsp(CostSeries.from_pairs([(1.0, 2.0), (3.0, 0.5), (2.0, 2.0)]), 0.5, 2)
     finally:
         tracer.remove(0)
     assert codes == [0] * len(TRACED_COMMANDS)

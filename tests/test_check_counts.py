@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from planswitch import RunConfig, bench, chase, protocol_cost_series, synth_trace, tariff
+from planswitch import RunConfig, bench, chase, oracles, protocol_cost_series, synth_trace, tariff
 from planswitch.adversary import RatioReport, monte_carlo
 
 RULES = {"_as_stack": chase._as_stack, "cost_stack": tariff.cost_stack, "_first_nonbinary": tariff._first_nonbinary,
@@ -41,21 +41,18 @@ CONSTANT = RunConfig(synth_slots=36, seed=1, algorithms=("ofa", "gchase", "gchas
 LINEAR = replace(CONSTANT, fee_regime="linear", algorithms=("ofa", "dp", "gchase", "gchase_r"))
 # the DeltaTrace record checks the trace its clamp made
 RECORD = {"_as_stack": 1}
-# dp_dsp, the public oracle that run reports as the offline optimum, checks its terms,
-# and its Schedule record the states it found
-OFFLINE_REFERENCE = {"fee_term_rows": 1, "_first_nonbinary": 1}
 
 
-@pytest.mark.parametrize("config, want", [(CONSTANT, {}), (LINEAR, OFFLINE_REFERENCE)], ids=["constant", "linear"])
-def test_evaluate_checks_nothing_twice(checks, config, want):
-    # The cost series and the config are checked before _evaluate: the gap traces, the
-    # offline pass, the kernels and the objectives add no check of their own.
+@pytest.mark.parametrize("config", [CONSTANT, LINEAR], ids=["constant", "linear"])
+def test_evaluate_checks_nothing_twice(checks, config):
+    # The cost series and the config are checked before _evaluate: the gap traces, the offline
+    # optimum (the backward pass, or the DP's core), the kernels and the objectives add no check of their own.
     cs = protocol_cost_series(synth_trace(36, 1))
     draws = chase.SeededUniforms(config.seed, config.mc_runs, len(cs))
     fee = config.beta if config.fee_regime == "constant" else config.alpha
     checks.clear()
     list(bench._evaluate(config, cs, bench._benchmark_cost(config, cs), draws, [fee]))
-    assert dict(checks) == want
+    assert dict(checks) == {}
 
 
 @pytest.mark.parametrize("config, once", [
@@ -64,16 +61,29 @@ def test_evaluate_checks_nothing_twice(checks, config, want):
     (LINEAR, {"require_finite_rows": 1, "fee_term_rows": 2}),
 ], ids=["constant", "linear"])
 def test_sweep_point_checks_nothing_twice(checks, config, once):
-    # A fee point is checked as a run is: by its offline reference alone, in the linear regime.
-    # The sweep itself checks the underusage rate of its one cost series, and its ends.
-    want = OFFLINE_REFERENCE if config.fee_regime == "linear" else {}
+    # A fee point is checked by nothing, in either regime: the sweep checks the underusage rate of
+    # its one cost series, and its ends.
     sweeps = []
     for points in (1, 2):
         checks.clear()
         bench.sweep(config, 5.0, 5.0 + points - 1, 1.0)
         sweeps.append(Counter(checks))
-    assert dict(sweeps[1] - sweeps[0]) == want
-    assert dict(sweeps[0] - Counter(want)) == once
+    assert sweeps[1] == sweeps[0]
+    assert dict(sweeps[0]) == once
+
+
+@pytest.mark.parametrize("oracle, terms, want", [
+    (oracles.brute_force_sp, (5.0,), {"require_finite_rows": 1}),
+    (oracles.brute_force_dsp, (1.0, 3, "transition-only"), {"fee_term_rows": 1}),
+    (oracles.dp_dsp, (1.0, 3, "transition-only"), {"fee_term_rows": 1}),
+], ids=["brute_force_sp", "brute_force_dsp", "dp_dsp"])
+def test_one_row_oracle_checks_its_terms_once(checks, oracle, terms, want):
+    # The CostSeries record checked the costs: the oracle checks its terms, runs its stack form's core, and
+    # prices the schedule by the objective's unchecked fold; its Schedule record checks the states it returns.
+    cs = protocol_cost_series(synth_trace(12, 1))
+    checks.clear()
+    oracle(cs, *terms)
+    assert dict(checks) == {**want, "_first_nonbinary": 1}
 
 
 def test_monte_carlo_checks_nothing_twice(checks):
@@ -91,10 +101,9 @@ ONE_STACK = [(5, 7)]
 @pytest.mark.parametrize("suite, want", [
     # delta_traces checks the costs, fees and drifts; offline_states, which the suite calls as the
     # code under test, checks the stack it is given (and its fees); the exhaustive search and
-    # the folds run unchecked. The decreasing-fee stack: brute_force_dsps checks its costs and
-    # fee columns; each instance's dp_dsp, the code under test, its own terms and result.
-    ("oracle", {"cost_stack": 1 + 1, "require_finite_rows": 2 + 1, "_as_stack": 1,
-                "fee_term_rows": 1 + 7, "_first_nonbinary": 7}),
+    # the folds run unchecked. The decreasing-fee stack: dp_dsps, the code under test, and
+    # brute_force_dsps each check its costs and fee columns once; the folds run unchecked.
+    ("oracle", {"cost_stack": 1 + 2, "require_finite_rows": 2 + 1, "_as_stack": 1, "fee_term_rows": 2}),
     # delta_traces checks the costs, fees and drifts; the kernel, the offline pass and the folds add none.
     ("ratio", {"cost_stack": 1, "require_finite_rows": 2}),
     # Each of the three public identities the suite checks takes the stack and checks it once.

@@ -1,9 +1,12 @@
 """Differential tests of the O(T) decreasing-fee paths.
 
 ``dp_dsp`` is checked against the O(T * L) table it replaced, kept here as a
-test-only oracle, and the stack objective ``dsp_costs`` on batches of
-replicate rows against the slot loop ``dsp_loop`` run once per row. Integer-valued costs with a dyadic ``alpha`` keep every sum
-exact, so exact ties reach both dynamic programs and exercise the tie-break.
+test-only oracle; its stack form ``dp_dsps``, and the core on one series
+shared by every row, against ``dp_dsp`` row by row; and the stack objective
+``dsp_costs`` on batches of replicate rows against the slot loop
+``dsp_loop`` run once per row. Integer-valued costs with a dyadic ``alpha``
+keep every sum exact, so exact ties reach both dynamic programs and exercise
+the tie-break.
 """
 
 import math
@@ -19,11 +22,12 @@ from planswitch import (
     ValidationError,
     brute_force_dsps,
     dp_dsp,
+    dp_dsps,
     dsp_cost,
     dsp_costs,
     random_cost_series,
 )
-from planswitch import tariff
+from planswitch import oracles, tariff
 from planswitch.chase import chase_kernel, drift_trace
 
 
@@ -166,6 +170,7 @@ class TestDpAtLargeFees:
         want = dsp_costs(brute_force_dsps(g0, g1, alpha, caps, mode)[0], g0, g1, alpha, caps, mode)
         got = [dp_dsp(CostSeries(a, b), alpha, int(cap), mode).best_cost for a, b, cap in zip(g0, g1, caps)]
         assert got == pytest.approx(want.tolist(), abs=1e-9)
+        assert dsp_costs(dp_dsps(g0, g1, alpha, caps, mode)[0], g0, g1, alpha, caps, mode).tolist() == got
 
 
 class TestDpTies:
@@ -184,6 +189,64 @@ class TestDpTies:
             cap = int(rng.integers(1, period + 1))
             res = dp_dsp(_integer_series(rng, period), 1.0, cap, "transition-only")
             assert 1 <= res.ties <= min(cap, period) + 1
+
+
+def _assert_rows_are_one_row_calls(g0, g1, alpha, cap, mode, states, ties):
+    """Row i of a DP stack's result is dp_dsp's on row i (or on the one shared series): its states, its tie
+    count, and its schedule's cost by the fold, bit for bit."""
+    costs = dsp_costs(states, g0, g1, alpha, cap, mode)
+    for i, (a, b) in enumerate(zip(*np.broadcast_arrays(np.atleast_2d(g0), np.atleast_2d(g1)))):
+        one = dp_dsp(CostSeries(a, b), alpha[i], cap[i], mode[i])
+        assert (states[i].tolist(), int(ties[i]), costs[i]) == (one.best_schedule.states.tolist(), one.ties,
+                                                               one.best_cost)
+
+
+def _dp_fees(rng, rows, period, modes):
+    alpha = rng.choice([0.0, 0.5, 1.0, 3.0], rows).tolist()
+    return alpha, rng.integers(1, period + 1, rows).tolist(), rng.choice(modes, rows).tolist()
+
+
+class TestDpStack:
+    """``dp_dsps`` on a cost stack, and its core on one series shared by every row with a fee per row (the
+    shape run and sweep hand it), equal ``dp_dsp`` row by row."""
+
+    @pytest.mark.parametrize("modes", [["literal"], ["transition-only"], MODES], ids=["literal", "transition-only",
+                                                                                      "mixed"])
+    def test_per_row_costs(self, modes):
+        rng = np.random.default_rng(110)
+        for _ in range(40):
+            rows, period = int(rng.integers(1, 12)), int(rng.integers(1, 80))
+            fees = _dp_fees(rng, rows, period, modes)
+            for g0, g1 in (rng.uniform(-5.0, 10.0, (2, rows, period)), rng.integers(-3, 6, (2, rows, period))):
+                _assert_rows_are_one_row_calls(g0, g1, *fees, *dp_dsps(g0, g1, *fees))
+
+    @pytest.mark.parametrize("modes", [["literal"], ["transition-only"], MODES], ids=["literal", "transition-only",
+                                                                                      "mixed"])
+    def test_shared_series_with_per_row_fees(self, modes):
+        rng = np.random.default_rng(111)
+        for _ in range(40):
+            rows, period = int(rng.integers(1, 12)), int(rng.integers(1, 80))
+            fees = _dp_fees(rng, rows, period, modes)
+            for g0, g1 in (rng.uniform(-5.0, 10.0, (2, period)), rng.integers(-3, 6, (2, period)).astype(float)):
+                states, ties = oracles._dp(g0[None], g1[None], *tariff.fee_term_rows(*fees, rows))
+                _assert_rows_are_one_row_calls(g0, g1, *fees, states, ties)
+
+    def test_exact_ties(self):
+        # Zero costs and no fee: every row ties its variable end with each open run.
+        g = np.zeros((4, 5))
+        alpha, cap, mode = [0.0] * 4, [1, 2, 5, 3], ["literal", "transition-only", "literal", "transition-only"]
+        states, ties = dp_dsps(g, g, alpha, cap, mode)
+        assert ties.tolist() == [2, 3, 6, 4]
+        _assert_rows_are_one_row_calls(g, g, alpha, cap, mode, states, ties)
+
+    def test_one_row_stack_and_bad_input(self):
+        cs = CostSeries.from_pairs([(5, 0), (0, 5), (0, 5)])
+        states, ties = dp_dsps(cs.g0[None], cs.g1[None], 1.0, 2)
+        assert states.dtype == np.int8 and states.tolist() == [[1, 0, 0]] and ties.tolist() == [1]
+        with pytest.raises(ValidationError, match="cost stack shapes"):
+            dp_dsps(cs.g0, cs.g1, 1.0, 2)
+        with pytest.raises(ValidationError, match=r"one value or one per row \(1\)"):
+            dp_dsps(cs.g0[None], cs.g1[None], 1.0, [2, 3])
 
 
 def _guarded_states(rng, cs, alpha, cap, n_runs):

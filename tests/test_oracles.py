@@ -21,6 +21,7 @@ from planswitch import (
     cchase,
     delta_trace,
     dp_dsp,
+    dp_dsps,
     dsp_cost,
     dsp_costs,
     ofa_s,
@@ -299,13 +300,16 @@ def check_sp_rows(g0, g1, beta):
 
 
 def check_dsp_rows(g0, g1, alpha, cap, mode):
+    # exhaustive search's first tied schedule, and the DP's optimum on the same stack
     states, ties = brute_force_dsps(g0, g1, alpha, cap, mode)
     priced = dsp_costs(states, g0, g1, alpha, cap, mode)
+    dp_priced = dsp_costs(dp_dsps(g0, g1, alpha, cap, mode)[0], g0, g1, alpha, cap, mode)
     for i, (a, b) in enumerate(zip(g0.tolist(), g1.tolist())):
         want, best, count = enumerate_best(len(a), lambda s: dsp_loop(s, a, b, alpha[i], cap[i], mode[i]))
         assert tuple(states[i].tolist()) == want
         assert priced[i] == dsp_loop(want, a, b, alpha[i], cap[i], mode[i])
         assert best <= priced[i] <= best + TIE_TOL
+        assert best <= dp_priced[i] <= best + TIE_TOL
         assert ties[i] == count
 
 
@@ -370,12 +374,16 @@ class TestStackedSearch:
             alpha, cap, mode = dsp_fees(rng, rows, period)
             sp_states, sp_ties = brute_force_sps(g0, g1, beta)
             dsp_states, dsp_ties = brute_force_dsps(g0, g1, alpha, cap, mode)
+            sp_priced, dsp_priced = sp_costs(sp_states, g0, g1, beta), dsp_costs(dsp_states, g0, g1, alpha, cap, mode)
             for i in range(rows):
+                # each one-row oracle: its stack form's row, priced by the same fold bit for bit
                 cs = CostSeries(g0[i], g1[i])
                 one = brute_force_sp(cs, beta[i])
-                assert (one.best_schedule.states.tolist(), one.ties) == (sp_states[i].tolist(), sp_ties[i])
+                assert (one.best_schedule.states.tolist(), one.ties, one.best_cost) == \
+                    (sp_states[i].tolist(), sp_ties[i], sp_priced[i])
                 one = brute_force_dsp(cs, alpha[i], cap[i], mode[i])
-                assert (one.best_schedule.states.tolist(), one.ties) == (dsp_states[i].tolist(), dsp_ties[i])
+                assert (one.best_schedule.states.tolist(), one.ties, one.best_cost) == \
+                    (dsp_states[i].tolist(), dsp_ties[i], dsp_priced[i])
 
     @pytest.mark.parametrize("bits", [0, 1, 3])
     def test_small_blocks_give_the_same_result(self, monkeypatch, bits):
@@ -417,8 +425,9 @@ class TestStackedSearch:
     def test_bad_per_row_fee_refused(self, fees, needle):
         g = np.ones((2, 3))
         args = dict(alpha=1.0, contract_len=2, fee_mode="literal") | fees
-        with pytest.raises(ValidationError, match=needle):
-            brute_force_dsps(g, g, **args)
+        for oracle in (brute_force_dsps, dp_dsps):
+            with pytest.raises(ValidationError, match=needle):
+                oracle(g, g, **args)
 
     @pytest.mark.parametrize("beta", [[1.0, float("nan")], [1.0, -1.0], float("inf"), [1.0, 1.0, 1.0]])
     def test_bad_beta_refused(self, beta):
@@ -433,3 +442,5 @@ class TestStackedSearch:
             brute_force_sps(g0, g1, 1.0)
         with pytest.raises(ValidationError, match="row 1, slot 3"):
             brute_force_dsps(g0, g1, 1.0, 2)
+        with pytest.raises(ValidationError, match="row 1, slot 3"):
+            dp_dsps(g0, g1, 1.0, 2)
