@@ -12,7 +12,8 @@ plan forever, making any hedging overpay by a factor approaching 2.
 
 A matrix of replicate schedules is priced in one call, by the left folds
 that price every schedule: ``batch_sp_costs`` under the constant fee,
-:func:`planswitch.tariff.dsp_costs` under the decreasing fee.
+:func:`planswitch.tariff.dsp_costs` under the decreasing fee. The evaluation
+core :func:`_price` prices every rule that ``run`` and ``monte_carlo`` report.
 """
 
 from __future__ import annotations
@@ -28,17 +29,20 @@ from .chase import (
     OnlineState,
     SeededUniforms,
     _chase,
+    _csp_fold,
+    _delta_rows,
     _offline,
     clamp_step,
     delta_trace,
     gchase_step,
     ofa_s,
 )
-from .oracles import dp_dsp
+from .oracles import _dp, dp_dsp
 from .tariff import (
     CostSeries,
     Schedule,
     ValidationError,
+    _dsp_fold,
     _sp_fold,
     dsp_cost,
     require_finite,
@@ -229,16 +233,41 @@ def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarra
 
 
 def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioReport:
-    """Replicate the randomized rule :func:`planswitch.chase.gchase_r` and report
-    its mean cost and ratio.
-
-    The replications run in one vectorized batch; replication i draws from a
-    fresh generator seeded ``seed + i``, so results are deterministic in
-    (seed, n_runs) and independent of evaluation order. The ratio compares
-    the replication mean against the offline optimum.
-    """
+    """Replicate the randomized rule :func:`planswitch.chase.gchase_r` through :func:`_price` and report its mean
+    cost, stderr and ratio to the offline optimum. Replication i draws from a generator seeded ``seed + i``, so
+    results are deterministic in (seed, n_runs) and independent of evaluation order."""
     n_runs = require_int("n_runs", n_runs, 2)
-    dt = delta_trace(cs, beta)  # the record checks the trace: the replicates and the optimum are priced unchecked
-    fold = lambda states: _sp_fold(states, cs.g0[None], cs.g1[None], np.full(len(states), dt.beta))
-    mean, stderr = (float(v[0]) for v in _mean_stderr(fold(simulate_randomized_batch(dt, n_runs, seed))[None]))
-    return _make_report(mean, float(fold(_offline(dt.values, -dt.beta))[0]), mean=mean, stderr=stderr, n_runs=n_runs)
+    fee = np.array([require_finite("beta", beta, positive=True)])  # the CostSeries record checked the costs
+    priced = _price(cs.g0[None], cs.g1[None], fee, ("gchase_r",), SeededUniforms(seed, n_runs, len(cs)))
+    (mean,), (stderr,) = (v.tolist() for v in priced["gchase_r"][:2])
+    return _make_report(mean, priced["ofa"][0].item(), mean=mean, stderr=stderr, n_runs=n_runs)
+
+
+def _price(g0: np.ndarray, g1: np.ndarray, fee: np.ndarray, algorithms, draws=None, guard: int | None = None,
+           literal: bool = True) -> dict[str, tuple]:
+    """The one evaluation core, on checked input: costs (rows x T, or one row for every fee row, as ``draws``
+    need), one fee per row (beta, or alpha under the decreasing fee's contract-expiry ``guard``, in ``literal``
+    mode or not) and the draws of gchase_r. Each fee row's gap trace, its optimum (the backward pass, or the DP
+    under a guard), each named rule (the randomized one on every draw row) and one fold of each, fee terms
+    repeated per replicate. Returns, by name (the optimum as "ofa" and "dp"), costs per fee row (replicate means
+    for gchase_r), their stderr or None, states (fractions for cchase) and forced switches per kernel row or
+    None. An overflow warns, unless the caller silences it to refuse the number by name."""
+    beta, drift = (fee, np.zeros(len(fee))) if guard is None else (fee * guard, fee)
+    values, neg = _delta_rows(np.broadcast_to(g0 - g1, (len(fee), g0.shape[1])), beta, drift), -beta[:, None]
+    if guard is None:
+        objective, terms, opt = _sp_fold, (fee,), _offline(values, neg)
+    else:
+        objective, terms = _dsp_fold, (fee, np.full(len(fee), guard), np.full(len(fee), literal))
+        opt = _dp(g0, g1, *terms)[0]
+    fold = lambda states: objective(states, g0, g1, *(np.repeat(v, len(states) // len(fee)) for v in terms))
+    priced = dict.fromkeys(("ofa", "dp"), (fold(opt), None, opt, None))
+    for name in algorithms:
+        if name in ("gchase", "gchase_r"):
+            states, forced = _chase(values, neg, draws if name == "gchase_r" else None, guard)
+            costs = fold(states)
+            stats = (costs, None) if name == "gchase" else _mean_stderr(costs.reshape(len(fee), -1))
+            priced[name] = (*stats, states, forced)
+        elif name == "cchase":
+            x = (beta[:, None] + values[:, 1:]) / beta[:, None]
+            priced[name] = (_csp_fold(x, g0, g1, beta), None, x, None)
+    return priced

@@ -26,31 +26,22 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .adversary import (
-    _mean_stderr,
-    batch_sp_costs,
+    _price,
     competitive_ratio,
     deterministic_adversary,
     gchase_player,
     random_cost_series,
     random_costs,
-    simulate_randomized_batch,
 )
 from .chase import (
-    FractionalSchedule,
     SeededUniforms,
-    _chase,
-    _delta_rows,
-    _offline,
     _warn_forced,
-    cchase,
-    csp_cost,
     delta_trace,
     delta_traces,
     marginal_probabilities,
-    ofa_s,
     offline_states,
 )
-from .oracles import _dp, _search, brute_force_dsps, dp_dsps, phi_identity_dsps, phi_identity_sps
+from .oracles import _search, brute_force_dsps, dp_dsps, phi_identity_dsps, phi_identity_sps
 from .tariff import (
     FEE_MODES,
     CostSeries,
@@ -61,12 +52,13 @@ from .tariff import (
     _row_blocks,
     _sp_fold,
     cost_series,
+    cost_stack,
     fee_terms,
     p2_costs,
     parse_trace,
     require_finite,
+    require_finite_rows,
     require_int,
-    sp_cost,
 )
 
 __all__ = [
@@ -123,9 +115,9 @@ MAX_SWEEP_POINTS = 100_000
 # flag, which would otherwise fail inside numpy's allocator.
 MAX_SYNTH_SLOTS = 10_000_000
 
-# Most replicates a run or sweep draws: ten thousand times the protocol's 100.
-# One run at the bound on the default 12 months takes about 20 s and 0.17 GB;
-# more is a mistyped flag, which would otherwise fail inside numpy's allocator.
+# Most replicates a run or sweep draws: ten thousand times the protocol's 100. One gchase_r run
+# at the bound on the default 12 months takes about 11 s and peaks at 64 MB on a 2-core VM, nearly
+# all of it seeding 1e6 generators; more is a mistyped flag, which would fail in numpy's allocator.
 MAX_MC_RUNS = 1_000_000
 
 
@@ -254,45 +246,22 @@ def _setup(config: RunConfig) -> tuple[CostSeries, float, SeededUniforms]:
 
 
 def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws, fees: list) -> Iterator[dict[str, dict]]:
-    """Each configured algorithm's report on one cost series at each checked fee (beta or alpha), by name: a
-    dict per fee, yielded in fee order. The fees are evaluated together, in stacks of a row per fee: the gap
-    traces, the offline optimum (the backward pass, or the DP's core in the linear regime), each kernel (the
-    randomized one on every fee's ``draws``, from :func:`_setup`) and one fold of each. A fee's reports then
-    follow in configured order, each algorithm's forced switches logged first: its cost, the benchmark cost,
-    the savings, the schedule (None for the randomized rule), the ratio to the optimum, and the randomized
-    rule's stderr and replicate count. A number that overflows a float is refused by name."""
-    # RunConfig checked the terms and CostSeries the costs: the kernels and objectives run unchecked
-    fee, g0, g1 = np.array(fees), cs.g0[None], cs.g1[None]
+    """Each configured algorithm's report at each checked fee (beta or alpha), a dict per fee in fee order, from
+    one :func:`_price` call with a row per fee (``draws`` from :func:`_setup`). Each report, its forced switches
+    logged first: cost, benchmark cost, savings, schedule (None for the randomized rule), ratio to the optimum,
+    and the randomized rule's stderr and replicate count. A number that overflows a float is refused by name."""
+    # RunConfig checked the terms and CostSeries the costs: the core runs unchecked
+    guard = None if config.fee_regime == "constant" else config.contract_len
     with np.errstate(over="ignore", invalid="ignore"):  # the report names a number that overflows
-        guard = None if config.fee_regime == "constant" else config.contract_len
-        beta, drift = (fee, np.zeros(len(fee))) if guard is None else (fee * guard, fee)
-        values, neg = _delta_rows(np.broadcast_to(cs.g0 - cs.g1, (len(fee), len(cs))), beta, drift), -beta[:, None]
-        if guard is None:
-            objective, terms, opt = _sp_fold, (fee,), _offline(values, neg)
-        else:
-            objective, terms = _dsp_fold, (fee, *(np.full(len(fee), v) for v in (guard, config.fee_mode == "literal")))
-            opt = _dp(g0, g1, *terms)[0]
-        # one fold prices every stack, the optimum's too: each fee row's terms, repeated for its replicates
-        fold = lambda states: objective(states, g0, g1, *(np.repeat(v, len(states) // len(fee)) for v in terms))
-        opt_costs = fold(opt).tolist()
-        columns = []  # per algorithm, per fee: cost, stderr, schedule, and the forced switches of its rows
-        for name in config.algorithms:
-            if name in ("ofa", "dp"):
-                columns.append([(c, None, s.tolist(), None) for c, s in zip(opt_costs, opt)])
-            elif name == "gchase":
-                states, forced = _chase(values, neg, None, guard)
-                columns.append(list(zip(fold(states).tolist(), [None] * len(fee), states.tolist(), forced[:, None])))
-            elif name == "gchase_r":
-                states, forced = _chase(values, neg, draws, guard)
-                mean, stderr = (v.tolist() for v in _mean_stderr(fold(states).reshape(len(fee), -1)))
-                columns.append(list(zip(mean, stderr, [None] * len(fee), forced.reshape(len(fee), -1))))
-            elif name == "cchase":
-                xs = [FractionalSchedule((b + v[1:]) / b) for b, v in zip(fees, values)]
-                columns.append([(csp_cost(x, cs, b), None, x.x.tolist(), None) for b, x in zip(fees, xs)])
-    for opt_cost, results in zip(opt_costs, zip(*columns)):
+        priced = _price(cs.g0[None], cs.g1[None], np.array(fees), config.algorithms, draws, guard,
+                        config.fee_mode == "literal")
+    for i, opt_cost in enumerate(priced["ofa"][0].tolist()):
         reports = {}
-        for name, (cost, stderr, schedule, forced) in zip(config.algorithms, results):
+        for name in config.algorithms:
+            costs, stderrs, states, forced = priced[name]
+            cost, stderr = costs[i].item(), None if stderrs is None else stderrs[i].item()
             if forced is not None:
+                forced = forced.reshape(len(fees), -1)[i]  # the fee's kernel rows: its replicates, or its one row
                 _warn_forced(forced, guard, "gchase_dsp" if name == "gchase" else name)
             savings = 100.0 * (bench_cost - cost) / bench_cost if bench_cost > 0.0 else None
             if savings is not None and math.isinf(savings):  # 100 x the gap overflowed: take it on costs / 128, exact
@@ -302,8 +271,9 @@ def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws, fees:
             for key, value in numbers.items():
                 if value is not None and not math.isfinite(value):
                     raise ValidationError(f"{key} of {name} overflows a float: {value!r}")
-            reports[name] = {"algorithm": name, **numbers, "schedule": schedule,
-                             "mc_runs": len(forced) if name == "gchase_r" else None}
+            randomized = name == "gchase_r"
+            reports[name] = {"algorithm": name, **numbers, "schedule": None if randomized else states[i].tolist(),
+                             "mc_runs": len(forced) if randomized else None}
         yield reports
 
 
@@ -460,11 +430,10 @@ def _verify_ratio(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     violations = 0
     n = 2000
-    for g0, g1, beta in _sp_stacks(rng, n):  # checked by delta_traces, whose stack the clamp keeps valid
-        values = delta_traces(g0, g1, beta)
-        alg = _sp_fold(_chase(values, -beta[:, None])[0], g0, g1, beta)
-        opt = _sp_fold(_offline(values, -beta[:, None]), g0, g1, beta)
-        violations += int(np.count_nonzero(alg > 3.0 * opt + 1e-9))
+    for g0, g1, beta in _sp_stacks(rng, n):  # checked here: the core runs unchecked, as it does for run
+        g0, g1 = cost_stack(g0, g1)
+        priced = _price(g0, g1, require_finite_rows("beta", beta, len(g0), positive=True), ("gchase",))
+        violations += int(np.count_nonzero(priced["gchase"][0] > 3.0 * priced["ofa"][0] + 1e-9))
     _, report = deterministic_adversary(lambda: gchase_player(1.0), 1.0, 600, 0.01)
     adv_ok = report.ratio is not None and report.ratio >= 2.9
     lines = [f"factor-3 bound: {n} random instances, {violations} violations",
@@ -480,14 +449,14 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
         period = int(rng.integers(2, 11))
         beta = MC_FEES[rng.integers(0, len(MC_FEES))]
         cs = random_cost_series(rng, period)
-        dt = delta_trace(cs, beta)
-        states = simulate_randomized_batch(dt, n_runs, seed + 1000 * k)  # as monte_carlo draws them
-        mean, stderr = (float(v[0]) for v in _mean_stderr(batch_sp_costs(states, cs, beta)[None]))
-        if abs(mean - csp_cost(cchase(dt), cs, beta)) > MC_Z * stderr + 1e-9:
+        draws = SeededUniforms(seed + 1000 * k, n_runs, period)  # as monte_carlo draws them
+        priced = _price(cs.g0[None], cs.g1[None], np.array([beta]), ("gchase_r", "cchase"), draws)
+        (mean,), (stderr,), states, _ = priced["gchase_r"]
+        if abs(mean - priced["cchase"][0][0]) > MC_Z * stderr + 1e-9:
             failures += 1
-        if mean > 2.0 * sp_cost(ofa_s(dt), cs, beta) + MC_Z * stderr + 1e-9:
+        if mean > 2.0 * priced["ofa"][0][0] + MC_Z * stderr + 1e-9:
             failures += 1
-        for p, e in zip(marginal_probabilities(dt), states.mean(axis=0)):
+        for p, e in zip(marginal_probabilities(delta_trace(cs, beta)), states.mean(axis=0)):
             if abs(e - p) > MC_Z * math.sqrt(p * (1.0 - p) / n_runs) + 1e-12:
                 failures += 1
     return failures == 0, [f"randomized vs continuous: {n_inst} instances x {n_runs} runs, {failures} failures"]

@@ -103,9 +103,9 @@ class DeltaTrace:
     drift: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "drift", require_finite("drift", self.drift))  # first: a NaN drift scans to NaN
         object.__setattr__(self, "values", tuple(map(float, self.values)))
         object.__setattr__(self, "beta", -_as_stack(self.values, self.beta)[1])  # the gap-trace rule checks beta
-        object.__setattr__(self, "drift", require_finite("drift", self.drift))
 
     def __len__(self) -> int:
         """Number of slots T (the stored sequence has T + 1 entries)."""
@@ -184,10 +184,9 @@ def delta_trace(cs: CostSeries, beta: float, drift: float = 0.0) -> DeltaTrace:
     """Build the full clamped gap sequence for a cost series.
 
     Requires beta > 0 (the band [-beta, 0] would otherwise collapse and the
-    boundary rules become meaningless).
+    boundary rules become meaningless): the record checks beta and drift.
     """
-    beta = require_finite("beta", beta, positive=True)
-    drift = require_finite("drift", drift)
+    beta, drift = float(beta), float(drift)
     return DeltaTrace(values=tuple(_gap_scan((cs.g0 - cs.g1).tolist(), beta, drift)), beta=beta, drift=drift)
 
 
@@ -328,18 +327,21 @@ def cchase(dt: DeltaTrace) -> FractionalSchedule:
 
 
 def csp_cost(xs: FractionalSchedule, cs: CostSeries, beta: float) -> float:
-    """Cost of a fractional schedule: linear interpolation between the two
-    plans' costs plus ``beta`` per unit of upward movement (x_0 = 0). A strict
-    left fold of 0.0, then per slot (g1 - g0) * x_t + g0 and, on an up move,
-    ``beta * (x_t - x_{t-1})``, else 0.0."""
+    """Cost of a fractional schedule: the one-row :func:`_csp_fold`."""
     if len(xs) != len(cs):
         raise ValidationError(f"schedule length {len(xs)} != series length {len(cs)}")
-    beta = require_finite("beta", beta)
-    up = np.diff(xs.x, prepend=0.0)
-    slots = np.empty((1, 2 * len(up)))
-    slots[0, 0::2] = (cs.g1 - cs.g0) * xs.x + cs.g0
-    slots[0, 1::2] = np.where(up > 0.0, beta * up, 0.0)
-    return float(_fold_rows(slots)[0])
+    return float(_csp_fold(xs.x[None], cs.g0[None], cs.g1[None], np.array([require_finite("beta", beta)]))[0])
+
+
+def _csp_fold(x: np.ndarray, g0: np.ndarray, g1: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Cost of each row of a (rows x T) stack of fractional schedules (x_0 = 0), on costs of its shape or one row,
+    one fee per row: the plans' costs interpolated plus ``beta`` per unit moved up. A strict left fold of 0.0, then
+    per slot (g1 - g0) * x_t + g0 and, on an up move, ``beta * (x_t - x_{t-1})``, else 0.0."""
+    up = np.diff(x, axis=1, prepend=0.0)
+    slots = np.empty((len(x), 2 * x.shape[1]))
+    slots[:, 0::2] = (g1 - g0) * x + g0
+    slots[:, 1::2] = np.where(up > 0.0, beta[:, None] * up, 0.0)
+    return _fold_rows(slots)
 
 
 def marginal_probabilities(dt: DeltaTrace) -> tuple[float, ...]:

@@ -585,7 +585,7 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("seed", [4, 5, 6, 7])
     def test_suites_draw_each_horizon_as_one_stack(self, monkeypatch, seed):
-        recorded = {name: [] for name in ("delta_traces", "brute_force_dsps", "dp_dsps", "phi_identity_sps")}
+        recorded = {name: [] for name in ("delta_traces", "_price", "brute_force_dsps", "dp_dsps", "phi_identity_sps")}
 
         def recording(name, fn):
             def wrapper(*args):
@@ -611,8 +611,9 @@ class TestVerifySuites:
             assert len(recorded[name]) == len(set(periods))
             return recorded[name]
 
-        for suite, n in (("oracle", 200), ("ratio", 2000)):
-            for g0, _, beta in stacks(suite, "delta_traces", n):
+        # the oracle suite scans its stacks with delta_traces, the ratio suite prices them with the evaluation core
+        for suite, name, n in (("oracle", "delta_traces", 200), ("ratio", "_price", 2000)):
+            for g0, _, beta, *_ in stacks(suite, name, n):
                 assert beta.shape == (len(g0),) and set(beta.tolist()) <= set(bench.SP_FEES)
         modes = set()
         searched = stacks("oracle", "brute_force_dsps", 100)

@@ -39,8 +39,6 @@ def checks(monkeypatch):
 
 CONSTANT = RunConfig(synth_slots=36, seed=1, algorithms=("ofa", "gchase", "gchase_r", "cchase"), mc_runs=20)
 LINEAR = replace(CONSTANT, fee_regime="linear", algorithms=("ofa", "dp", "gchase", "gchase_r"))
-# the DeltaTrace record checks the trace its clamp made
-RECORD = {"_as_stack": 1}
 
 
 @pytest.mark.parametrize("config", [CONSTANT, LINEAR], ids=["constant", "linear"])
@@ -87,11 +85,12 @@ def test_one_row_oracle_checks_its_terms_once(checks, oracle, terms, want):
 
 
 def test_monte_carlo_checks_nothing_twice(checks):
-    # Its gap trace record checks the trace; the fold prices the replicates and the offline optimum unchecked.
+    # The CostSeries record checked the costs and require_finite checks beta: the evaluation core builds no
+    # DeltaTrace record and prices the replicates and the offline optimum unchecked.
     cs = protocol_cost_series(synth_trace(36, 1))
     checks.clear()
     monte_carlo(cs, 5.0, 20, 1)
-    assert dict(checks) == RECORD
+    assert dict(checks) == {}
 
 
 # One horizon stack per suite: k instances of T slots.
@@ -104,10 +103,14 @@ ONE_STACK = [(5, 7)]
     # the folds run unchecked. The decreasing-fee stack: dp_dsps, the code under test, and
     # brute_force_dsps each check its costs and fee columns once; the folds run unchecked.
     ("oracle", {"cost_stack": 1 + 2, "require_finite_rows": 2 + 1, "_as_stack": 1, "fee_term_rows": 2}),
-    # delta_traces checks the costs, fees and drifts; the kernel, the offline pass and the folds add none.
-    ("ratio", {"cost_stack": 1, "require_finite_rows": 2}),
+    # The suite checks the costs and fees; the evaluation core (gap traces, kernel, offline pass, folds) adds
+    # none, and no drift is checked, as the constant fee has none.
+    ("ratio", {"cost_stack": 1, "require_finite_rows": 1}),
     # Each of the three public identities the suite checks takes the stack and checks it once.
     ("identity", {"cost_stack": 3, "_first_nonbinary": 3, "require_finite_rows": 2, "fee_term_rows": 1}),
+    # Not a stack suite: the CostSeries record checks each instance's costs and the core runs unchecked, so the
+    # one check per instance is the DeltaTrace record that marginal_probabilities reads, 5 instances in all.
+    ("montecarlo", {"_as_stack": 5}),
 ])
 def test_verify_stack_checks_nothing_twice(checks, monkeypatch, suite, want):
     monkeypatch.setattr(bench, "_horizons", lambda rng, n: ONE_STACK)
@@ -117,4 +120,3 @@ def test_verify_stack_checks_nothing_twice(checks, monkeypatch, suite, want):
     ok, _ = bench.run_verify_suite(suite, 4)
     assert ok
     assert dict(checks) == want
-

@@ -239,6 +239,13 @@ class TestDpStack:
         assert ties.tolist() == [2, 3, 6, 4]
         _assert_rows_are_one_row_calls(g, g, alpha, cap, mode, states, ties)
 
+    def test_exact_tie_at_large_costs(self):
+        # Both one-slot schedules cost 2^20 exactly. TIE_TOL is absolute, so best + TIE_TOL rounds to best once
+        # costs reach 2^14: a strict comparison with the tolerance would count no tie at all here.
+        g = [[2.0**20]]
+        assert dp_dsps(g, g, 0.0, 1)[1].tolist() == [2]
+        assert brute_force_dsps(g, g, 0.0, 1)[1].tolist() == [2]
+
     def test_one_row_stack_and_bad_input(self):
         cs = CostSeries.from_pairs([(5, 0), (0, 5), (0, 5)])
         states, ties = dp_dsps(cs.g0[None], cs.g1[None], 1.0, 2)
