@@ -104,6 +104,14 @@ def _mean_stderr(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean * scale, std / math.sqrt(costs.shape[1]) * scale
 
 
+def _finite(name: str, numbers: dict) -> dict:
+    """``numbers`` (a rule's report, by key), refused by name if one is not None and overflows a float."""
+    for key, value in numbers.items():
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{key} of {name} overflows a float: {value!r}")
+    return numbers
+
+
 def _make_report(alg_cost, opt_cost, **extra) -> RatioReport:
     return RatioReport(alg_cost, opt_cost, competitive_ratio(alg_cost, opt_cost), **extra)
 
@@ -235,12 +243,15 @@ def batch_sp_costs(states: np.ndarray, cs: CostSeries, beta: float) -> np.ndarra
 def monte_carlo(cs: CostSeries, beta: float, n_runs: int, seed: int) -> RatioReport:
     """Replicate the randomized rule :func:`planswitch.chase.gchase_r` through :func:`_price` and report its mean
     cost, stderr and ratio to the offline optimum. Replication i draws from a generator seeded ``seed + i``, so
-    results are deterministic in (seed, n_runs) and independent of evaluation order."""
+    results are deterministic in (seed, n_runs) and independent of evaluation order. A number that overflows a
+    float is refused by name, as ``run`` refuses it."""
     n_runs = require_int("n_runs", n_runs, 2)
     fee = np.array([require_finite("beta", beta, positive=True)])  # the CostSeries record checked the costs
-    priced = _price(cs.g0[None], cs.g1[None], fee, ("gchase_r",), SeededUniforms(seed, n_runs, len(cs)))
-    (mean,), (stderr,) = (v.tolist() for v in priced["gchase_r"][:2])
-    return _make_report(mean, priced["ofa"][0].item(), mean=mean, stderr=stderr, n_runs=n_runs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        priced = _price(cs.g0[None], cs.g1[None], fee, ("gchase_r",), SeededUniforms(seed, n_runs, len(cs)))
+    (mean,), (stderr,), (opt,) = (v.tolist() for v in (*priced["gchase_r"][:2], priced["ofa"][0]))
+    _finite("gchase_r", {"cost": mean, "opt_cost": opt, "stderr": stderr, "ratio": competitive_ratio(mean, opt)})
+    return _make_report(mean, opt, mean=mean, stderr=stderr, n_runs=n_runs)
 
 
 def _price(g0: np.ndarray, g1: np.ndarray, fee: np.ndarray, algorithms, draws=None, guard: int | None = None,

@@ -26,6 +26,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .adversary import (
+    _finite,
     _price,
     competitive_ratio,
     deterministic_adversary,
@@ -266,11 +267,8 @@ def _evaluate(config: RunConfig, cs: CostSeries, bench_cost: float, draws, fees:
             savings = 100.0 * (bench_cost - cost) / bench_cost if bench_cost > 0.0 else None
             if savings is not None and math.isinf(savings):  # 100 x the gap overflowed: take it on costs / 128, exact
                 savings = 100.0 * (bench_cost / 128.0 - cost / 128.0) / bench_cost * 128.0
-            numbers = {"cost": cost, "benchmark_cost": bench_cost, "savings_pct": savings,
-                       "ratio_vs_offline": competitive_ratio(cost, opt_cost), "stderr": stderr}
-            for key, value in numbers.items():
-                if value is not None and not math.isfinite(value):
-                    raise ValidationError(f"{key} of {name} overflows a float: {value!r}")
+            numbers = _finite(name, {"cost": cost, "benchmark_cost": bench_cost, "savings_pct": savings,
+                                     "ratio_vs_offline": competitive_ratio(cost, opt_cost), "stderr": stderr})
             randomized = name == "gchase_r"
             reports[name] = {"algorithm": name, **numbers, "schedule": None if randomized else states[i].tolist(),
                              "mc_runs": len(forced) if randomized else None}

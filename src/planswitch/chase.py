@@ -336,12 +336,15 @@ def csp_cost(xs: FractionalSchedule, cs: CostSeries, beta: float) -> float:
 def _csp_fold(x: np.ndarray, g0: np.ndarray, g1: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Cost of each row of a (rows x T) stack of fractional schedules (x_0 = 0), on costs of its shape or one row,
     one fee per row: the plans' costs interpolated plus ``beta`` per unit moved up. A strict left fold of 0.0, then
-    per slot (g1 - g0) * x_t + g0 and, on an up move, ``beta * (x_t - x_{t-1})``, else 0.0."""
-    up = np.diff(x, axis=1, prepend=0.0)
-    slots = np.empty((len(x), 2 * x.shape[1]))
-    slots[:, 0::2] = (g1 - g0) * x + g0
-    slots[:, 1::2] = np.where(up > 0.0, beta[:, None] * up, 0.0)
-    return _fold_rows(slots)
+    per slot (g1 - g0) * x_t + g0 and, on an up move, ``beta * (x_t - x_{t-1})``, else 0.0, in the tiles of
+    :func:`planswitch.tariff._fold_rows`, each tile's first move read from the slot before it."""
+    def fill(tile, sel, cols):
+        g = sel if len(g0) == len(x) else slice(None)
+        up = np.diff(x[sel, cols], axis=1, prepend=x[sel, cols.start - 1:cols.start] if cols.start else 0.0)
+        tile[0::2] = ((g1[g, cols] - g0[g, cols]) * x[sel, cols] + g0[g, cols]).T
+        tile[1::2] = np.where(up > 0.0, beta[sel, None] * up, 0.0).T
+
+    return _fold_rows(fill, *x.shape)
 
 
 def marginal_probabilities(dt: DeltaTrace) -> tuple[float, ...]:
@@ -526,7 +529,7 @@ def _chase(values: np.ndarray, neg: float | np.ndarray, draws=None, contract_len
         force, plan_of = _slot_rule(values[traces], neg[traces] if np.ndim(neg) else neg, draws is not None)
         for sel in _row_blocks(runs, len(plan_of) * len(slots)):
             hit = force if draws is None else (draws[sel] < force[:, None]).reshape(-1, len(slots))
-            rows = slice(traces.start * runs + sel.start, (traces.start + len(force) - 1) * runs + min(sel.stop, runs))
+            rows = slice(traces.start * runs + sel.start, (traces.stop - 1) * runs + sel.stop)
             states[rows] = _fill(hit, slots, plan_of)
             if contract_len is not None:
                 forced[rows] = _guarded(hit, contract_len, states[rows])

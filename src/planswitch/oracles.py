@@ -29,7 +29,7 @@ from .tariff import (
     ValidationError,
     _dsp_fold,
     _fixed_runs,
-    _fold_rows,
+    _fold_matrix,
     _sp_fold,
     _stack,
     cost_stack,
@@ -332,7 +332,7 @@ def phi_identity_sps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: n
     slots = np.zeros((rows, 2 * period + 3))
     slots[:, :period], slots[:, period] = g1, -beta
     np.copyto(slots[:, period + 1:], phi[:, 1:] - start + beta[:, None], where=ends)
-    return _sp_fold(states, g0, g1, beta), _fold_rows(slots)
+    return _sp_fold(states, g0, g1, beta), _fold_matrix(slots)
 
 
 def phi_identity_dsps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing.ArrayLike,
@@ -357,7 +357,7 @@ def phi_identity_dsps(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: 
     slots = np.zeros((rows, 2 * period))
     slots[:, :period] = g1
     np.copyto(slots[:, period:], big_end - big_start + a * cap[:, None], where=ends)
-    return _dsp_fold(states, g0, g1, alpha, cap, literal), _fold_rows(slots)
+    return _dsp_fold(states, g0, g1, alpha, cap, literal), _fold_matrix(slots)
 
 
 def phi_identity_sp(sched: Schedule, cs: CostSeries, beta: float) -> tuple[float, float]:

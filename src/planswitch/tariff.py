@@ -346,40 +346,55 @@ def _stack(states: np.typing.ArrayLike, g0: np.typing.ArrayLike,
     return states.astype(np.int8, copy=False), g0, g1
 
 
-def _fixed_runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_runs(states: np.ndarray, before: int | np.ndarray = 0) -> tuple[np.ndarray, np.ndarray]:
     """The one rule of run lengths, which the decreasing fee and the expiry guard read: per slot of a
     (rows x T) 0/1 matrix (bool or integers), how long the fixed-plan (state 0) run through it has lasted,
-    0 on plan 1, and whether the slot ends its run. A run's last slot thus holds its length."""
-    t = np.arange(1, states.shape[1] + 1, dtype=np.int32)
+    0 on plan 1, and whether the slot ends its run. A run's last slot thus holds its length. A run open at
+    the first slot has lasted ``before`` slots more (one value, or a column of one per row)."""
+    t = np.arange(1, states.shape[1] + 1, dtype=np.int32) + before
     ends = states == 0
     ends[:, :-1] &= states[:, 1:] != 0
     return t - np.maximum.accumulate(states * t, axis=1), ends
 
 
 def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
-    """The one block rule: ``rows`` rows cut into slices of as many rows as fit in ``BLOCK_CELLS`` cells (one
-    at least), a row taking ``cells_per_row``, the cells of the caller's widest per-row array (a row of no cells
-    counting as one). A caller may hold a whole matrix as it works through the blocks, so a larger block would
-    raise its peak memory; no result depends on the blocks."""
+    """The one block rule: ``rows`` rows (of a stack, or a fold's slots) cut into slices of as many rows as fit in
+    ``BLOCK_CELLS`` cells (one at least), a row taking ``cells_per_row``, the cells of the caller's widest per-row
+    array (a row of no cells counting as one). A caller may hold a whole matrix as it works through the blocks, so
+    a larger block would raise its peak memory; no result depends on the blocks."""
     block = max(1, BLOCK_CELLS // max(1, cells_per_row))
-    return [slice(i0, i0 + block) for i0 in range(0, rows, block)]
+    return [slice(i0, min(i0 + block, rows)) for i0 in range(0, rows, block)]
 
 
-def _service(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, sel: slice) -> np.ndarray:
-    """g_t(s_t) of the rows ``sel`` of a (rows x T) 0/1 matrix, on costs of its shape or one row for all."""
+def _service(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, sel: slice, cols: slice) -> np.ndarray:
+    """g_t(s_t) of the rows ``sel`` at slots ``cols`` of a 0/1 matrix, on costs of its shape or one row for all."""
     g = sel if len(g0) == len(states) else slice(None)
-    return np.where(states[sel], g1[g], g0[g])
+    return np.where(states[sel, cols].view(bool), g1[g, cols], g0[g, cols])
 
 
-def _fold_rows(slots: np.ndarray) -> np.ndarray:
-    """Each row's strict left fold of 0.0 and then its ``slots``, which it consumes (the sum runs in place).
+def _fold_rows(fill, rows: int, slots: int, width: int = 2) -> np.ndarray:
+    """The one fold loop: each of ``rows`` rows' strict left fold of 0.0 and then ``width`` values per slot, for
+    ``slots`` slots. A block of n rows (the blocks of :func:`_row_blocks` at ``width`` cells a row) walks its slots
+    in order in the tiles of ``_row_blocks(slots, width * n)``: ``fill(tile, sel, cols)`` writes the values of rows
+    ``sel`` at slots ``cols`` into ``tile`` transposed, ``width`` tile rows a slot and a column a row. A tile
+    carries the block's totals in its row 0 and is folded by ``np.add.reduce(axis=0)``, a strict left fold of each
+    column when there are two or more; on one column that reduce sums pairwise, so a one-row block takes the last
+    ``cumsum``. A fold from 0.0 is never -0.0, so a value of 0.0 (no fee, say) or -0.0 leaves its total as it is."""
+    totals = np.zeros(rows)
+    for sel in _row_blocks(rows, width):
+        total = totals[sel]
+        for cols in _row_blocks(slots, width * len(total)):
+            tile = np.empty((width * (cols.stop - cols.start) + 1, len(total)))
+            tile[0] = total
+            fill(tile[1:], sel, cols)
+            total = np.add.reduce(tile, axis=0) if len(total) > 1 else np.cumsum(tile, axis=0, out=tile)[-1]
+        totals[sel] = total
+    return totals
 
-    A fold from 0.0 is never -0.0, so a slot of 0.0 (no fee, say) leaves its
-    total as it is. The cumulative sum starts at the first slot instead; the
-    two differ only in the -0.0 it gives when every slot is -0.0, which
-    adding 0.0 turns into the fold's 0.0.
-    """
-    return np.cumsum(slots, axis=1, out=slots)[:, -1] + 0.0
+
+def _fold_matrix(slots: np.ndarray) -> np.ndarray:
+    """Each row's strict left fold of 0.0 and then its ``slots``, a (rows x n) matrix: :func:`_fold_rows` on it."""
+    return _fold_rows(lambda tile, sel, cols: np.copyto(tile, slots[sel, cols].T), *slots.shape, 1)
 
 
 def sp_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
@@ -396,8 +411,9 @@ def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing
     Sums g_t(s_t) plus ``beta`` for every 0 -> 1 transition, with s_0 = 0.
     The horizon simply ends at T; closing back to state 0 is free. Each total
     is a strict left fold of 0.0, then g_t(s_t) and the fee of slot t's up
-    move, or 0.0 for none, for t = 1..T. Rows are taken in the blocks of
-    :func:`_row_blocks`, so no float matrix of every row is built.
+    move, or 0.0 for none, for t = 1..T. The rows and slots are taken in the
+    tiles of :func:`_fold_rows`, each tile's first up move read from the
+    slot before it, so no float matrix of every row is built.
     """
     states, g0, g1 = _stack(states, g0, g1)
     return _sp_fold(states, g0, g1, require_finite_rows("beta", beta, len(states)))
@@ -405,14 +421,13 @@ def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing
 
 def _sp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """:func:`sp_costs` on a checked int8 0/1 matrix, costs of its shape or one row, and one fee per row."""
-    totals = np.empty(len(states))
-    for sel in _row_blocks(len(states), 2 * states.shape[1]):
-        slots = np.empty((len(states[sel]), 2 * states.shape[1]))
-        slots[:, 0::2] = _service(states, g0, g1, sel)
-        np.multiply(states[sel, :1], beta[sel, None], out=slots[:, 1:2])  # up moves, with s_0 = 0
-        np.multiply(states[sel, 1:] > states[sel, :-1], beta[sel, None], out=slots[:, 3::2])
-        totals[sel] = _fold_rows(slots)
-    return totals
+    def fill(tile, sel, cols):
+        s = states[sel, cols]
+        tile[0::2] = _service(states, g0, g1, sel, cols).T
+        np.multiply(s[:, 0] > (states[sel, cols.start - 1] if cols.start else 0), beta[sel], out=tile[1])  # s_0 = 0
+        np.multiply(s[:, 1:] > s[:, :-1], beta[sel, None], out=tile[3::2].T)
+
+    return _fold_rows(fill, *states.shape)
 
 
 def p2_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
@@ -433,13 +448,11 @@ def p2_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing
     """
     states, g0, g1 = _stack(states, g0, g1)
     half = require_finite_rows("beta", beta, len(states))[:, None] / 2.0
-    moves = np.empty((len(states), states.shape[1] + 1), dtype=np.int8)  # |s_t - s_{t-1}|, t = 1..T+1
-    moves[:, 0], moves[:, -1] = states[:, 0], states[:, -1]
-    moves[:, 1:-1] = states[:, 1:] != states[:, :-1]
-    slots = np.zeros(moves.shape)  # slot T+1 serves for free
-    slots[:, :-1] = np.where(states, g1, g0)
-    slots += half * moves
-    return _fold_rows(slots)
+    padded = np.zeros((len(states), states.shape[1] + 2), dtype=np.int8)  # s_0 = s_{T+1} = 0
+    padded[:, 1:-1] = states
+    slots = half * (padded[:, 1:] != padded[:, :-1])  # beta/2 * |s_t - s_{t-1}|, t = 1..T+1
+    slots[:, :-1] += np.where(states, g1, g0)  # slot T+1 serves for free
+    return _fold_matrix(slots)
 
 
 def zero_runs(sched: Schedule) -> list[tuple[int, int]]:
@@ -470,7 +483,8 @@ def dsp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typin
 
     Each total is a strict left fold of 0.0, g_t(s_t) for t = 1..T, then each
     run's fee in run order: at its last slot's place in T more columns, 0.0
-    elsewhere. Rows are taken in the blocks of :func:`_row_blocks`.
+    elsewhere. The service and then the fees are folded in the tiles of
+    :func:`_fold_rows`, each row's open run carried from tile to tile.
 
     Raises:
         InfeasibleScheduleError: some row has a run longer than its ``contract_len``.
@@ -485,21 +499,31 @@ def _dsp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, alpha: np.ndar
     of its shape or one row of T, and each row's fee terms as arrays of
     ``rows`` entries. A run longer than its row's ``cap`` still raises."""
     period = states.shape[1]
-    totals = np.empty(len(states))
-    for sel in _row_blocks(len(states), 2 * period):
-        lasted, ends = _fixed_runs(states[sel])
-        over = ends & (lasted > cap[sel, None])
-        if over.any():
-            row, end = divmod(int(over.argmax()), period)  # the first in row-major order
-            raise InfeasibleScheduleError(
-                f"row {sel.start + row}: fixed-plan run [{end + 2 - lasted[row, end]}, {end + 1}] lasts "
-                f"{lasted[row, end]} > contract_len {cap[sel.start + row]}")
-        ends[:, -1] &= literal[sel]  # transition-only: no fee for a run open at T
-        slots = np.zeros((len(ends), 2 * period))
-        slots[:, :period] = _service(states, g0, g1, sel)
-        np.copyto(slots[:, period:], alpha[sel, None] * (cap[sel, None] - lasted), where=ends)
-        totals[sel] = _fold_rows(slots)
-    return totals
+    open_run = np.zeros((len(states), 1), dtype=np.int32)  # each row's run open before the fee tile, and
+    over = np.zeros(len(states), dtype=bool)  # whether one of its runs overran
+
+    def fill(tile, sel, cols):  # the fold's slots 0..T-1 serve, and T..2T-1 charge each run's fee at its last slot
+        served = max(0, min(cols.stop, period) - cols.start)
+        np.copyto(tile[:served], _service(states, g0, g1, sel, slice(cols.start, cols.start + served)).T)
+        start, stop, tile = max(cols.start - period, 0), cols.stop - period, tile[served:]
+        if stop <= 0:
+            return
+        # the runs through the tile, the one open before it carried in, and one slot more ending its last run
+        lasted, ends = (a[:, :len(tile)] for a in _fixed_runs(states[sel, start:stop + 1], open_run[sel]))
+        open_run[sel] = lasted[:, -1:]
+        over[sel] |= lasted.max(axis=1) > cap[sel]  # a run through the tile too long is too long at its end
+        if stop == period:
+            if over[sel].any():
+                row = sel.start + int(over[sel].argmax())  # the first in row-major order
+                lasted, ends = _fixed_runs(states[row:row + 1])
+                end = int((ends & (lasted > cap[row])).argmax())
+                raise InfeasibleScheduleError(f"row {row}: fixed-plan run [{end + 2 - lasted[0, end]}, {end + 1}] "
+                                              f"lasts {lasted[0, end]} > contract_len {cap[row]}")
+            ends[:, -1] &= literal[sel]  # transition-only: no fee for a run open at T
+        tile[...] = 0.0
+        np.multiply(alpha[sel, None], cap[sel, None] - lasted, out=tile.T, where=ends)
+
+    return _fold_rows(fill, len(states), 2 * period, 1)
 
 
 # One parsed CSV row: the slot index and the four values of SLOT_FIELDS.

@@ -194,6 +194,16 @@ class TestMonteCarlo:
         target = csp_cost(cchase(dt), cs, 2.0)
         assert abs(report.mean - target) <= 3 * report.stderr + 1e-9
 
+    def test_overflow_refused_by_name(self):
+        # every replicate and the optimum sum to inf: refused as run refuses it, with no RuntimeWarning (which
+        # the test configuration turns into an error)
+        with pytest.raises(ValidationError, match=r"^cost of gchase_r overflows a float: inf$"):
+            monte_carlo(CostSeries([1e308] * 3, [1e308] * 3), 1.0, 10, 0)
+
+    def test_largest_finite_costs_reported(self):
+        report = monte_carlo(CostSeries([1e308, 0.0], [0.0, 1e308]), 1.0, 10, 0)
+        assert math.isfinite(report.mean) and math.isfinite(report.stderr) and report.ratio is not None
+
 
 CS2 = CostSeries.from_pairs([(1, 0), (0, 1)])
 

@@ -201,14 +201,22 @@ class TestRunReport:
 
     @pytest.mark.parametrize("regime", FEE_REGIMES)
     def test_bytes_independent_of_the_block_size(self, monkeypatch, regime):
-        # one tariff.BLOCK_CELLS cuts the kernel blocks (T cells a row), the fold blocks (2T) and the
-        # draw reuse: blocks of one row, of three kernel rows, of three fold rows, and one block
-        cfg = RunConfig(synth_slots=36, seed=2, fee_regime=regime, contract_len=4, alpha=20.0,
-                        algorithms=("ofa", "gchase", "gchase_r"), mc_runs=20)
-        want = report_json(run_report(cfg))
-        for cells in (1, 3 * 36, 3 * 2 * 36, tariff.BLOCK_CELLS):
-            monkeypatch.setattr(tariff, "BLOCK_CELLS", cells)
-            assert report_json(run_report(cfg)) == want
+        # one tariff.BLOCK_CELLS cuts the kernel blocks (T cells a row), the fold tiles (2T cells a row) and
+        # the draw reuse. On 36 months: blocks of one row, of three kernel rows, of three fold rows, and one
+        # block. On 2,000 months the fold tiles cut every row of the 20 replicates: into tiles of 7 slots, of
+        # 300, and of 1,638 at the default, against one tile a row.
+        runs = (
+            (36, tariff.BLOCK_CELLS, (1, 3 * 36, 3 * 2 * 36, tariff.BLOCK_CELLS)),
+            (2000, 2 * 20 * 2000, (2 * 20 * 7, 2 * 20 * 300, tariff.BLOCK_CELLS)),
+        )
+        for slots, whole, cell_counts in runs:
+            cfg = RunConfig(synth_slots=slots, seed=2, fee_regime=regime, contract_len=4, alpha=20.0,
+                            algorithms=("ofa", "gchase", "gchase_r"), mc_runs=20)
+            monkeypatch.setattr(tariff, "BLOCK_CELLS", whole)
+            want = report_json(run_report(cfg))
+            for cells in cell_counts:
+                monkeypatch.setattr(tariff, "BLOCK_CELLS", cells)
+                assert report_json(run_report(cfg)) == want
 
     def test_byte_identical_under_fixed_seed(self):
         cfg = RunConfig(synth_slots=12, seed=9)

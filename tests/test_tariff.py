@@ -183,20 +183,25 @@ CS3 = CostSeries.from_pairs([(3, 0), (0, 3), (0, 0)])
 
 
 class TestFoldRows:
-    def test_strict_left_fold_in_place(self):
-        # The fold runs in the caller's scratch array: a call allocates its totals, not a copy of the slots.
+    @pytest.mark.parametrize("cells", [1, 5 * 900, 72 * 900, tariff.BLOCK_CELLS])
+    def test_strict_left_fold_in_tiles(self, monkeypatch, cells):
+        # Tiles of one slot (one-row blocks), of 5 slots (not dividing 72), of the whole matrix, and the default:
+        # each gives the Python left fold's bits, and a call allocates its totals and about two tiles, not a copy of
+        # the slots (none at the narrow tiles, whose peak is under a quarter of the slots').
         rng = np.random.default_rng(61)
         slots = rng.normal(size=(900, 72)) * 10.0 ** rng.integers(-5, 6, size=(900, 72))
         slots[0] = -0.0  # every slot -0.0: the fold from 0.0 gives +0.0
         want = [repr(functools.reduce(operator.add, row, 0.0)) for row in slots.tolist()]
+        monkeypatch.setattr(tariff, "BLOCK_CELLS", cells)
         tracemalloc.start()
         try:
-            totals = tariff._fold_rows(slots)
+            totals = tariff._fold_matrix(slots)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [repr(v) for v in totals.tolist()] == want
-        assert peak < slots.nbytes / 10
+        assert peak < 16 * cells + 160 * len(slots)
+        assert cells > 5 * 900 or peak < slots.nbytes / 4
 
 
 class TestScheduleCosts:
