@@ -38,9 +38,7 @@ from .chase import (
     SeededUniforms,
     _warn_forced,
     delta_trace,
-    delta_traces,
     marginal_probabilities,
-    offline_states,
 )
 from .oracles import _search, brute_force_dsps, dp_dsps, phi_identity_dsps, phi_identity_sps
 from .tariff import (
@@ -406,8 +404,9 @@ def _verify_oracle(seed: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
     sp_failures = 0
     n_sp = 200
-    for g0, g1, beta in _sp_stacks(rng, n_sp):  # checked by delta_traces, so the search and fold run unchecked
-        costs = _sp_fold(offline_states(delta_traces(g0, g1, beta), beta), g0, g1, beta)
+    for g0, g1, beta in _sp_stacks(rng, n_sp):  # checked here: the core, the search and the fold run unchecked
+        g0, g1 = cost_stack(g0, g1)
+        costs = _price(g0, g1, require_finite_rows("beta", beta, len(g0), positive=True), ())["ofa"][0]
         best = _sp_fold(_search(g0, g1, beta=beta)[0], g0, g1, beta)
         sp_failures += int(np.count_nonzero(np.abs(costs - best) > 1e-9))
     dsp_failures = 0

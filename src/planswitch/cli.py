@@ -89,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--step", dest="fee_step", type=float, default=1.0)
 
     p_synth = sub.add_parser("synth", help="write a synthetic trace CSV")
-    p_synth.add_argument("--slots", "-T", type=int, default=12)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--profile", default="seasonal", choices=PROFILES)
+    p_synth.add_argument("--slots", "-T", type=int, default=RunConfig.synth_slots)
+    p_synth.add_argument("--seed", type=int, default=RunConfig.seed)
+    p_synth.add_argument("--profile", default=RunConfig.profile, choices=PROFILES)
     p_synth.add_argument("--out", help="write output here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run a property suite; nonzero exit on failure")

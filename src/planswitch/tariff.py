@@ -137,7 +137,7 @@ def fee_term_rows(alpha: np.typing.ArrayLike, contract_len: np.typing.ArrayLike,
 def _fee_row(alpha, contract_len, fee_mode, positive: bool) -> tuple[float, int, bool]:
     """One row of :func:`fee_term_rows`: its alpha, contract_len and whether its mode is literal."""
     alpha = require_finite("alpha", alpha, positive)
-    if not (contract_len >= 1 and contract_len % 1 == 0):  # also refuses nan and inf
+    if isinstance(contract_len, (bool, np.bool_)) or not (contract_len >= 1 and contract_len % 1 == 0):  # nan, inf too
         raise ValidationError(f"contract_len must be an integer >= 1, got {contract_len!r}")
     if contract_len > MAX_CONTRACT_LEN:
         raise ValidationError(f"contract_len must be <= {MAX_CONTRACT_LEN} (2**53), got {contract_len!r}")
@@ -346,12 +346,11 @@ def _stack(states: np.typing.ArrayLike, g0: np.typing.ArrayLike,
     return states.astype(np.int8, copy=False), g0, g1
 
 
-def _fixed_runs(states: np.ndarray, before: int | np.ndarray = 0) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one rule of run lengths, which the decreasing fee and the expiry guard read: per slot of a
     (rows x T) 0/1 matrix (bool or integers), how long the fixed-plan (state 0) run through it has lasted,
-    0 on plan 1, and whether the slot ends its run. A run's last slot thus holds its length. A run open at
-    the first slot has lasted ``before`` slots more (one value, or a column of one per row)."""
-    t = np.arange(1, states.shape[1] + 1, dtype=np.int32) + before
+    0 on plan 1, and whether the slot ends its run. A run's last slot thus holds its length."""
+    t = np.arange(1, states.shape[1] + 1, dtype=np.int32)
     ends = states == 0
     ends[:, :-1] &= states[:, 1:] != 0
     return t - np.maximum.accumulate(states * t, axis=1), ends
@@ -483,8 +482,8 @@ def dsp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typin
 
     Each total is a strict left fold of 0.0, g_t(s_t) for t = 1..T, then each
     run's fee in run order: at its last slot's place in T more columns, 0.0
-    elsewhere. The service and then the fees are folded in the tiles of
-    :func:`_fold_rows`, each row's open run carried from tile to tile.
+    elsewhere. Each block of rows (:func:`_row_blocks`, 2T cells a row) is
+    scanned once and folded by :func:`_fold_rows`; no run is carried.
 
     Raises:
         InfeasibleScheduleError: some row has a run longer than its ``contract_len``.
@@ -495,35 +494,29 @@ def dsp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typin
 
 def _dsp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, alpha: np.ndarray, cap: np.ndarray,
               literal: np.ndarray) -> np.ndarray:
-    """:func:`dsp_costs` on checked input: a (rows x T) int8 0/1 matrix, costs
-    of its shape or one row of T, and each row's fee terms as arrays of
-    ``rows`` entries. A run longer than its row's ``cap`` still raises."""
+    """:func:`dsp_costs` on checked input: a (rows x T) int8 0/1 matrix, costs of its shape or one row of T, and
+    each row's fee terms as arrays of ``rows`` entries. A run longer than its row's ``cap`` still raises. Each
+    block of rows is scanned once, then :func:`_fold_rows` folds it in the tiles of its 2T slots, taking it as one
+    block (it has at most ``BLOCK_CELLS`` rows), so ``fill`` needs no row slice. No run is carried."""
     period = states.shape[1]
-    open_run = np.zeros((len(states), 1), dtype=np.int32)  # each row's run open before the fee tile, and
-    over = np.zeros(len(states), dtype=bool)  # whether one of its runs overran
+    totals = np.empty(len(states))
+    for sel in _row_blocks(len(states), 2 * period):
+        lasted, ends = _fixed_runs(states[sel])
+        row, end = divmod(_first(ends & (lasted > cap[sel, None])), period)  # the first overrun, row-major
+        if row >= 0:
+            raise InfeasibleScheduleError(f"row {sel.start + row}: fixed-plan run [{end + 2 - lasted[row, end]}, "
+                                          f"{end + 1}] lasts {lasted[row, end]} > contract_len {cap[sel.start + row]}")
+        ends[:, -1] &= literal[sel]  # transition-only: no fee for a run open at T
 
-    def fill(tile, sel, cols):  # the fold's slots 0..T-1 serve, and T..2T-1 charge each run's fee at its last slot
-        served = max(0, min(cols.stop, period) - cols.start)
-        np.copyto(tile[:served], _service(states, g0, g1, sel, slice(cols.start, cols.start + served)).T)
-        start, stop, tile = max(cols.start - period, 0), cols.stop - period, tile[served:]
-        if stop <= 0:
-            return
-        # the runs through the tile, the one open before it carried in, and one slot more ending its last run
-        lasted, ends = (a[:, :len(tile)] for a in _fixed_runs(states[sel, start:stop + 1], open_run[sel]))
-        open_run[sel] = lasted[:, -1:]
-        over[sel] |= lasted.max(axis=1) > cap[sel]  # a run through the tile too long is too long at its end
-        if stop == period:
-            if over[sel].any():
-                row = sel.start + int(over[sel].argmax())  # the first in row-major order
-                lasted, ends = _fixed_runs(states[row:row + 1])
-                end = int((ends & (lasted > cap[row])).argmax())
-                raise InfeasibleScheduleError(f"row {row}: fixed-plan run [{end + 2 - lasted[0, end]}, {end + 1}] "
-                                              f"lasts {lasted[0, end]} > contract_len {cap[row]}")
-            ends[:, -1] &= literal[sel]  # transition-only: no fee for a run open at T
-        tile[...] = 0.0
-        np.multiply(alpha[sel, None], cap[sel, None] - lasted, out=tile.T, where=ends)
+        def fill(tile, _, cols):  # the block's slots 0..T-1 serve, and T..2T-1 charge each run's fee at its last slot
+            cut = min(max(period - cols.start, 0), len(tile))  # the tile rows that serve
+            tile[:cut] = _service(states, g0, g1, sel, slice(cols.start, cols.start + cut)).T
+            runs = slice(cols.start + cut - period, cols.stop - period)
+            np.multiply(alpha[sel], (cap[sel, None] - lasted[:, runs]).T, out=tile[cut:])
+            tile[cut:] *= ends[:, runs].T  # 0.0 or -0.0 elsewhere: finite, as alpha * cap is
 
-    return _fold_rows(fill, len(states), 2 * period, 1)
+        totals[sel] = _fold_rows(fill, len(ends), 2 * period, 1)
+    return totals
 
 
 # One parsed CSV row: the slot index and the four values of SLOT_FIELDS.

@@ -166,7 +166,7 @@ def potential_loop(x, z, g0, g1, beta):
 def fee_terms_loop(alpha, contract_len, fee_mode="literal", positive=False):
     """One row's decreasing-fee terms, checked term by term in Python."""
     alpha = require_finite("alpha", alpha, positive)
-    if not (contract_len >= 1 and contract_len % 1 == 0):  # also refuses nan and inf
+    if isinstance(contract_len, (bool, np.bool_)) or not (contract_len >= 1 and contract_len % 1 == 0):  # nan, inf too
         raise ValidationError(f"contract_len must be an integer >= 1, got {contract_len!r}")
     if contract_len > MAX_CONTRACT_LEN:
         raise ValidationError(f"contract_len must be <= {MAX_CONTRACT_LEN} (2**53), got {contract_len!r}")

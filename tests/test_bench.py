@@ -155,6 +155,12 @@ class TestRunConfigValidation:
         with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_bool_contract_len_refused(self, value):
+        # a bool is an integer 1, and once ran as a one-month contract
+        with pytest.raises(ValidationError, match="contract_len must be an integer >= 1, got True"):
+            RunConfig(fee_regime="linear", contract_len=value)
+
     def test_numpy_integers_echoed_as_ints(self):
         cfg = RunConfig(synth_slots=np.int64(12), mc_runs=np.int32(5), seed=np.uint8(3))
         assert report_json(run_report(cfg)) == report_json(run_report(RunConfig(synth_slots=12, mc_runs=5, seed=3)))
@@ -531,8 +537,10 @@ class TestVerifySuites:
             run_verify_suite(suite, 1.5)
 
     def test_oracle_suite_catches_a_wrong_offline_pass(self, monkeypatch):
-        real = bench.offline_states
-        monkeypatch.setattr(bench, "offline_states", lambda values, beta: np.ones_like(real(values, beta)))
+        from planswitch import adversary
+
+        real = adversary._offline
+        monkeypatch.setattr(adversary, "_offline", lambda values, neg: np.ones_like(real(values, neg)))
         ok, lines = run_verify_suite("oracle", 4)
         assert not ok
         assert lines[0].startswith("offline vs exhaustive: 200 instances, ")
@@ -593,7 +601,7 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("seed", [4, 5, 6, 7])
     def test_suites_draw_each_horizon_as_one_stack(self, monkeypatch, seed):
-        recorded = {name: [] for name in ("delta_traces", "_price", "brute_force_dsps", "dp_dsps", "phi_identity_sps")}
+        recorded = {name: [] for name in ("_price", "brute_force_dsps", "dp_dsps", "phi_identity_sps")}
 
         def recording(name, fn):
             def wrapper(*args):
@@ -619,8 +627,8 @@ class TestVerifySuites:
             assert len(recorded[name]) == len(set(periods))
             return recorded[name]
 
-        # the oracle suite scans its stacks with delta_traces, the ratio suite prices them with the evaluation core
-        for suite, name, n in (("oracle", "delta_traces", 200), ("ratio", "_price", 2000)):
+        # the oracle and ratio suites price their constant-fee stacks with the evaluation core
+        for suite, name, n in (("oracle", "_price", 200), ("ratio", "_price", 2000)):
             for g0, _, beta, *_ in stacks(suite, name, n):
                 assert beta.shape == (len(g0),) and set(beta.tolist()) <= set(bench.SP_FEES)
         modes = set()
@@ -813,6 +821,10 @@ class TestCliConfigDefaults:
 
     def test_every_field_has_a_flag(self):
         assert sorted(f[2] for f in CONFIG_FLAGS) == sorted(f.name for f in fields(RunConfig))
+
+    def test_synth_takes_the_dataclass_defaults(self):
+        args, config = build_parser().parse_args(["synth"]), RunConfig()
+        assert (args.slots, args.seed, args.profile) == (config.synth_slots, config.seed, config.profile)
 
     def test_sweep_range_and_out_keep_their_defaults(self):
         args = build_parser().parse_args(["sweep"])

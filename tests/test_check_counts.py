@@ -98,11 +98,10 @@ ONE_STACK = [(5, 7)]
 
 
 @pytest.mark.parametrize("suite, want", [
-    # delta_traces checks the costs, fees and drifts; offline_states, which the suite calls as the
-    # code under test, checks the stack it is given (and its fees); the exhaustive search and
-    # the folds run unchecked. The decreasing-fee stack: dp_dsps, the code under test, and
-    # brute_force_dsps each check its costs and fee columns once; the folds run unchecked.
-    ("oracle", {"cost_stack": 1 + 2, "require_finite_rows": 2 + 1, "_as_stack": 1, "fee_term_rows": 2}),
+    # The suite checks the constant-fee stack's costs and fees; the evaluation core (the backward pass under
+    # test and its fold), the exhaustive search and its fold add none. The decreasing-fee stack: dp_dsps, the
+    # code under test, and brute_force_dsps each check its costs and fee columns once; the folds run unchecked.
+    ("oracle", {"cost_stack": 1 + 2, "require_finite_rows": 1, "fee_term_rows": 2}),
     # The suite checks the costs and fees; the evaluation core (gap traces, kernel, offline pass, folds) adds
     # none, and no drift is checked, as the constant fee has none.
     ("ratio", {"cost_stack": 1, "require_finite_rows": 1}),

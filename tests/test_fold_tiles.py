@@ -7,10 +7,13 @@ and state from tile to tile. Here each is checked, bit for bit, against its
 slot loop in ``tests/scalar_objectives.py`` at 1, 2, 3 and 100 rows, with
 ``tariff.BLOCK_CELLS`` set so tiles are one slot wide, a width that does not
 divide T, or one whole row. The states put an up move on the first slot of
-most tiles and fixed runs across tile edges. The decreasing fee's infeasible
-run that comes first in row-major order is named even when it sits in a later
-tile, and a row of -0.0 slots folds to 0.0. Last, numpy's reduce order, which
-the fold's bits rest on, is pinned.
+most tiles and fixed runs across tile edges. The decreasing fee is scanned
+and folded one block of rows at a time, with no run carried between blocks or
+tiles: its infeasible run that comes first in row-major order is named, with
+its row and contract, even when a later row overruns at an earlier slot or the
+run sits in a later block of rows, and a row of -0.0 slots folds to 0.0. Then
+numpy's reduce order, which the fold's bits rest on, is pinned, and the folds'
+peak memory is bounded.
 """
 
 import functools
@@ -102,6 +105,19 @@ class TestFoldsAtTileEdges:
                 dsp_costs(states, g0, g1, 1.0, CAP, fee_mode)
             assert str(got.value) == f"row 0: {want.value}"
 
+    def test_infeasible_run_in_a_later_row_block(self, monkeypatch, rows, width):
+        # only the last row overruns, in a later block of rows than the first when there are several, and
+        # only its contract is that short
+        states = np.ones((rows, PERIOD), dtype=np.int8)
+        states[-1, 2:CAP + 3] = 0
+        g0, g1 = _costs(np.random.default_rng(6), rows)
+        with pytest.raises(InfeasibleScheduleError) as want:
+            dsp_loop(states[-1].tolist(), g0[-1], g1[-1], 1.0, CAP)
+        _tiles(monkeypatch, rows, width, 1)
+        with pytest.raises(InfeasibleScheduleError) as got:
+            dsp_costs(states, g0, g1, 1.0, [PERIOD] * (rows - 1) + [CAP])
+        assert str(got.value) == f"row {rows - 1}: {want.value}"
+
     def test_continuous_rule(self, monkeypatch, rows, width):
         rng = np.random.default_rng(rows * 100 + width + 2)
         x = rng.integers(0, 5, size=(rows, PERIOD)) / 4.0
@@ -155,3 +171,30 @@ def test_tall_stack_fold_holds_no_transposed_copy():
     finally:
         tracemalloc.stop()
     assert peak < 40 * tariff.BLOCK_CELLS
+
+
+def _dsp_fold_peak(rows, period):
+    """tracemalloc's peak while ``_dsp_fold`` prices ``rows`` x ``period`` states, in runs of about five slots,
+    on one cost row shared by every row."""
+    rng = np.random.default_rng(9)
+    states = (np.cumsum(rng.random((rows, period)) < 0.2, axis=1) % 2).astype(np.int8)
+    g0, g1 = rng.normal(size=(2, 1, period))
+    terms = np.full(rows, 0.5), np.full(rows, period, dtype=np.int64), np.full(rows, True)
+    tracemalloc.start()
+    try:
+        tariff._dsp_fold(states, g0, g1, *terms)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decreasing_fee_fold_holds_one_row_block():
+    # 20 x 20,000 states: one row a block, whose run scan and tile take about 0.3 MB each, where the stack's
+    # 2T slots would be 6.4 MB
+    assert _dsp_fold_peak(20, 20_000) < 16 * tariff.BLOCK_CELLS
+
+
+def test_decreasing_fee_fold_on_long_rows_holds_one_row():
+    # 10 x 100,000 states: a row longer than a block is scanned alone and folded in tiles, about 21 bytes a
+    # slot, where the stack's 2T slots would be 16 MB
+    assert _dsp_fold_peak(10, 100_000) < 48 * 100_000

@@ -431,6 +431,14 @@ class TestKernelInput:
         lines = out.stdout.splitlines()
         assert len(lines) == 8 and all(line.startswith("contract_len must be an integer >= 1") for line in lines)
 
+    @pytest.mark.parametrize("cap", [True, np.True_])
+    @pytest.mark.parametrize("draws", [None, np.full((3, 5), 0.5)])
+    def test_bool_contract_len_refused(self, cap, draws):
+        # a bool is an integer 1, and once cut every fixed run after one slot
+        values = delta_trace(self.CS, 2.0).values
+        with pytest.raises(ValidationError, match=r"contract_len must be an integer >= 1, got (True|np\.True_)$"):
+            chase_kernel(values, 2.0, draws, cap)
+
     @pytest.mark.parametrize("beta", [float("nan"), 0.0, -1.0, float("inf")])
     def test_randomized_beta_checked(self, beta):
         values = delta_trace(self.CS, 2.0).values

@@ -390,6 +390,16 @@ class TestFeeTerms:
             with pytest.raises(ValidationError, match=needle):
                 call()
 
+    @pytest.mark.parametrize("length", [True, np.True_, [True, 2], [2, np.True_], np.array([True, True])])
+    def test_bool_contract_len_refused(self, length):
+        # a bool is an integer 1, and once priced a one-month contract
+        refused = r"contract_len must be an integer >= 1, got (True|np\.True_)$"
+        with pytest.raises(ValidationError, match=refused):
+            fee_term_rows(1.0, length, "literal", 2)
+        if not isinstance(length, (list, np.ndarray)):
+            with pytest.raises(ValidationError, match=refused):
+                dsp_cost(Schedule([1, 0]), CostSeries([1.0, 2.0], [2.0, 1.0]), 1.0, length)
+
     def test_longest_contract_per_row(self):
         states, g0, g1 = np.zeros((2, 3), np.int8), np.ones((2, 3)), np.full((2, 3), 2.0)
         with pytest.raises(ValidationError, match="contract_len must be <= 9007199254740992"):
@@ -416,7 +426,7 @@ FEE_ALPHAS = [0.5, 0, 1, -1.0, -0.0, 5e-324, 1e308, math.nan, math.inf, Decimal(
               Decimal("NaN"), Fraction(1, 3), np.int64(2), np.float32(0.1), 2**70, True, "0.5", "abc", None]
 FEE_LENGTHS = [12, 1, 12.0, 0, -1, 2.5, 1e20, math.nan, math.inf, -math.inf, 2**53, 2**53 + 1, 2**70,
                Decimal("3"), Decimal("2.5"), Decimal("NaN"), Fraction(3), Fraction(5, 2), np.int64(0),
-               np.int64(7), np.uint64(2**63), np.float32(12), True, False, "3", None]
+               np.int64(7), np.uint64(2**63), np.float32(12), True, False, np.True_, "3", None]
 FEE_MODE_VALUES = ["literal", "transition-only", np.str_("literal"), "bogus", b"literal", 3, None]
 
 
