@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Optional
 
@@ -34,12 +35,7 @@ from .adversary import (
     random_cost_series,
     random_costs,
 )
-from .chase import (
-    SeededUniforms,
-    _warn_forced,
-    delta_trace,
-    marginal_probabilities,
-)
+from .chase import SeededUniforms, _warn_forced
 from .oracles import _search, brute_force_dsps, dp_dsps, phi_identity_dsps, phi_identity_sps
 from .tariff import (
     FEE_MODES,
@@ -147,6 +143,10 @@ class RunConfig:
             if isinstance(getattr(self, name), np.generic):
                 object.__setattr__(self, name, getattr(self, name).item())
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        path = os.fspath(self.trace_path) if isinstance(self.trace_path, os.PathLike) else self.trace_path
+        if not (path is None or isinstance(path, str)):  # open() takes an int as a file descriptor
+            raise ValidationError(f"trace_path must be a str or a path naming one, got {self.trace_path!r}")
+        object.__setattr__(self, "trace_path", path)
         for name, allowed in (("fee_regime", FEE_REGIMES), ("benchmark", BENCHMARK_PLANS)):
             if getattr(self, name) not in allowed:
                 raise ValidationError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
@@ -453,7 +453,7 @@ def _verify_montecarlo(seed: int) -> tuple[bool, list[str]]:
             failures += 1
         if mean > 2.0 * priced["ofa"][0][0] + MC_Z * stderr + 1e-9:
             failures += 1
-        for p, e in zip(marginal_probabilities(delta_trace(cs, beta)), states.mean(axis=0)):
+        for p, e in zip(priced["cchase"][2][0].tolist(), states.mean(axis=0)):  # the continuous rule's fractions
             if abs(e - p) > MC_Z * math.sqrt(p * (1.0 - p) / n_runs) + 1e-12:
                 failures += 1
     return failures == 0, [f"randomized vs continuous: {n_inst} instances x {n_runs} runs, {failures} failures"]

@@ -348,27 +348,17 @@ def _csp_fold(x: np.ndarray, g0: np.ndarray, g1: np.ndarray, beta: np.ndarray) -
 
 
 def marginal_probabilities(dt: DeltaTrace) -> tuple[float, ...]:
-    """Pr[plan = 1] per slot under the randomized rule, propagated analytically.
+    """Pr[plan = 1] per slot under the randomized rule: the two-state chain over :func:`_slot_rule`. Slot t
+    forces its plan s_t with probability q_t = min(threshold_t, 1), which is 1 at a boundary, so
+    p_t = p_{t-1} + q_t * (s_t - p_{t-1}) from p_0 = 0.
 
     Equals the continuous schedule of :func:`cchase` entrywise (up to float
     rounding): the randomized algorithm's expectation is the continuous one.
     """
-    beta = dt.beta
-    neg = -beta
-    values = dt.values
-    p = 0.0
-    out = []
-    for t in range(1, len(dt) + 1):
-        d = values[t]
-        prev_d = values[t - 1]
-        if d == 0.0:
-            p = 1.0
-        elif d == neg:
-            p = 0.0
-        elif prev_d <= d:
-            p = p + (1.0 - d / prev_d) * (1.0 - p)
-        else:
-            p = p * (beta + d) / (beta + prev_d)
+    thr, plan = _slot_rule(np.array([dt.values]), -dt.beta, True)
+    p, out = 0.0, []
+    for q, s in zip(np.minimum(thr[0], 1.0).tolist(), plan[0, 1:].tolist()):
+        p = p + q * (s - p)
         out.append(p)
     return tuple(out)
 

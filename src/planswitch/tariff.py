@@ -75,8 +75,9 @@ class InfeasibleScheduleError(ValueError):
 
 def require_finite(name: str, value: float, positive: bool = False) -> float:
     """``value`` as a float that is finite and >= 0, or > 0 when ``positive``."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+    refused = isinstance(value, (bool, np.bool_))  # float() takes a bool as 0.0 or 1.0
+    value = bool(value) if refused else float(value)
+    if refused or not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
         raise ValidationError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
     return value
 
@@ -97,6 +98,8 @@ def require_finite_rows(name: str, value: np.typing.ArrayLike, rows: int,
     """``value`` (one value, or one per row) as ``rows`` floats that
     :func:`require_finite` accepts; the first it refuses names the error."""
     values = np.asarray(value, dtype=np.float64)
+    if values.size and np.asarray(value).dtype == np.bool_:  # the float64 array took True as 1.0
+        require_finite(name, np.asarray(value).flat[0], positive)
     if values.ndim == 0:
         return np.full(rows, require_finite(name, values, positive))
     if values.shape != (rows,):

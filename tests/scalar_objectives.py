@@ -8,7 +8,8 @@ fractions; ``potential_loop``: two trajectories) and its two cost sequences;
 sums are plain left folds from 0.0. ``fee_rows_loop`` is the decreasing-fee
 check written apart from the package's rule: one scalar check per row.
 ``guarded_walk`` is the expiry guard's retired per-row walk over forcing
-slots, one Python iteration per cut.
+slots, one Python iteration per cut. ``marginal_loop`` is the randomized
+rule's per-slot plan-1 probability with the rule's thresholds written out.
 """
 
 import math
@@ -216,3 +217,24 @@ def guarded_walk(hit, force, contract_len, out):
         idn = bisect_right(downs, on, idn)
         start = downs[idn] if idn < len(downs) else len(out)
         out[on:start] = 1
+
+
+def marginal_loop(values, beta):
+    """Pr[plan = 1] per slot of a gap trace (``values``, T + 1 entries from
+    -beta) under the randomized rule: 1 at the top, 0 at the floor; a rising
+    slot moves a fixed-plan customer up with probability 1 - d/prev, a falling
+    one keeps a variable-plan customer with probability (beta + d)/(beta + prev)."""
+    neg = -beta
+    p = 0.0
+    out = []
+    for prev_d, d in zip(values[:-1], values[1:]):
+        if d == 0.0:
+            p = 1.0
+        elif d == neg:
+            p = 0.0
+        elif prev_d <= d:
+            p = p + (1.0 - d / prev_d) * (1.0 - p)
+        else:
+            p = p * (beta + d) / (beta + prev_d)
+        out.append(p)
+    return tuple(out)

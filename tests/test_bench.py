@@ -142,6 +142,13 @@ class TestRunConfigValidation:
         (dict(seed=-1), "seed"),
         (dict(fee_regime="flat"), "fee_regime"),
         (dict(benchmark="none"), "benchmark"),
+        # float(True) is 1.0: a bool once ran as a fee or underusage rate of 1 or 0
+        (dict(beta=True), "beta must be finite and > 0, got True"),
+        (dict(beta=np.True_), "beta must be finite and > 0, got True"),
+        (dict(fee_regime="linear", alpha=True), "alpha must be finite and > 0, got True"),
+        (dict(fee_regime="linear", alpha=np.True_), "alpha must be finite and > 0, got True"),
+        (dict(h_rate=False), "h_rate must be finite and >= 0, got False"),
+        (dict(h_rate=np.True_), "h_rate must be finite and >= 0, got True"),
     ])
     def test_field_named_in_error(self, kwargs, needle):
         with pytest.raises(ValidationError, match=needle):
@@ -160,6 +167,26 @@ class TestRunConfigValidation:
         # a bool is an integer 1, and once ran as a one-month contract
         with pytest.raises(ValidationError, match="contract_len must be an integer >= 1, got True"):
             RunConfig(fee_regime="linear", contract_len=value)
+
+    class BytesPath:
+        def __fspath__(self):
+            return b"trace.csv"
+
+    @pytest.mark.parametrize("path", [3, 1, True, b"trace.csv", 1.5, BytesPath()],
+                             ids=["fd", "stdout", "bool", "bytes", "float", "bytes-pathlike"])
+    def test_trace_path_must_name_a_str(self, path):
+        # open() would read an int (or a bool) as a file descriptor and close it
+        message = f"trace_path must be a str or a path naming one, got {path!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            RunConfig(trace_path=path)
+
+    def test_pathlib_trace_path_kept_as_its_str(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(trace_to_csv(synth_trace(12, seed=12)))
+        cfg, plain = RunConfig(trace_path=path, seed=12), RunConfig(trace_path=str(path), seed=12)
+        assert cfg == plain and type(cfg.trace_path) is str
+        assert report_json(run_report(cfg)) == report_json(run_report(plain))
+        assert sweep_csv(*sweep(cfg, 1.0, 2.0, 1.0), cfg) == sweep_csv(*sweep(plain, 1.0, 2.0, 1.0), plain)
 
     def test_numpy_integers_echoed_as_ints(self):
         cfg = RunConfig(synth_slots=np.int64(12), mc_runs=np.int32(5), seed=np.uint8(3))
@@ -450,7 +477,10 @@ class TestSweep:
     @pytest.mark.parametrize("fees, needle", [
         ((5e-324, 1.0, 0.5), "alpha must be finite and > 0, got 0.0"),  # the first point's alpha underflows
         ((1e308, 1.7976931348623157e308, 7.976931348623157e307), "alpha * contract_len must be finite"),
-    ], ids=["first", "last"])
+        ((True, 2.0, 1.0), "fee_from must be finite and >= 0, got True"),  # float(True) is 1.0
+        ((1.0, np.True_, 1.0), "fee_to must be finite and >= 0, got True"),
+        ((1.0, 2.0, True), "fee_step must be finite and >= 0, got True"),
+    ], ids=["first", "last", "bool-from", "bool-to", "bool-step"])
     def test_point_fees_refused_before_any_work(self, monkeypatch, fees, needle):
         def no_work(*_):
             raise AssertionError("loaded a trace for a refused sweep")
@@ -526,6 +556,27 @@ class TestVerifySuites:
     def test_montecarlo_band_is_the_declared_false_alarm_rate(self):
         # 1e-4 per seed, split over both tails of 5 instances x (2 means + up to 10 marginals)
         assert bench.MC_Z == NormalDist().inv_cdf(1.0 - 1e-4 / (2 * 5 * (2 + 10)))
+
+    def test_montecarlo_suite_catches_a_wrong_falling_threshold(self, monkeypatch):
+        # Thresholds on falling interior slots scaled by 0.8. The suite compares the replicates' shares with the
+        # cchase fractions, which do not read the rule, so it fails. marginal_probabilities reads the rule and
+        # moves with the mutant, off cchase, which TestMarginals checks.
+        from planswitch import chase
+
+        real = chase._slot_rule
+
+        def mutant(values, neg, randomized):
+            thr, plan = real(values, neg, randomized)
+            if randomized:
+                thr[~plan[:, 1:] & np.isfinite(thr)] *= 0.8
+            return thr, plan
+
+        monkeypatch.setattr(chase, "_slot_rule", mutant)
+        assert run_verify_suite("montecarlo", 0) == (
+            False, ["randomized vs continuous: 5 instances x 4000 runs, 5 failures", "FAIL"])
+        dt = delta_trace(tariff.CostSeries.from_pairs([(1.0, 0.0), (0.0, 0.5)]), 2.0)  # gap -1, then falls to -1.5
+        assert chase.cchase(dt).x.tolist() == [0.5, 0.25]
+        assert chase.marginal_probabilities(dt) == (0.5, 0.3)
 
     def test_unknown_suite(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,8 @@ from planswitch import (
     sp_cost,
     zero_runs,
 )
+from planswitch.chase import drift_trace
+from scalar_objectives import marginal_loop
 
 CS_A = CostSeries.from_pairs([(3, 0), (0, 3), (0, 0)])
 CS_B = CostSeries.from_pairs([(1, 0), (1, 0), (0, 2)])
@@ -308,16 +312,51 @@ class TestCspCost:
         assert xs.x.tolist() == values
 
 
+def random_gap_traces(seed, n=100):
+    """``n`` gap traces of random cost series: constant-fee traces, then as many drift traces."""
+    rng = np.random.default_rng(seed)
+    for drift in (False, True):
+        for _ in range(n):
+            cs = random_cost_series(rng, int(rng.integers(1, 30)), 0, 4)
+            yield (drift_trace(cs, float(rng.uniform(0.02, 1.0)), int(rng.integers(1, 13))) if drift
+                   else delta_trace(cs, float(rng.uniform(0.2, 5.0))))
+
+
+def rising_gap_trace(rng, period):
+    """A gap trace whose every interior slot rises: each slot hits a boundary or climbs from the slot before."""
+    beta = float(rng.uniform(0.2, 5.0))
+    values = [-beta]
+    for u in rng.random(period).tolist():
+        values.append(-beta if u < 0.2 else 0.0 if u < 0.4 else float(rng.uniform(values[-1], 0.0)))
+    return DeltaTrace(values, beta)
+
+
+def falls_inside(dt):
+    """Whether some slot of the trace falls to an interior value."""
+    values = np.array(dt.values)
+    return bool(np.any((values[1:] < values[:-1]) & (values[1:] != -dt.beta)))
+
+
 class TestMarginals:
     def test_equal_to_continuous_schedule(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            period = int(rng.integers(1, 30))
-            beta = float(rng.uniform(0.2, 5.0))
-            cs = random_cost_series(rng, period, 0, 4)
-            dt = delta_trace(cs, beta)
+        for dt in random_gap_traces(17):
             for p, x in zip(marginal_probabilities(dt), cchase(dt).x):
                 assert abs(p - x) < 1e-12
+
+    def test_chain_matches_the_slot_loop(self):
+        # The chain reads _slot_rule's thresholds: a rising slot's q = 1 - d/prev makes the loop's floats, and
+        # a falling slot's p - q * p rounds apart from the loop's p * (beta + d)/(beta + prev) by an ulp or so.
+        rng = np.random.default_rng(5)
+        traces = [*random_gap_traces(29), *(rising_gap_trace(rng, int(rng.integers(1, 30))) for _ in range(200))]
+        kinds = Counter()
+        for dt in traces:
+            chain, loop, falls = marginal_probabilities(dt), marginal_loop(dt.values, dt.beta), falls_inside(dt)
+            kinds[falls] += 1
+            if falls:
+                assert max(abs(a - b) for a, b in zip(chain, loop)) <= 1e-15
+            else:
+                assert chain == loop
+        assert kinds[True] >= 100 and kinds[False] >= 200
 
     def test_half_at_midpoint(self):
         cs = CostSeries.from_pairs([(1, 0)])

@@ -531,6 +531,18 @@ class TestRequireFiniteRows:
         with pytest.raises(ValidationError, match=re.escape("h must be finite and >= 0, got -1e-300")):
             tariff.require_finite_rows("h", [0.0, -1e-300, math.nan], 3)
 
+    @pytest.mark.parametrize("beta", [True, np.True_, [True, False], np.array([1.0, 2.0]) > 0.0])
+    def test_bools_refused(self, beta):
+        # float() and a float64 array take True as 1.0, so a bool once priced as a fee of 1
+        with pytest.raises(ValidationError, match=re.escape("beta must be finite and > 0, got True")):
+            tariff.require_finite_rows("beta", beta, 2, positive=True)
+
+    @pytest.mark.parametrize("beta", [True, np.True_, False, [True, True]])
+    def test_sp_costs_refuses_a_bool_fee(self, beta):
+        g, message = np.ones((2, 3)), f"beta must be finite and >= 0, got {bool(np.ravel(beta)[0])}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            tariff.sp_costs(np.zeros((2, 3), np.int8), g, g, beta)
+
 
 class TestTrace:
     def test_rows_and_columns(self):
