@@ -264,7 +264,7 @@ def _price(g0: np.ndarray, g1: np.ndarray, fee: np.ndarray, algorithms, draws=No
     for gchase_r), their stderr or None, states (fractions for cchase) and forced switches per kernel row or
     None. An overflow warns, unless the caller silences it to refuse the number by name."""
     beta, drift = (fee, np.zeros(len(fee))) if guard is None else (fee * guard, fee)
-    values, neg = _delta_rows(np.broadcast_to(g0 - g1, (len(fee), g0.shape[1])), beta, drift), -beta[:, None]
+    values, neg = _delta_rows(g0 - g1, beta, drift), -beta[:, None]
     if guard is None:
         objective, terms, opt = _sp_fold, (fee,), _offline(values, neg)
     else:

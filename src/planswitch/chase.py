@@ -21,12 +21,13 @@ The decreasing-fee variants subtract a per-slot drift ``alpha`` from the gap
 and force a switch when a fixed contract reaches its maximum length.
 
 A ``DeltaTrace`` holds its values as a tuple, a ``FractionalSchedule`` its
-fractions as a read-only float64 array. Every forward rule runs in one numpy
-kernel over (replicates x slots), :func:`chase_kernel`. The deterministic rule
-is the randomized one without draws, and also takes a stack of traces. A gap
-trace is checked once, where it enters, by one rule: by the record, or by
-``chase_kernel`` and ``offline_states``; code holding a checked trace runs
-their unchecked cores.
+fractions as a read-only float64 array. Every forward rule runs in one
+kernel over (replicates x slots), :func:`chase_kernel`, filled by a compiled
+walk (:mod:`planswitch.loops`, which also scans the traces). The
+deterministic rule is the randomized one without draws, and also takes a
+stack of traces. A gap trace is checked once, where it enters, by one rule:
+by the record, or by ``chase_kernel`` and ``offline_states``; code holding a
+checked trace runs their unchecked cores.
 Each online rule keeps a scalar step form as the readable reference: folding
 the steps reproduces the kernel bit-exactly, as the randomized step consumes
 one uniform draw per slot whether or not the slot's decision is random.
@@ -35,18 +36,17 @@ one uniform draw per slot whether or not the slot's decision is random.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from . import loops
 from .tariff import (
     CostSeries,
     Schedule,
     ValidationError,
     _first,
-    _fixed_runs,
     _fold_rows,
     _record_array,
     _row_blocks,
@@ -165,21 +165,6 @@ def clamp_step(prev: float, gap: float, beta: float, drift: float = 0.0) -> floa
     return v
 
 
-def _gap_scan(gaps: Iterable[float], beta: float, drift: float) -> list[float]:
-    # The gap scan: -beta, then the running sum of (gap - drift) clamped to [-beta, 0] slot by slot.
-    v = neg = -beta
-    values = [neg]
-    append = values.append
-    for gap in gaps:
-        v = v + gap - drift
-        if v >= 0.0:
-            v = 0.0
-        elif v <= neg:
-            v = neg
-        append(v)
-    return values
-
-
 def delta_trace(cs: CostSeries, beta: float, drift: float = 0.0) -> DeltaTrace:
     """Build the full clamped gap sequence for a cost series.
 
@@ -187,7 +172,8 @@ def delta_trace(cs: CostSeries, beta: float, drift: float = 0.0) -> DeltaTrace:
     boundary rules become meaningless): the record checks beta and drift.
     """
     beta, drift = float(beta), float(drift)
-    return DeltaTrace(values=tuple(_gap_scan((cs.g0 - cs.g1).tolist(), beta, drift)), beta=beta, drift=drift)
+    values = _delta_rows((cs.g0 - cs.g1)[None], np.array([beta]), np.array([drift]))[0]
+    return DeltaTrace(values=tuple(values.tolist()), beta=beta, drift=drift)
 
 
 def delta_traces(g0, g1, beta, drift=0.0) -> np.ndarray:
@@ -201,10 +187,10 @@ def delta_traces(g0, g1, beta, drift=0.0) -> np.ndarray:
 
 
 def _delta_rows(gaps: np.ndarray, beta: np.ndarray, drift: np.ndarray) -> np.ndarray:
-    # delta_traces on checked input (gaps g0 - g1, beta and drift per row), scanned a _row_blocks block at a time
-    values = np.empty((len(gaps), gaps.shape[1] + 1))
-    for sel in _row_blocks(len(values), values.shape[1]):
-        values[sel] = [_gap_scan(*row) for row in zip(gaps[sel].tolist(), beta[sel].tolist(), drift[sel].tolist())]
+    # delta_traces on checked input: gaps g0 - g1 (a stack, or one row for every row) and beta and drift per row,
+    # scanned by the compiled loop
+    values = np.empty((len(beta), gaps.shape[1] + 1))
+    loops.call("scan", gaps, gaps.shape[1] if len(gaps) > 1 else 0, beta, drift, len(beta), gaps.shape[1], values)
     values.flags.writeable = False
     return values
 
@@ -414,61 +400,6 @@ def _slot_rule(values: np.ndarray, neg: float | np.ndarray, randomized: bool) ->
     return thr, top
 
 
-# Fewest fixed runs still needing a cut for one numpy step to cut them all; fewer are cut one by one in
-# Python, so a block's last long chains do not pay a whole-block step per cut. 8, 16 and 32 time the same.
-STEP_RUNS = 16
-
-
-def _guarded(hit: np.ndarray, contract_len: int, out: np.ndarray) -> np.ndarray:
-    # The guard on every row of a block, ``out``, filled without it: each fixed run longer than contract_len
-    # cut on its own. A run from slot c is cut at c + contract_len; plan 1 then holds until the next forcing
-    # slot, which inside a run forces 0 and starts the rest of the run, or through the run's end. Slots are
-    # flat indices. Returns the forced-switch count per row.
-    # Slots more than contract_len into a fixed run, measured by the fee's own rule: a too-long run's first
-    # cut through its end. A row's first slot is never one, so no stretch of them spans two rows.
-    over = (_fixed_runs(out)[0] > contract_len).ravel()
-    bounds = (over[1:] != over[:-1]).nonzero()[0] + 1
-    if over[-1]:
-        bounds = np.append(bounds, over.size)
-    start, end = bounds[0::2] - contract_len, bounds[1::2]
-    flat, period, hits = out.reshape(-1), out.shape[1], hit.ravel().nonzero()[0]
-    forced = np.zeros(len(out), np.int64)
-    if len(end) >= STEP_RUNS:
-        after = np.append(hits, flat.size)  # the last entry: past every row
-        edges = np.zeros(flat.size + 1, np.int8)  # +1 where a forced plan-1 stretch starts, -1 past its end
-        cuts = []  # the flat slot of every cut
-        while len(end) >= STEP_RUNS:
-            cut = start + contract_len
-            start = after[after.searchsorted(cut, "right")]
-            edges[cut] = 1
-            edges[np.minimum(start, end)] = -1
-            cuts.append(cut)
-            rest = start + contract_len < end
-            start, end = start[rest], end[rest]
-        flat += np.cumsum(edges[:-1], dtype=np.int8)
-        forced += np.bincount(np.concatenate(cuts) // period, minlength=len(out))
-    for on, stop, lo, hi in zip(start.tolist(), end.tolist(), hits.searchsorted(start).tolist(),
-                                hits.searchsorted(end).tolist()):
-        run_hits, i, n = hits[lo:hi].tolist(), 0, 0
-        while on + contract_len < stop:
-            cut = on + contract_len
-            i = bisect_right(run_hits, cut, i)
-            on = run_hits[i] if i < len(run_hits) else stop
-            flat[cut:on] = 1
-            n += 1
-        forced[(stop - 1) // period] += n
-    return forced
-
-
-def _fill(hit: np.ndarray, slots: np.ndarray, plan_of: np.ndarray) -> np.ndarray:
-    # Forward fill: each slot takes the plan of the last forcing slot up to it, else that of column 0.
-    # plan_of is (traces x (T + 1)), and the rows of hit are each trace's in turn, as many for every trace.
-    last = np.maximum.accumulate(hit * slots, axis=-1)
-    if len(plan_of) > 1:
-        last += np.arange(0, plan_of.size, plan_of.shape[1], dtype=np.int32).repeat(len(last) // len(plan_of))[:, None]
-    return plan_of.take(last).view(np.int8)
-
-
 def chase_kernel(values, beta, draws=None, contract_len: int | None = None):
     """Every forward chase rule, over (replicates x slots).
 
@@ -510,19 +441,18 @@ def _chase(values: np.ndarray, neg: float | np.ndarray, draws=None, contract_len
     """:func:`chase_kernel` on checked input: traces (one, or a stack) and -beta (a float or a column), draws or
     None, and an int ``contract_len`` or None. Every trace runs every draw row, trace-major. One loop runs every
     rule: over blocks of traces (whole traces while all their draw rows fit), each trace's thresholds and forced
-    plans made once, then over blocks of draw rows, each compared with its own trace's thresholds."""
+    plans made once, then over blocks of draw rows, each compared with its own trace's thresholds and then filled
+    (and guarded) by one call of the compiled walk."""
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))  # the dtype: a tuple converts faster
-    slots = np.arange(1, values.shape[1], dtype=np.int32)
-    runs = 1 if draws is None else len(draws)  # rows per trace
-    states, forced = np.zeros((len(values) * runs, len(slots)), np.int8), np.zeros(len(values) * runs, np.int64)
-    for traces in _row_blocks(len(values), runs * len(slots)):
+    period, runs = values.shape[1] - 1, 1 if draws is None else len(draws)  # runs: rows per trace
+    states, forced = np.empty((len(values) * runs, period), np.int8), np.empty(len(values) * runs, np.int64)
+    for traces in _row_blocks(len(values), runs * period):
         force, plan_of = _slot_rule(values[traces], neg[traces] if np.ndim(neg) else neg, draws is not None)
-        for sel in _row_blocks(runs, len(plan_of) * len(slots)):
-            hit = force if draws is None else (draws[sel] < force[:, None]).reshape(-1, len(slots))
+        for sel in _row_blocks(runs, len(plan_of) * period):
+            hit = force if draws is None else (draws[sel] < force[:, None]).reshape(-1, period)
             rows = slice(traces.start * runs + sel.start, (traces.stop - 1) * runs + sel.stop)
-            states[rows] = _fill(hit, slots, plan_of)
-            if contract_len is not None:
-                forced[rows] = _guarded(hit, contract_len, states[rows])
+            loops.call("walk", hit, plan_of, len(hit), len(hit) // len(plan_of), period,
+                       period if contract_len is None else contract_len, states[rows], forced[rows])
     return states, forced
 
 

@@ -16,12 +16,11 @@ guarantee slot by slot.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
+from . import loops
 from .chase import FractionalSchedule
 from .tariff import (
     CostSeries,
@@ -237,55 +236,13 @@ def dp_dsps(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike, alpha: np.typing.A
 
 def _dp(g0: np.ndarray, g1: np.ndarray, alpha: np.ndarray, cap: np.ndarray,
         literal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`dp_dsps` on checked input, row by row: costs of the stack's shape
+    """:func:`dp_dsps` on checked input, by the compiled loop: costs of the stack's shape
     or one row for all, and each row's fee terms as arrays of ``rows`` entries."""
-    states, ties = np.empty((len(alpha), g0.shape[1]), np.int8), np.empty(len(alpha), np.int64)
-    series = [(b, [0.0, *accumulate(a)]) for a, b in zip(g0.tolist(), g1.tolist())]
-    for row, terms in enumerate(zip(alpha.tolist(), cap.tolist(), literal.tolist())):
-        states[row], ties[row] = _dp_row(*series[row % len(series)], *terms)  # its own series, or the shared one
+    (rows,), period = alpha.shape, g0.shape[1]
+    states, ties = np.empty((rows, period), np.int8), np.empty(rows, np.int64)
+    loops.call("dp", g0, g1, period if len(g0) > 1 else 0, alpha, cap, literal, TIE_TOL, rows, period,
+               np.empty(3 * period + 3), np.empty(2 * period + 2, np.int64), states, ties)
     return states, ties
-
-
-def _dp_row(g1: list[float], prefix: list[float], alpha: float, cap: int, literal: bool) -> tuple[list[int], int]:
-    """One row of :func:`_dp`, on g1 and the prefix sums P of g0: its schedule and tie count."""
-    period = len(g1)
-    value = [0.0] * (period + 1)
-    run = [0] * (period + 1)  # length of the fixed run ended before variable slot t, 0 if none
-    window: deque[tuple[float, int]] = deque()  # (A[s], s), A[s] + alpha * s increasing from the front
-    for t in range(1, period + 1):
-        s = t - 1
-        if s:
-            a = value[s - 1] - prefix[s - 1]
-            while window and window[-1][0] - a >= alpha * (s - window[-1][1]):
-                window.pop()
-            window.append((a, s))
-            if window[0][1] < t - cap:
-                window.popleft()
-        best = value[t - 1]
-        if window:
-            a, s = window[0]
-            c = a + prefix[t - 1] + alpha * (cap - (t - s))
-            if c < best:
-                best = c
-                run[t] = t - s
-        value[t] = best + g1[t - 1]
-
-    # End states: the variable plan (start T + 1), then open runs s..T, shortest first.
-    finals = [(value[period], period + 1)]
-    for s in range(period, max(period - cap, 0), -1):
-        c = value[s - 1] + (prefix[period] - prefix[s - 1])
-        if literal:
-            c += alpha * (cap - (period - s + 1))
-        finals.append((c, s))
-    best, start = min(finals, key=lambda f: f[0])
-
-    states = [1] * period
-    t = period + 1
-    while t > 0:
-        states[start - 1 : t - 1] = [0] * (t - start)
-        t = start - 1
-        start = t - run[t]
-    return states, sum(c <= best + TIE_TOL for c, _ in finals)
 
 
 def dp_dsp(cs: CostSeries, alpha: float, contract_len: int, fee_mode: str = "literal") -> OracleResult:

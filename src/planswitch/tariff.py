@@ -97,17 +97,17 @@ def require_finite_rows(name: str, value: np.typing.ArrayLike, rows: int,
                         positive: bool = False) -> np.ndarray:
     """``value`` (one value, or one per row) as ``rows`` floats that
     :func:`require_finite` accepts; the first it refuses names the error."""
-    values = np.asarray(value, dtype=np.float64)
-    if values.size and np.asarray(value).dtype == np.bool_:  # the float64 array took True as 1.0
-        require_finite(name, np.asarray(value).flat[0], positive)
-    if values.ndim == 0:
-        return np.full(rows, require_finite(name, values, positive))
-    if values.shape != (rows,):
+    values = np.asarray(value, dtype=np.float64, order="C")  # C order: the compiled loops read it
+    if values.ndim and values.shape != (rows,):
         raise ValidationError(f"{name} must be one value or one per row ({rows}), got shape {values.shape}")
-    bad = _first_invalid(values, positive)
+    items = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)  # a list's own numbers
+    refused = _invalid(values, positive)
+    if items.dtype.kind in "bO":  # the float64 array took a bool, alone or in a list, as 1.0 or 0.0
+        refused |= np.reshape([isinstance(v, (bool, np.bool_)) for v in items.flat], values.shape).astype(bool)
+    bad = _first(refused)
     if bad >= 0:
-        require_finite(name, values[bad], positive)
-    return values
+        require_finite(name, items.flat[bad], positive)
+    return values if values.ndim else np.full(rows, values)
 
 
 # The longest contract accepted. Up to 2**53 every integer is an exact float, so a
@@ -169,9 +169,9 @@ def _first(bad: np.ndarray) -> int:
     return first if first >= 0 and bad.item(first) else -1
 
 
-def _first_invalid(values: np.ndarray, positive: bool = False) -> int:
-    """Flat (row-major) index of the first value that is not finite and >= 0 (> 0 when ``positive``), or -1."""
-    return _first(~(np.isfinite(values) & ((values > 0.0) if positive else (values >= 0.0))))
+def _invalid(values: np.ndarray, positive: bool = False) -> np.ndarray:
+    """Where ``values`` are not finite and >= 0 (> 0 when ``positive``)."""
+    return ~(np.isfinite(values) & ((values > 0.0) if positive else (values >= 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +193,7 @@ class Trace:
         if values.ndim != 2 or values.shape[1] != len(SLOT_FIELDS):
             raise ValidationError(f"trace must be a (T, {len(SLOT_FIELDS)}) array of "
                                   f"{', '.join(SLOT_FIELDS)}, got shape {values.shape}")
-        bad = _first_invalid(values)
+        bad = _first(_invalid(values))
         if bad >= 0:
             require_finite(SLOT_FIELDS[bad % len(SLOT_FIELDS)], values.flat[bad])
         values.flags.writeable = False
@@ -309,9 +309,9 @@ def cost_series(trace: Trace, underusage_rate: np.typing.ArrayLike) -> CostSerie
 
 def cost_stack(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """A stack of cost series, one per row: ``g0`` and ``g1`` as finite float
-    arrays of one nonempty (rows x T) shape."""
-    g0 = np.asarray(g0, dtype=np.float64)
-    g1 = np.asarray(g1, dtype=np.float64)
+    arrays of one nonempty (rows x T) shape, in C order, as the compiled loops read them."""
+    g0 = np.asarray(g0, dtype=np.float64, order="C")
+    g1 = np.asarray(g1, dtype=np.float64, order="C")
     if g0.ndim != 2 or 0 in g0.shape or g1.shape != g0.shape:
         raise ValidationError(f"cost stack shapes {g0.shape} and {g1.shape} must both be "
                               f"a nonempty (rows x T) {g0.shape}")
@@ -350,9 +350,9 @@ def _stack(states: np.typing.ArrayLike, g0: np.typing.ArrayLike,
 
 
 def _fixed_runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one rule of run lengths, which the decreasing fee and the expiry guard read: per slot of a
-    (rows x T) 0/1 matrix (bool or integers), how long the fixed-plan (state 0) run through it has lasted,
-    0 on plan 1, and whether the slot ends its run. A run's last slot thus holds its length."""
+    """The rule of run lengths that the decreasing fee reads (the expiry guard counts them in its compiled walk):
+    per slot of a (rows x T) 0/1 matrix (bool or integers), how long the fixed-plan (state 0) run through it has
+    lasted, 0 on plan 1, and whether the slot ends its run. A run's last slot thus holds its length."""
     t = np.arange(1, states.shape[1] + 1, dtype=np.int32)
     ends = states == 0
     ends[:, :-1] &= states[:, 1:] != 0
@@ -598,7 +598,7 @@ def _parse_rows(data: bytes | str) -> Trace:
         try:
             return Trace(rows)
         except ValidationError as exc:
-            raise TraceParseError(f"row {row_nos[_first_invalid(rows) // len(SLOT_FIELDS)]}: {exc}") from None
+            raise TraceParseError(f"row {row_nos[_first(_invalid(rows)) // len(SLOT_FIELDS)]}: {exc}") from None
 
     prev_t = row_no = 0
     try:

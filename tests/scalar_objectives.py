@@ -10,14 +10,20 @@ check written apart from the package's rule: one scalar check per row.
 ``guarded_walk`` is the expiry guard's retired per-row walk over forcing
 slots, one Python iteration per cut. ``marginal_loop`` is the randomized
 rule's per-slot plan-1 probability with the rule's thresholds written out.
+``scan_loop`` and ``dp_row_loop`` are the gap scan and the decreasing-fee DP
+as Python loops, which the compiled loops replaced.
 """
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
+from itertools import accumulate
 
 import numpy as np
 
 from planswitch import InfeasibleScheduleError, ValidationError
+from planswitch.chase import clamp_step
+from planswitch.oracles import TIE_TOL
 from planswitch.tariff import FEE_MODES, MAX_CONTRACT_LEN, require_finite
 
 
@@ -238,3 +244,57 @@ def marginal_loop(values, beta):
             p = p * (beta + d) / (beta + prev_d)
         out.append(p)
     return tuple(out)
+
+
+def scan_loop(gaps, beta, drift=0.0):
+    """A gap trace: -beta, then :func:`planswitch.chase.clamp_step` folded over
+    the gaps, slot by slot."""
+    values = [-beta]
+    for gap in gaps:
+        values.append(clamp_step(values[-1], gap, beta, drift))
+    return values
+
+
+def dp_row_loop(g0, g1, alpha, cap, literal):
+    """One row's decreasing-fee DP, as ``dp_dsps`` describes it: its schedule
+    and tie count. The prefix sums of g0 are ``itertools.accumulate``'s, and a
+    monotone deque of (A[s], s) gives each slot's best open run."""
+    prefix = [0.0, *accumulate(g0)]
+    period = len(g1)
+    value = [0.0] * (period + 1)
+    run = [0] * (period + 1)  # length of the fixed run ended before variable slot t, 0 if none
+    window = deque()  # (A[s], s), A[s] + alpha * s increasing from the front
+    for t in range(1, period + 1):
+        s = t - 1
+        if s:
+            a = value[s - 1] - prefix[s - 1]
+            while window and window[-1][0] - a >= alpha * (s - window[-1][1]):
+                window.pop()
+            window.append((a, s))
+            if window[0][1] < t - cap:
+                window.popleft()
+        best = value[t - 1]
+        if window:
+            a, s = window[0]
+            c = a + prefix[t - 1] + alpha * (cap - (t - s))
+            if c < best:
+                best = c
+                run[t] = t - s
+        value[t] = best + g1[t - 1]
+
+    # End states: the variable plan (start T + 1), then open runs s..T, shortest first.
+    finals = [(value[period], period + 1)]
+    for s in range(period, max(period - cap, 0), -1):
+        c = value[s - 1] + (prefix[period] - prefix[s - 1])
+        if literal:
+            c += alpha * (cap - (period - s + 1))
+        finals.append((c, s))
+    best, start = min(finals, key=lambda f: f[0])
+
+    states = [1] * period
+    t = period + 1
+    while t > 0:
+        states[start - 1 : t - 1] = [0] * (t - start)
+        t = start - 1
+        start = t - run[t]
+    return states, sum(c <= best + TIE_TOL for c, _ in finals)

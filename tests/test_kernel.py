@@ -271,9 +271,9 @@ def guard_case(rng):
 
 
 class TestExpiryGuardPaths:
-    """Every guarded block takes one path: numpy steps while at least
-    ``STEP_RUNS`` runs still need a cut, then one cut at a time. Each case is
-    checked against the oracle fold and the retired per-row walk."""
+    """Guarded blocks of every shape: sparse and dense forcing slots, parked
+    tails, contracts shorter and longer than the trace. Each case is checked
+    against the oracle fold and the retired per-row walk."""
 
     def test_random_cases(self):
         rng = np.random.default_rng(307)
@@ -323,8 +323,9 @@ class TestExpiryGuardPaths:
 
 
 class TestLongCutChains:
-    """Cut chains far longer than the random cases reach, so the one-by-one
-    cuts run for long; ``STEP_RUNS`` keeps its value."""
+    """Cut chains far longer than the random cases reach: rows of one block
+    whose chains stop at different slots, and long rows cut thousands of
+    times."""
 
     def test_one_row_cut_after_the_others_stop(self):
         # A falling trace: a draw of 0 makes every slot force plan 0, so a row's one fixed run is cut once
@@ -335,9 +336,6 @@ class TestLongCutChains:
         for i, stop in enumerate(np.linspace(8, period, rows).astype(int)[:-1]):
             draws[i, stop:] = 1.0
         forced = check_guard(values, beta, draws, cap)
-        chains = np.sort(forced)[::-1]
-        assert chains[chase.STEP_RUNS - 1] > 0  # the first cuts come in numpy steps
-        assert forced[-1] == chains[0] > chains[1] > chains[chase.STEP_RUNS - 1]  # the last ones one by one
         assert forced[-1] >= period // (cap + 1) - 1
 
     @pytest.mark.parametrize("tops", [False, True], ids=["parked", "sparse-tops"])

@@ -147,8 +147,8 @@ class TestDeltaTraces:
             delta_traces(np.zeros((2, 3)), np.zeros((2, 3)), 1.0, drift)
 
     def test_tall_stack_holds_no_whole_stack_as_lists(self):
-        # The peak is the gaps and the result plus one row block's Python floats (about 64 bytes a cell, the
-        # gaps' and the trace's: some 4 MB), not the whole stack's, which peaks near 39 MB here.
+        # The peak is the gaps and the result, which the compiled scan fills in place; the whole stack as Python
+        # lists, as the scan once held it, peaks near 39 MB here.
         g0, g1, beta = _drift_stack(np.random.default_rng(410), 50_000, 12)
         tracemalloc.start()
         try:

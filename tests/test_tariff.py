@@ -537,6 +537,19 @@ class TestRequireFiniteRows:
         with pytest.raises(ValidationError, match=re.escape("beta must be finite and > 0, got True")):
             tariff.require_finite_rows("beta", beta, 2, positive=True)
 
+    @pytest.mark.parametrize("beta", [[True, 2.0], [2.0, np.True_], (1.5, False), [np.nan, True], [True, np.nan]],
+                             ids=repr)
+    def test_a_bool_inside_a_list_refused(self, beta):
+        # A list of numbers converts to a float64 array, bools and all, so a bool item once priced as a fee of 1 or 0;
+        # the first refused item names the error, a bool or a number.
+        first = next(bool(v) if isinstance(v, (bool, np.bool_)) else v for v in beta
+                     if isinstance(v, (bool, np.bool_)) or not v > 0.0)
+        with pytest.raises(ValidationError, match=re.escape(f"beta must be finite and > 0, got {first!r}")):
+            tariff.require_finite_rows("beta", beta, 2, positive=True)
+        g = np.ones((2, 3))
+        with pytest.raises(ValidationError, match=re.escape(f"beta must be finite and >= 0, got {first!r}")):
+            tariff.sp_costs(np.zeros((2, 3), np.int8), g, g, beta)
+
     @pytest.mark.parametrize("beta", [True, np.True_, False, [True, True]])
     def test_sp_costs_refuses_a_bool_fee(self, beta):
         g, message = np.ones((2, 3)), f"beta must be finite and >= 0, got {bool(np.ravel(beta)[0])}"
