@@ -274,7 +274,14 @@ def test_broken_or_stale_cache_entries_are_built_again(reloaded, monkeypatch):
     want = chase.delta_traces([[1.0, -3.0]], [[0.0, 0.0]], 2.0)
     cache = reloaded / "cache" / "planswitch"
     key, so = sorted(cache.iterdir())
-    for damage in (lambda: so.write_bytes(b"not a library"), lambda: key.write_bytes(key.read_bytes() + b" ")):
+
+    def rewrite(path, data):
+        # A new file in the entry's place: writing into the library in place would truncate the pages this
+        # process has mapped since it loaded it, and the process would die of SIGBUS when it next touched them.
+        path.unlink()
+        path.write_bytes(data)
+
+    for damage in (lambda: rewrite(so, b"not a library"), lambda: rewrite(key, key.read_bytes() + b" ")):
         damage()
         monkeypatch.setattr(loops, "_lib", None)
         assert np.array_equal(chase.delta_traces([[1.0, -3.0]], [[0.0, 0.0]], 2.0), want)
