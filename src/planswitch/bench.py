@@ -138,7 +138,7 @@ class RunConfig:
 
     def __post_init__(self):
         """The input boundary of run and sweep: every field the regime uses is checked here and kept as its
-        check returns it; a fee field it does not use is echoed unchecked, a numpy scalar as a Python number."""
+        check returns it; a fee field it does not use is echoed if finite, a numpy scalar as a Python number."""
         for name in ("beta", "alpha", "contract_len"):
             if isinstance(getattr(self, name), np.generic):
                 object.__setattr__(self, name, getattr(self, name).item())
@@ -165,6 +165,10 @@ class RunConfig:
             alpha, cap, _ = fee_terms(self.alpha, self.contract_len, self.fee_mode, positive=True)
             object.__setattr__(self, "alpha", alpha)
             object.__setattr__(self, "contract_len", cap)
+        for name in ("beta", "alpha", "contract_len"):  # the used ones are finite by now; JSON has no NaN or inf
+            if isinstance(getattr(self, name), float) and not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, even unused in the {self.fee_regime} fee regime, "
+                                      f"got {getattr(self, name)!r}")
         if self.h_rate is not None:
             object.__setattr__(self, "h_rate", require_finite("h_rate", self.h_rate))
         # synth_trace checks the slots' range: a trace file needs none
@@ -328,7 +332,7 @@ def sweep(config: RunConfig, fee_from: float, fee_to: float, fee_step: float) ->
 
     One row per fee value on a shared trace (same seed at every point). The constant regime sets beta to
     the fee; the linear regime divides the fee by the contract length to get alpha. Fees are evaluated in
-    chunks, cut by :func:`_row_blocks` on the replicate fold's 2T cells per replicate. The offline optimum's
+    chunks, cut by :func:`_row_blocks` at 2T cells per replicate. The offline optimum's
     cost must be non-decreasing in the fee; violations are logged, not raised. More than
     ``MAX_SWEEP_POINTS`` fee points, a fee or step that is not finite, or a fee whose beta or alpha
     RunConfig refuses, is refused before the trace is read.

@@ -47,7 +47,7 @@ from .tariff import (
     Schedule,
     ValidationError,
     _first,
-    _fold_rows,
+    _fold,
     _record_array,
     _row_blocks,
     cost_stack,
@@ -169,9 +169,9 @@ def delta_trace(cs: CostSeries, beta: float, drift: float = 0.0) -> DeltaTrace:
     """Build the full clamped gap sequence for a cost series.
 
     Requires beta > 0 (the band [-beta, 0] would otherwise collapse and the
-    boundary rules become meaningless): the record checks beta and drift.
+    boundary rules become meaningless): drift and beta are checked before the scan, so a bool is refused.
     """
-    beta, drift = float(beta), float(drift)
+    drift, beta = require_finite("drift", drift), require_finite("beta", beta, positive=True)
     values = _delta_rows((cs.g0 - cs.g1)[None], np.array([beta]), np.array([drift]))[0]
     return DeltaTrace(values=tuple(values.tolist()), beta=beta, drift=drift)
 
@@ -322,15 +322,9 @@ def csp_cost(xs: FractionalSchedule, cs: CostSeries, beta: float) -> float:
 def _csp_fold(x: np.ndarray, g0: np.ndarray, g1: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Cost of each row of a (rows x T) stack of fractional schedules (x_0 = 0), on costs of its shape or one row,
     one fee per row: the plans' costs interpolated plus ``beta`` per unit moved up. A strict left fold of 0.0, then
-    per slot (g1 - g0) * x_t + g0 and, on an up move, ``beta * (x_t - x_{t-1})``, else 0.0, in the tiles of
-    :func:`planswitch.tariff._fold_rows`, each tile's first move read from the slot before it."""
-    def fill(tile, sel, cols):
-        g = sel if len(g0) == len(x) else slice(None)
-        up = np.diff(x[sel, cols], axis=1, prepend=x[sel, cols.start - 1:cols.start] if cols.start else 0.0)
-        tile[0::2] = ((g1[g, cols] - g0[g, cols]) * x[sel, cols] + g0[g, cols]).T
-        tile[1::2] = np.where(up > 0.0, beta[sel, None] * up, 0.0).T
-
-    return _fold_rows(fill, *x.shape)
+    per slot (g1 - g0) * x_t + g0 and, on an up move, ``beta * (x_t - x_{t-1})``, else 0.0: one call of the compiled
+    ``csp`` for the stack."""
+    return _fold("csp", x, g0, g1, beta)
 
 
 def marginal_probabilities(dt: DeltaTrace) -> tuple[float, ...]:

@@ -71,3 +71,49 @@ void dp(const double *g0, const double *g1, int64_t stride, const double *alpha,
             for (int64_t i = start - 1; i < t - 1; i++) states[r * period + i] = 0;
     }
 }
+
+/* The cost folds: each row's total, a strict left fold from 0.0, its states or fractions at r * period and its costs
+   g0, g1 at r * stride. sp adds g_t(s_t), then beta for an up move (s_0 = 0), else 0.0. */
+void sp(const int8_t *s, const double *g0, const double *g1, int64_t stride, int64_t rows, int64_t period,
+        double *out, const double *beta) {
+    for (int64_t r = 0; r < rows; r++, s += period, g0 += stride, g1 += stride) {
+        double total = 0.0;
+        for (int64_t t = 0; t < period; t++) {
+            total += (s[t] ? g1 : g0)[t];
+            total += (double)(s[t] > (t ? s[t - 1] : 0)) * beta[r];
+        }
+        out[r] = total;
+    }
+}
+
+/* dsp adds every g_t(s_t), then each fixed run's fee alpha * (cap - d) at its last slot, a run open at T only when
+   literal. The first run longer than cap, row-major, stops it, its last slot's flat index in overrun[0] (else -1). */
+void dsp(const int8_t *s, const double *g0, const double *g1, int64_t stride, int64_t rows, int64_t period,
+         double *out, const double *alpha, const int64_t *cap, const uint8_t *literal, int64_t *overrun) {
+    overrun[0] = -1;
+    for (int64_t r = 0; r < rows; r++, s += period, g0 += stride, g1 += stride) {
+        double total = 0.0;
+        for (int64_t t = 0; t < period; t++) total += (s[t] ? g1 : g0)[t];
+        for (int64_t t = 0, d = 0; t < period; t++) {
+            d = s[t] ? 0 : d + 1;
+            if (!d || (t + 1 < period && !s[t + 1])) continue;  /* not the last slot of a run */
+            if (d > cap[r]) { overrun[0] = r * period + t; return; }
+            if (t + 1 < period || literal[r]) total += alpha[r] * (double)(cap[r] - d);
+        }
+        out[r] = total;
+    }
+}
+
+/* csp adds (g1 - g0) * x_t + g0, then beta * (x_t - x_{t-1}) for an up move (x_0 = 0), else 0.0. */
+void csp(const double *x, const double *g0, const double *g1, int64_t stride, int64_t rows, int64_t period,
+         double *out, const double *beta) {
+    for (int64_t r = 0; r < rows; r++, x += period, g0 += stride, g1 += stride) {
+        double total = 0.0;
+        for (int64_t t = 0; t < period; t++) {
+            double up = x[t] - (t ? x[t - 1] : 0.0);
+            total += (g1[t] - g0[t]) * x[t] + g0[t];
+            total += up > 0.0 ? beta[r] * up : 0.0;
+        }
+        out[r] = total;
+    }
+}

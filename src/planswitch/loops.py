@@ -1,4 +1,4 @@
-"""The sequential recurrences of ``loops.c``, compiled: the gap scan, the guarded walk and the decreasing-fee DP.
+"""The sequential recurrences of ``loops.c``, compiled: the gap scan, guarded walk, decreasing-fee DP and cost folds.
 Nothing is built at import: the first call builds the library with ``cc`` into ``$XDG_CACHE_HOME/planswitch``
 (``~/.cache/planswitch`` if unset) beside the command and source it came from, which later processes compare before
 loading it. A cache that cannot be written gets a private build; a missing or failing ``cc``, a CompilerError."""
@@ -14,7 +14,9 @@ COMMAND = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-x", "c", "-")
 # Each function's arguments: an array's dtype (passed as a pointer to its data), or a number's C type.
 _F, _I, _B, _S, _N = (*map(np.dtype, ("f8", "i8", "?", "i1")), ctypes.c_int64)
 _SIGNATURES = {"scan": (_F, _N, _F, _F, _N, _N, _F), "walk": (_B, _B, _N, _N, _N, _N, _S, _I),
-               "dp": (_F, _F, _N, _F, _I, _B, ctypes.c_double, _N, _N, _F, _I, _S, _I)}
+               "dp": (_F, _F, _N, _F, _I, _B, ctypes.c_double, _N, _N, _F, _I, _S, _I),
+               "sp": (_S, _F, _F, _N, _N, _N, _F, _F), "csp": (_F, _F, _F, _N, _N, _N, _F, _F),
+               "dsp": (_S, _F, _F, _N, _N, _N, _F, _F, _I, _B, _I)}
 _lib = None  # the library, loaded by the first call
 
 

@@ -9,8 +9,8 @@ correction at rate H (subtracted, as the tariff equation is written).
 The records hold read-only numpy arrays, checked by the stack forms' rules, so
 they pass to those forms as they are: ``sched.states[None]``, ``cs.g0``.
 
-Three objectives are evaluated here, each once, as a left fold over a stack
-of schedules; ``sp_cost``, ``p2_cost`` and ``dsp_cost`` are their one-row calls.
+Three objectives are evaluated here, each once, as a left fold over a stack of schedules (compiled in
+:mod:`planswitch.loops`); ``sp_cost``, ``p2_cost`` and ``dsp_cost`` are their one-row calls.
 
 * ``sp_costs``  -- service cost plus a constant fee ``beta`` per
   cancellation (each 0 -> 1 transition).
@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from . import loops
 
 __all__ = [
     "ValidationError",
@@ -323,7 +325,7 @@ def cost_stack(g0: np.typing.ArrayLike, g1: np.typing.ArrayLike) -> tuple[np.nda
 
 
 # Cells per block of rows of a computation's widest per-row array, read by _row_blocks alone: bounds
-# the temporaries of the kernel and the folds at any row count.
+# the temporaries of the kernel and of _fold_matrix, and a sweep's chunk of fees, at any row count.
 BLOCK_CELLS = 1 << 16
 
 
@@ -350,9 +352,9 @@ def _stack(states: np.typing.ArrayLike, g0: np.typing.ArrayLike,
 
 
 def _fixed_runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rule of run lengths that the decreasing fee reads (the expiry guard counts them in its compiled walk):
-    per slot of a (rows x T) 0/1 matrix (bool or integers), how long the fixed-plan (state 0) run through it has
-    lasted, 0 on plan 1, and whether the slot ends its run. A run's last slot thus holds its length."""
+    """The rule of run lengths in numpy (the decreasing fee's fold and the expiry guard's walk count them as they
+    go): per slot of a (rows x T) 0/1 matrix (bool or integers), how long the fixed-plan (state 0) run through it
+    has lasted, 0 on plan 1, and whether the slot ends its run. A run's last slot thus holds its length."""
     t = np.arange(1, states.shape[1] + 1, dtype=np.int32)
     ends = states == 0
     ends[:, :-1] &= states[:, 1:] != 0
@@ -360,7 +362,7 @@ def _fixed_runs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
-    """The one block rule: ``rows`` rows (of a stack, or a fold's slots) cut into slices of as many rows as fit in
+    """The one block rule: ``rows`` rows (of a stack, or a sweep's fees) cut into slices of as many rows as fit in
     ``BLOCK_CELLS`` cells (one at least), a row taking ``cells_per_row``, the cells of the caller's widest per-row
     array (a row of no cells counting as one). A caller may hold a whole matrix as it works through the blocks, so
     a larger block would raise its peak memory; no result depends on the blocks."""
@@ -368,35 +370,22 @@ def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
     return [slice(i0, min(i0 + block, rows)) for i0 in range(0, rows, block)]
 
 
-def _service(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, sel: slice, cols: slice) -> np.ndarray:
-    """g_t(s_t) of the rows ``sel`` at slots ``cols`` of a 0/1 matrix, on costs of its shape or one row for all."""
-    g = sel if len(g0) == len(states) else slice(None)
-    return np.where(states[sel, cols].view(bool), g1[g, cols], g0[g, cols])
-
-
-def _fold_rows(fill, rows: int, slots: int, width: int = 2) -> np.ndarray:
-    """The one fold loop: each of ``rows`` rows' strict left fold of 0.0 and then ``width`` values per slot, for
-    ``slots`` slots. A block of n rows (the blocks of :func:`_row_blocks` at ``width`` cells a row) walks its slots
-    in order in the tiles of ``_row_blocks(slots, width * n)``: ``fill(tile, sel, cols)`` writes the values of rows
-    ``sel`` at slots ``cols`` into ``tile`` transposed, ``width`` tile rows a slot and a column a row. A tile
-    carries the block's totals in its row 0 and is folded by ``np.add.reduce(axis=0)``, a strict left fold of each
-    column when there are two or more; on one column that reduce sums pairwise, so a one-row block takes the last
-    ``cumsum``. A fold from 0.0 is never -0.0, so a value of 0.0 (no fee, say) or -0.0 leaves its total as it is."""
-    totals = np.zeros(rows)
-    for sel in _row_blocks(rows, width):
-        total = totals[sel]
-        for cols in _row_blocks(slots, width * len(total)):
-            tile = np.empty((width * (cols.stop - cols.start) + 1, len(total)))
-            tile[0] = total
-            fill(tile[1:], sel, cols)
-            total = np.add.reduce(tile, axis=0) if len(total) > 1 else np.cumsum(tile, axis=0, out=tile)[-1]
-        totals[sel] = total
+def _fold(name: str, states: np.ndarray, g0: np.ndarray, g1: np.ndarray, *terms) -> np.ndarray:
+    """Each row's total by the compiled fold ``name`` of ``loops.c``, one call for the stack: ``states`` (rows x T,
+    C order made here) priced on costs of its shape or one row for all, with the fold's ``terms`` (a fee per row)."""
+    rows, period = states.shape
+    totals = np.empty(rows)
+    loops.call(name, np.ascontiguousarray(states), g0, g1, period if len(g0) > 1 else 0, rows, period, totals, *terms)
     return totals
 
 
 def _fold_matrix(slots: np.ndarray) -> np.ndarray:
-    """Each row's strict left fold of 0.0 and then its ``slots``, a (rows x n) matrix: :func:`_fold_rows` on it."""
-    return _fold_rows(lambda tile, sel, cols: np.copyto(tile, slots[sel, cols].T), *slots.shape, 1)
+    """Each row's strict left fold of 0.0 and then its ``slots``, a (rows x n) matrix, a block of rows at a time: the
+    last of its ``cumsum``, which adds first to last, plus 0.0, which turns a sum of -0.0s into the fold's 0.0."""
+    totals = np.empty(len(slots))
+    for sel in _row_blocks(*slots.shape):
+        totals[sel] = np.cumsum(slots[sel], axis=1)[:, -1]
+    return totals + 0.0
 
 
 def sp_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
@@ -413,9 +402,8 @@ def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing
     Sums g_t(s_t) plus ``beta`` for every 0 -> 1 transition, with s_0 = 0.
     The horizon simply ends at T; closing back to state 0 is free. Each total
     is a strict left fold of 0.0, then g_t(s_t) and the fee of slot t's up
-    move, or 0.0 for none, for t = 1..T. The rows and slots are taken in the
-    tiles of :func:`_fold_rows`, each tile's first up move read from the
-    slot before it, so no float matrix of every row is built.
+    move, or 0.0 for none, for t = 1..T: one call of the compiled ``sp`` for
+    the stack, which builds no float matrix of its rows.
     """
     states, g0, g1 = _stack(states, g0, g1)
     return _sp_fold(states, g0, g1, require_finite_rows("beta", beta, len(states)))
@@ -423,13 +411,7 @@ def sp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typing
 
 def _sp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """:func:`sp_costs` on a checked int8 0/1 matrix, costs of its shape or one row, and one fee per row."""
-    def fill(tile, sel, cols):
-        s = states[sel, cols]
-        tile[0::2] = _service(states, g0, g1, sel, cols).T
-        np.multiply(s[:, 0] > (states[sel, cols.start - 1] if cols.start else 0), beta[sel], out=tile[1])  # s_0 = 0
-        np.multiply(s[:, 1:] > s[:, :-1], beta[sel, None], out=tile[3::2].T)
-
-    return _fold_rows(fill, *states.shape)
+    return _fold("sp", states, g0, g1, beta)
 
 
 def p2_cost(sched: Schedule, cs: CostSeries, beta: float) -> float:
@@ -484,9 +466,7 @@ def dsp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typin
     [1, T] never count toward run durations.
 
     Each total is a strict left fold of 0.0, g_t(s_t) for t = 1..T, then each
-    run's fee in run order: at its last slot's place in T more columns, 0.0
-    elsewhere. Each block of rows (:func:`_row_blocks`, 2T cells a row) is
-    scanned once and folded by :func:`_fold_rows`; no run is carried.
+    run's fee in run order: one call of the compiled ``dsp`` for the stack.
 
     Raises:
         InfeasibleScheduleError: some row has a run longer than its ``contract_len``.
@@ -498,27 +478,14 @@ def dsp_costs(states: np.typing.ArrayLike, g0: np.typing.ArrayLike, g1: np.typin
 def _dsp_fold(states: np.ndarray, g0: np.ndarray, g1: np.ndarray, alpha: np.ndarray, cap: np.ndarray,
               literal: np.ndarray) -> np.ndarray:
     """:func:`dsp_costs` on checked input: a (rows x T) int8 0/1 matrix, costs of its shape or one row of T, and
-    each row's fee terms as arrays of ``rows`` entries. A run longer than its row's ``cap`` still raises. Each
-    block of rows is scanned once, then :func:`_fold_rows` folds it in the tiles of its 2T slots, taking it as one
-    block (it has at most ``BLOCK_CELLS`` rows), so ``fill`` needs no row slice. No run is carried."""
-    period = states.shape[1]
-    totals = np.empty(len(states))
-    for sel in _row_blocks(len(states), 2 * period):
-        lasted, ends = _fixed_runs(states[sel])
-        row, end = divmod(_first(ends & (lasted > cap[sel, None])), period)  # the first overrun, row-major
-        if row >= 0:
-            raise InfeasibleScheduleError(f"row {sel.start + row}: fixed-plan run [{end + 2 - lasted[row, end]}, "
-                                          f"{end + 1}] lasts {lasted[row, end]} > contract_len {cap[sel.start + row]}")
-        ends[:, -1] &= literal[sel]  # transition-only: no fee for a run open at T
-
-        def fill(tile, _, cols):  # the block's slots 0..T-1 serve, and T..2T-1 charge each run's fee at its last slot
-            cut = min(max(period - cols.start, 0), len(tile))  # the tile rows that serve
-            tile[:cut] = _service(states, g0, g1, sel, slice(cols.start, cols.start + cut)).T
-            runs = slice(cols.start + cut - period, cols.stop - period)
-            np.multiply(alpha[sel], (cap[sel, None] - lasted[:, runs]).T, out=tile[cut:])
-            tile[cut:] *= ends[:, runs].T  # 0.0 or -0.0 elsewhere: finite, as alpha * cap is
-
-        totals[sel] = _fold_rows(fill, len(ends), 2 * period, 1)
+    each row's fee terms as arrays of ``rows`` entries. The first run longer than its ``cap``, row-major, raises."""
+    overrun = np.empty(1, np.int64)
+    totals = _fold("dsp", states, g0, g1, alpha, cap, literal, overrun)
+    row, end = divmod(int(overrun[0]), states.shape[1])
+    if row >= 0:
+        lasted = _fixed_runs(states[row:row + 1])[0][0, end]
+        raise InfeasibleScheduleError(f"row {row}: fixed-plan run [{end + 2 - lasted}, {end + 1}] lasts {lasted} "
+                                      f"> contract_len {cap[row]}")
     return totals
 
 

@@ -326,8 +326,8 @@ class TestBatchSpCosts:
 
     @pytest.mark.parametrize("cells", [1, 17, 250, 1 << 16])
     def test_independent_of_the_block_size(self, monkeypatch, cells):
-        # blocks of one row, of three (250 cells hold 3 rows of 2 x 40 float slots) and the whole
-        # stack: the floats stay those of sp_cost
+        # block settings of one row, of three (250 cells hold 3 rows of 2 x 40 cells) and the whole stack,
+        # none of which the compiled fold reads: the floats stay those of sp_cost
         rng = np.random.default_rng(cells)
         states = (rng.random((37, 40)) < 0.4).astype(np.int8)
         cs = CostSeries(rng.normal(0.0, 50.0, 40), rng.normal(0.0, 50.0, 40))

@@ -149,6 +149,10 @@ class TestRunConfigValidation:
         (dict(fee_regime="linear", alpha=np.True_), "alpha must be finite and > 0, got True"),
         (dict(h_rate=False), "h_rate must be finite and >= 0, got False"),
         (dict(h_rate=np.True_), "h_rate must be finite and >= 0, got True"),
+        # a fee field the regime does not use is echoed, so it may not be a NaN or an infinity
+        (dict(alpha=math.nan), "alpha must be finite, even unused in the constant fee regime, got nan"),
+        (dict(contract_len=-math.inf), "contract_len must be finite, even unused in the constant fee regime"),
+        (dict(fee_regime="linear", beta=np.float64(math.inf)), "beta must be finite, even unused in the linear"),
     ])
     def test_field_named_in_error(self, kwargs, needle):
         with pytest.raises(ValidationError, match=needle):
@@ -234,10 +238,9 @@ class TestRunReport:
 
     @pytest.mark.parametrize("regime", FEE_REGIMES)
     def test_bytes_independent_of_the_block_size(self, monkeypatch, regime):
-        # one tariff.BLOCK_CELLS cuts the kernel blocks (T cells a row), the fold tiles (2T cells a row) and
-        # the draw reuse. On 36 months: blocks of one row, of three kernel rows, of three fold rows, and one
-        # block. On 2,000 months the fold tiles cut every row of the 20 replicates: into tiles of 7 slots, of
-        # 300, and of 1,638 at the default, against one tile a row.
+        # one tariff.BLOCK_CELLS cuts the kernel blocks (T cells a row) and the draw reuse. On 36 months: blocks
+        # of one row, of three rows, of six, and one block. On 2,000 months the 20 replicates run in blocks of one
+        # row, of six rows, and at the default of all 20, against one block.
         runs = (
             (36, tariff.BLOCK_CELLS, (1, 3 * 36, 3 * 2 * 36, tariff.BLOCK_CELLS)),
             (2000, 2 * 20 * 2000, (2 * 20 * 7, 2 * 20 * 300, tariff.BLOCK_CELLS)),
@@ -409,7 +412,7 @@ class TestSweep:
     @pytest.mark.parametrize("block_cells", [tariff.BLOCK_CELLS, 0, 960, 480])
     @pytest.mark.parametrize("regime", FEE_REGIMES)
     def test_shared_draws_match_fresh_points(self, monkeypatch, caplog, regime, block_cells):
-        # Five points of 8 replicates x 2T = 480 fold cells: all in one chunk, in chunks of two with a short last
+        # Five points of 8 replicates x 2T = 480 cells: all in one chunk, in chunks of two with a short last
         # one (960), or one a chunk, with the draws kept (480) or drawn again per point (0). Each point equals a
         # fresh run and logs what that run logs, then its monotonicity warning: the optimum is made to fall at
         # every point, so every point after the first warns.
@@ -756,6 +759,32 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 7  # provenance comment + header + 5 fee rows
         assert lines[0].startswith("# config: ")
+
+    @pytest.mark.parametrize("regime", FEE_REGIMES)
+    def test_every_output_that_exits_0_is_strict_json(self, regime, capsys):
+        # RFC 8259 has no NaN or Infinity, so a strict reader refuses them: a fee field the regime does not use was
+        # once echoed as one (run's config, sweep's "# config:" line); now it is refused, as a used one always was
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        unused = "--beta" if regime == "linear" else "--alpha"
+        for flag, value in itertools.product(("--beta", "--alpha"), ("nan", "inf", "-inf", "1.8e308", "5e-324",
+                                                                     "-0.0", "0.0", "3.5")):
+            for command in (["run"], ["sweep", "--from", "1", "--to", "2"]):
+                code = main([*command, "--fee-regime", regime, "--slots", "6", "--mc-runs", "2", f"{flag}={value}"])
+                out, err = capsys.readouterr()
+                if code == 0:
+                    assert err == ""
+                    text = out if command == ["run"] else out.splitlines()[0].removeprefix("# config: ")
+                    json.loads(text, parse_constant=refuse)
+                    for row in out.splitlines()[2:] if command != ["run"] else ():
+                        assert all(math.isfinite(float(cell)) for cell in row.split(","))
+                else:
+                    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+                    assert (flag != unused) or not math.isfinite(float(value))
+                if flag == unused and not math.isfinite(float(value)):
+                    assert err == (f"error: {flag[2:]} must be finite, even unused in the {regime} fee regime, "
+                                   f"got {float(value)!r}\n")
 
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "identity", "--seed", "7"]) == 0

@@ -296,7 +296,7 @@ class TestBatchDspCosts:
         cs = random_cost_series(rng, 50)
         states = _guarded_states(rng, cs, 2.0, 6, 37)
         whole = dsp_costs(states, cs.g0, cs.g1, 2.0, 6)
-        monkeypatch.setattr(tariff, "BLOCK_CELLS", 2 * 2 * 50)  # blocks of 2 rows of 2 x 50 float slots
+        monkeypatch.setattr(tariff, "BLOCK_CELLS", 2 * 2 * 50)  # 2 rows of 2 x 50 cells, which the fold must not read
         assert np.array_equal(dsp_costs(states, cs.g0, cs.g1, 2.0, 6), whole)
 
     def test_single_slot_and_empty_batch(self):

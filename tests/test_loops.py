@@ -1,17 +1,23 @@
 """The compiled loops against the Python loops they replaced, and how they are built.
 
-The gap scan (``chase._delta_rows``), the guarded walk (``chase._chase``) and
-the decreasing-fee DP (``oracles._dp``) must give the retired loops' results
-bit for bit: ``scalar_objectives.scan_loop`` (``clamp_step`` folded),
-``guarded_walk`` and ``dp_row_loop``. Beside random rows, each is run at its
-edges: one slot, a contract at least as long as the trace, alpha = 0, exact
-ties at costs of 2^14 and more, and gaps or sums that overflow to inf or nan.
+The gap scan (``chase._delta_rows``), the guarded walk (``chase._chase``),
+the decreasing-fee DP (``oracles._dp``) and the cost folds (``tariff._sp_fold``,
+``tariff._dsp_fold``, ``chase._csp_fold``, and ``tariff._fold_matrix`` under
+``p2_costs``) must give the Python loops' results bit for bit:
+``scalar_objectives.scan_loop`` (``clamp_step`` folded), ``guarded_walk``,
+``dp_row_loop``, and ``sp_loop``, ``dsp_loop``, ``csp_loop`` and ``p2_loop``.
+Beside random rows, each is run at its edges: one slot, a contract at least
+as long as the trace, alpha = 0, exact ties at costs of 2^14 and more, gaps
+or sums that overflow to inf or nan, and for the folds -0.0 costs, both cost
+layouts, runs open at the horizon, the first overrun and a reversed view.
 
 The build tests run the loader with a temporary cache directory, with a PATH
 that has no ``cc`` or a failing one, and with the loaded library dropped, so
 that the next call loads it again.
 """
 
+import functools
+import operator
 import os
 import subprocess
 import sys
@@ -19,10 +25,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from scalar_objectives import dp_row_loop, guarded_walk, scan_loop
+from scalar_objectives import csp_loop, dp_row_loop, dsp_loop, guarded_walk, p2_loop, scan_loop, sp_loop
 
 import planswitch
-from planswitch import chase, cli, loops, oracles
+from planswitch import InfeasibleScheduleError, chase, cli, loops, oracles, tariff
 from planswitch.loops import CompilerError
 
 MODES = (True, False)  # literal, transition-only
@@ -187,6 +193,139 @@ class TestDp:
 
 
 # ---------------------------------------------------------------------------
+# The folds
+# ---------------------------------------------------------------------------
+
+LAYOUTS = pytest.mark.parametrize("shared", [False, True], ids=["costs-per-row", "shared-costs"])
+
+
+def cost_rows(g0, g1, rows, shared):
+    """The costs as the folds take them, one row for all when ``shared``, and each row's as lists for the loops."""
+    g0, g1 = (np.atleast_2d(np.asarray(g, dtype=np.float64))[:1 if shared else None] for g in (g0, g1))
+    return g0, g1, [(g0[i * (not shared)].tolist(), g1[i * (not shared)].tolist()) for i in range(rows)]
+
+
+def check_folds(states, g0, g1, beta, alpha, cap, literal, shared):
+    """sp, dsp and ``p2_costs`` (its slots folded by ``_fold_matrix``) on (rows x T) 0/1 states, and csp on
+    fractions made from them, against their loops, bit for bit; the fee terms one per row."""
+    states = np.asarray(states, dtype=np.int8)
+    g0, g1, costs = cost_rows(g0, g1, len(states), shared)
+    beta, alpha = np.asarray(beta, dtype=np.float64), np.asarray(alpha, dtype=np.float64)
+    cap, literal = np.asarray(cap, dtype=np.int64), np.asarray(literal, dtype=bool)
+    x = states / 4.0 + np.arange(states.shape[1]) % 3 / 4.0  # fractions that rise and fall, each 0 to 1
+    rows = list(zip(states.tolist(), costs, beta.tolist(), alpha.tolist(), cap.tolist(), literal.tolist(), x.tolist()))
+    assert bits(tariff._sp_fold(states, g0, g1, beta)) == bits([sp_loop(s, *c, b) for s, c, b, *_ in rows])
+    assert bits(tariff._dsp_fold(states, g0, g1, alpha, cap, literal)) == bits(
+        [dsp_loop(s, *c, a, n, tariff.FEE_MODES[not lit]) for s, c, _, a, n, lit, _ in rows])
+    assert bits(chase._csp_fold(x, g0, g1, beta)) == bits([csp_loop(v, *c, b) for _, c, b, *_, v in rows])
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy warns where the slots or their sums overflow
+        assert bits(tariff.p2_costs(states, g0[0] if shared else g0, g1[0] if shared else g1, beta)) == bits(
+            [p2_loop(s, *c, b) for s, c, b, *_ in rows])
+
+
+def longest_run(states):
+    return int(tariff._fixed_runs(np.atleast_2d(np.asarray(states, dtype=np.int8)))[0].max())
+
+
+class TestFolds:
+    @LAYOUTS
+    def test_random_rows(self, shared):
+        rng = np.random.default_rng(509)
+        for _ in range(200):
+            rows, period = int(rng.integers(1, 8)), int(rng.integers(1, 60))
+            states = (rng.random((rows, period)) < rng.uniform(0.2, 0.8)).astype(np.int8)
+            g0, g1 = rng.normal(0.0, 5.0, (2, rows, period)) * 10.0 ** rng.integers(-3, 4, (2, rows, period))
+            cap = np.maximum(tariff._fixed_runs(states)[0].max(axis=1), 1) + rng.integers(0, 3, rows)
+            check_folds(states, g0, g1, rng.choice([0.0, 0.5, 2.0, 1e6], rows), rng.choice([0.0, 0.25, 3.0], rows),
+                        cap, rng.random(rows) < 0.5, shared)
+
+    @LAYOUTS
+    def test_one_slot(self, shared):
+        g0, g1 = [[1.5], [-2.0], [-0.0], [0.0]], [[-0.5], [3.0], [-0.0], [0.0]]
+        for state in (0, 1):
+            check_folds([[state]] * 4, g0, g1, [0.0, 1.0, 2.5, 0.0], [0.0, 1.0, 0.5, 2.0], [1, 1, 2, 2**53],
+                        [True, False, True, False], shared)
+
+    @LAYOUTS
+    def test_negative_zero_costs_fold_to_zero(self, shared):
+        # A fold from 0.0 is never -0.0: a row of -0.0 costs with no fee, or a fee of alpha = 0, totals +0.0.
+        states = np.array([[0, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=np.int8)
+        g = np.full((3, 3), -0.0)
+        check_folds(states, g, g, [0.0] * 3, [0.0] * 3, [3] * 3, [True, False, True], shared)
+        assert tariff._sp_fold(states, g, g, np.zeros(3)).tobytes() == np.zeros(3).tobytes()
+
+    @LAYOUTS
+    def test_sums_overflowing_to_inf_and_nan(self, shared):
+        # Finite costs whose sums overflow to +-inf; csp's g1 - g0 overflows too, to a nan at x = 0.
+        big = 1.7e308
+        states = np.array([[0, 0, 1, 1, 0], [1, 1, 1, 0, 0], [0, 1, 0, 1, 1]], dtype=np.int8)
+        g0 = np.array([[big, big, -big, big, -big], [-big, big, 0.0, -big, -big], [big, -big, big, -big, big]])
+        g1 = np.array([[-big, big, big, big, 0.0], [-big, -big, -big, big, big], [-big, big, -big, big, big]])
+        check_folds(states, g0, g1, [big, 0.0, 1.0], [1e300, 0.0, 1.0], [5, 2, 2**53], [True, False, True], shared)
+
+    @pytest.mark.parametrize("literal", MODES, ids=["literal", "transition-only"])
+    @LAYOUTS
+    def test_contract_edges(self, literal, shared):
+        # cap = T and 2^53, alpha = 0 and > 0, and a run open at T, charged only in literal mode.
+        rng = np.random.default_rng(510)
+        for period in (1, 2, 7, 30):
+            states = (rng.random((6, period)) < 0.4).astype(np.int8)
+            states[:2] = 0  # runs open at T: all of row 0, and row 1 from slot 2 (from slot 1 at T = 1)
+            states[1, 0] = period > 1
+            g0, g1 = rng.uniform(-2.0, 5.0, (2, 6, period))
+            cap = [period, 2**53, period, 2**53, period + 1, max(longest_run(states[5]), 1)]
+            check_folds(states, g0, g1, [1.0] * 6, [0.0, 0.0, 0.75, 1e-3, 2.5, 1.0], cap, [literal] * 6, shared)
+
+    def test_first_overrun_in_row_major_order(self):
+        # Row 1 overruns only at its last slots, row 2 at its first and again later: row 1's run is raised, with
+        # the message of the loop on that row.
+        states = np.ones((4, 12), dtype=np.int8)
+        states[1, 7:] = 0
+        states[2, :5], states[2, 6:11] = 0, 0
+        states[3, :] = 0
+        g = np.zeros((1, 12))
+        for literal in MODES:
+            with pytest.raises(InfeasibleScheduleError) as want:
+                dsp_loop(states[1].tolist(), g[0], g[0], 1.0, 4)
+            with pytest.raises(InfeasibleScheduleError) as got:
+                tariff._dsp_fold(states, g, g, np.ones(4), np.full(4, 4, np.int64), np.full(4, literal))
+            assert str(got.value) == f"row 1: {want.value}" == "row 1: fixed-plan run [8, 12] lasts 5 > contract_len 4"
+
+    def test_reversed_state_view(self):
+        # _offline hands the folds a reversed view of its states, and sp_costs passes a caller's int8 view on:
+        # the folds price a non-C-order view as its copy.
+        rng = np.random.default_rng(511)
+        states = (rng.random((5, 40)) < 0.5).astype(np.int8)
+        g0, g1 = rng.normal(size=(2, 5, 40))
+        view = states[::-1, ::-1]
+        assert not view.flags.c_contiguous
+        terms = np.full(5, 0.5), np.full(5, 40, np.int64), np.full(5, True)
+        for fold, args in ((tariff._sp_fold, terms[:1]), (tariff._dsp_fold, terms)):
+            assert bits(fold(view, g0, g1, *args)) == bits(fold(view.copy(), g0, g1, *args))
+        assert bits(tariff.sp_costs(view, g0, g1, 2.0)) == bits(tariff.sp_costs(view.copy(), g0, g1, 2.0))
+        values = chase.delta_traces(g0, g1, 2.0)
+        assert bits(tariff.sp_costs(chase.offline_states(values, 2.0), g0, g1, 2.0)) == bits(
+            [sp_loop(s, a, b, 2.0) for s, a, b in zip(chase.offline_states(values, 2.0).tolist(), g0, g1)])
+
+    @pytest.mark.parametrize("cells", [1, 7 * 30, tariff.BLOCK_CELLS])
+    def test_fold_matrix_is_a_left_fold(self, monkeypatch, cells):
+        # p2_costs and the phi identities fold their slots by the last of a cumsum plus 0.0, a block of rows (one,
+        # seven, or all 50) at a time: each row from 0.0, first to last.
+        monkeypatch.setattr(tariff, "BLOCK_CELLS", cells)
+        rng = np.random.default_rng(512)
+        values = rng.normal(size=(50, 30)) * 10.0 ** rng.integers(-8, 9, size=(50, 30))
+        values[0], values[1, :3], values[2, 4:6] = -0.0, [np.inf, 1.0, -np.inf], [np.nan, 1.0]
+        values[3, :], values[4, :1] = 1.7e308, 1.0  # overflows to inf; one slot of 1.0 then values
+        want = [functools.reduce(operator.add, row, 0.0) for row in values.tolist()]
+        backward = [functools.reduce(operator.add, row[::-1], 0.0) for row in values[5:].tolist()]
+        assert sum(a != b for a, b in zip(want[5:], backward)) > len(backward) // 2  # the data tell orders apart
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy warns of the inf and nan sums
+            assert bits(tariff._fold_matrix(values)) == bits(want)
+        assert bits(tariff._fold_matrix(values[:, :1])) == bits([0.0 + v for v in values[:, 0].tolist()])  # a view
+        assert tariff._fold_matrix(np.empty((0, 4))).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
 # Building and loading the library
 # ---------------------------------------------------------------------------
 
@@ -298,6 +437,14 @@ def test_arguments_are_checked_before_the_call():
     with pytest.raises(TypeError, match="dp: argument 3 must be a C-contiguous float64 array"):
         loops.call("dp", np.zeros((1, 2)), np.zeros((1, 2)), 0, 0.5, np.ones(1, np.int64), np.ones(1, bool), 0.0, 1,
                    2, np.empty(9), np.empty(6, np.int64), np.empty((1, 2), np.int8), np.empty(1, np.int64))
+    states, g = np.zeros((2, 3), np.int8), np.zeros((2, 3))
+    with pytest.raises(TypeError, match="sp: argument 0 must be a C-contiguous int8 array"):
+        loops.call("sp", states[:, ::-1], g, g, 3, 2, 3, np.empty(2), np.ones(2))
+    with pytest.raises(TypeError, match="dsp: argument 8 must be a C-contiguous int64 array"):
+        loops.call("dsp", states, g, g, 3, 2, 3, np.empty(2), np.ones(2), np.ones(2), np.ones(2, bool),
+                   np.empty(1, np.int64))
+    with pytest.raises(TypeError, match="csp: argument 0 must be a C-contiguous float64 array"):
+        loops.call("csp", states, g, g, 3, 2, 3, np.empty(2), np.ones(2))
 
 
 def test_strided_inputs_are_read_in_order():

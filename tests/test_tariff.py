@@ -34,7 +34,7 @@ from planswitch import (
     zero_runs,
 )
 from planswitch.bench import H_SCALE
-from planswitch.chase import drift_trace
+from planswitch.chase import delta_trace, drift_trace
 from planswitch import tariff
 from planswitch.tariff import MAX_CONTRACT_LEN, _parse_rows, fee_term_rows, fee_terms
 from scalar_objectives import fee_rows_loop, fixed_runs_loop
@@ -185,9 +185,9 @@ CS3 = CostSeries.from_pairs([(3, 0), (0, 3), (0, 0)])
 class TestFoldRows:
     @pytest.mark.parametrize("cells", [1, 5 * 900, 72 * 900, tariff.BLOCK_CELLS])
     def test_strict_left_fold_in_tiles(self, monkeypatch, cells):
-        # Tiles of one slot (one-row blocks), of 5 slots (not dividing 72), of the whole matrix, and the default:
-        # each gives the Python left fold's bits, and a call allocates its totals and about two tiles, not a copy of
-        # the slots (none at the narrow tiles, whose peak is under a quarter of the slots').
+        # Blocks of one row, of 62 rows (not dividing 900), of the whole matrix, and the default: each gives the
+        # Python left fold's bits, and a call allocates its totals and one block's cumsum, not a copy of the slots
+        # (none at the small blocks, whose peak is under a quarter of the slots').
         rng = np.random.default_rng(61)
         slots = rng.normal(size=(900, 72)) * 10.0 ** rng.integers(-5, 6, size=(900, 72))
         slots[0] = -0.0  # every slot -0.0: the fold from 0.0 gives +0.0
@@ -555,6 +555,14 @@ class TestRequireFiniteRows:
         g, message = np.ones((2, 3)), f"beta must be finite and >= 0, got {bool(np.ravel(beta)[0])}"
         with pytest.raises(ValidationError, match=re.escape(message)):
             tariff.sp_costs(np.zeros((2, 3), np.int8), g, g, beta)
+
+    @pytest.mark.parametrize("beta, drift", [(True, 0.0), (np.True_, 0.5), (2.0, True), (2.0, np.False_)], ids=repr)
+    def test_delta_trace_refuses_a_bool_fee_or_drift(self, beta, drift):
+        # delta_trace once took float() of each before its record's check, so True scanned as a fee or drift of 1
+        name, value = ("drift", drift) if isinstance(drift, (bool, np.bool_)) else ("beta", beta)
+        message = f"{name} must be finite and {'>=' if name == 'drift' else '>'} 0, got {bool(value)}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            delta_trace(CostSeries([1.0, 2.0], [2.0, 1.0]), beta, drift)
 
 
 class TestTrace:
